@@ -6,7 +6,9 @@ plus optional --threads and --out; --out defaults to the data_dir named in
 the config, so a config-only session reads and writes one directory. Outputs
 are deterministic given the seeds in the config; every generated table starts
 with a `#` comment naming the tool version and the hash of the resolved
-config. Exit codes: 0 success, 2 missing input file, 3 invalid configuration.
+config. Exit codes: 0 success, 2 a data or file error (a missing, corrupt or
+malformed input, or inputs that do not fit each other), 3 invalid
+configuration.
 
 Ablation switches zero out the corresponding modality input (rather than
 removing the encoder), so the model topology never changes between runs.
@@ -32,7 +34,7 @@ from .encoders import (
     SmplParams,
     save_encoder,
 )
-from .exceptions import ConfigError, CorruptFile, ProtocolError
+from .exceptions import ConfigError, ProtocolError, SharcError
 from .gallery import (
     AppearanceModel,
     GalleryIndex,
@@ -296,12 +298,12 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 2
-    except CorruptFile as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ConfigError, ProtocolError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 3
+    except SharcError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,6 +6,15 @@ appearance distances are negated and min-max rescaled to [0, 1] per query row
 (an all-equal row maps to 0.5 everywhere); the raw negated-distance scale is
 kept behind a flag. Fusion is the entrywise weighted average
 alpha * shape + (1 - alpha) * appearance.
+
+Scores are computed as whole (queries x entries) matrices. The queries and
+the index entries are stacked once per call and validated once (finite, equal
+widths, and for cosine no zero vector). The kernels make no BLAS call: they
+use einsum without `optimize`, which sums in numpy's own fixed order, so the
+score bytes do not depend on the BLAS thread count. Distances come from exact
+differences, one query row at a time, never from the cancelling expansion
+|q|^2 + |g|^2 - 2 q.g. `core.cosine_similarity` and `core.euclidean_distance`
+compute the same cells one pair at a time; the two agree to within 1e-12.
 """
 
 from __future__ import annotations
@@ -14,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cosine_similarity, euclidean_distance
-from .exceptions import AlignmentError, InvalidInput
+from .exceptions import AlignmentError, DimMismatch, EmptyInput, InvalidInput
 from .gallery import GalleryIndex
 
 
@@ -72,12 +80,45 @@ class ScoreMatrix:
         return cls(scores=np.array(rows, dtype=np.float64), query_ids=query_ids, gallery_ids=gallery_ids)
 
 
-def _per_subject(index: GalleryIndex) -> tuple[list[str], list[list[int]]]:
-    """Gallery subject ids in first-seen order, with their entry indices."""
-    order: dict[str, list[int]] = {}
-    for i, e in enumerate(index.entries):
-        order.setdefault(e.subject_id, []).append(i)
-    return list(order), list(order.values())
+def _matrix(vectors: list, name: str, dim: int) -> np.ndarray:
+    """Stack 1-D vectors of width `dim` into one finite (N, dim) float64 matrix."""
+    shapes = {np.shape(v) for v in vectors}
+    if shapes - {(dim,)}:
+        raise DimMismatch(f"{name} vectors have shapes {sorted(shapes)}, expected ({dim},)")
+    m = np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)
+    if not np.all(np.isfinite(m)):
+        raise InvalidInput(f"{name} vectors contain non-finite entries")
+    return m
+
+
+def _operands(
+    queries: list[tuple[str, np.ndarray]], index: GalleryIndex, modality: str
+) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray]:
+    """Query matrix, entry matrix, subject ids and their segment starts.
+
+    Entries are stacked grouped by subject, subjects in first-seen order, so
+    subject k owns entry rows starts[k]:starts[k + 1].
+    """
+    if len(index.entries) == 0:
+        raise EmptyInput("the gallery index has no entries")
+    by_subject: dict[str, list[np.ndarray]] = {}
+    for e in index.entries:
+        by_subject.setdefault(e.subject_id, []).append(getattr(e, modality))
+    entries = [v for vecs in by_subject.values() for v in vecs]
+    dim = np.size(entries[0])
+    if np.ndim(entries[0]) != 1 or dim == 0:
+        raise InvalidInput(f"gallery {modality} vectors must be non-empty and 1-D")
+    starts = np.cumsum([0] + [len(vecs) for vecs in by_subject.values()])[:-1]
+    g = _matrix(entries, f"gallery {modality}", dim)
+    q = _matrix([v for _, v in queries], f"query {modality}", dim)
+    return q, g, list(by_subject), starts
+
+
+def _unit_rows(m: np.ndarray, name: str) -> np.ndarray:
+    norms = np.sqrt(np.einsum("nd,nd->n", m, m))
+    if np.any(norms == 0.0):
+        raise InvalidInput(f"cosine similarity is undefined for a zero {name} vector")
+    return m / norms[:, None]
 
 
 def shape_scores(queries: list[tuple[str, np.ndarray]], index: GalleryIndex) -> ScoreMatrix:
@@ -86,11 +127,10 @@ def shape_scores(queries: list[tuple[str, np.ndarray]], index: GalleryIndex) -> 
     A subject with several index entries (per-tracklet mode) scores as the max
     over its entries.
     """
-    subjects, entry_idx = _per_subject(index)
-    scores = np.empty((len(queries), len(subjects)))
-    for qi, (_, q) in enumerate(queries):
-        for gi, idxs in enumerate(entry_idx):
-            scores[qi, gi] = max(cosine_similarity(q, index.entries[i].shape) for i in idxs)
+    q, g, subjects, starts = _operands(queries, index, "shape")
+    unit_q, unit_g = _unit_rows(q, "query"), _unit_rows(g, "gallery")
+    cos = np.clip(np.einsum("qd,gd->qg", unit_q, unit_g), -1.0, 1.0)
+    scores = np.maximum.reduceat(cos, starts, axis=1)
     return ScoreMatrix(scores=scores, query_ids=[qid for qid, _ in queries], gallery_ids=subjects)
 
 
@@ -103,13 +143,12 @@ def appearance_scores(
     subject) and, unless rescale=False, min-max normalized to [0, 1] within
     each query row; a degenerate all-equal row becomes 0.5 everywhere.
     """
-    subjects, entry_idx = _per_subject(index)
-    sims = np.empty((len(queries), len(subjects)))
-    for qi, (_, q) in enumerate(queries):
-        for gi, idxs in enumerate(entry_idx):
-            sims[qi, gi] = max(
-                -euclidean_distance(q, index.entries[i].appearance) for i in idxs
-            )
+    q, g, subjects, starts = _operands(queries, index, "appearance")
+    neg = np.empty((q.shape[0], g.shape[0]))
+    for i, row in enumerate(q):
+        diff = g - row
+        neg[i] = -np.sqrt(np.einsum("gd,gd->g", diff, diff))
+    sims = np.maximum.reduceat(neg, starts, axis=1)
     if rescale:
         lo = sims.min(axis=1, keepdims=True)
         hi = sims.max(axis=1, keepdims=True)

@@ -76,6 +76,32 @@ class TestExitCodes:
         assert _run(["query", "--config", cfg_path, "--out", out]) == 2
         assert "index.shrc" in capsys.readouterr().err
 
+    def test_malformed_query_manifest_is_2(self, workspace, capsys):
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        assert _run(["enroll", "--config", cfg_path, "--out", out]) == 0
+        (data_dir / "query.csv").write_text("id,who,outfit,where\n")
+        capsys.readouterr()
+        assert _run(["query", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "query.csv" in err
+        assert "Traceback" not in err
+
+    def test_index_of_other_width_is_2(self, workspace, capsys):
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        wide = tmp / "wide.cfg"
+        wide.write_text(cfg_path.read_text().replace("channels = 8\n", "channels = 16\n"))
+        assert parse_config(wide).model.channels == 16
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        assert _run(["enroll", "--config", wide, "--out", out]) == 0
+        capsys.readouterr()
+        assert _run(["query", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: query shape vectors have shapes")
+        assert "Traceback" not in err
+
 
 class TestPipeline:
     def test_full_run_produces_commented_tables(self, workspace, capsys):

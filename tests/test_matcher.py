@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sharc
 from sharc.core import cosine_similarity, euclidean_distance
-from sharc.exceptions import AlignmentError, InvalidInput
+from sharc.exceptions import AlignmentError, DimMismatch, InvalidInput
 from sharc.gallery import GalleryIndex, IndexEntry
 from sharc.matcher import (
     ScoreMatrix,
@@ -11,6 +17,10 @@ from sharc.matcher import (
     rank,
     shape_scores,
 )
+
+
+# the matrix kernels sum in another order than the scalar oracles
+ORACLE_TOL = 1e-12
 
 
 def _index(entries):
@@ -55,7 +65,7 @@ class TestShapeScores:
         m = shape_scores(queries, idx)
         for qi, (_, q) in enumerate(queries):
             for gi, e in enumerate(idx.entries):
-                assert m.scores[qi, gi] == cosine_similarity(q, e.shape)
+                assert abs(m.scores[qi, gi] - cosine_similarity(q, e.shape)) <= ORACLE_TOL
 
     def test_multiple_entries_take_max(self):
         idx = _index(
@@ -79,7 +89,7 @@ class TestAppearanceScores:
         m = appearance_scores(queries, idx, rescale=False)
         for qi, (_, q) in enumerate(queries):
             for gi, e in enumerate(idx.entries):
-                assert m.scores[qi, gi] == -euclidean_distance(q, e.appearance)
+                assert abs(m.scores[qi, gi] - -euclidean_distance(q, e.appearance)) <= ORACLE_TOL
 
     def test_rescaled_rows_span_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -102,6 +112,90 @@ class TestAppearanceScores:
         idx = _index([("s0", [0.0], [1.0, 0.0]), ("s1", [0.0], [-1.0, 0.0])])
         m = appearance_scores([("q", np.array([0.0, 0.0]))], idx)
         np.testing.assert_array_equal(m.scores, [[0.5, 0.5]])
+
+
+class TestPerTracklet:
+    def test_non_adjacent_entries_match_scalar_max(self):
+        rng = np.random.default_rng(7)
+        order = ["b", "a", "b", "c", "a", "b"]
+        idx = _index([(s, rng.standard_normal(6), rng.standard_normal(4)) for s in order])
+        queries_shape = [(f"q{i}", rng.standard_normal(6)) for i in range(3)]
+        queries_app = [(f"q{i}", rng.standard_normal(4)) for i in range(3)]
+        m_shape = shape_scores(queries_shape, idx)
+        m_app = appearance_scores(queries_app, idx, rescale=False)
+        assert m_shape.gallery_ids == m_app.gallery_ids == ["b", "a", "c"]
+        for gi, subject in enumerate(["b", "a", "c"]):
+            mine = [e for e in idx.entries if e.subject_id == subject]
+            for qi in range(3):
+                best_cos = max(cosine_similarity(queries_shape[qi][1], e.shape) for e in mine)
+                best_app = max(-euclidean_distance(queries_app[qi][1], e.appearance) for e in mine)
+                assert abs(m_shape.scores[qi, gi] - best_cos) <= ORACLE_TOL
+                assert abs(m_app.scores[qi, gi] - best_app) <= ORACLE_TOL
+
+
+class TestValidation:
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(8)
+
+    def test_zero_shape_vectors_rejected(self, rng):
+        idx = _index([("s0", rng.standard_normal(3), np.ones(2)), ("s1", np.zeros(3), np.ones(2))])
+        with pytest.raises(InvalidInput):
+            shape_scores([("q", rng.standard_normal(3))], idx)
+        idx = _index([("s0", rng.standard_normal(3), np.ones(2))])
+        with pytest.raises(InvalidInput):
+            shape_scores([("q0", rng.standard_normal(3)), ("q1", np.zeros(3))], idx)
+
+    @pytest.mark.parametrize("score", [shape_scores, appearance_scores])
+    def test_non_finite_rejected(self, score):
+        bad_gallery = _index([("s0", [np.inf, 1.0], [1.0, np.nan])])
+        with pytest.raises(InvalidInput):
+            score([("q", np.ones(2))], bad_gallery)
+        good = _index([("s0", [1.0, 1.0], [1.0, 1.0])])
+        with pytest.raises(InvalidInput):
+            score([("q0", np.ones(2)), ("q1", np.array([1.0, np.nan]))], good)
+
+    @pytest.mark.parametrize("score", [shape_scores, appearance_scores])
+    def test_dim_mismatch_rejected(self, rng, score):
+        idx = _index([("s0", rng.standard_normal(4), rng.standard_normal(4))])
+        with pytest.raises(DimMismatch):
+            score([("q", rng.standard_normal(3))], idx)
+        ragged = _index([("s0", np.ones(4), np.ones(4)), ("s1", np.ones(5), np.ones(5))])
+        with pytest.raises(DimMismatch):
+            score([("q", rng.standard_normal(4))], ragged)
+
+
+THREADS_SCRIPT = """
+import sys
+import numpy as np
+from sharc.gallery import GalleryIndex, IndexEntry
+from sharc.matcher import appearance_scores, shape_scores
+rng = np.random.default_rng(20231015)
+n = 201
+index = GalleryIndex([IndexEntry(f"s{i}", rng.standard_normal(80), rng.standard_normal(32), 1) for i in range(n)])
+shape_q = [(f"q{i}", rng.standard_normal(80)) for i in range(n)]
+app_q = [(f"q{i}", rng.standard_normal(32)) for i in range(n)]
+sys.stdout.buffer.write(shape_scores(shape_q, index).scores.tobytes())
+sys.stdout.buffer.write(appearance_scores(app_q, index, rescale=False).scores.tobytes())
+"""
+
+
+def test_score_bytes_do_not_depend_on_blas_threads():
+    # 201 rows do not split evenly over two threads; there a BLAS product
+    # (q @ g.T) gives different bytes at one and at two threads
+    src = str(Path(sharc.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-c", THREADS_SCRIPT], env=env, capture_output=True, check=True, timeout=120
+        )
+        outputs.append(run.stdout)
+    half = 201 * 201 * 8
+    assert len(outputs[0]) == 2 * half
+    assert outputs[0][:half] == outputs[1][:half]  # shape
+    assert outputs[0][half:] == outputs[1][half:]  # appearance
 
 
 class TestFusion:
@@ -152,3 +246,30 @@ class TestRank:
         m = ScoreMatrix(rng.standard_normal((5, 7)), [f"q{i}" for i in range(5)], ids)
         for row in rank(m):
             assert sorted(row) == sorted(ids)
+
+
+def test_fused_ranking_matches_scalar_oracle():
+    rng = np.random.default_rng(9)
+    gallery = {f"s{i}": (rng.standard_normal(6), rng.standard_normal(5)) for i in range(8)}
+    # exact ties in both modalities: they must break by ascending id
+    gallery["s7"] = gallery["s2"]
+    gallery["s0"] = gallery["s5"]
+    ids = ["s7", "s3", "s0", "s6", "s2", "s1", "s5", "s4"]
+    idx = _index([(g, *gallery[g]) for g in ids])
+    queries = [(f"q{i}", rng.standard_normal(6), rng.standard_normal(5)) for i in range(6)]
+    queries.append(("q_tie", *gallery["s2"]))
+    alpha = 0.1
+    s_shape = shape_scores([(q, sv) for q, sv, _ in queries], idx)
+    s_app = appearance_scores([(q, av) for q, _, av in queries], idx)
+    ranked = rank(fuse_scores(s_shape, s_app, alpha))
+
+    expected = []
+    for _, sv, av in queries:
+        cos = [cosine_similarity(sv, gallery[g][0]) for g in ids]
+        neg = [-euclidean_distance(av, gallery[g][1]) for g in ids]
+        lo, hi = min(neg), max(neg)
+        app = [(x - lo) / (hi - lo) for x in neg]
+        fused = [alpha * c + (1.0 - alpha) * a for c, a in zip(cos, app)]
+        expected.append([g for _, g in sorted(zip(fused, ids), key=lambda p: (-p[0], p[1]))])
+    assert ranked == expected
+    assert ranked[-1][:2] == ["s2", "s7"]
