@@ -1,10 +1,11 @@
 """Appearance branch: two aggregations over a group of frame features.
 
 The attention route halves the number of frames per pyramid level by combining
-consecutive pairs with spatial and temporal attention, so a depth-3 pyramid
-consumes exactly 8 frames. The averaging route means all frames and flattens
-the pooled vector with a signed power transform. The two routes are kept as
-separate parts on the embedding so either can be zeroed for ablations.
+consecutive pairs with spatial and temporal attention, so a depth-L pyramid
+consumes exactly 2**L frames (8 at the default depth of 3). The averaging
+route means all frames and flattens the pooled vector with a signed power
+transform. The two routes are kept as separate parts on the embedding so
+either can be zeroed for ablations.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def flatten_feature(v: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AppearanceEmbedding:
-    """Attention-route and averaging-route vectors for one 8-frame group (or a
+    """Attention-route and averaging-route vectors for one frame group (or a
     group average); gamma is recorded for provenance."""
 
     attn_part: np.ndarray

@@ -2,9 +2,10 @@
 
 Commands: synth, enroll, query, evaluate, ablate-gamma, ablate-alpha,
 train-toy. Every command takes --config (key=value file, see config module),
-plus optional --threads and --out; --out defaults to the data_dir named in
-the config, so a config-only session reads and writes one directory. Outputs
-are deterministic given the seeds in the config; every generated table starts
+plus optional --out, which defaults to the data_dir named in the config, so a
+config-only session reads and writes one directory. --threads is still
+accepted and has no effect: embedding runs serially. Outputs are
+deterministic given the seeds in the config; every generated table starts
 with a `#` comment naming the tool version and the hash of the resolved
 config. Exit codes: 0 success, 2 a data or file error (a missing, corrupt or
 malformed input, or inputs that do not fit each other), 3 invalid
@@ -20,7 +21,6 @@ import argparse
 import errno
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .encoders import (
     SmplParams,
     save_encoder,
 )
-from .exceptions import ConfigError, ProtocolError, SharcError
+from .exceptions import ConfigError, InvalidInput, ProtocolError, SharcError
 from .gallery import (
     AppearanceModel,
     GalleryIndex,
@@ -98,31 +98,21 @@ def _load_records(manifest_path: str, cfg: RunConfig) -> list[TrackletRecord]:
     return [_zero_drops(r, cfg) for r in load_dataset(manifest_path)]
 
 
-def _embed_all(
-    records: list[TrackletRecord],
+def _score_queries(
+    queries: list[TrackletRecord],
     shape_model: ShapeModel,
     appearance_model: AppearanceModel,
-    threads: int,
-) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """(tracklet_id, shape vector, appearance vector) per record, input order."""
-
-    def one(rec: TrackletRecord):
-        sv, av = tracklet_embeddings(rec, shape_model, appearance_model)
-        return rec.tracklet_id, sv, av
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, records))
-    return [one(r) for r in records]
-
-
-def _score_queries(
-    embs: list[tuple[str, np.ndarray, np.ndarray]], index: GalleryIndex, cfg: RunConfig
+    index: GalleryIndex,
+    cfg: RunConfig,
 ) -> tuple[ScoreMatrix, ScoreMatrix, ScoreMatrix]:
-    s_shape = shape_scores([(tid, sv) for tid, sv, _ in embs], index)
-    s_app = appearance_scores(
-        [(tid, av) for tid, _, av in embs], index, rescale=cfg.model.rescale_appearance
-    )
+    """Embed the queries in input order and score them against the index."""
+    shape_q, app_q = [], []
+    for rec in queries:
+        sv, av = tracklet_embeddings(rec, shape_model, appearance_model)
+        shape_q.append((rec.tracklet_id, sv))
+        app_q.append((rec.tracklet_id, av))
+    s_shape = shape_scores(shape_q, index)
+    s_app = appearance_scores(app_q, index, rescale=cfg.model.rescale_appearance)
     fused = fuse_scores(s_shape, s_app, cfg.model.alpha)
     return s_shape, s_app, fused
 
@@ -142,7 +132,7 @@ def _write_table(path: str, comment: str, header: str, rows: list[str]) -> None:
             f.write(row + "\n")
 
 
-def cmd_synth(cfg: RunConfig, out: str, threads: int) -> int:
+def cmd_synth(cfg: RunConfig, out: str) -> int:
     records = generate_dataset(cfg.dataset)
     manifest_path = write_dataset(records, out)
     rows = read_manifest(manifest_path)
@@ -154,27 +144,27 @@ def cmd_synth(cfg: RunConfig, out: str, threads: int) -> int:
     return 0
 
 
-def cmd_enroll(cfg: RunConfig, out: str, threads: int) -> int:
+def cmd_enroll(cfg: RunConfig, out: str) -> int:
     records = _load_records(os.path.join(cfg.data_dir, "gallery.csv"), cfg)
     index = register(
         records,
         build_shape_model(cfg),
         build_appearance_model(cfg),
         centroid=cfg.ablation.centroid,
-        threads=threads,
     )
     save_index(index, os.path.join(out, "index.shrc"))
     print(f"registered {len(records)} tracklets into {len(index)} entries")
     return 0
 
 
-def cmd_query(cfg: RunConfig, out: str, threads: int) -> int:
+def cmd_query(cfg: RunConfig, out: str) -> int:
     index_path = os.path.join(out, "index.shrc")
     _require_file(index_path)
     index = load_index(index_path)
     records = _load_records(os.path.join(cfg.data_dir, "query.csv"), cfg)
-    embs = _embed_all(records, build_shape_model(cfg), build_appearance_model(cfg), threads)
-    s_shape, s_app, fused = _score_queries(embs, index, cfg)
+    s_shape, s_app, fused = _score_queries(
+        records, build_shape_model(cfg), build_appearance_model(cfg), index, cfg
+    )
     s_shape.write_csv(os.path.join(out, "scores_shape.csv"), _comment(cfg))
     s_app.write_csv(os.path.join(out, "scores_appearance.csv"), _comment(cfg))
     fused.write_csv(os.path.join(out, "scores_fused.csv"), _comment(cfg))
@@ -182,13 +172,16 @@ def cmd_query(cfg: RunConfig, out: str, threads: int) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig, out: str, threads: int) -> int:
+def cmd_evaluate(cfg: RunConfig, out: str) -> int:
     fused_path = os.path.join(out, "scores_fused.csv")
     query_path = os.path.join(cfg.data_dir, "query.csv")
     _require_file(fused_path)
     _require_file(query_path)
     fused = ScoreMatrix.read_csv(fused_path)
     subject_of = {r.tracklet_id: r.subject_id for r in read_manifest(query_path)}
+    unknown = [q for q in fused.query_ids if q not in subject_of]
+    if unknown:
+        raise InvalidInput(f"{fused_path}: query id {unknown[0]!r} is not in {query_path}")
     ranked = rank(fused)
     report = evaluate_ranking(
         ranked,
@@ -206,7 +199,7 @@ def cmd_evaluate(cfg: RunConfig, out: str, threads: int) -> int:
     return 0
 
 
-def cmd_ablate_gamma(cfg: RunConfig, out: str, threads: int) -> int:
+def cmd_ablate_gamma(cfg: RunConfig, out: str) -> int:
     gallery = _load_records(os.path.join(cfg.data_dir, "gallery.csv"), cfg)
     queries = _load_records(os.path.join(cfg.data_dir, "query.csv"), cfg)
     subject_of = {r.tracklet_id: r.subject_id for r in queries}
@@ -214,24 +207,22 @@ def cmd_ablate_gamma(cfg: RunConfig, out: str, threads: int) -> int:
     rows = []
     for gamma in GAMMA_SWEEP:
         app_model = build_appearance_model(cfg, gamma=gamma)
-        index = register(gallery, shape_model, app_model, centroid=cfg.ablation.centroid, threads=threads)
-        embs = _embed_all(queries, shape_model, app_model, threads)
-        _, _, fused = _score_queries(embs, index, cfg)
+        index = register(gallery, shape_model, app_model, centroid=cfg.ablation.centroid)
+        _, _, fused = _score_queries(queries, shape_model, app_model, index, cfg)
         rows.append(f"{gamma!r},{_rank1(fused, subject_of)!r}")
     _write_table(os.path.join(out, "ablate_gamma.csv"), _comment(cfg), "gamma,rank1", rows)
     print("\n".join(["gamma,rank1"] + rows))
     return 0
 
 
-def cmd_ablate_alpha(cfg: RunConfig, out: str, threads: int) -> int:
+def cmd_ablate_alpha(cfg: RunConfig, out: str) -> int:
     gallery = _load_records(os.path.join(cfg.data_dir, "gallery.csv"), cfg)
     queries = _load_records(os.path.join(cfg.data_dir, "query.csv"), cfg)
     subject_of = {r.tracklet_id: r.subject_id for r in queries}
     shape_model = build_shape_model(cfg)
     app_model = build_appearance_model(cfg)
-    index = register(gallery, shape_model, app_model, centroid=cfg.ablation.centroid, threads=threads)
-    embs = _embed_all(queries, shape_model, app_model, threads)
-    s_shape, s_app, _ = _score_queries(embs, index, cfg)
+    index = register(gallery, shape_model, app_model, centroid=cfg.ablation.centroid)
+    s_shape, s_app, _ = _score_queries(queries, shape_model, app_model, index, cfg)
     rows = []
     for alpha in ALPHA_SWEEP:
         fused = fuse_scores(s_shape, s_app, alpha)
@@ -241,7 +232,7 @@ def cmd_ablate_alpha(cfg: RunConfig, out: str, threads: int) -> int:
     return 0
 
 
-def cmd_train_toy(cfg: RunConfig, out: str, threads: int) -> int:
+def cmd_train_toy(cfg: RunConfig, out: str) -> int:
     t = cfg.train
     dataset = make_toy_dataset(t.num_ids, t.samples_per_id, t.input_dim, t.noise, t.data_seed)
     params = EncoderParams.initialize(
@@ -278,7 +269,7 @@ def main(argv=None) -> int:
     for name, (fn, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="key=value config file")
-        sp.add_argument("--threads", type=int, default=1, help="worker cap for embedding")
+        sp.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
         sp.add_argument("--out", default=None, help="output directory (default: data_dir from config)")
         sp.set_defaults(fn=fn)
     args = parser.parse_args(argv)
@@ -294,7 +285,7 @@ def main(argv=None) -> int:
     out = args.out if args.out is not None else cfg.data_dir
     os.makedirs(out, exist_ok=True)
     try:
-        return args.fn(cfg, out, max(args.threads, 1))
+        return args.fn(cfg, out)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 2

@@ -72,7 +72,6 @@ _SCHEMA = {
         "gamma": (float, 0.0, _unit),
         "alpha": (float, 0.1, _unit),
         "pyramid_levels": (int, 3, _positive),
-        "group_size": (int, 8, _positive),
         "hpp_mode": (str, "max+mean", _choice(HPP_MODES)),
         "ta_target": (str, "later", _choice(TA_TARGETS)),
         "encoder_seed": (int, 5, None),
@@ -123,7 +122,6 @@ class ModelConfig:
     gamma: float
     alpha: float
     pyramid_levels: int
-    group_size: int
     hpp_mode: str
     ta_target: str
     encoder_seed: int
@@ -237,15 +235,11 @@ def parse_config(path) -> RunConfig:
             resolved[section][key] = value
 
     model = ModelConfig(**resolved["model"])
-    if model.group_size != 2**model.pyramid_levels:
-        raise ConfigError(
-            "model.group_size",
-            f"must equal 2^pyramid_levels = {2**model.pyramid_levels}, got {model.group_size}",
-        )
     try:
         dataset = DatasetSpec(**resolved["dataset"])
     except Exception as exc:
         raise ConfigError("dataset", str(exc)) from None
+    _check_geometry(dataset, model)
     return RunConfig(
         dataset=dataset,
         model=model,
@@ -265,9 +259,38 @@ _VEC_HIDDEN = 32
 _APP_HIDDEN = 8
 
 
+def _grid_widths(m: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Layer widths of the two grid encoders: mask + masked RGB, and RGB."""
+    return {
+        "silhouette": (4, _SIL_HIDDEN, m.channels),
+        "appearance": (3, _APP_HIDDEN, m.channels),
+    }
+
+
+def _check_geometry(dataset: DatasetSpec, model: ModelConfig) -> None:
+    """Reject frame sizes the grid encoders cannot pool or the strips cannot split."""
+    # every grid-encoder layer ends in a 2x2 average pool
+    factors = {name: 2 ** (len(w) - 1) for name, w in _grid_widths(model).items()}
+    for name, factor in factors.items():
+        for key in ("height", "width"):
+            size = getattr(dataset, key)
+            if size % factor != 0:
+                raise ConfigError(
+                    f"dataset.{key}",
+                    f"must be divisible by {factor}, the {name} encoder's pooling factor; got {size}",
+                )
+    encoded = dataset.height // factors["silhouette"]
+    if encoded % model.bins != 0:
+        raise ConfigError(
+            "model.bins",
+            f"must divide the encoded height {encoded} (dataset.height = {dataset.height} "
+            f"pooled {factors['silhouette']}x); got {model.bins}",
+        )
+
+
 def build_shape_model(cfg: RunConfig) -> ShapeModel:
     m = cfg.model
-    sil = EncoderParams.initialize((4, _SIL_HIDDEN, m.channels), derive_seed(m.encoder_seed, 101))
+    sil = EncoderParams.initialize(_grid_widths(m)["silhouette"], derive_seed(m.encoder_seed, 101))
     smpl = EncoderParams.initialize((SMPL_DIM, _VEC_HIDDEN, m.channels), derive_seed(m.encoder_seed, 102))
     skel = EncoderParams.initialize(
         (SKELETON_INPUT_DIM, _VEC_HIDDEN, m.motion_channels), derive_seed(m.encoder_seed, 103)
@@ -284,7 +307,7 @@ def build_shape_model(cfg: RunConfig) -> ShapeModel:
 
 def build_appearance_model(cfg: RunConfig, gamma: float | None = None) -> AppearanceModel:
     m = cfg.model
-    enc = EncoderParams.initialize((3, _APP_HIDDEN, m.channels), derive_seed(m.encoder_seed, 104))
+    enc = EncoderParams.initialize(_grid_widths(m)["appearance"], derive_seed(m.encoder_seed, 104))
     attn = AttentionParams.initialize(m.channels, levels=m.pyramid_levels, seed=m.attention_seed)
     return AppearanceModel(
         encoder=enc,

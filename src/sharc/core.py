@@ -40,10 +40,10 @@ def as_grid(g, name: str = "grid") -> np.ndarray:
 
 
 def l2_normalize(v) -> np.ndarray:
-    """Scale to unit Euclidean norm; vectors with norm < NORM_FLOOR pass through."""
+    """Scale to unit Euclidean norm; vectors with norm <= NORM_FLOOR pass through."""
     arr = as_vector(v)
     norm = float(np.linalg.norm(arr))
-    if norm < NORM_FLOOR:
+    if norm <= NORM_FLOOR:
         return arr.copy()
     return arr / norm
 

@@ -1,9 +1,10 @@
-"""Tracklet ingestion, 8-frame grouping, centroid registration, index files.
+"""Tracklet ingestion, frame grouping, centroid registration, index files.
 
-The appearance branch consumes fixed-size groups: short tracklets are cyclically
-resampled up to one group, long ones are cut into consecutive groups with the
-final partial group resampled from its own members. The shape branch pools over
-arbitrary lengths, so it always sees the full sequence.
+The appearance branch consumes groups of 2**pyramid_levels frames: short
+tracklets are cyclically resampled up to one group, long ones are cut into
+consecutive groups with the final partial group resampled from its own
+members. The shape branch pools over arbitrary lengths, so it always sees the
+full sequence.
 
 Index files ("SHRCIDX1"): little-endian; 8-byte magic, u32 entry count, then
 per entry a u32 byte length + UTF-8 subject id, u32 dim + f32 shape centroid,
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +33,6 @@ from .exceptions import CorruptIndex, EmptyInput, InvalidInput, SubjectMismatch
 from .shape import ShapeModel
 
 INDEX_MAGIC = b"SHRCIDX1"
-GROUP_SIZE = 8
 
 MANIFEST_HEADER = ["tracklet_id", "subject_id", "clothing_id", "frames_path"]
 
@@ -65,21 +64,21 @@ class TrackletRecord:
         return len(self.silhouettes)
 
 
-def chunk_frames(n_frames: int) -> list[list[int]]:
-    """Index groups of length GROUP_SIZE covering a tracklet of n_frames.
+def chunk_frames(n_frames: int, group_size: int) -> list[list[int]]:
+    """Index groups of length group_size covering a tracklet of n_frames.
 
-    Fewer than GROUP_SIZE frames yield one group cycling 0..n-1; otherwise
+    Fewer than group_size frames yield one group cycling 0..n-1; otherwise
     consecutive full groups, with a final partial group resampled cyclically
     from its own remainder indices.
     """
     if n_frames <= 0:
         raise EmptyInput(f"tracklet must have at least one frame, got {n_frames}")
-    if n_frames < GROUP_SIZE:
-        return [[i % n_frames for i in range(GROUP_SIZE)]]
+    if n_frames < group_size:
+        return [[i % n_frames for i in range(group_size)]]
     groups = []
-    for start in range(0, n_frames, GROUP_SIZE):
-        members = list(range(start, min(start + GROUP_SIZE, n_frames)))
-        groups.append([members[i % len(members)] for i in range(GROUP_SIZE)])
+    for start in range(0, n_frames, group_size):
+        members = list(range(start, min(start + group_size, n_frames)))
+        groups.append([members[i % len(members)] for i in range(group_size)])
     return groups
 
 
@@ -118,7 +117,7 @@ class AppearanceModel:
     use_avg: bool = True
 
     def embed_tracklet(self, frames: list[np.ndarray]) -> AppearanceEmbedding:
-        """Encode all frames once, aggregate per 8-frame group, average groups."""
+        """Encode all frames once, aggregate per pyramid-sized group, average groups."""
         encoded = [encode_appearance(f, self.encoder) for f in frames]
         parts = [
             appearance_embedding(
@@ -127,7 +126,7 @@ class AppearanceModel:
                 gamma=self.gamma,
                 ta_target=self.ta_target,
             )
-            for group in chunk_frames(len(encoded))
+            for group in chunk_frames(len(encoded), self.attention.group_size)
         ]
         return mean_embedding(parts)
 
@@ -180,27 +179,19 @@ def register(
     shape_model: ShapeModel,
     appearance_model: AppearanceModel,
     centroid: bool = True,
-    threads: int = 1,
 ) -> GalleryIndex:
     """Embed every tracklet and build the gallery index.
 
     Centroid mode averages each subject's tracklet embeddings into one entry;
     otherwise every tracklet becomes its own entry and matching later takes
-    the best score per subject. Embeddings are computed in parallel when
-    threads > 1; entry order is independent of the thread count.
+    the best score per subject.
     """
     if len(tracklets) == 0:
         raise EmptyInput("no tracklets to register")
     # canonical order: the index (and the centroid summation order) must not
     # depend on how the caller happened to order the tracklets
     ordered = sorted(tracklets, key=lambda t: (t.subject_id, t.tracklet_id))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            embs = list(
-                pool.map(lambda t: tracklet_embeddings(t, shape_model, appearance_model), ordered)
-            )
-    else:
-        embs = [tracklet_embeddings(t, shape_model, appearance_model) for t in ordered]
+    embs = [tracklet_embeddings(t, shape_model, appearance_model) for t in ordered]
 
     if not centroid:
         entries = [

@@ -60,21 +60,33 @@ class ScoreMatrix:
 
     @classmethod
     def read_csv(cls, path) -> "ScoreMatrix":
+        """Inverse of write_csv; a malformed row raises InvalidInput naming its line."""
+        try:
+            with open(path, "r") as f:
+                lines = f.readlines()
+        except UnicodeDecodeError:
+            raise InvalidInput(f"{path}: not a text file") from None
         query_ids, rows = [], []
         gallery_ids = None
-        with open(path, "r") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                cells = line.split(",")
-                if gallery_ids is None:
-                    if cells[0] != "query_id":
-                        raise InvalidInput(f"{path}: expected query_id header")
-                    gallery_ids = cells[1:]
-                    continue
-                query_ids.append(cells[0])
+        for lineno, line in enumerate(lines, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            cells = line.split(",")
+            if gallery_ids is None:
+                if cells[0] != "query_id":
+                    raise InvalidInput(f"{path}: expected query_id header")
+                gallery_ids = cells[1:]
+                continue
+            if len(cells) != len(gallery_ids) + 1:
+                raise InvalidInput(
+                    f"{path}: line {lineno}: expected {len(gallery_ids) + 1} cells, got {len(cells)}"
+                )
+            try:
                 rows.append([float(x) for x in cells[1:]])
+            except ValueError:
+                raise InvalidInput(f"{path}: line {lineno}: non-numeric score") from None
+            query_ids.append(cells[0])
         if gallery_ids is None:
             raise InvalidInput(f"{path}: empty score file")
         return cls(scores=np.array(rows, dtype=np.float64), query_ids=query_ids, gallery_ids=gallery_ids)

@@ -98,13 +98,7 @@ class ShapeEmbedding:
 
 @dataclass(frozen=True)
 class ShapeModel:
-    """Bundles the three shape-branch encoders and the bin configuration.
-
-    hpp_per_frame=False (default) pools the fused sequence first and
-    strip-pools once; True strip-pools every frame and max-pools the bin
-    matrices instead. normalize_bins optionally L2-normalizes each bin row
-    before flattening (off by default).
-    """
+    """Bundles the three shape-branch encoders and the bin configuration."""
 
     sil_encoder: EncoderParams
     smpl_encoder: EncoderParams
@@ -112,8 +106,6 @@ class ShapeModel:
     bins: int
     motion_projection: np.ndarray | None = None  # (C, C_m); None when C_m == C
     hpp_mode: str = "max+mean"
-    hpp_per_frame: bool = False
-    normalize_bins: bool = False
 
     @classmethod
     def build(
@@ -154,7 +146,7 @@ class ShapeModel:
         smpls: list[SmplParams],
         skeletons: list[SkeletonFrame],
     ) -> ShapeEmbedding:
-        return shape_embedding(silhouettes, smpls, skeletons, self, self.bins)
+        return shape_embedding(silhouettes, smpls, skeletons, self)
 
 
 def shape_embedding(
@@ -162,13 +154,12 @@ def shape_embedding(
     smpls: list[SmplParams],
     skeletons: list[SkeletonFrame],
     model: ShapeModel,
-    bins: int,
 ) -> ShapeEmbedding:
     """Full shape-branch embedding for one tracklet.
 
     Per frame: encode silhouette and body-model inputs, fuse them; pool the
-    fused sequence with elementwise max; strip-pool into `bins` bands; append
-    the pooled (and projected) motion feature as the extra bin.
+    fused sequence with elementwise max; strip-pool into `model.bins` bands;
+    append the pooled (and projected) motion feature as the extra bin.
     """
     n = len(silhouettes)
     if n == 0:
@@ -186,18 +177,11 @@ def shape_embedding(
         )
         for sil, smpl in zip(silhouettes, smpls)
     ]
-    if model.hpp_per_frame:
-        per_frame = [core.strip_pool(g, bins, model.hpp_mode) for g in fused]
-        pose_bins = np.maximum.reduce(per_frame)
-    else:
-        pose_bins = core.strip_pool(temporal_pool_pose(fused), bins, model.hpp_mode)
+    pose_bins = core.strip_pool(temporal_pool_pose(fused), model.bins, model.hpp_mode)
 
     motion = model.motion_bin(skeletons)
     if motion.shape[0] != pose_bins.shape[1]:
         raise DimMismatch(
             f"motion bin has {motion.shape[0]} channels, pose bins have {pose_bins.shape[1]}"
         )
-    rows = np.vstack([pose_bins, motion[None, :]])
-    if model.normalize_bins:
-        rows = np.stack([core.l2_normalize(r) for r in rows])
-    return ShapeEmbedding(bins=rows)
+    return ShapeEmbedding(bins=np.vstack([pose_bins, motion[None, :]]))

@@ -322,11 +322,11 @@ def test_criterion_05_shape_branch(tmp_path):
 
 @criterion(6, "frame chunking protocol for n in {1, 5, 8, 9, 20}")
 def test_criterion_06_chunking():
-    assert chunk_frames(1) == [[0, 0, 0, 0, 0, 0, 0, 0]]
-    assert chunk_frames(5) == [[0, 1, 2, 3, 4, 0, 1, 2]]
-    assert chunk_frames(8) == [[0, 1, 2, 3, 4, 5, 6, 7]]
-    assert chunk_frames(9) == [[0, 1, 2, 3, 4, 5, 6, 7], [8, 8, 8, 8, 8, 8, 8, 8]]
-    assert chunk_frames(20) == [
+    assert chunk_frames(1, 8) == [[0, 0, 0, 0, 0, 0, 0, 0]]
+    assert chunk_frames(5, 8) == [[0, 1, 2, 3, 4, 0, 1, 2]]
+    assert chunk_frames(8, 8) == [[0, 1, 2, 3, 4, 5, 6, 7]]
+    assert chunk_frames(9, 8) == [[0, 1, 2, 3, 4, 5, 6, 7], [8, 8, 8, 8, 8, 8, 8, 8]]
+    assert chunk_frames(20, 8) == [
         [0, 1, 2, 3, 4, 5, 6, 7],
         [8, 9, 10, 11, 12, 13, 14, 15],
         [16, 17, 18, 19, 16, 17, 18, 19],

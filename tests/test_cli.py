@@ -88,6 +88,44 @@ class TestExitCodes:
         assert err.startswith("error: ") and "query.csv" in err
         assert "Traceback" not in err
 
+    def test_frame_size_the_encoders_cannot_split_is_3_at_parse_time(self, workspace, capsys):
+        cfg_path, data_dir, tmp = workspace
+        bad = tmp / "tall.cfg"
+        bad.write_text(cfg_path.read_text().replace("height = 8\n", "height = 12\n"))
+        out = tmp / "o"
+        assert _run(["synth", "--config", bad, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: model.bins: ")
+        assert "dataset.height = 12" in err and "Traceback" not in err
+        assert not out.exists()  # rejected before the command ran
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], "line 3: expected"),
+            (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",abc"] + lines[3:],
+             "line 3: non-numeric score"),
+            (lambda lines: lines[:2] + ["nobody," + lines[2].split(",", 1)[1]] + lines[3:],
+             "query id 'nobody' is not in"),
+            (lambda lines: lines + ["\udcff\udcfe"], "not a text file"),
+        ],
+        ids=["short_row", "non_numeric", "unknown_query", "not_utf8"],
+    )
+    def test_corrupt_fused_scores_are_2(self, workspace, capsys, corrupt, message):
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        for command in ("synth", "enroll", "query"):
+            assert _run([command, "--config", cfg_path, "--out", data_dir if command == "synth" else out]) == 0
+        fused = out / "scores_fused.csv"
+        text = "\n".join(corrupt(fused.read_text().splitlines())) + "\n"
+        fused.write_bytes(text.encode("utf-8", "surrogateescape"))
+        capsys.readouterr()
+        assert _run(["evaluate", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "scores_fused.csv" in err and message in err
+        assert "Traceback" not in err
+
     def test_index_of_other_width_is_2(self, workspace, capsys):
         cfg_path, data_dir, tmp = workspace
         out = tmp / "run"
@@ -156,6 +194,20 @@ class TestPipeline:
         assert _run(["enroll", "--config", cfg_path, "--out", out1]) == 0
         assert _run(["enroll", "--config", cfg_path, "--out", out2, "--threads", "4"]) == 0
         assert filecmp.cmp(out1 / "index.shrc", out2 / "index.shrc", shallow=False)
+
+
+@pytest.mark.parametrize("levels", [2, 4])
+def test_pipeline_runs_at_other_pyramid_depths(workspace, capsys, levels):
+    # the appearance groups hold 2 ** levels frames: 4 frames split the
+    # 6-frame tracklets into two groups, 16 resample them into one
+    cfg_path, data_dir, tmp = workspace
+    cfg_path.write_text(cfg_path.read_text().replace("[model]\n", f"[model]\npyramid_levels = {levels}\n"))
+    assert parse_config(cfg_path).model.pyramid_levels == levels
+    out = tmp / "run"
+    assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+    for command in ("enroll", "query", "evaluate"):
+        assert _run([command, "--config", cfg_path, "--out", out]) == 0, capsys.readouterr().err
+    assert (out / "report.txt").read_text().splitlines()[1].startswith("rank_1=")
 
 
 class TestSweepsAndTraining:

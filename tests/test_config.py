@@ -16,7 +16,6 @@ class TestParsing:
         assert cfg.dataset.num_ids == 8
         assert cfg.model.alpha == 0.1
         assert cfg.model.gamma == 0.0
-        assert cfg.model.group_size == 8
         assert cfg.protocol.gallery_ratio == 0.5
         assert cfg.ablation.centroid is True
         assert cfg.data_dir == "out"
@@ -60,12 +59,31 @@ class TestParsing:
             parse_config(_write(tmp_path, "[model]\nta_target = sideways\n"))
         assert err.value.field == "model.ta_target"
 
-    def test_group_size_is_tied_to_pyramid_depth(self, tmp_path):
+    def test_group_size_is_not_a_key(self, tmp_path):
         with pytest.raises(ConfigError) as err:
-            parse_config(_write(tmp_path, "[model]\ngroup_size = 6\n"))
+            parse_config(_write(tmp_path, "[model]\ngroup_size = 8\n"))
         assert err.value.field == "model.group_size"
-        cfg = parse_config(_write(tmp_path, "[model]\npyramid_levels = 2\ngroup_size = 4\n"))
-        assert cfg.model.group_size == 4
+        cfg = parse_config(_write(tmp_path, "[model]\npyramid_levels = 2\n"))
+        assert build_appearance_model(cfg).attention.group_size == 4
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[dataset]\nheight = 12\n", "model.bins"),
+            ("[dataset]\nheight = 20\n", "model.bins"),
+            ("[dataset]\nheight = 18\n", "dataset.height"),
+            ("[dataset]\nwidth = 10\n", "dataset.width"),
+            ("[model]\nbins = 3\n", "model.bins"),
+        ],
+    )
+    def test_geometry_is_checked_at_parse_time(self, tmp_path, text, field):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, text))
+        assert err.value.field == field
+
+    def test_geometry_that_fits_is_accepted(self, tmp_path):
+        cfg = parse_config(_write(tmp_path, "[dataset]\nheight = 24\nwidth = 12\n\n[model]\nbins = 6\n"))
+        assert (cfg.dataset.height, cfg.dataset.width, cfg.model.bins) == (24, 12, 6)
 
     def test_unparseable_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -97,7 +115,10 @@ class TestHash:
 class TestBuilders:
     def test_shape_model_respects_channel_config(self, tmp_path):
         cfg = parse_config(
-            _write(tmp_path, "[model]\nchannels = 12\nmotion_channels = 10\nbins = 3\n")
+            _write(
+                tmp_path,
+                "[dataset]\nheight = 24\n\n[model]\nchannels = 12\nmotion_channels = 10\nbins = 3\n",
+            )
         )
         sm = build_shape_model(cfg)
         assert sm.sil_encoder.output_dim == 12

@@ -23,32 +23,49 @@ from sharc.synth import DatasetSpec, generate_dataset
 
 class TestChunking:
     def test_short_tracklet_cycles(self):
-        assert chunk_frames(1) == [[0] * 8]
-        assert chunk_frames(5) == [[0, 1, 2, 3, 4, 0, 1, 2]]
+        assert chunk_frames(1, 8) == [[0] * 8]
+        assert chunk_frames(5, 8) == [[0, 1, 2, 3, 4, 0, 1, 2]]
 
     def test_exact_group(self):
-        assert chunk_frames(8) == [list(range(8))]
+        assert chunk_frames(8, 8) == [list(range(8))]
 
     def test_remainder_cycles_within_itself(self):
-        assert chunk_frames(9) == [list(range(8)), [8] * 8]
-        assert chunk_frames(20) == [
+        assert chunk_frames(9, 8) == [list(range(8)), [8] * 8]
+        assert chunk_frames(20, 8) == [
             list(range(8)),
             list(range(8, 16)),
             [16, 17, 18, 19, 16, 17, 18, 19],
         ]
 
     def test_multiples(self):
-        assert chunk_frames(16) == [list(range(8)), list(range(8, 16))]
+        assert chunk_frames(16, 8) == [list(range(8)), list(range(8, 16))]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(EmptyInput):
-            chunk_frames(0)
+            chunk_frames(0, 8)
 
     def test_every_group_has_eight_indices(self):
         for n in range(1, 40):
-            for group in chunk_frames(n):
+            for group in chunk_frames(n, 8):
                 assert len(group) == 8
                 assert all(0 <= i < n for i in group)
+
+    def test_group_of_four(self):
+        assert chunk_frames(3, 4) == [[0, 1, 2, 0]]
+        assert chunk_frames(4, 4) == [[0, 1, 2, 3]]
+        assert chunk_frames(10, 4) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 8, 9]]
+
+    def test_group_of_sixteen(self):
+        assert chunk_frames(5, 16) == [[0, 1, 2, 3, 4] * 3 + [0]]
+        assert chunk_frames(16, 16) == [list(range(16))]
+        assert chunk_frames(20, 16) == [list(range(16)), [16, 17, 18, 19] * 4]
+
+    @pytest.mark.parametrize("group_size", [4, 16])
+    def test_every_group_has_group_size_indices(self, group_size):
+        for n in range(1, 3 * group_size):
+            groups = chunk_frames(n, group_size)
+            assert all(len(g) == group_size for g in groups)
+            assert sorted({i for g in groups for i in g}) == list(range(n))
 
 
 def _dataset(num_ids=3, tpi=2, frames=9, seed=77):
@@ -126,15 +143,6 @@ class TestRegister:
         b = register(list(reversed(recs)), sm, am, centroid=True)
         for ea, eb in zip(a.entries, b.entries):
             assert ea.subject_id == eb.subject_id
-            np.testing.assert_array_equal(ea.shape, eb.shape)
-            np.testing.assert_array_equal(ea.appearance, eb.appearance)
-
-    def test_threading_matches_serial(self):
-        recs = _dataset(num_ids=3, tpi=2)
-        sm, am = _models()
-        serial = register(recs, sm, am, centroid=True, threads=1)
-        threaded = register(recs, sm, am, centroid=True, threads=4)
-        for ea, eb in zip(serial.entries, threaded.entries):
             np.testing.assert_array_equal(ea.shape, eb.shape)
             np.testing.assert_array_equal(ea.appearance, eb.appearance)
 
