@@ -40,7 +40,9 @@ from .gallery import (
     GalleryIndex,
     IndexEntry,
     ManifestRow,
+    TrackletFeatures,
     TrackletRecord,
+    build_index,
     build_pseudo_video,
     chunk_frames,
     load_index,
@@ -48,6 +50,7 @@ from .gallery import (
     register,
     save_index,
     tracklet_embeddings,
+    tracklet_features,
     write_manifest,
 )
 from .losses import (

@@ -21,6 +21,7 @@ import argparse
 import errno
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,16 +35,18 @@ from .encoders import (
     SmplParams,
     save_encoder,
 )
-from .exceptions import ConfigError, InvalidInput, ProtocolError, SharcError
+from .exceptions import ConfigError, IndexMismatch, InvalidInput, ProtocolError, SharcError
 from .gallery import (
     AppearanceModel,
     GalleryIndex,
     TrackletRecord,
+    build_index,
     load_index,
     read_manifest,
     register,
     save_index,
     tracklet_embeddings,
+    tracklet_features,
     write_manifest,
 )
 from .losses import make_toy_dataset, train_toy
@@ -98,6 +101,22 @@ def _load_records(manifest_path: str, cfg: RunConfig) -> list[TrackletRecord]:
     return [_zero_drops(r, cfg) for r in load_dataset(manifest_path)]
 
 
+def _score_embedded(
+    queries: list[TrackletRecord],
+    embeddings: list[tuple[np.ndarray, np.ndarray]],
+    index: GalleryIndex,
+    cfg: RunConfig,
+) -> tuple[ScoreMatrix, ScoreMatrix, ScoreMatrix]:
+    """Score each query's (shape, appearance) vectors against the index."""
+    ids = [rec.tracklet_id for rec in queries]
+    s_shape = shape_scores([(q, s) for q, (s, _) in zip(ids, embeddings)], index)
+    s_app = appearance_scores(
+        [(q, a) for q, (_, a) in zip(ids, embeddings)], index, rescale=cfg.model.rescale_appearance
+    )
+    fused = fuse_scores(s_shape, s_app, cfg.model.alpha)
+    return s_shape, s_app, fused
+
+
 def _score_queries(
     queries: list[TrackletRecord],
     shape_model: ShapeModel,
@@ -106,15 +125,28 @@ def _score_queries(
     cfg: RunConfig,
 ) -> tuple[ScoreMatrix, ScoreMatrix, ScoreMatrix]:
     """Embed the queries in input order and score them against the index."""
-    shape_q, app_q = [], []
-    for rec in queries:
-        sv, av = tracklet_embeddings(rec, shape_model, appearance_model)
-        shape_q.append((rec.tracklet_id, sv))
-        app_q.append((rec.tracklet_id, av))
-    s_shape = shape_scores(shape_q, index)
-    s_app = appearance_scores(app_q, index, rescale=cfg.model.rescale_appearance)
-    fused = fuse_scores(s_shape, s_app, cfg.model.alpha)
-    return s_shape, s_app, fused
+    embeddings = [tracklet_embeddings(rec, shape_model, appearance_model) for rec in queries]
+    return _score_embedded(queries, embeddings, index, cfg)
+
+
+def _gamma_sweep(cfg: RunConfig, gallery: list[TrackletRecord], queries: list[TrackletRecord]):
+    """Yield (gamma, gallery index, fused scores) for each gamma of GAMMA_SWEEP.
+
+    Gamma acts only where each group's average is flattened, so every
+    tracklet's shape vector and per-group appearance features are computed
+    once, and each gamma only flattens, averages, indexes and scores.
+    """
+    shape_model = build_shape_model(cfg)
+    app_model = build_appearance_model(cfg)
+    gallery_features = [tracklet_features(r, shape_model, app_model) for r in gallery]
+    query_features = [tracklet_features(r, shape_model, app_model) for r in queries]
+    for gamma in GAMMA_SWEEP:
+        model = replace(app_model, gamma=gamma)
+        index = build_index(
+            gallery, [f.embeddings(model) for f in gallery_features], centroid=cfg.ablation.centroid
+        )
+        _, _, fused = _score_embedded(queries, [f.embeddings(model) for f in query_features], index, cfg)
+        yield gamma, index, fused
 
 
 def _rank1(fused: ScoreMatrix, subject_of: dict[str, str]) -> float:
@@ -152,7 +184,7 @@ def cmd_enroll(cfg: RunConfig, out: str) -> int:
         build_appearance_model(cfg),
         centroid=cfg.ablation.centroid,
     )
-    save_index(index, os.path.join(out, "index.shrc"))
+    save_index(replace(index, model_hash=cfg.model_hash()), os.path.join(out, "index.shrc"))
     print(f"registered {len(records)} tracklets into {len(index)} entries")
     return 0
 
@@ -165,6 +197,14 @@ def cmd_query(cfg: RunConfig, out: str) -> int:
     s_shape, s_app, fused = _score_queries(
         records, build_shape_model(cfg), build_appearance_model(cfg), index, cfg
     )
+    # an index of another vector width has already failed in scoring, with the
+    # widths in its message; one of the same width is refused here, before any
+    # score file is written
+    if index.model_hash != cfg.model_hash():
+        raise IndexMismatch(
+            f"{index_path}: enrolled under model hash {index.model_hash}, this config's is "
+            f"{cfg.model_hash()}; query with the enrolling config or re-run enroll"
+        )
     s_shape.write_csv(os.path.join(out, "scores_shape.csv"), _comment(cfg))
     s_app.write_csv(os.path.join(out, "scores_appearance.csv"), _comment(cfg))
     fused.write_csv(os.path.join(out, "scores_fused.csv"), _comment(cfg))
@@ -203,13 +243,10 @@ def cmd_ablate_gamma(cfg: RunConfig, out: str) -> int:
     gallery = _load_records(os.path.join(cfg.data_dir, "gallery.csv"), cfg)
     queries = _load_records(os.path.join(cfg.data_dir, "query.csv"), cfg)
     subject_of = {r.tracklet_id: r.subject_id for r in queries}
-    shape_model = build_shape_model(cfg)
-    rows = []
-    for gamma in GAMMA_SWEEP:
-        app_model = build_appearance_model(cfg, gamma=gamma)
-        index = register(gallery, shape_model, app_model, centroid=cfg.ablation.centroid)
-        _, _, fused = _score_queries(queries, shape_model, app_model, index, cfg)
-        rows.append(f"{gamma!r},{_rank1(fused, subject_of)!r}")
+    rows = [
+        f"{gamma!r},{_rank1(fused, subject_of)!r}"
+        for gamma, _, fused in _gamma_sweep(cfg, gallery, queries)
+    ]
     _write_table(os.path.join(out, "ablate_gamma.csv"), _comment(cfg), "gamma,rank1", rows)
     print("\n".join(["gamma,rank1"] + rows))
     return 0

@@ -187,8 +187,30 @@ class RunConfig:
         return sorted(items)
 
     def hash(self) -> str:
-        text = "\n".join(f"{k}={v}" for k, v in self.resolved_items())
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+        return _digest(self.resolved_items())
+
+    def model_hash(self) -> str:
+        """Hash of the keys that change the vectors an index stores.
+
+        Every model and ablation key counts except the two that act only at
+        scoring time (alpha, rescale_appearance), so an index can be queried
+        under another fusion weight but not under another model.
+        """
+        return _digest(
+            [
+                (k, v)
+                for k, v in self.resolved_items()
+                if k.startswith(("model.", "ablation.")) and k not in _SCORING_ONLY_KEYS
+            ]
+        )
+
+
+_SCORING_ONLY_KEYS = ("model.alpha", "model.rescale_appearance")
+
+
+def _digest(items: list[tuple[str, str]]) -> str:
+    text = "\n".join(f"{k}={v}" for k, v in items)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def _coerce(section: str, key: str, text: str, typ):

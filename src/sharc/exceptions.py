@@ -41,6 +41,10 @@ class CorruptIndex(CorruptFile):
     """The gallery index file is unreadable."""
 
 
+class IndexMismatch(SharcError, ValueError):
+    """A gallery index was enrolled under another model than the one querying it."""
+
+
 class AlignmentError(SharcError, ValueError):
     """Two score matrices do not share identical query/gallery id orderings."""
 

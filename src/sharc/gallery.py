@@ -6,11 +6,22 @@ consecutive groups with the final partial group resampled from its own
 members. The shape branch pools over arbitrary lengths, so it always sees the
 full sequence.
 
-Index files ("SHRCIDX1"): little-endian; 8-byte magic, u32 entry count, then
-per entry a u32 byte length + UTF-8 subject id, u32 dim + f32 shape centroid,
-u32 dim + f32 appearance centroid, u32 source tracklet count. Centroids are
-stored in 32-bit, so save -> load -> save is byte-stable after the first
-quantization.
+The appearance branch runs in two stages. `AppearanceModel.group_features`
+encodes each frame once and reduces every group to its pyramid and spatial
+average C-vectors; nothing in it depends on gamma. `AppearanceModel.finish`
+flattens each group's average with gamma and then averages the groups
+(flattening is nonlinear, so it comes before the mean). `embed_tracklet` is
+the two stages in a row; the gamma sweep runs the first stage once per
+tracklet and the second once per gamma. `register` likewise is embedding
+followed by `build_index`.
+
+Index files ("SHRCIDX2"): little-endian; 8-byte magic, u32 byte length + ASCII
+model hash (the hash of the config keys that change the stored vectors, empty
+when unknown), u32 entry count, then per entry a u32 byte length + UTF-8
+subject id, u32 dim + f32 shape centroid, u32 dim + f32 appearance centroid,
+u32 source tracklet count. Centroids are stored in 32-bit, so save -> load ->
+save is byte-stable after the first quantization. "SHRCIDX1" files, which
+carry no model hash, are rejected.
 """
 
 from __future__ import annotations
@@ -21,7 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .appearance import AppearanceEmbedding, AttentionParams, appearance_embedding, mean_embedding
+from .appearance import (
+    AppearanceEmbedding,
+    AttentionParams,
+    average_aggregate,
+    flatten_feature,
+    mean_embedding,
+    pyramid_aggregate,
+)
 from .encoders import (
     EncoderParams,
     SilhouetteInput,
@@ -32,7 +50,7 @@ from .encoders import (
 from .exceptions import CorruptIndex, EmptyInput, InvalidInput, SubjectMismatch
 from .shape import ShapeModel
 
-INDEX_MAGIC = b"SHRCIDX1"
+INDEX_MAGIC = b"SHRCIDX2"
 
 MANIFEST_HEADER = ["tracklet_id", "subject_id", "clothing_id", "frames_path"]
 
@@ -116,19 +134,32 @@ class AppearanceModel:
     use_attn: bool = True
     use_avg: bool = True
 
-    def embed_tracklet(self, frames: list[np.ndarray]) -> AppearanceEmbedding:
-        """Encode all frames once, aggregate per pyramid-sized group, average groups."""
+    def group_features(self, frames: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Gamma-free stage: encode every frame once, then per pyramid-sized
+        group its (pyramid aggregate, spatial average) C-vectors."""
         encoded = [encode_appearance(f, self.encoder) for f in frames]
-        parts = [
-            appearance_embedding(
-                [encoded[i] for i in group],
-                self.attention,
-                gamma=self.gamma,
-                ta_target=self.ta_target,
-            )
+        groups = [
+            [encoded[i] for i in group]
             for group in chunk_frames(len(encoded), self.attention.group_size)
         ]
-        return mean_embedding(parts)
+        return [
+            (pyramid_aggregate(g, self.attention, ta_target=self.ta_target), average_aggregate(g))
+            for g in groups
+        ]
+
+    def finish(self, groups: list[tuple[np.ndarray, np.ndarray]]) -> AppearanceEmbedding:
+        """Flatten each group's average with this model's gamma, then average the groups."""
+        return mean_embedding(
+            [
+                AppearanceEmbedding(
+                    attn_part=attn, avg_part=flatten_feature(avg, self.gamma), gamma=self.gamma
+                )
+                for attn, avg in groups
+            ]
+        )
+
+    def embed_tracklet(self, frames: list[np.ndarray]) -> AppearanceEmbedding:
+        return self.finish(self.group_features(frames))
 
     def vector(self, emb: AppearanceEmbedding) -> np.ndarray:
         return emb.vector(
@@ -149,9 +180,11 @@ class IndexEntry:
 @dataclass
 class GalleryIndex:
     """Registered gallery: one entry per subject in centroid mode, one entry
-    per tracklet (subject ids repeating) in per-tracklet mode."""
+    per tracklet (subject ids repeating) in per-tracklet mode. model_hash names
+    the model that computed the vectors ("" when unknown)."""
 
     entries: list[IndexEntry] = field(default_factory=list)
+    model_hash: str = ""
 
     def subject_ids(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -163,24 +196,47 @@ class GalleryIndex:
         return len(self.entries)
 
 
+def _shape_vector(tracklet: TrackletRecord, shape_model: ShapeModel) -> np.ndarray:
+    return shape_model.embed(tracklet.silhouettes, tracklet.smpls, tracklet.skeletons).flatten()
+
+
 def tracklet_embeddings(
     tracklet: TrackletRecord, shape_model: ShapeModel, appearance_model: AppearanceModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """(shape vector, appearance vector) for one tracklet."""
-    shape_vec = shape_model.embed(
-        tracklet.silhouettes, tracklet.smpls, tracklet.skeletons
-    ).flatten()
+    shape_vec = _shape_vector(tracklet, shape_model)
     app_vec = appearance_model.vector(appearance_model.embed_tracklet(tracklet.appearance))
     return shape_vec, app_vec
 
 
-def register(
+@dataclass(frozen=True)
+class TrackletFeatures:
+    """The gamma-free work on one tracklet: its shape vector and its
+    per-group appearance C-vectors before flattening."""
+
+    shape: np.ndarray
+    groups: list[tuple[np.ndarray, np.ndarray]]
+
+    def embeddings(self, appearance_model: AppearanceModel) -> tuple[np.ndarray, np.ndarray]:
+        """(shape vector, appearance vector), as tracklet_embeddings gives them."""
+        return self.shape, appearance_model.vector(appearance_model.finish(self.groups))
+
+
+def tracklet_features(
+    tracklet: TrackletRecord, shape_model: ShapeModel, appearance_model: AppearanceModel
+) -> TrackletFeatures:
+    return TrackletFeatures(
+        shape=_shape_vector(tracklet, shape_model),
+        groups=appearance_model.group_features(tracklet.appearance),
+    )
+
+
+def build_index(
     tracklets: list[TrackletRecord],
-    shape_model: ShapeModel,
-    appearance_model: AppearanceModel,
+    embeddings: list[tuple[np.ndarray, np.ndarray]],
     centroid: bool = True,
 ) -> GalleryIndex:
-    """Embed every tracklet and build the gallery index.
+    """Gallery index from each tracklet's (shape, appearance) vectors.
 
     Centroid mode averages each subject's tracklet embeddings into one entry;
     otherwise every tracklet becomes its own entry and matching later takes
@@ -188,21 +244,23 @@ def register(
     """
     if len(tracklets) == 0:
         raise EmptyInput("no tracklets to register")
+    if len(embeddings) != len(tracklets):
+        raise InvalidInput(f"{len(embeddings)} embeddings for {len(tracklets)} tracklets")
     # canonical order: the index (and the centroid summation order) must not
     # depend on how the caller happened to order the tracklets
-    ordered = sorted(tracklets, key=lambda t: (t.subject_id, t.tracklet_id))
-    embs = [tracklet_embeddings(t, shape_model, appearance_model) for t in ordered]
+    order = sorted(
+        range(len(tracklets)), key=lambda i: (tracklets[i].subject_id, tracklets[i].tracklet_id)
+    )
 
     if not centroid:
         entries = [
-            IndexEntry(t.subject_id, shape=s, appearance=a, source_count=1)
-            for t, (s, a) in zip(ordered, embs)
+            IndexEntry(tracklets[i].subject_id, *embeddings[i], source_count=1) for i in order
         ]
         return GalleryIndex(entries=entries)
 
     by_subject: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for t, e in zip(ordered, embs):
-        by_subject.setdefault(t.subject_id, []).append(e)
+    for i in order:
+        by_subject.setdefault(tracklets[i].subject_id, []).append(embeddings[i])
     entries = []
     for subject, pairs in by_subject.items():
         shape_c = np.mean([p[0] for p in pairs], axis=0)
@@ -213,14 +271,30 @@ def register(
     return GalleryIndex(entries=entries)
 
 
+def register(
+    tracklets: list[TrackletRecord],
+    shape_model: ShapeModel,
+    appearance_model: AppearanceModel,
+    centroid: bool = True,
+) -> GalleryIndex:
+    """Embed every tracklet and build the gallery index (see build_index)."""
+    embeddings = [tracklet_embeddings(t, shape_model, appearance_model) for t in tracklets]
+    return build_index(tracklets, embeddings, centroid=centroid)
+
+
+def _write_text(f, text: str) -> None:
+    raw = text.encode("utf-8")
+    f.write(struct.pack("<I", len(raw)))
+    f.write(raw)
+
+
 def save_index(index: GalleryIndex, path) -> None:
     with open(path, "wb") as f:
         f.write(INDEX_MAGIC)
+        _write_text(f, index.model_hash)
         f.write(struct.pack("<I", len(index.entries)))
         for e in index.entries:
-            raw = e.subject_id.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
+            _write_text(f, e.subject_id)
             for vec in (e.shape, e.appearance):
                 f.write(struct.pack("<I", vec.shape[0]))
                 f.write(vec.astype("<f4").tobytes())
@@ -230,7 +304,10 @@ def save_index(index: GalleryIndex, path) -> None:
 def load_index(path) -> GalleryIndex:
     with open(path, "rb") as f:
         data = f.read()
-    if len(data) < len(INDEX_MAGIC) or data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
+    magic = data[: len(INDEX_MAGIC)]
+    if magic == b"SHRCIDX1":
+        raise CorruptIndex(f"{path}: SHRCIDX1 index has no model hash; re-run enroll to rebuild it")
+    if magic != INDEX_MAGIC:
         raise CorruptIndex(f"{path}: bad index magic")
     off = len(INDEX_MAGIC)
 
@@ -242,11 +319,18 @@ def load_index(path) -> GalleryIndex:
         off += n
         return chunk
 
+    def text() -> str:
+        (n,) = struct.unpack("<I", take(4))
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptIndex(f"{path}: text field is not UTF-8") from None
+
+    model_hash = text()
     (count,) = struct.unpack("<I", take(4))
     entries = []
     for _ in range(count):
-        (id_len,) = struct.unpack("<I", take(4))
-        subject = take(id_len).decode("utf-8")
+        subject = text()
         vecs = []
         for _ in range(2):
             (dim,) = struct.unpack("<I", take(4))
@@ -255,7 +339,7 @@ def load_index(path) -> GalleryIndex:
         entries.append(IndexEntry(subject, shape=vecs[0], appearance=vecs[1], source_count=k))
     if off != len(data):
         raise CorruptIndex(f"{path}: {len(data) - off} trailing bytes")
-    return GalleryIndex(entries=entries)
+    return GalleryIndex(entries=entries, model_hash=model_hash)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ compute the same cells one pair at a time; the two agree to within 1e-12.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,13 +61,15 @@ class ScoreMatrix:
 
     @classmethod
     def read_csv(cls, path) -> "ScoreMatrix":
-        """Inverse of write_csv; a malformed row raises InvalidInput naming its line."""
+        """Inverse of write_csv; a malformed row or a repeated id raises
+        InvalidInput naming its line."""
         try:
             with open(path, "r") as f:
                 lines = f.readlines()
         except UnicodeDecodeError:
             raise InvalidInput(f"{path}: not a text file") from None
         query_ids, rows = [], []
+        seen: set[str] = set()
         gallery_ids = None
         for lineno, line in enumerate(lines, start=1):
             line = line.rstrip("\n")
@@ -77,6 +80,9 @@ class ScoreMatrix:
                 if cells[0] != "query_id":
                     raise InvalidInput(f"{path}: expected query_id header")
                 gallery_ids = cells[1:]
+                repeated = [g for g, n in Counter(gallery_ids).items() if n > 1]
+                if repeated:
+                    raise InvalidInput(f"{path}: line {lineno}: gallery id {repeated[0]!r} appears twice")
                 continue
             if len(cells) != len(gallery_ids) + 1:
                 raise InvalidInput(
@@ -86,6 +92,9 @@ class ScoreMatrix:
                 rows.append([float(x) for x in cells[1:]])
             except ValueError:
                 raise InvalidInput(f"{path}: line {lineno}: non-numeric score") from None
+            if cells[0] in seen:
+                raise InvalidInput(f"{path}: line {lineno}: query id {cells[0]!r} appears twice")
+            seen.add(cells[0])
             query_ids.append(cells[0])
         if gallery_ids is None:
             raise InvalidInput(f"{path}: empty score file")

@@ -321,6 +321,8 @@ def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: s
         return chunk
 
     n_frames, h, w = struct.unpack("<III", take(12))
+    if n_frames == 0:
+        raise CorruptFile(f"{path}: frame container holds no frames")
 
     def section(expected_tag: int, expected_count: int) -> np.ndarray:
         tag, count = struct.unpack("<II", take(8))

@@ -108,8 +108,11 @@ class TestExitCodes:
             (lambda lines: lines[:2] + ["nobody," + lines[2].split(",", 1)[1]] + lines[3:],
              "query id 'nobody' is not in"),
             (lambda lines: lines + ["\udcff\udcfe"], "not a text file"),
+            (lambda lines: lines[:3] + [lines[2]] + lines[3:], "line 4: query id 's00"),
+            (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + "," + lines[1].split(",")[1]] + lines[2:],
+             "line 2: gallery id 's000' appears twice"),
         ],
-        ids=["short_row", "non_numeric", "unknown_query", "not_utf8"],
+        ids=["short_row", "non_numeric", "unknown_query", "not_utf8", "repeated_query", "repeated_gallery"],
     )
     def test_corrupt_fused_scores_are_2(self, workspace, capsys, corrupt, message):
         cfg_path, data_dir, tmp = workspace
@@ -139,6 +142,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: query shape vectors have shapes")
         assert "Traceback" not in err
+
+
+    def test_index_of_other_model_is_2_naming_both_hashes(self, workspace, capsys):
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        other = tmp / "other.cfg"
+        other.write_text(cfg_path.read_text().replace("[model]\n", "[model]\nencoder_seed = 6\n"))
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        assert _run(["enroll", "--config", other, "--out", out]) == 0
+        capsys.readouterr()
+        assert _run(["query", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        enrolled, own = parse_config(other).model_hash(), parse_config(cfg_path).model_hash()
+        assert enrolled != own
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert enrolled in err and own in err and "Traceback" not in err
+        assert not (out / "scores_fused.csv").exists()
+
+    def test_index_queries_under_another_alpha(self, workspace):
+        # alpha only weighs the scores; the stored vectors do not depend on it
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        other = tmp / "other.cfg"
+        other.write_text(cfg_path.read_text().replace("[model]\n", "[model]\nalpha = 0.7\n"))
+        assert parse_config(other).model_hash() == parse_config(cfg_path).model_hash()
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        assert _run(["enroll", "--config", cfg_path, "--out", out]) == 0
+        assert _run(["query", "--config", other, "--out", out]) == 0
 
 
 class TestPipeline:

@@ -111,6 +111,26 @@ class TestHash:
         assert "paths.data_dir" in keys
         assert "train.steps" in keys
 
+    @pytest.mark.parametrize(
+        "text, changes",
+        [
+            ("[model]\nalpha = 0.7\n", False),
+            ("[model]\nrescale_appearance = false\n", False),
+            ("[dataset]\nnum_ids = 3\n[protocol]\nsplit_seed = 9\n[train]\nsteps = 7\n", False),
+            ("[paths]\ndata_dir = elsewhere\n", False),
+            ("[model]\nencoder_seed = 6\n", True),
+            ("[model]\ngamma = 0.5\n", True),
+            ("[model]\npyramid_levels = 2\n", True),
+            ("[ablation]\ncentroid = false\n", True),
+            ("[ablation]\ndrop_smpl = true\n", True),
+        ],
+    )
+    def test_model_hash_covers_the_keys_that_change_stored_vectors(self, tmp_path, text, changes):
+        base = parse_config(_write(tmp_path, "", "base.cfg")).model_hash()
+        other = parse_config(_write(tmp_path, text, "other.cfg")).model_hash()
+        assert (other != base) == changes
+        assert len(base) == 12
+
 
 class TestBuilders:
     def test_shape_model_respects_channel_config(self, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sharc.gallery import (
     AppearanceModel,
     ManifestRow,
     TrackletRecord,
+    build_index,
     build_pseudo_video,
     chunk_frames,
     load_index,
@@ -15,6 +18,7 @@ from sharc.gallery import (
     register,
     save_index,
     tracklet_embeddings,
+    tracklet_features,
     write_manifest,
 )
 from sharc.shape import ShapeModel
@@ -159,6 +163,59 @@ class TestRegister:
         with pytest.raises(EmptyInput):
             register([], sm, am)
 
+    @pytest.mark.parametrize("centroid", [True, False])
+    def test_build_index_from_embeddings_matches_register(self, centroid):
+        recs = _dataset(num_ids=3, tpi=2)
+        sm, am = _models()
+        shuffled = recs[3:] + recs[:3]
+        built = build_index(
+            shuffled, [tracklet_embeddings(r, sm, am) for r in shuffled], centroid=centroid
+        )
+        registered = register(recs, sm, am, centroid=centroid)
+        assert [e.subject_id for e in built.entries] == [e.subject_id for e in registered.entries]
+        for eb, er in zip(built.entries, registered.entries):
+            np.testing.assert_array_equal(eb.shape, er.shape)
+            np.testing.assert_array_equal(eb.appearance, er.appearance)
+            assert eb.source_count == er.source_count
+
+    def test_build_index_needs_one_embedding_per_tracklet(self):
+        recs = _dataset(num_ids=1, tpi=2)
+        sm, am = _models()
+        with pytest.raises(InvalidInput):
+            build_index(recs, [tracklet_embeddings(recs[0], sm, am)])
+
+
+class TestTwoStageEmbedding:
+    def test_embed_tracklet_is_finish_of_group_features(self):
+        rec = _dataset(num_ids=1, tpi=1, frames=11)[0]
+        _, am = _models()
+        groups = am.group_features(rec.appearance)
+        assert len(groups) == 2  # 11 frames: one full group of 8, one resampled
+        assert all(a.shape == (16,) and v.shape == (16,) for a, v in groups)
+        for gamma in (1.0, 0.3, 0.0):
+            model = replace(am, gamma=gamma)
+            direct = model.embed_tracklet(rec.appearance)
+            finished = model.finish(groups)
+            np.testing.assert_array_equal(finished.attn_part, direct.attn_part)
+            np.testing.assert_array_equal(finished.avg_part, direct.avg_part)
+            assert finished.gamma == direct.gamma == gamma
+
+    def test_flattening_comes_before_the_group_mean(self):
+        rec = _dataset(num_ids=1, tpi=1, frames=16)[0]
+        _, am = _models()
+        groups = am.group_features(rec.appearance)
+        emb = replace(am, gamma=0.0).finish(groups)
+        expected = np.mean([np.sign(avg) for _, avg in groups], axis=0)
+        np.testing.assert_array_equal(emb.avg_part, expected)
+
+    def test_tracklet_features_give_tracklet_embeddings(self):
+        rec = _dataset(num_ids=1, tpi=1)[0]
+        sm, am = _models()
+        shape, app = tracklet_features(rec, sm, am).embeddings(am)
+        want_shape, want_app = tracklet_embeddings(rec, sm, am)
+        np.testing.assert_array_equal(shape, want_shape)
+        np.testing.assert_array_equal(app, want_app)
+
 
 class TestIndexFile:
     def test_roundtrip(self, tmp_path):
@@ -178,6 +235,28 @@ class TestIndexFile:
         path2 = tmp_path / "g2.shrc"
         save_index(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_model_hash_roundtrip(self, tmp_path):
+        recs = _dataset(num_ids=1, tpi=2)
+        sm, am = _models()
+        index = register(recs, sm, am)
+        assert index.model_hash == ""
+        path = tmp_path / "g.shrc"
+        save_index(replace(index, model_hash="0123456789ab"), path)
+        assert path.read_bytes()[:24] == b"SHRCIDX2" + b"\x0c\x00\x00\x00" + b"0123456789ab"
+        assert load_index(path).model_hash == "0123456789ab"
+
+    def test_version_1_index_asks_for_a_new_enroll(self, tmp_path):
+        p = tmp_path / "old.shrc"
+        p.write_bytes(b"SHRCIDX1" + b"\x00" * 4)
+        with pytest.raises(CorruptIndex, match="old.shrc: SHRCIDX1 index has no model hash; re-run enroll"):
+            load_index(p)
+
+    def test_text_that_is_not_utf8_is_corrupt(self, tmp_path):
+        p = tmp_path / "x.shrc"
+        p.write_bytes(b"SHRCIDX2" + b"\x01\x00\x00\x00\xff" + b"\x00" * 4)
+        with pytest.raises(CorruptIndex, match="not UTF-8"):
+            load_index(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.shrc"

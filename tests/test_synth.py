@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,14 @@ class TestFrameContainer:
         bad[20] = 9
         p.write_bytes(bytes(bad))
         with pytest.raises(CorruptFile):
+            read_tracklet_frames(p, "t", "s", "c")
+
+    def test_zero_frames_is_corrupt(self, tmp_path):
+        # a well-formed header with frame count 0: the parser, not the
+        # record it would build, must reject it
+        p = tmp_path / "t.dat"
+        p.write_bytes(b"SHRCDAT1" + struct.pack("<III", 0, 12, 10))
+        with pytest.raises(CorruptFile, match="t.dat: frame container holds no frames"):
             read_tracklet_frames(p, "t", "s", "c")
 
 
