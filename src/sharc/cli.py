@@ -76,9 +76,9 @@ def _zero_drops(record: TrackletRecord, cfg: RunConfig) -> TrackletRecord:
         return record
     sils, smpls, skels = record.silhouettes, record.smpls, record.skeletons
     if ab.drop_silhouette:
-        h, w = record.silhouettes[0].mask.shape
-        blank = SilhouetteInput(mask=np.zeros((h, w)), masked_rgb=np.zeros((h, w, 3)))
-        sils = [blank] * len(record)
+        # an all-zero mask masks out every pixel of the frame it lies over
+        blank = np.zeros(record.silhouettes[0].mask.shape)
+        sils = [SilhouetteInput(mask=blank, rgb=frame) for frame in record.appearance]
     if ab.drop_smpl:
         zero = SmplParams(camera=np.zeros(3), shape=np.zeros(10), joint_rotations=np.zeros(72))
         smpls = [zero] * len(record)

@@ -34,26 +34,34 @@ SKELETON_INPUT_DIM = SKELETON_JOINTS * 3  # x, y per joint plus confidence
 
 @dataclass(frozen=True)
 class SilhouetteInput:
-    """Binary person mask plus the RGB pixels it masks, per frame."""
+    """Binary person mask over one frame's RGB pixels.
+
+    `rgb` is the whole frame, the same array as the tracklet's appearance
+    frame rather than a copy; the silhouette encoder sees it only through the
+    mask, as `masked_rgb`.
+    """
 
     mask: np.ndarray  # (H, W), entries 0 or 1
-    masked_rgb: np.ndarray  # (H, W, 3) in [0, 1], zero wherever mask is zero
+    rgb: np.ndarray  # (H, W, 3) in [0, 1]
 
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=np.float64)
-        rgb = np.asarray(self.masked_rgb, dtype=np.float64)
+        rgb = np.asarray(self.rgb, dtype=np.float64)
         if mask.ndim != 2:
             raise InvalidInput(f"mask must be (H, W), got shape {mask.shape}")
         if rgb.shape != mask.shape + (3,):
-            raise InvalidInput(f"masked_rgb shape {rgb.shape} does not match mask {mask.shape}")
+            raise InvalidInput(f"rgb shape {rgb.shape} does not match mask {mask.shape}")
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise InvalidInput("mask entries must be 0 or 1")
         if not np.all(np.isfinite(rgb)) or rgb.min() < 0.0 or rgb.max() > 1.0:
-            raise InvalidInput("masked_rgb entries must be finite and in [0, 1]")
-        if np.any(rgb[mask == 0.0] != 0.0):
-            raise InvalidInput("masked_rgb must be zero wherever mask is zero")
+            raise InvalidInput("rgb entries must be finite and in [0, 1]")
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "masked_rgb", rgb)
+        object.__setattr__(self, "rgb", rgb)
+
+    @property
+    def masked_rgb(self) -> np.ndarray:
+        """(H, W, 3) frame with every pixel outside the mask set to zero."""
+        return self.rgb * self.mask[:, :, None]
 
     def stacked(self) -> np.ndarray:
         """(H, W, 4) grid: mask channel followed by the masked RGB channels."""
@@ -158,11 +166,6 @@ class EncoderParams:
             b = rng.uniform_array(-bound, bound, (fan_out,))
             layers.append((w, b))
         return cls(layers=tuple(layers), seed=seed)
-
-    def zeroed_biases(self) -> "EncoderParams":
-        """Copy with all biases set to zero (used by linearity tests)."""
-        layers = tuple((w.copy(), np.zeros_like(b)) for w, b in self.layers)
-        return EncoderParams(layers=layers, seed=self.seed)
 
 
 def _avgpool2x2(grid: np.ndarray) -> np.ndarray:

@@ -50,7 +50,16 @@ class ScoreMatrix:
         self.scores = s
 
     def write_csv(self, path, header_comment: str | None = None) -> None:
-        """Comma-separated export: gallery ids as header, one row per query."""
+        """Comma-separated export: gallery ids as header, one row per query.
+
+        An id that read_csv would not give back (one holding a comma or a line
+        break, or a query id that starts a `#` comment line) raises
+        InvalidInput before the file is opened.
+        """
+        for kind, ids in (("query", self.query_ids), ("gallery", self.gallery_ids)):
+            for i in ids:
+                if any(c in i for c in ",\r\n") or (kind == "query" and i.startswith("#")):
+                    raise InvalidInput(f"{path}: {kind} id {i!r} cannot be written to a score file")
         with open(path, "w", newline="") as f:
             if header_comment is not None:
                 f.write(f"# {header_comment}\n")

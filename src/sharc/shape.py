@@ -83,14 +83,6 @@ class ShapeEmbedding:
             raise InvalidInput("bins contain non-finite entries")
         object.__setattr__(self, "bins", b)
 
-    @property
-    def num_bins(self) -> int:
-        return self.bins.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.bins.shape[1]
-
     def flatten(self) -> np.ndarray:
         """Single vector used for scoring; rows stay contiguous."""
         return self.bins.reshape(-1).copy()

@@ -18,6 +18,10 @@ shift magnitude (also scales a small per-frame texture noise).
 Tracklet i of a subject wears clothing variant i mod clothing_variants, so
 with tracklets_per_id <= clothing_variants no two tracklets of a subject
 share an outfit and any gallery/query split is a clothes-change protocol.
+
+Each frame's RGB pixels exist once: the silhouette input holds the mask over
+the appearance frame itself, and the SHRCDAT2 frame container stores the mask
+(as u8) and the appearance frame, never their product.
 """
 
 from __future__ import annotations
@@ -38,16 +42,16 @@ from .exceptions import CorruptFile, InvalidInput, ProtocolError
 from .gallery import ManifestRow, TrackletRecord, read_manifest, write_manifest
 from .prng import SplitMix64, derive_seed
 
-DATA_MAGIC = b"SHRCDAT1"
+DATA_MAGIC = b"SHRCDAT2"
+_OLD_DATA_MAGIC = b"SHRCDAT1"
 
 SIGNATURE_DIM = 6
 
-# section tags inside a SHRCDAT1 frame, in on-disk order
+# section tags inside a SHRCDAT2 frame, in on-disk order
 _TAG_MASK = 1
-_TAG_RGB = 2
-_TAG_SMPL = 3
-_TAG_SKELETON = 4
-_TAG_APPEARANCE = 5
+_TAG_SMPL = 2
+_TAG_SKELETON = 3
+_TAG_APPEARANCE = 4
 
 # canonical 17-joint layout (x, y), y up, unit height torso
 _BASE_JOINTS = np.array(
@@ -199,7 +203,7 @@ def generate_tracklet(spec: DatasetSpec, subject_index: int, tracklet_index: int
         modulation = 1.0 + 0.1 * np.sin(gait)
         appearance = 0.5 + 0.5 * np.tanh(pattern * modulation)
 
-        sils.append(SilhouetteInput(mask=mask, masked_rgb=appearance * mask[:, :, None]))
+        sils.append(SilhouetteInput(mask=mask, rgb=appearance))
         apps.append(appearance)
 
         # body model: latent shape plus gait-driven joint rotations
@@ -273,22 +277,24 @@ def split_protocol(records: list, ratio: float, seed: int) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# SHRCDAT1 container
+# SHRCDAT2 container
 # ---------------------------------------------------------------------------
 
 
-def _write_section(f, tag: int, values: np.ndarray) -> None:
-    flat = np.asarray(values, dtype="<f4").reshape(-1)
+def _write_section(f, tag: int, values: np.ndarray, dtype: str = "<f4") -> None:
+    flat = np.asarray(values, dtype=dtype).reshape(-1)
     f.write(struct.pack("<II", tag, flat.size))
     f.write(flat.tobytes())
 
 
 def write_tracklet_frames(record: TrackletRecord, path) -> None:
-    """Serialize one tracklet's frames; all payloads little-endian f32.
+    """Serialize one tracklet's frames, little-endian.
 
-    Layout: magic, u32 frame count, u32 height, u32 width, then per frame five
-    tagged sections (mask, rgb, body params, skeleton, appearance), each a u32
-    tag, u32 float count, payload.
+    Layout: magic, u32 frame count, u32 height, u32 width, then per frame four
+    tagged sections, each a u32 tag, u32 value count, payload: the mask as u8
+    (tag 1), then as f32 the body params (2), the skeleton (3) and the
+    appearance frame (4). The masked RGB is not stored: it is the appearance
+    frame times the mask, and `SilhouetteInput` derives it.
     """
     h, w = record.silhouettes[0].mask.shape
     with open(path, "wb") as f:
@@ -297,18 +303,26 @@ def write_tracklet_frames(record: TrackletRecord, path) -> None:
         for sil, smpl, skel, app in zip(
             record.silhouettes, record.smpls, record.skeletons, record.appearance
         ):
-            _write_section(f, _TAG_MASK, sil.mask)
-            _write_section(f, _TAG_RGB, sil.masked_rgb)
+            _write_section(f, _TAG_MASK, sil.mask, "u1")
             _write_section(f, _TAG_SMPL, smpl.as_vector())
             _write_section(f, _TAG_SKELETON, skel.as_vector())
             _write_section(f, _TAG_APPEARANCE, app)
 
 
 def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: str) -> TrackletRecord:
-    """Parse a SHRCDAT1 container back into a tracklet record."""
+    """Parse a SHRCDAT2 container back into a tracklet record.
+
+    Each silhouette shares its RGB array with the record's appearance frame.
+    Any malformed container raises CorruptFile naming the path (a SHRCDAT1
+    one with a hint to re-run synth); values the record types refuse raise
+    InvalidInput.
+    """
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[: len(DATA_MAGIC)] != DATA_MAGIC:
+    magic = raw[: len(DATA_MAGIC)]
+    if magic == _OLD_DATA_MAGIC:
+        raise CorruptFile(f"{path}: SHRCDAT1 frame containers are no longer read; re-run synth")
+    if magic != DATA_MAGIC:
         raise CorruptFile(f"{path}: bad magic, not a frame container")
     off = len(DATA_MAGIC)
 
@@ -323,32 +337,37 @@ def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: s
     n_frames, h, w = struct.unpack("<III", take(12))
     if n_frames == 0:
         raise CorruptFile(f"{path}: frame container holds no frames")
+    if h == 0 or w == 0:
+        raise CorruptFile(f"{path}: frames are {h}x{w}, need at least one pixel")
 
-    def section(expected_tag: int, expected_count: int) -> np.ndarray:
+    def section(expected_tag: int, expected_count: int, dtype: str = "<f4") -> np.ndarray:
         tag, count = struct.unpack("<II", take(8))
         if tag != expected_tag or count != expected_count:
             raise CorruptFile(
-                f"{path}: expected section {expected_tag} with {expected_count} floats, "
+                f"{path}: expected section {expected_tag} with {expected_count} values, "
                 f"got tag {tag} with {count}"
             )
-        return np.frombuffer(take(4 * count), dtype="<f4").astype(np.float64)
+        item = np.dtype(dtype).itemsize
+        return np.frombuffer(take(item * count), dtype=dtype).astype(np.float64)
 
     sils, smpls, skels, apps = [], [], [], []
-    for _ in range(n_frames):
-        mask = section(_TAG_MASK, h * w).reshape(h, w)
-        rgb = section(_TAG_RGB, h * w * 3).reshape(h, w, 3)
-        smpl_vec = section(_TAG_SMPL, 85)
-        skel_vec = section(_TAG_SKELETON, SKELETON_JOINTS * 3)
-        app = section(_TAG_APPEARANCE, h * w * 3).reshape(h, w, 3)
-        sils.append(SilhouetteInput(mask=mask, masked_rgb=rgb))
-        smpls.append(SmplParams(camera=smpl_vec[:3], shape=smpl_vec[3:13], joint_rotations=smpl_vec[13:]))
-        skels.append(
-            SkeletonFrame(
-                joints=skel_vec[: SKELETON_JOINTS * 2].reshape(SKELETON_JOINTS, 2),
-                confidence=skel_vec[SKELETON_JOINTS * 2 :],
+    # a corrupt payload can hold a signalling NaN; it is refused by the finite
+    # checks below, so its cast to float64 must not also print a warning
+    with np.errstate(invalid="ignore"):
+        for _ in range(n_frames):
+            mask = section(_TAG_MASK, h * w, "u1").reshape(h, w)
+            smpl_vec = section(_TAG_SMPL, 85)
+            skel_vec = section(_TAG_SKELETON, SKELETON_JOINTS * 3)
+            app = section(_TAG_APPEARANCE, h * w * 3).reshape(h, w, 3)
+            sils.append(SilhouetteInput(mask=mask, rgb=app))
+            smpls.append(SmplParams(camera=smpl_vec[:3], shape=smpl_vec[3:13], joint_rotations=smpl_vec[13:]))
+            skels.append(
+                SkeletonFrame(
+                    joints=skel_vec[: SKELETON_JOINTS * 2].reshape(SKELETON_JOINTS, 2),
+                    confidence=skel_vec[SKELETON_JOINTS * 2 :],
+                )
             )
-        )
-        apps.append(app)
+            apps.append(app)
     if off != len(raw):
         raise CorruptFile(f"{path}: {len(raw) - off} trailing bytes")
     return TrackletRecord(

@@ -88,6 +88,34 @@ class TestExitCodes:
         assert err.startswith("error: ") and "query.csv" in err
         assert "Traceback" not in err
 
+    def test_query_id_starting_a_comment_is_2_with_no_scores(self, workspace, capsys):
+        # read_csv would skip that row as a comment and evaluate fewer queries
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        assert _run(["enroll", "--config", cfg_path, "--out", out]) == 0
+        lines = (data_dir / "query.csv").read_text().splitlines()
+        lines[2] = "#" + lines[2]
+        (data_dir / "query.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert _run(["query", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"query id '{lines[2].split(',')[0]}'" in err and "Traceback" not in err
+        assert not list(out.glob("scores_*.csv"))
+
+    def test_old_frame_container_is_2_with_a_hint(self, workspace, capsys):
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        container = sorted((data_dir / "frames").glob("*.dat"))[0]
+        container.write_bytes(b"SHRCDAT1" + container.read_bytes()[8:])
+        capsys.readouterr()
+        assert _run(["ablate-alpha", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert container.name in err and "re-run synth" in err and "Traceback" not in err
+
     def test_frame_size_the_encoders_cannot_split_is_3_at_parse_time(self, workspace, capsys):
         cfg_path, data_dir, tmp = workspace
         bad = tmp / "tall.cfg"

@@ -21,7 +21,7 @@ from sharc.exceptions import CorruptFile, DimMismatch, EmptyInput, InvalidInput
 def _sil(h=8, w=8):
     mask = ((np.indices((h, w)).sum(axis=0) % 3) == 0).astype(float)
     rgb = mask[:, :, None] * np.linspace(0.0, 1.0, h * w * 3).reshape(h, w, 3)
-    return SilhouetteInput(mask=mask, masked_rgb=rgb)
+    return SilhouetteInput(mask=mask, rgb=rgb)
 
 
 def _smpl():
@@ -35,19 +35,22 @@ def _smpl():
 class TestInputTypes:
     def test_silhouette_rejects_nonbinary_mask(self):
         with pytest.raises(InvalidInput):
-            SilhouetteInput(mask=np.full((4, 4), 0.5), masked_rgb=np.zeros((4, 4, 3)))
-
-    def test_silhouette_rejects_rgb_outside_mask(self):
-        mask = np.zeros((4, 4))
-        rgb = np.zeros((4, 4, 3))
-        rgb[0, 0, 0] = 0.3
-        with pytest.raises(InvalidInput):
-            SilhouetteInput(mask=mask, masked_rgb=rgb)
+            SilhouetteInput(mask=np.full((4, 4), 0.5), rgb=np.zeros((4, 4, 3)))
 
     def test_silhouette_rejects_rgb_out_of_range(self):
         mask = np.ones((4, 4))
         with pytest.raises(InvalidInput):
-            SilhouetteInput(mask=mask, masked_rgb=np.full((4, 4, 3), 1.5))
+            SilhouetteInput(mask=mask, rgb=np.full((4, 4, 3), 1.5))
+
+    def test_silhouette_keeps_the_frame_and_masks_it(self):
+        mask = np.zeros((4, 4))
+        mask[1:3, 1:3] = 1.0
+        frame = np.full((4, 4, 3), 0.25)
+        s = SilhouetteInput(mask=mask, rgb=frame)
+        assert s.rgb is frame  # the same array, not a copy
+        np.testing.assert_array_equal(s.masked_rgb[mask == 1.0], 0.25)
+        np.testing.assert_array_equal(s.masked_rgb[mask == 0.0], 0.0)
+        np.testing.assert_array_equal(frame, 0.25)
 
     def test_stacked_layout(self):
         s = _sil()
@@ -122,7 +125,7 @@ class TestForward:
         rgb = np.zeros((5, 8, 3))
         rgb[:] = 0.5
         with pytest.raises(DimMismatch):
-            encode_silhouette(SilhouetteInput(mask=mask, masked_rgb=rgb), enc)
+            encode_silhouette(SilhouetteInput(mask=mask, rgb=rgb), enc)
 
     def test_smpl_broadcast_golden(self):
         enc = EncoderParams.initialize((85, 12, 8), seed=22)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,31 @@ class TestScoreMatrix:
         assert back.gallery_ids == m.gallery_ids
         np.testing.assert_array_equal(back.scores, m.scores)
         assert p.read_text().startswith("# tool test\n")
+
+    @pytest.mark.parametrize(
+        "query_ids, gallery_ids, bad",
+        [
+            (["#q0"], ["a"], "query id '#q0'"),
+            (["q,0"], ["a"], "query id 'q,0'"),
+            (["q0"], ["a,b"], "gallery id 'a,b'"),
+            (["q\n0"], ["a"], "query id 'q\\n0'"),
+            (["q0"], ["a\r"], "gallery id 'a\\r'"),
+        ],
+        ids=["hash_query", "comma_query", "comma_gallery", "newline_query", "return_gallery"],
+    )
+    def test_write_refuses_ids_that_cannot_round_trip(self, tmp_path, query_ids, gallery_ids, bad):
+        p = tmp_path / "s.csv"
+        m = ScoreMatrix(np.zeros((len(query_ids), len(gallery_ids))), query_ids, gallery_ids)
+        with pytest.raises(InvalidInput, match=re.escape(bad)):
+            m.write_csv(p)
+        assert not p.exists()
+
+    def test_gallery_id_may_start_with_hash(self, tmp_path):
+        # gallery ids sit in the header row, after "query_id,"
+        m = ScoreMatrix(np.ones((1, 2)), ["q0"], ["#a", "b"])
+        p = tmp_path / "s.csv"
+        m.write_csv(p)
+        assert ScoreMatrix.read_csv(p).gallery_ids == ["#a", "b"]
 
     def test_read_rejects_missing_header(self, tmp_path):
         p = tmp_path / "s.csv"

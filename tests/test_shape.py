@@ -9,7 +9,7 @@ from sharc.shape import ShapeModel, fuse_pose, pool_motion, temporal_pool_pose
 def _sil(t):
     mask = ((np.indices((8, 8)).sum(axis=0) + t) % 3 == 0).astype(float)
     rgb = mask[:, :, None] * np.linspace(0.0, 1.0, 192).reshape(8, 8, 3)
-    return SilhouetteInput(mask=mask, masked_rgb=rgb)
+    return SilhouetteInput(mask=mask, rgb=rgb)
 
 
 def _smpl(t):

@@ -1,9 +1,13 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sharc.exceptions import CorruptFile, InvalidInput, ProtocolError
+from sharc.gallery import TrackletRecord
 from sharc.synth import (
     DatasetSpec,
     generate_dataset,
@@ -216,9 +220,124 @@ class TestFrameContainer:
         # a well-formed header with frame count 0: the parser, not the
         # record it would build, must reject it
         p = tmp_path / "t.dat"
-        p.write_bytes(b"SHRCDAT1" + struct.pack("<III", 0, 12, 10))
+        p.write_bytes(b"SHRCDAT2" + struct.pack("<III", 0, 12, 10))
         with pytest.raises(CorruptFile, match="t.dat: frame container holds no frames"):
             read_tracklet_frames(p, "t", "s", "c")
+
+
+    def test_silhouettes_share_the_appearance_frames(self, tmp_path):
+        rec = generate_tracklet(_spec(), 1, 1)
+        p = tmp_path / "t.dat"
+        write_tracklet_frames(rec, p)
+        back = read_tracklet_frames(p, rec.tracklet_id, rec.subject_id, rec.clothing_id)
+        for r in (rec, back):
+            for sil, app in zip(r.silhouettes, r.appearance):
+                assert sil.rgb is app
+
+    def test_layout_has_no_masked_rgb_section(self, tmp_path):
+        spec = _spec()
+        rec = generate_tracklet(spec, 0, 0)
+        p = tmp_path / "t.dat"
+        write_tracklet_frames(rec, p)
+        raw = p.read_bytes()
+        assert raw[:8] == b"SHRCDAT2"
+        assert struct.unpack_from("<III", raw, 8) == (len(rec), spec.height, spec.width)
+        hw = spec.height * spec.width
+        # (tag, value count, bytes per value) per frame: u8 mask, f32 body
+        # params, f32 skeleton, f32 appearance frame
+        sections = [(1, hw, 1), (2, 85, 4), (3, 51, 4), (4, hw * 3, 4)]
+        off = 20
+        for _ in range(len(rec)):
+            for tag, count, size in sections:
+                assert struct.unpack_from("<II", raw, off) == (tag, count)
+                off += 8 + count * size
+        assert off == len(raw)
+        mask = np.frombuffer(raw, dtype="u1", count=hw, offset=28)
+        np.testing.assert_array_equal(mask.reshape(spec.height, spec.width), rec.silhouettes[0].mask)
+
+    @pytest.mark.parametrize("h, w", [(0, 10), (12, 0), (0, 0)])
+    def test_zero_size_frames_are_corrupt(self, tmp_path, h, w):
+        # a header and sections that agree with each other, but no pixels
+        p = tmp_path / "t.dat"
+        body = struct.pack("<II", 1, 0) + struct.pack("<II", 2, 85) + bytes(4 * 85)
+        body += struct.pack("<II", 3, 51) + bytes(4 * 51) + struct.pack("<II", 4, 0)
+        p.write_bytes(b"SHRCDAT2" + struct.pack("<III", 1, h, w) + body)
+        with pytest.raises(CorruptFile, match=f"t.dat: frames are {h}x{w}"):
+            read_tracklet_frames(p, "t", "s", "c")
+
+    def test_shrcdat1_is_rejected_with_a_hint(self, tmp_path):
+        # a well-formed container of the old layout: five f32 sections per
+        # frame, the masked RGB among them
+        rec = generate_tracklet(_spec(), 0, 0)
+        h, w = rec.silhouettes[0].mask.shape
+        parts = [b"SHRCDAT1", struct.pack("<III", len(rec), h, w)]
+        for sil, smpl, skel, app in zip(rec.silhouettes, rec.smpls, rec.skeletons, rec.appearance):
+            for tag, values in enumerate(
+                (sil.mask, sil.masked_rgb, smpl.as_vector(), skel.as_vector(), app), start=1
+            ):
+                flat = np.asarray(values, dtype="<f4").reshape(-1)
+                parts.append(struct.pack("<II", tag, flat.size) + flat.tobytes())
+        p = tmp_path / "old.dat"
+        p.write_bytes(b"".join(parts))
+        with pytest.raises(CorruptFile, match="old.dat: .*re-run synth"):
+            read_tracklet_frames(p, "t", "s", "c")
+
+
+def _small_container(tmp_path) -> bytes:
+    spec = _spec(frames_per_tracklet=2, height=4, width=4)
+    p = tmp_path / "small.dat"
+    write_tracklet_frames(generate_tracklet(spec, 0, 0), p)
+    raw = p.read_bytes()
+    assert raw[:8] == b"SHRCDAT2"
+    return raw
+
+
+def _read_or_refuse(path):
+    """The parsed record, or None when the parser refused the bytes."""
+    try:
+        return read_tracklet_frames(path, "t", "s", "c")
+    except (CorruptFile, InvalidInput):
+        return None
+
+
+class TestContainerFuzz:
+    def test_every_truncation_is_refused(self, tmp_path):
+        raw = _small_container(tmp_path)
+        p = tmp_path / "cut.dat"
+        for n in range(len(raw)):
+            p.write_bytes(raw[:n])
+            with pytest.raises((CorruptFile, InvalidInput)):
+                read_tracklet_frames(p, "t", "s", "c")
+
+    def test_signalling_nan_is_refused_without_a_warning(self, tmp_path):
+        raw = bytearray(_small_container(tmp_path))
+        first_app = 20 + 8 + 16 + 8 + 4 * 85 + 8 + 4 * 51 + 8  # first appearance value
+        raw[first_app : first_app + 4] = struct.pack("<I", 0x7F800001)
+        p = tmp_path / "snan.dat"
+        p.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="finite"):
+                read_tracklet_frames(p, "t", "s", "c")
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_single_byte_mutation_is_refused_or_valid(self, tmp_path, data):
+        raw = bytearray(_small_container(tmp_path))
+        pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != raw[pos]), label="value")
+        raw[pos] = value
+        p = tmp_path / "mutated.dat"
+        p.write_bytes(bytes(raw))
+        rec = _read_or_refuse(p)
+        if rec is not None:
+            assert isinstance(rec, TrackletRecord) and len(rec) == 2
+            for sil, app in zip(rec.silhouettes, rec.appearance):
+                assert sil.mask.shape == (4, 4) and sil.rgb is app
+                assert set(np.unique(sil.mask)) <= {0.0, 1.0}
+                assert np.all(np.isfinite(app)) and app.min() >= 0.0 and app.max() <= 1.0
+            for smpl, skel in zip(rec.smpls, rec.skeletons):
+                assert np.all(np.isfinite(smpl.as_vector())) and np.all(np.isfinite(skel.as_vector()))
 
 
 class TestDatasetIo:
