@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .appearance import (
     AppearanceEmbedding,
     AttentionParams,
-    appearance_embedding,
     average_aggregate,
     flatten_feature,
     mean_embedding,
@@ -25,9 +24,6 @@ from .config import RunConfig, build_appearance_model, build_shape_model, parse_
 from .core import cosine_similarity, euclidean_distance, l2_normalize, softmax, strip_pool
 from .encoders import (
     EncoderParams,
-    SilhouetteInput,
-    SkeletonFrame,
-    SmplParams,
     encode_appearance,
     encode_silhouette,
     encode_skeleton_sequence,

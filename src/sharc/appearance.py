@@ -111,13 +111,14 @@ def temporal_attention(
 
 
 def pyramid_aggregate(
-    frames: list[np.ndarray],
+    frames: np.ndarray,
     params: AttentionParams,
     ta_target: str = "later",
     sa_fn=None,
     ta_fn=None,
 ) -> np.ndarray:
-    """Reduce 2**levels frame grids to one C-vector through the attention pyramid.
+    """Reduce a group of 2**levels frame grids, (2**levels, H, W, C), to one
+    C-vector through the attention pyramid.
 
     Level l maps consecutive non-overlapping pairs (x, y) to
     SA_l(x) + SA_l(y) + TA_l(x, y), halving the population each level; the
@@ -129,13 +130,10 @@ def pyramid_aggregate(
     expected = params.group_size
     if len(frames) != expected:
         raise InvalidFrameCount(f"pyramid needs exactly {expected} frames, got {len(frames)}")
-    current = [core.as_grid(f) for f in frames]
-    shape = current[0].shape
-    for g in current[1:]:
-        if g.shape != shape:
-            raise DimMismatch(f"frame shapes differ: {shape} vs {g.shape}")
-    if shape[2] != params.channels:
-        raise DimMismatch(f"frames have {shape[2]} channels, attention expects {params.channels}")
+    group = core.as_grids(frames, "frames")
+    if group.shape[3] != params.channels:
+        raise DimMismatch(f"frames have {group.shape[3]} channels, attention expects {params.channels}")
+    current = list(group)
 
     for level in range(params.levels):
         if sa_fn is None:
@@ -153,17 +151,12 @@ def pyramid_aggregate(
     return current[0].mean(axis=(0, 1))
 
 
-def average_aggregate(frames: list[np.ndarray]) -> np.ndarray:
-    """Elementwise mean over frames, then global spatial average, to a C-vector."""
+def average_aggregate(frames: np.ndarray) -> np.ndarray:
+    """Mean of (N, H, W, C) frame grids over the frames, then global spatial
+    average, to a C-vector."""
     if len(frames) == 0:
         raise EmptyInput("no frames to average")
-    grids = [core.as_grid(f) for f in frames]
-    shape = grids[0].shape
-    for g in grids[1:]:
-        if g.shape != shape:
-            raise DimMismatch(f"frame shapes differ: {shape} vs {g.shape}")
-    stacked = np.stack(grids)
-    return stacked.mean(axis=0).mean(axis=(0, 1))
+    return core.as_grids(frames, "frames").mean(axis=0).mean(axis=(0, 1))
 
 
 def flatten_feature(v: np.ndarray, gamma: float) -> np.ndarray:
@@ -229,20 +222,3 @@ def mean_embedding(parts: list[AppearanceEmbedding]) -> AppearanceEmbedding:
     attn = np.mean([p.attn_part for p in parts], axis=0)
     avg = np.mean([p.avg_part for p in parts], axis=0)
     return AppearanceEmbedding(attn_part=attn, avg_part=avg, gamma=parts[0].gamma)
-
-
-def appearance_embedding(
-    frames: list[np.ndarray],
-    params: AttentionParams,
-    gamma: float = 0.0,
-    ta_target: str = "later",
-) -> AppearanceEmbedding:
-    """Dual-route embedding of one group of encoded frame features.
-
-    The attention part comes from the pyramid (which fixes the group size to
-    2**levels); the averaging part is the spatially pooled frame mean passed
-    through the gamma flattening.
-    """
-    attn = pyramid_aggregate(frames, params, ta_target=ta_target)
-    avg = flatten_feature(average_aggregate(frames), gamma)
-    return AppearanceEmbedding(attn_part=attn, avg_part=avg, gamma=gamma)

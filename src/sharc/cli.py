@@ -27,14 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, build_appearance_model, build_shape_model, parse_config
-from .encoders import (
-    SKELETON_JOINTS,
-    EncoderParams,
-    SilhouetteInput,
-    SkeletonFrame,
-    SmplParams,
-    save_encoder,
-)
+from .encoders import EncoderParams, save_encoder
 from .exceptions import ConfigError, IndexMismatch, InvalidInput, ProtocolError, SharcError
 from .gallery import (
     AppearanceModel,
@@ -70,30 +63,22 @@ def _require_file(path: str) -> None:
 
 
 def _zero_drops(record: TrackletRecord, cfg: RunConfig) -> TrackletRecord:
-    """Apply modality ablations by zeroing the dropped inputs."""
+    """Apply modality ablations by zeroing the dropped inputs.
+
+    An all-zero mask also hides every pixel of the RGB frame beneath it from
+    the silhouette encoder.
+    """
     ab = cfg.ablation
     if not (ab.drop_silhouette or ab.drop_smpl or ab.drop_skeleton):
         return record
-    sils, smpls, skels = record.silhouettes, record.smpls, record.skeletons
+    masks, body, skeleton = record.masks, record.body, record.skeleton
     if ab.drop_silhouette:
-        # an all-zero mask masks out every pixel of the frame it lies over
-        blank = np.zeros(record.silhouettes[0].mask.shape)
-        sils = [SilhouetteInput(mask=blank, rgb=frame) for frame in record.appearance]
+        masks = np.zeros_like(masks)
     if ab.drop_smpl:
-        zero = SmplParams(camera=np.zeros(3), shape=np.zeros(10), joint_rotations=np.zeros(72))
-        smpls = [zero] * len(record)
+        body = np.zeros_like(body)
     if ab.drop_skeleton:
-        still = SkeletonFrame(joints=np.zeros((SKELETON_JOINTS, 2)), confidence=np.zeros(SKELETON_JOINTS))
-        skels = [still] * len(record)
-    return TrackletRecord(
-        tracklet_id=record.tracklet_id,
-        subject_id=record.subject_id,
-        clothing_id=record.clothing_id,
-        silhouettes=sils,
-        smpls=smpls,
-        skeletons=skels,
-        appearance=record.appearance,
-    )
+        skeleton = np.zeros_like(skeleton)
+    return replace(record, masks=masks, body=body, skeleton=skeleton)
 
 
 def _load_records(manifest_path: str, cfg: RunConfig) -> list[TrackletRecord]:

@@ -20,7 +20,7 @@ from .exceptions import ConfigError
 from .gallery import AppearanceModel
 from .prng import derive_seed
 from .shape import ShapeModel
-from .synth import DatasetSpec
+from .synth import MAX_KEYPOINT_JITTER, DatasetSpec
 
 
 def _positive(v):
@@ -43,6 +43,14 @@ def _open_unit(v):
         raise ValueError("must be in (0, 1)")
 
 
+def _jitter(v):
+    if not 0.0 <= v <= MAX_KEYPOINT_JITTER:
+        raise ValueError(
+            f"must be in [0, {MAX_KEYPOINT_JITTER!r}], so that generated keypoints and body "
+            "parameters stay finite in float32"
+        )
+
+
 def _choice(options):
     def check(v):
         if v not in options:
@@ -59,7 +67,7 @@ _SCHEMA = {
         "frames_per_tracklet": (int, 12, _positive),
         "clothing_variants": (int, 1, _positive),
         "sil_flip_rate": (float, 0.0, _unit),
-        "keypoint_jitter": (float, 0.0, _nonneg),
+        "keypoint_jitter": (float, 0.0, _jitter),
         "appearance_shift": (float, 0.0, _nonneg),
         "seed": (int, 1, None),
         "height": (int, 16, _positive),

@@ -39,6 +39,19 @@ def as_grid(g, name: str = "grid") -> np.ndarray:
     return arr
 
 
+def as_grids(g, name: str = "grids") -> np.ndarray:
+    """Coerce a stack of equal (H, W, C) grids to a finite (N, H, W, C) float64 array."""
+    try:
+        arr = np.asarray(g, dtype=np.float64)
+    except ValueError:
+        raise DimMismatch(f"{name} differ in shape") from None
+    if arr.ndim != 4:
+        raise InvalidInput(f"{name} must be (N, H, W, C), got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput(f"{name} contain non-finite entries")
+    return arr
+
+
 def l2_normalize(v) -> np.ndarray:
     """Scale to unit Euclidean norm; vectors with norm <= NORM_FLOOR pass through."""
     arr = as_vector(v)

@@ -1,10 +1,13 @@
-"""Per-frame feature encoders with seeded, portable weights.
+"""Feature encoders over whole tracklets, with seeded, portable weights.
 
 Each encoder is a stack of (linear map -> bias -> ReLU) blocks; grid encoders
 additionally halve the spatial resolution with 2x2 average pooling after every
-block. Weights are drawn from SplitMix64, uniform in [-1/sqrt(fan_in),
-+1/sqrt(fan_in)], so a (seed, widths) pair reproduces the same parameters on
-any platform.
+block. Every encoder takes one modality of a tracklet as a single array, with
+frames on the first axis: (T, H, W) masks and (T, H, W, 3) RGB frames, the
+(T, 85) body vectors or the (T, 51) skeletons. The arrays are validated once,
+where a `TrackletRecord` is built, not here. Weights are drawn from
+SplitMix64, uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], so a (seed, widths)
+pair reproduces the same parameters on any platform.
 
 Parameter files ("SHRCENC1"): little-endian; 8-byte magic, then per layer
 u32 rows, u32 cols, rows*cols f32 weights in row-major order, rows f32 biases.
@@ -23,103 +26,11 @@ from .prng import SplitMix64
 
 ENCODER_MAGIC = b"SHRCENC1"
 
-SMPL_CAMERA_DIM = 3
-SMPL_SHAPE_DIM = 10
-SMPL_ROTATION_DIM = 72
-SMPL_DIM = SMPL_CAMERA_DIM + SMPL_SHAPE_DIM + SMPL_ROTATION_DIM
+SMPL_DIM = 3 + 10 + 72  # body vector: camera, shape, joint rotations
 
 SKELETON_JOINTS = 17
-SKELETON_INPUT_DIM = SKELETON_JOINTS * 3  # x, y per joint plus confidence
-
-
-@dataclass(frozen=True)
-class SilhouetteInput:
-    """Binary person mask over one frame's RGB pixels.
-
-    `rgb` is the whole frame, the same array as the tracklet's appearance
-    frame rather than a copy; the silhouette encoder sees it only through the
-    mask, as `masked_rgb`.
-    """
-
-    mask: np.ndarray  # (H, W), entries 0 or 1
-    rgb: np.ndarray  # (H, W, 3) in [0, 1]
-
-    def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=np.float64)
-        rgb = np.asarray(self.rgb, dtype=np.float64)
-        if mask.ndim != 2:
-            raise InvalidInput(f"mask must be (H, W), got shape {mask.shape}")
-        if rgb.shape != mask.shape + (3,):
-            raise InvalidInput(f"rgb shape {rgb.shape} does not match mask {mask.shape}")
-        if not np.all((mask == 0.0) | (mask == 1.0)):
-            raise InvalidInput("mask entries must be 0 or 1")
-        if not np.all(np.isfinite(rgb)) or rgb.min() < 0.0 or rgb.max() > 1.0:
-            raise InvalidInput("rgb entries must be finite and in [0, 1]")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "rgb", rgb)
-
-    @property
-    def masked_rgb(self) -> np.ndarray:
-        """(H, W, 3) frame with every pixel outside the mask set to zero."""
-        return self.rgb * self.mask[:, :, None]
-
-    def stacked(self) -> np.ndarray:
-        """(H, W, 4) grid: mask channel followed by the masked RGB channels."""
-        return np.concatenate([self.mask[:, :, None], self.masked_rgb], axis=2)
-
-
-@dataclass(frozen=True)
-class SmplParams:
-    """85-D parametric body model vector: camera, shape, joint rotations."""
-
-    camera: np.ndarray  # (3,)
-    shape: np.ndarray  # (10,)
-    joint_rotations: np.ndarray  # (72,)
-
-    def __post_init__(self):
-        cam = np.asarray(self.camera, dtype=np.float64)
-        shp = np.asarray(self.shape, dtype=np.float64)
-        rot = np.asarray(self.joint_rotations, dtype=np.float64)
-        if cam.shape != (SMPL_CAMERA_DIM,):
-            raise InvalidInput(f"camera must have {SMPL_CAMERA_DIM} entries, got {cam.shape}")
-        if shp.shape != (SMPL_SHAPE_DIM,):
-            raise InvalidInput(f"shape must have {SMPL_SHAPE_DIM} entries, got {shp.shape}")
-        if rot.shape != (SMPL_ROTATION_DIM,):
-            raise InvalidInput(f"joint_rotations must have {SMPL_ROTATION_DIM} entries, got {rot.shape}")
-        vec = np.concatenate([cam, shp, rot])
-        if not np.all(np.isfinite(vec)):
-            raise InvalidInput("SMPL parameters contain non-finite entries")
-        object.__setattr__(self, "camera", cam)
-        object.__setattr__(self, "shape", shp)
-        object.__setattr__(self, "joint_rotations", rot)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.camera, self.shape, self.joint_rotations])
-
-
-@dataclass(frozen=True)
-class SkeletonFrame:
-    """2-D joint coordinates (COCO 17-joint convention) with confidences."""
-
-    joints: np.ndarray  # (17, 2)
-    confidence: np.ndarray  # (17,) in [0, 1]
-
-    def __post_init__(self):
-        joints = np.asarray(self.joints, dtype=np.float64)
-        conf = np.asarray(self.confidence, dtype=np.float64)
-        if joints.shape != (SKELETON_JOINTS, 2):
-            raise InvalidInput(f"joints must be ({SKELETON_JOINTS}, 2), got {joints.shape}")
-        if conf.shape != (SKELETON_JOINTS,):
-            raise InvalidInput(f"confidence must have {SKELETON_JOINTS} entries, got {conf.shape}")
-        if not np.all(np.isfinite(joints)):
-            raise InvalidInput("joint coordinates contain non-finite entries")
-        if not np.all(np.isfinite(conf)) or conf.min() < 0.0 or conf.max() > 1.0:
-            raise InvalidInput("confidences must be finite and in [0, 1]")
-        object.__setattr__(self, "joints", joints)
-        object.__setattr__(self, "confidence", conf)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.joints.reshape(-1), self.confidence])
+# skeleton vector: x, y of each joint, then the joints' confidences
+SKELETON_INPUT_DIM = SKELETON_JOINTS * 3
 
 
 @dataclass(frozen=True)
@@ -168,30 +79,53 @@ class EncoderParams:
         return cls(layers=tuple(layers), seed=seed)
 
 
-def _avgpool2x2(grid: np.ndarray) -> np.ndarray:
-    h, w, c = grid.shape
+def _avgpool2x2(x: np.ndarray) -> np.ndarray:
+    """2x2 average pooling over the H and W axes of a (T, H, W, C) array.
+
+    Strided adds sum each window in the same order as a per-frame
+    reshape-and-mean, and run faster than a batched one.
+    """
+    h, w = x.shape[1:3]
     if h % 2 != 0 or w % 2 != 0:
         raise DimMismatch(f"2x2 pooling needs even spatial dims, got {h}x{w}")
-    return grid.reshape(h // 2, 2, w // 2, 2, c).mean(axis=(1, 3))
+    return 0.25 * (x[:, 0::2, 0::2] + x[:, 0::2, 1::2] + x[:, 1::2, 0::2] + x[:, 1::2, 1::2])
 
 
-def _grid_forward(grid: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Per-pixel linear blocks with ReLU, each followed by 2x2 average pooling."""
-    x = grid
+def _grid_forward(grids: np.ndarray, params: EncoderParams) -> np.ndarray:
+    """Per-pixel linear blocks with ReLU over (T, H, W, C) grids, each followed
+    by 2x2 average pooling.
+
+    Each layer is one 2-D product over all T*H*W pixels. Every output cell is
+    one dot product no longer than the layer's input width, so its bytes do not
+    depend on how BLAS splits the rows between threads.
+    """
+    x = grids
+    if x.ndim != 4:
+        raise InvalidInput(f"grids must be (T, H, W, C), got shape {x.shape}")
     for w, b in params.layers:
-        if x.shape[2] != w.shape[1]:
-            raise DimMismatch(f"grid has {x.shape[2]} channels, layer expects {w.shape[1]}")
-        x = np.maximum(x @ w.T + b, 0.0)
-        x = _avgpool2x2(x)
+        t, h, wd, c = x.shape
+        if c != w.shape[1]:
+            raise DimMismatch(f"grid has {c} channels, layer expects {w.shape[1]}")
+        # in place after the product: a tracklet's pixels make these arrays large
+        y = x.reshape(-1, c) @ w.T
+        y += b
+        x = _avgpool2x2(np.maximum(y, 0.0, out=y).reshape(t, h, wd, w.shape[0]))
     return x
 
 
-def _vector_forward(vec: np.ndarray, params: EncoderParams) -> np.ndarray:
-    x = vec
+def _vector_forward(rows: np.ndarray, params: EncoderParams) -> np.ndarray:
+    """Linear blocks with ReLU applied to each row of a (T, D) matrix.
+
+    Each row stays its own matrix-vector product W @ x: a (T, D) @ W.T product
+    sums in another order and differs from it by up to an ulp.
+    """
+    x = rows
+    if x.ndim != 2:
+        raise InvalidInput(f"rows must be (T, D), got shape {x.shape}")
     for w, b in params.layers:
-        if x.shape[0] != w.shape[1]:
-            raise DimMismatch(f"vector has {x.shape[0]} entries, layer expects {w.shape[1]}")
-        x = np.maximum(w @ x + b, 0.0)
+        if x.shape[1] != w.shape[1]:
+            raise DimMismatch(f"rows have {x.shape[1]} entries, layer expects {w.shape[1]}")
+        x = np.maximum(np.matmul(w, x[:, :, None])[..., 0] + b, 0.0)
     return x
 
 
@@ -205,37 +139,38 @@ def grid_output_shape(input_hw: tuple[int, int], params: EncoderParams) -> tuple
     return h, w
 
 
-def encode_silhouette(inp: SilhouetteInput, params: EncoderParams) -> np.ndarray:
-    """Encode mask + masked RGB into an (H', W', C) feature grid."""
-    return _grid_forward(inp.stacked(), params)
+def encode_silhouette(masks: np.ndarray, appearance: np.ndarray, params: EncoderParams) -> np.ndarray:
+    """Encode (T, H, W) masks over their (T, H, W, 3) RGB frames into
+    (T, H', W', C) feature grids.
 
-
-def encode_smpl(inp: SmplParams, params: EncoderParams, spatial: tuple[int, int]) -> np.ndarray:
-    """Encode the 85-D body vector and broadcast it over `spatial` positions.
-
-    Broadcasting makes the output grid-shaped so it can be fused elementwise
-    with the silhouette feature.
+    Each pixel's input is its mask value followed by its RGB times the mask,
+    so the encoder sees no colour outside the silhouette.
     """
-    vec = _vector_forward(inp.as_vector(), params)
+    m = masks[..., None]
+    return _grid_forward(np.concatenate([m, appearance * m], axis=3), params)
+
+
+def encode_smpl(body: np.ndarray, params: EncoderParams, spatial: tuple[int, int]) -> np.ndarray:
+    """Encode (T, 85) body vectors and broadcast each over `spatial` positions.
+
+    Broadcasting makes the output (T, h, w, C) grids, so it can be fused
+    elementwise with the silhouette features.
+    """
+    vecs = _vector_forward(body, params)
     h, w = spatial
-    return np.broadcast_to(vec, (h, w, vec.shape[0])).copy()
+    return np.broadcast_to(vecs[:, None, None, :], (vecs.shape[0], h, w, vecs.shape[1])).copy()
 
 
-def encode_skeleton_sequence(frames: list[SkeletonFrame], params: EncoderParams) -> np.ndarray:
-    """Encode a skeleton sequence into a (T, C_m) matrix, one row per frame."""
-    if len(frames) == 0:
+def encode_skeleton_sequence(skeleton: np.ndarray, params: EncoderParams) -> np.ndarray:
+    """Encode a (T, 51) skeleton sequence into a (T, C_m) matrix, one row per frame."""
+    if len(skeleton) == 0:
         raise EmptyInput("skeleton sequence is empty")
-    return np.stack([_vector_forward(f.as_vector(), params) for f in frames])
+    return _vector_forward(skeleton, params)
 
 
-def encode_appearance(frame_rgb: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Encode an (H, W, 3) RGB frame into an (H', W', C) feature grid."""
-    grid = np.asarray(frame_rgb, dtype=np.float64)
-    if grid.ndim != 3:
-        raise InvalidInput(f"appearance frame must be (H, W, 3), got shape {grid.shape}")
-    if not np.all(np.isfinite(grid)):
-        raise InvalidInput("appearance frame contains non-finite entries")
-    return _grid_forward(grid, params)
+def encode_appearance(frames: np.ndarray, params: EncoderParams) -> np.ndarray:
+    """Encode (T, H, W, 3) RGB frames into (T, H', W', C) feature grids."""
+    return _grid_forward(frames, params)
 
 
 def save_encoder(params: EncoderParams, path) -> None:

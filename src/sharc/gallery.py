@@ -1,5 +1,9 @@
 """Tracklet ingestion, frame grouping, centroid registration, index files.
 
+A `TrackletRecord` holds each modality of a tracklet as one array with the
+frames on its first axis, and validates the four arrays once, when it is
+built; no per-frame object exists on the load or embed path.
+
 The appearance branch consumes groups of 2**pyramid_levels frames: short
 tracklets are cyclically resampled up to one group, long ones are cut into
 consecutive groups with the final partial group resampled from its own
@@ -7,13 +11,13 @@ members. The shape branch pools over arbitrary lengths, so it always sees the
 full sequence.
 
 The appearance branch runs in two stages. `AppearanceModel.group_features`
-encodes each frame once and reduces every group to its pyramid and spatial
-average C-vectors; nothing in it depends on gamma. `AppearanceModel.finish`
-flattens each group's average with gamma and then averages the groups
-(flattening is nonlinear, so it comes before the mean). `embed_tracklet` is
-the two stages in a row; the gamma sweep runs the first stage once per
-tracklet and the second once per gamma. `register` likewise is embedding
-followed by `build_index`.
+encodes all frames of a tracklet in one pass and reduces every group to its
+pyramid and spatial average C-vectors; nothing in it depends on gamma.
+`AppearanceModel.finish` flattens each group's average with gamma and then
+averages the groups (flattening is nonlinear, so it comes before the mean).
+`embed_tracklet` is the two stages in a row; the gamma sweep runs the first
+stage once per tracklet and the second once per gamma. `register` likewise
+is embedding followed by `build_index`.
 
 Index files ("SHRCIDX2"): little-endian; 8-byte magic, u32 byte length + ASCII
 model hash (the hash of the config keys that change the stored vectors, empty
@@ -40,14 +44,8 @@ from .appearance import (
     mean_embedding,
     pyramid_aggregate,
 )
-from .encoders import (
-    EncoderParams,
-    SilhouetteInput,
-    SkeletonFrame,
-    SmplParams,
-    encode_appearance,
-)
-from .exceptions import CorruptIndex, EmptyInput, InvalidInput, SubjectMismatch
+from .encoders import SKELETON_INPUT_DIM, SKELETON_JOINTS, SMPL_DIM, EncoderParams, encode_appearance
+from .exceptions import CorruptIndex, DimMismatch, EmptyInput, InvalidInput, SubjectMismatch
 from .shape import ShapeModel
 
 INDEX_MAGIC = b"SHRCIDX2"
@@ -57,29 +55,57 @@ MANIFEST_HEADER = ["tracklet_id", "subject_id", "clothing_id", "frames_path"]
 
 @dataclass(frozen=True)
 class TrackletRecord:
-    """One person, one camera pass: aligned per-modality frame sequences."""
+    """One person, one camera pass: one array per modality over its T frames.
+
+    The skeleton row is the encoder's input order: x, y of each of the 17
+    joints, then the 17 confidences. Every array is checked here, once for the
+    whole tracklet; the encoders trust what a record holds.
+    """
 
     tracklet_id: str
     subject_id: str
     clothing_id: str
-    silhouettes: list[SilhouetteInput]
-    smpls: list[SmplParams]
-    skeletons: list[SkeletonFrame]
-    appearance: list[np.ndarray]  # (H, W, 3) RGB frames
+    masks: np.ndarray  # (T, H, W), entries 0 or 1
+    appearance: np.ndarray  # (T, H, W, 3) RGB in [0, 1]
+    body: np.ndarray  # (T, 85): camera, shape, joint rotations
+    skeleton: np.ndarray  # (T, 51)
 
     def __post_init__(self):
         if not self.tracklet_id or not self.subject_id or not self.clothing_id:
             raise InvalidInput("tracklet, subject and clothing ids must be non-empty")
-        n = len(self.silhouettes)
-        if n == 0:
+        arrays = {
+            name: np.asarray(getattr(self, name), dtype=np.float64)
+            for name in ("masks", "appearance", "body", "skeleton")
+        }
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, arr)
+        masks, app, body, skel = arrays.values()
+        if masks.ndim != 3:
+            raise InvalidInput(f"tracklet {self.tracklet_id}: masks must be (T, H, W), got shape {masks.shape}")
+        t = masks.shape[0]
+        if t == 0:
             raise EmptyInput(f"tracklet {self.tracklet_id} has no frames")
-        if not (len(self.smpls) == len(self.skeletons) == len(self.appearance) == n):
-            raise InvalidInput(
-                f"tracklet {self.tracklet_id}: modality sequences disagree on length"
-            )
+        want = {"appearance": masks.shape + (3,), "body": (t, SMPL_DIM), "skeleton": (t, SKELETON_INPUT_DIM)}
+        for name, shape in want.items():
+            if arrays[name].shape != shape:
+                raise InvalidInput(
+                    f"tracklet {self.tracklet_id}: {name} must be {shape} to match {t} masks of "
+                    f"{masks.shape[1]}x{masks.shape[2]}, got {arrays[name].shape}"
+                )
+        if not np.all((masks == 0.0) | (masks == 1.0)):
+            raise InvalidInput(f"tracklet {self.tracklet_id}: mask entries must be 0 or 1")
+        if not np.all(np.isfinite(app)) or app.min() < 0.0 or app.max() > 1.0:
+            raise InvalidInput(f"tracklet {self.tracklet_id}: appearance entries must be finite and in [0, 1]")
+        if not np.all(np.isfinite(body)):
+            raise InvalidInput(f"tracklet {self.tracklet_id}: body parameters contain non-finite entries")
+        if not np.all(np.isfinite(skel)):
+            raise InvalidInput(f"tracklet {self.tracklet_id}: skeleton contains non-finite entries")
+        conf = skel[:, 2 * SKELETON_JOINTS :]
+        if conf.min() < 0.0 or conf.max() > 1.0:
+            raise InvalidInput(f"tracklet {self.tracklet_id}: skeleton confidences must be in [0, 1]")
 
     def __len__(self) -> int:
-        return len(self.silhouettes)
+        return self.masks.shape[0]
 
 
 def chunk_frames(n_frames: int, group_size: int) -> list[list[int]]:
@@ -111,14 +137,17 @@ def build_pseudo_video(stills: list[TrackletRecord]) -> TrackletRecord:
     subjects = {s.subject_id for s in stills}
     if len(subjects) != 1:
         raise SubjectMismatch(f"stills span multiple subjects: {sorted(subjects)}")
+    sizes = {s.masks.shape[1:] for s in stills}
+    if len(sizes) != 1:
+        raise DimMismatch(f"stills differ in frame size: {sorted(sizes)}")
     return TrackletRecord(
         tracklet_id=stills[0].tracklet_id + "+pseudo",
         subject_id=stills[0].subject_id,
         clothing_id="mixed",
-        silhouettes=[f for s in stills for f in s.silhouettes],
-        smpls=[f for s in stills for f in s.smpls],
-        skeletons=[f for s in stills for f in s.skeletons],
-        appearance=[f for s in stills for f in s.appearance],
+        **{
+            name: np.concatenate([getattr(s, name) for s in stills])
+            for name in ("masks", "appearance", "body", "skeleton")
+        },
     )
 
 
@@ -134,14 +163,12 @@ class AppearanceModel:
     use_attn: bool = True
     use_avg: bool = True
 
-    def group_features(self, frames: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Gamma-free stage: encode every frame once, then per pyramid-sized
-        group its (pyramid aggregate, spatial average) C-vectors."""
-        encoded = [encode_appearance(f, self.encoder) for f in frames]
-        groups = [
-            [encoded[i] for i in group]
-            for group in chunk_frames(len(encoded), self.attention.group_size)
-        ]
+    def group_features(self, frames: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Gamma-free stage: encode the (T, H, W, 3) frames in one pass, then
+        per pyramid-sized group its (pyramid aggregate, spatial average)
+        C-vectors."""
+        encoded = encode_appearance(frames, self.encoder)
+        groups = [encoded[group] for group in chunk_frames(len(encoded), self.attention.group_size)]
         return [
             (pyramid_aggregate(g, self.attention, ta_target=self.ta_target), average_aggregate(g))
             for g in groups
@@ -158,7 +185,7 @@ class AppearanceModel:
             ]
         )
 
-    def embed_tracklet(self, frames: list[np.ndarray]) -> AppearanceEmbedding:
+    def embed_tracklet(self, frames: np.ndarray) -> AppearanceEmbedding:
         return self.finish(self.group_features(frames))
 
     def vector(self, emb: AppearanceEmbedding) -> np.ndarray:
@@ -197,7 +224,7 @@ class GalleryIndex:
 
 
 def _shape_vector(tracklet: TrackletRecord, shape_model: ShapeModel) -> np.ndarray:
-    return shape_model.embed(tracklet.silhouettes, tracklet.smpls, tracklet.skeletons).flatten()
+    return shape_model.embed(tracklet.masks, tracklet.appearance, tracklet.body, tracklet.skeleton).flatten()
 
 
 def tracklet_embeddings(
@@ -351,7 +378,7 @@ class ManifestRow:
 
 
 def write_manifest(rows: list[ManifestRow], path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         if header_comment is not None:
             f.write(f"# {header_comment}\n")
         writer = csv.writer(f)
@@ -361,16 +388,32 @@ def write_manifest(rows: list[ManifestRow], path, header_comment: str | None = N
 
 
 def read_manifest(path) -> list[ManifestRow]:
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        while header is not None and header and header[0].startswith("#"):
+    """The rows of a manifest, which must be UTF-8 and name each tracklet once.
+
+    A repeated tracklet would otherwise be embedded twice: counted twice in
+    its subject's centroid, or scored as two rows with one id.
+    """
+    rows = []
+    first_line: dict[str, int] = {}
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
             header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise InvalidInput(f"{path}: expected header {','.join(MANIFEST_HEADER)}")
-        rows = []
-        for line in reader:
-            if len(line) != 4:
-                raise InvalidInput(f"{path}: malformed row {line!r}")
-            rows.append(ManifestRow(*line))
+            while header is not None and header and header[0].startswith("#"):
+                header = next(reader, None)
+            if header != MANIFEST_HEADER:
+                raise InvalidInput(f"{path}: expected header {','.join(MANIFEST_HEADER)}")
+            for line in reader:
+                if len(line) != 4:
+                    raise InvalidInput(f"{path}: malformed row {line!r}")
+                row = ManifestRow(*line)
+                if row.tracklet_id in first_line:
+                    raise InvalidInput(
+                        f"{path}: line {reader.line_num} repeats tracklet {row.tracklet_id!r} "
+                        f"of line {first_line[row.tracklet_id]}"
+                    )
+                first_line[row.tracklet_id] = reader.line_num
+                rows.append(row)
+    except UnicodeDecodeError:
+        raise InvalidInput(f"{path}: manifest is not UTF-8 text") from None
     return rows

@@ -1,6 +1,7 @@
-"""Shape branch: fuse per-frame silhouette and body-model features, pool the
-sequence, strip-pool into bins, and append the pooled motion feature as one
-extra bin.
+"""Shape branch: fuse each frame's silhouette and body-model features, pool
+the sequence, strip-pool into bins, and append the pooled motion feature as
+one extra bin. Every stage takes a tracklet's frames as one array, frames on
+the first axis.
 
 The output of the branch is a (B + 1) x C matrix: B strip-pooled bins from the
 fused pose feature plus a final bin carrying the skeleton-motion feature
@@ -19,9 +20,6 @@ import numpy as np
 from . import core
 from .encoders import (
     EncoderParams,
-    SilhouetteInput,
-    SkeletonFrame,
-    SmplParams,
     encode_silhouette,
     encode_skeleton_sequence,
     encode_smpl,
@@ -34,26 +32,26 @@ from .prng import SplitMix64
 def fuse_pose(i_sil: np.ndarray, i_3d: np.ndarray) -> np.ndarray:
     """Elementwise product of the two pose features plus a silhouette skip.
 
-    With an all-zero body-model feature this reduces to the silhouette feature
-    alone, which is what the input-zeroing ablation relies on.
+    Takes (T, h, w, C) feature grids, or any two arrays of one shape. With an
+    all-zero body-model feature this reduces to the silhouette feature alone,
+    which is what the input-zeroing ablation relies on.
     """
-    a = core.as_grid(i_sil, "i_sil")
-    b = core.as_grid(i_3d, "i_3d")
+    a = np.asarray(i_sil, dtype=np.float64)
+    b = np.asarray(i_3d, dtype=np.float64)
     if a.shape != b.shape:
         raise DimMismatch(f"pose feature shapes differ: {a.shape} vs {b.shape}")
     return a * b + a
 
 
-def temporal_pool_pose(frames: list[np.ndarray]) -> np.ndarray:
-    """Elementwise max over the sequence (set pooling, order-free)."""
-    if len(frames) == 0:
+def temporal_pool_pose(frames: np.ndarray) -> np.ndarray:
+    """Elementwise max of (T, h, w, C) pose features over the sequence (set
+    pooling, order-free)."""
+    x = np.asarray(frames, dtype=np.float64)
+    if x.ndim == 0 or x.shape[0] == 0:
         raise EmptyInput("no pose frames to pool")
-    grids = [core.as_grid(f) for f in frames]
-    shape = grids[0].shape
-    for g in grids[1:]:
-        if g.shape != shape:
-            raise DimMismatch(f"pose frame shapes differ: {shape} vs {g.shape}")
-    return np.maximum.reduce(grids)
+    if x.ndim != 4:
+        raise DimMismatch(f"pose frames must be (T, h, w, C), got shape {x.shape}")
+    return x.max(axis=0)
 
 
 def pool_motion(motion: np.ndarray) -> np.ndarray:
@@ -125,53 +123,49 @@ class ShapeModel:
             **kwargs,
         )
 
-    def motion_bin(self, skeletons: list[SkeletonFrame]) -> np.ndarray:
-        """Pooled motion feature, projected to the pose channel width."""
-        pooled = pool_motion(encode_skeleton_sequence(skeletons, self.skeleton_encoder))
+    def motion_bin(self, skeleton: np.ndarray) -> np.ndarray:
+        """Pooled motion feature of a (T, 51) skeleton sequence, projected to
+        the pose channel width."""
+        pooled = pool_motion(encode_skeleton_sequence(skeleton, self.skeleton_encoder))
         if self.motion_projection is None:
             return pooled
         return self.motion_projection @ pooled
 
     def embed(
-        self,
-        silhouettes: list[SilhouetteInput],
-        smpls: list[SmplParams],
-        skeletons: list[SkeletonFrame],
+        self, masks: np.ndarray, appearance: np.ndarray, body: np.ndarray, skeleton: np.ndarray
     ) -> ShapeEmbedding:
-        return shape_embedding(silhouettes, smpls, skeletons, self)
+        return shape_embedding(masks, appearance, body, skeleton, self)
 
 
 def shape_embedding(
-    silhouettes: list[SilhouetteInput],
-    smpls: list[SmplParams],
-    skeletons: list[SkeletonFrame],
+    masks: np.ndarray,
+    appearance: np.ndarray,
+    body: np.ndarray,
+    skeleton: np.ndarray,
     model: ShapeModel,
 ) -> ShapeEmbedding:
-    """Full shape-branch embedding for one tracklet.
+    """Full shape-branch embedding for one tracklet's arrays (see TrackletRecord).
 
-    Per frame: encode silhouette and body-model inputs, fuse them; pool the
-    fused sequence with elementwise max; strip-pool into `model.bins` bands;
-    append the pooled (and projected) motion feature as the extra bin.
+    Encode the silhouettes and body vectors of all frames and fuse them; pool
+    the fused sequence with elementwise max; strip-pool into `model.bins`
+    bands; append the pooled (and projected) motion feature as the extra bin.
     """
-    n = len(silhouettes)
+    n = len(masks)
     if n == 0:
         raise EmptyInput("tracklet has no frames")
-    if not (len(smpls) == len(skeletons) == n):
+    if not (len(appearance) == len(body) == len(skeleton) == n):
         raise DimMismatch(
-            f"modalities disagree on length: {n} silhouettes, {len(smpls)} body vectors, "
-            f"{len(skeletons)} skeletons"
+            f"modalities disagree on length: {n} masks, {len(appearance)} RGB frames, "
+            f"{len(body)} body vectors, {len(skeleton)} skeletons"
         )
-    spatial = grid_output_shape(silhouettes[0].mask.shape, model.sil_encoder)
-    fused = [
-        fuse_pose(
-            encode_silhouette(sil, model.sil_encoder),
-            encode_smpl(smpl, model.smpl_encoder, spatial),
-        )
-        for sil, smpl in zip(silhouettes, smpls)
-    ]
+    spatial = grid_output_shape(masks.shape[1:3], model.sil_encoder)
+    fused = fuse_pose(
+        encode_silhouette(masks, appearance, model.sil_encoder),
+        encode_smpl(body, model.smpl_encoder, spatial),
+    )
     pose_bins = core.strip_pool(temporal_pool_pose(fused), model.bins, model.hpp_mode)
 
-    motion = model.motion_bin(skeletons)
+    motion = model.motion_bin(skeleton)
     if motion.shape[0] != pose_bins.shape[1]:
         raise DimMismatch(
             f"motion bin has {motion.shape[0]} channels, pose bins have {pose_bins.shape[1]}"

@@ -19,39 +19,41 @@ Tracklet i of a subject wears clothing variant i mod clothing_variants, so
 with tracklets_per_id <= clothing_variants no two tracklets of a subject
 share an outfit and any gallery/query split is a clothes-change protocol.
 
-Each frame's RGB pixels exist once: the silhouette input holds the mask over
-the appearance frame itself, and the SHRCDAT2 frame container stores the mask
-(as u8) and the appearance frame, never their product.
+A tracklet is generated frame by frame and stacked into one array per
+modality. The SHRCDAT3 frame container stores each of the four arrays as one
+section: the masks (as u8), never the masked RGB, which the silhouette
+encoder derives from the masks and the appearance frames.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import (
-    SKELETON_JOINTS,
-    SilhouetteInput,
-    SkeletonFrame,
-    SmplParams,
-)
+from .encoders import SKELETON_INPUT_DIM, SKELETON_JOINTS, SMPL_DIM
 from .exceptions import CorruptFile, InvalidInput, ProtocolError
 from .gallery import ManifestRow, TrackletRecord, read_manifest, write_manifest
 from .prng import SplitMix64, derive_seed
 
-DATA_MAGIC = b"SHRCDAT2"
-_OLD_DATA_MAGIC = b"SHRCDAT1"
+DATA_MAGIC = b"SHRCDAT3"
+_OLD_DATA_MAGICS = (b"SHRCDAT1", b"SHRCDAT2")
 
 SIGNATURE_DIM = 6
 
-# section tags inside a SHRCDAT2 frame, in on-disk order
-_TAG_MASK = 1
-_TAG_SMPL = 2
-_TAG_SKELETON = 3
-_TAG_APPEARANCE = 4
+# The largest normal SplitMix64.normals can draw is sqrt(-2 ln 2**-53) = 8.57
+# (Box-Muller from 53-bit uniforms), and the jitter scales every noise term of
+# the body vector and the skeleton, so a generated value is at most about
+# keypoint_jitter * 8.6. Below this bound none of them overflows float32 in a
+# frame container.
+MAX_KEYPOINT_JITTER = float(np.finfo(np.float32).max) / 8.6
+
+# (tag, record field, on-disk dtype) of the sections of a SHRCDAT3 container,
+# in on-disk order
+_SECTIONS = ((1, "masks", "u1"), (2, "body", "<f4"), (3, "skeleton", "<f4"), (4, "appearance", "<f4"))
 
 # canonical 17-joint layout (x, y), y up, unit height torso
 _BASE_JOINTS = np.array(
@@ -110,6 +112,8 @@ class DatasetSpec:
             raise InvalidInput(f"sil_flip_rate must be in [0, 1], got {self.sil_flip_rate}")
         if self.keypoint_jitter < 0.0 or self.appearance_shift < 0.0:
             raise InvalidInput("keypoint_jitter and appearance_shift must be nonnegative")
+        if not self.keypoint_jitter <= MAX_KEYPOINT_JITTER:
+            raise InvalidInput(f"keypoint_jitter must be at most {MAX_KEYPOINT_JITTER!r}, got {self.keypoint_jitter}")
         if self.height < 4 or self.width < 4:
             raise InvalidInput(f"frame grid must be at least 4x4, got {self.height}x{self.width}")
 
@@ -179,7 +183,7 @@ def generate_tracklet(spec: DatasetSpec, subject_index: int, tracklet_index: int
     yaw = spec.keypoint_jitter * rng.uniform_array(-0.5, 0.5, (1,))[0]
     width_mult = 1.0 - 0.2 * abs(np.sin(yaw))
 
-    sils, smpls, skels, apps = [], [], [], []
+    masks, apps, bodies, skels = [], [], [], []
     t_count = spec.frames_per_tracklet
     for t in range(t_count):
         gait = 2.0 * np.pi * (freq * t / max(t_count, 2) + phase0)
@@ -203,7 +207,7 @@ def generate_tracklet(spec: DatasetSpec, subject_index: int, tracklet_index: int
         modulation = 1.0 + 0.1 * np.sin(gait)
         appearance = 0.5 + 0.5 * np.tanh(pattern * modulation)
 
-        sils.append(SilhouetteInput(mask=mask, rgb=appearance))
+        masks.append(mask)
         apps.append(appearance)
 
         # body model: latent shape plus gait-driven joint rotations
@@ -212,9 +216,7 @@ def generate_tracklet(spec: DatasetSpec, subject_index: int, tracklet_index: int
         rot = np.zeros(72)
         rot[3:27:3] = swing * np.sin(0.5 * np.arange(8))
         rot = rot + 0.1 * spec.keypoint_jitter * rng.normals(72)
-        smpls.append(
-            SmplParams(camera=cam, shape=profile.latent_shape + shape_noise, joint_rotations=rot)
-        )
+        bodies.append(np.concatenate([cam, profile.latent_shape + shape_noise, rot]))
 
         # skeleton: scaled canonical joints, limbs swinging in anti-phase
         scale = 1.0 + 0.3 * np.tanh(profile.latent_shape[0])
@@ -224,16 +226,16 @@ def generate_tracklet(spec: DatasetSpec, subject_index: int, tracklet_index: int
         noise = spec.keypoint_jitter * rng.normals(SKELETON_JOINTS * 2).reshape(SKELETON_JOINTS, 2)
         joints = joints + noise
         conf = np.clip(1.0 - np.linalg.norm(noise, axis=1), 0.0, 1.0)
-        skels.append(SkeletonFrame(joints=joints, confidence=conf))
+        skels.append(np.concatenate([joints.reshape(-1), conf]))
 
     return TrackletRecord(
         tracklet_id=f"{profile.subject_id}_t{tracklet_index:02d}",
         subject_id=profile.subject_id,
         clothing_id=f"c{variant}",
-        silhouettes=sils,
-        smpls=smpls,
-        skeletons=skels,
-        appearance=apps,
+        masks=np.stack(masks),
+        appearance=np.stack(apps),
+        body=np.stack(bodies),
+        skeleton=np.stack(skels),
     )
 
 
@@ -277,51 +279,42 @@ def split_protocol(records: list, ratio: float, seed: int) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# SHRCDAT2 container
+# SHRCDAT3 container
 # ---------------------------------------------------------------------------
-
-
-def _write_section(f, tag: int, values: np.ndarray, dtype: str = "<f4") -> None:
-    flat = np.asarray(values, dtype=dtype).reshape(-1)
-    f.write(struct.pack("<II", tag, flat.size))
-    f.write(flat.tobytes())
 
 
 def write_tracklet_frames(record: TrackletRecord, path) -> None:
     """Serialize one tracklet's frames, little-endian.
 
-    Layout: magic, u32 frame count, u32 height, u32 width, then per frame four
-    tagged sections, each a u32 tag, u32 value count, payload: the mask as u8
-    (tag 1), then as f32 the body params (2), the skeleton (3) and the
-    appearance frame (4). The masked RGB is not stored: it is the appearance
-    frame times the mask, and `SilhouetteInput` derives it.
+    Layout: magic, u32 frame count, u32 height, u32 width, then four tagged
+    sections for the whole tracklet, each a u32 tag, u32 value count, payload:
+    the masks as u8 (tag 1), then as f32 the body vectors (2), the skeletons
+    (3) and the appearance frames (4), frames in order within each. The
+    masked RGB is not stored: it is the appearance frames times the masks,
+    and the silhouette encoder derives it.
     """
-    h, w = record.silhouettes[0].mask.shape
+    t, h, w = record.masks.shape
     with open(path, "wb") as f:
         f.write(DATA_MAGIC)
-        f.write(struct.pack("<III", len(record), h, w))
-        for sil, smpl, skel, app in zip(
-            record.silhouettes, record.smpls, record.skeletons, record.appearance
-        ):
-            _write_section(f, _TAG_MASK, sil.mask, "u1")
-            _write_section(f, _TAG_SMPL, smpl.as_vector())
-            _write_section(f, _TAG_SKELETON, skel.as_vector())
-            _write_section(f, _TAG_APPEARANCE, app)
+        f.write(struct.pack("<III", t, h, w))
+        for tag, name, dtype in _SECTIONS:
+            flat = getattr(record, name).astype(dtype).reshape(-1)
+            f.write(struct.pack("<II", tag, flat.size))
+            f.write(flat.tobytes())
 
 
 def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: str) -> TrackletRecord:
-    """Parse a SHRCDAT2 container back into a tracklet record.
+    """Parse a SHRCDAT3 container back into a tracklet record.
 
-    Each silhouette shares its RGB array with the record's appearance frame.
-    Any malformed container raises CorruptFile naming the path (a SHRCDAT1
-    one with a hint to re-run synth); values the record types refuse raise
-    InvalidInput.
+    Any malformed container raises CorruptFile naming the path (a SHRCDAT1 or
+    SHRCDAT2 one with a hint to re-run synth); values the record refuses
+    raise InvalidInput.
     """
     with open(path, "rb") as f:
         raw = f.read()
     magic = raw[: len(DATA_MAGIC)]
-    if magic == _OLD_DATA_MAGIC:
-        raise CorruptFile(f"{path}: SHRCDAT1 frame containers are no longer read; re-run synth")
+    if magic in _OLD_DATA_MAGICS:
+        raise CorruptFile(f"{path}: {magic.decode()} frame containers are no longer read; re-run synth")
     if magic != DATA_MAGIC:
         raise CorruptFile(f"{path}: bad magic, not a frame container")
     off = len(DATA_MAGIC)
@@ -339,46 +332,29 @@ def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: s
         raise CorruptFile(f"{path}: frame container holds no frames")
     if h == 0 or w == 0:
         raise CorruptFile(f"{path}: frames are {h}x{w}, need at least one pixel")
-
-    def section(expected_tag: int, expected_count: int, dtype: str = "<f4") -> np.ndarray:
+    shapes = {
+        "masks": (n_frames, h, w),
+        "body": (n_frames, SMPL_DIM),
+        "skeleton": (n_frames, SKELETON_INPUT_DIM),
+        "appearance": (n_frames, h, w, 3),
+    }
+    arrays = {}
+    for expected_tag, name, dtype in _SECTIONS:
+        expected_count = math.prod(shapes[name])
         tag, count = struct.unpack("<II", take(8))
         if tag != expected_tag or count != expected_count:
             raise CorruptFile(
                 f"{path}: expected section {expected_tag} with {expected_count} values, "
                 f"got tag {tag} with {count}"
             )
-        item = np.dtype(dtype).itemsize
-        return np.frombuffer(take(item * count), dtype=dtype).astype(np.float64)
-
-    sils, smpls, skels, apps = [], [], [], []
-    # a corrupt payload can hold a signalling NaN; it is refused by the finite
-    # checks below, so its cast to float64 must not also print a warning
-    with np.errstate(invalid="ignore"):
-        for _ in range(n_frames):
-            mask = section(_TAG_MASK, h * w, "u1").reshape(h, w)
-            smpl_vec = section(_TAG_SMPL, 85)
-            skel_vec = section(_TAG_SKELETON, SKELETON_JOINTS * 3)
-            app = section(_TAG_APPEARANCE, h * w * 3).reshape(h, w, 3)
-            sils.append(SilhouetteInput(mask=mask, rgb=app))
-            smpls.append(SmplParams(camera=smpl_vec[:3], shape=smpl_vec[3:13], joint_rotations=smpl_vec[13:]))
-            skels.append(
-                SkeletonFrame(
-                    joints=skel_vec[: SKELETON_JOINTS * 2].reshape(SKELETON_JOINTS, 2),
-                    confidence=skel_vec[SKELETON_JOINTS * 2 :],
-                )
-            )
-            apps.append(app)
+        values = np.frombuffer(take(np.dtype(dtype).itemsize * count), dtype=dtype)
+        # a corrupt payload can hold a signalling NaN; the record refuses it as
+        # non-finite, so its cast to float64 must not also print a warning
+        with np.errstate(invalid="ignore"):
+            arrays[name] = values.astype(np.float64).reshape(shapes[name])
     if off != len(raw):
         raise CorruptFile(f"{path}: {len(raw) - off} trailing bytes")
-    return TrackletRecord(
-        tracklet_id=tracklet_id,
-        subject_id=subject_id,
-        clothing_id=clothing_id,
-        silhouettes=sils,
-        smpls=smpls,
-        skeletons=skels,
-        appearance=apps,
-    )
+    return TrackletRecord(tracklet_id=tracklet_id, subject_id=subject_id, clothing_id=clothing_id, **arrays)
 
 
 def write_dataset(records: list[TrackletRecord], out_dir) -> str:
@@ -413,6 +389,8 @@ def load_dataset(manifest_path) -> list[TrackletRecord]:
         path = os.path.join(base, row.frames_path)
         if not os.path.exists(path):
             raise CorruptFile(f"{manifest_path}: missing frame container {row.frames_path}")
+        if not os.path.isfile(path):
+            raise CorruptFile(f"{manifest_path}: frame container {row.frames_path} is not a file")
         records.append(
             read_tracklet_frames(path, row.tracklet_id, row.subject_id, row.clothing_id)
         )

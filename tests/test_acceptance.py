@@ -26,7 +26,7 @@ from sharc import __version__
 from sharc.appearance import AttentionParams, flatten_feature, pyramid_aggregate
 from sharc.cli import ALPHA_SWEEP, main
 from sharc.config import build_appearance_model, build_shape_model, parse_config
-from sharc.encoders import SKELETON_JOINTS, EncoderParams, SkeletonFrame
+from sharc.encoders import EncoderParams
 from sharc.exceptions import InvalidFrameCount
 from sharc.gallery import chunk_frames, register, tracklet_embeddings
 from sharc.losses import (
@@ -301,22 +301,15 @@ def test_criterion_05_shape_branch(tmp_path):
     cfg = _default_config(tmp_path)
     model = build_shape_model(cfg)
     rec = generate_dataset(NOISELESS)[0]
-    emb = model.embed(rec.silhouettes, rec.smpls, rec.skeletons)
+    emb = model.embed(rec.masks, rec.appearance, rec.body, rec.skeleton)
     assert emb.bins.shape == (cfg.model.bins + 1, cfg.model.channels)
 
-    still = SkeletonFrame(
-        joints=np.zeros((SKELETON_JOINTS, 2)), confidence=np.zeros(SKELETON_JOINTS)
-    )
-    zeroed = model.embed(rec.silhouettes, rec.smpls, [still] * len(rec))
+    zeroed = model.embed(rec.masks, rec.appearance, rec.body, np.zeros_like(rec.skeleton))
     np.testing.assert_array_equal(zeroed.bins[:-1], emb.bins[:-1])
     assert not np.array_equal(zeroed.bins[-1], emb.bins[-1])
 
     perm = rng.permutation(len(rec))
-    shuffled = model.embed(
-        [rec.silhouettes[i] for i in perm],
-        [rec.smpls[i] for i in perm],
-        [rec.skeletons[i] for i in perm],
-    )
+    shuffled = model.embed(rec.masks[perm], rec.appearance[perm], rec.body[perm], rec.skeleton[perm])
     np.testing.assert_array_equal(shuffled.bins, emb.bins)
 
 

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from sharc.appearance import (
     AppearanceEmbedding,
     AttentionParams,
-    appearance_embedding,
     average_aggregate,
     flatten_feature,
     mean_embedding,
@@ -15,8 +14,9 @@ from sharc.appearance import (
     spatial_attention,
     temporal_attention,
 )
-from sharc.encoders import EncoderParams, encode_appearance
+from sharc.encoders import EncoderParams
 from sharc.exceptions import DimMismatch, InvalidFrameCount, InvalidGamma, InvalidInput
+from sharc.gallery import AppearanceModel
 
 
 def _params(channels=3, levels=3, seed=11):
@@ -197,7 +197,7 @@ class TestEmbedding:
             mean_embedding([a, b])
 
     def test_golden_pipeline_values(self):
-        frames = [
+        frames = np.array([
             np.clip(
                 np.full((16, 16, 3), 0.1)
                 + 0.05 * np.sin(np.arange(768).reshape(16, 16, 3) * 0.1 + t),
@@ -205,10 +205,11 @@ class TestEmbedding:
                 1,
             )
             for t in range(8)
-        ]
+        ])
         enc = EncoderParams.initialize((3, 5, 7), seed=6)
-        encoded = [encode_appearance(f, enc) for f in frames]
-        emb = appearance_embedding(encoded, AttentionParams.initialize(7, seed=11), gamma=0.5)
+        model = AppearanceModel(encoder=enc, attention=AttentionParams.initialize(7, seed=11), gamma=0.5)
+        # 8 frames are one group, and the mean of one group is that group
+        emb = model.embed_tracklet(frames)
         attn4 = [0.0010436266632538873, 0.0, 0.0005746775701032886, 0.003696505170243647]
         avg4 = [0.3978971470490903, 0.0, 0.2952629113316236, 0.7488482711267707]
         np.testing.assert_allclose(emb.attn_part[:4], attn4, rtol=0, atol=1e-12)

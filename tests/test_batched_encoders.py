@@ -1,0 +1,127 @@
+"""The batched encoders against the per-frame forward they replaced.
+
+Each encoder runs a whole tracklet at once: one 2-D product per grid layer
+over all T*H*W pixels, and one matrix-vector product per row for the body
+and skeleton encoders. The per-frame functions below are the earlier forward,
+kept as a scalar oracle; the batched outputs must equal them to the bit, at
+frame counts that split unevenly, and must not depend on the BLAS thread
+count.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import sharc
+from sharc.config import build_appearance_model, build_shape_model, parse_config
+from sharc.encoders import (
+    encode_appearance,
+    encode_silhouette,
+    encode_skeleton_sequence,
+    encode_smpl,
+    grid_output_shape,
+)
+
+
+def _pool_frame(grid):
+    h, w, c = grid.shape
+    return grid.reshape(h // 2, 2, w // 2, 2, c).mean(axis=(1, 3))
+
+
+def _grid_frame(grid, params):
+    x = grid
+    for w, b in params.layers:
+        x = _pool_frame(np.maximum(x @ w.T + b, 0.0))
+    return x
+
+
+def _vector_row(vec, params):
+    x = vec
+    for w, b in params.layers:
+        x = np.maximum(w @ x + b, 0.0)
+    return x
+
+
+def _oracle(masks, appearance, body, skeleton, shape_model, app_model):
+    """Per-frame outputs of the four encoders, stacked over the frames."""
+    spatial = grid_output_shape(masks.shape[1:], shape_model.sil_encoder)
+    sil = [
+        _grid_frame(np.concatenate([m[:, :, None], a * m[:, :, None]], axis=2), shape_model.sil_encoder)
+        for m, a in zip(masks, appearance)
+    ]
+    smpl = []
+    for row in body:
+        vec = _vector_row(row, shape_model.smpl_encoder)
+        smpl.append(np.broadcast_to(vec, spatial + vec.shape))
+    skel = [_vector_row(row, shape_model.skeleton_encoder) for row in skeleton]
+    app = [_grid_frame(a, app_model.encoder) for a in appearance]
+    return [np.stack(x) for x in (sil, smpl, skel, app)]
+
+
+def _batched(masks, appearance, body, skeleton, shape_model, app_model):
+    spatial = grid_output_shape(masks.shape[1:], shape_model.sil_encoder)
+    return [
+        encode_silhouette(masks, appearance, shape_model.sil_encoder),
+        encode_smpl(body, shape_model.smpl_encoder, spatial),
+        encode_skeleton_sequence(skeleton, shape_model.skeleton_encoder),
+        encode_appearance(appearance, app_model.encoder),
+    ]
+
+
+def _inputs(t, size, seed=0):
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((t, size, size)) < 0.4).astype(np.float64)
+    appearance = rng.random((t, size, size, 3))
+    body = rng.normal(size=(t, 85))
+    skeleton = np.concatenate([rng.normal(size=(t, 34)), rng.random((t, 17))], axis=1)
+    return masks, appearance, body, skeleton
+
+
+def _models(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("")
+    cfg = parse_config(cfg_path)
+    return build_shape_model(cfg), build_appearance_model(cfg)
+
+
+@pytest.mark.parametrize("t, size", [(47, 16), (301, 16), (1, 8)])
+def test_batched_encoders_equal_the_per_frame_forward(tmp_path, t, size):
+    models = _models(tmp_path)
+    inputs = _inputs(t, size)
+    names = ("silhouette", "smpl", "skeleton", "appearance")
+    for name, got, want in zip(names, _batched(*inputs, *models), _oracle(*inputs, *models)):
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+_HASH_SCRIPT = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import test_batched_encoders as t
+from pathlib import Path
+models = t._models(Path(sys.argv[2]))
+out = t._batched(*t._inputs(47, 12, seed=3), *models)
+print(hashlib.sha256(b"".join(np.ascontiguousarray(o).tobytes() for o in out)).hexdigest())
+"""
+
+
+def test_encoder_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 47 frames of 12x12: the second grid layer has 47 * 6 * 6 = 1692 pixel
+    # rows, no multiple of 8, so the threads' shares of the rows differ
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sharc.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SCRIPT, tests, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+

@@ -116,6 +116,70 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert container.name in err and "re-run synth" in err and "Traceback" not in err
 
+    def test_repeated_gallery_row_is_2(self, workspace, capsys):
+        # before, the tracklet counted twice in its subject's centroid
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        lines = (data_dir / "gallery.csv").read_text().splitlines()
+        (data_dir / "gallery.csv").write_text("\n".join(lines + [lines[2]]) + "\n")
+        capsys.readouterr()
+        assert _run(["enroll", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        tracklet = lines[2].split(",")[0]
+        assert f"gallery.csv: line {len(lines) + 1} repeats tracklet '{tracklet}' of line 3" in err
+        assert not (out / "index.shrc").exists()
+
+    def test_repeated_query_row_is_2_with_no_scores(self, workspace, capsys):
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        assert _run(["enroll", "--config", cfg_path, "--out", out]) == 0
+        lines = (data_dir / "query.csv").read_text().splitlines()
+        (data_dir / "query.csv").write_text("\n".join(lines[:3] + [lines[2]] + lines[3:]) + "\n")
+        capsys.readouterr()
+        assert _run(["query", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "query.csv: line 4 repeats tracklet" in err
+        assert not list(out.glob("scores_*.csv"))
+
+    def test_manifest_that_is_not_utf8_is_2(self, workspace, capsys):
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        raw = (data_dir / "gallery.csv").read_bytes()
+        (data_dir / "gallery.csv").write_bytes(raw + b"s\xff_t00,s\xff,c0,frames/x.dat\n")
+        capsys.readouterr()
+        assert _run(["enroll", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "gallery.csv: manifest is not UTF-8" in err
+
+    def test_frames_path_naming_a_directory_is_2(self, workspace, capsys):
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        frames_path = (data_dir / "gallery.csv").read_text().splitlines()[2].split(",")[3]
+        (data_dir / frames_path).unlink()
+        (data_dir / frames_path).mkdir()
+        capsys.readouterr()
+        assert _run(["enroll", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert f"gallery.csv: frame container {frames_path} is not a file" in err
+
+    def test_keypoint_jitter_that_overflows_float32_is_3(self, workspace, capsys):
+        # before, synth wrote inf into the containers and exited 0
+        cfg_path, data_dir, tmp = workspace
+        cfg_path.write_text(cfg_path.read_text().replace("seed = 13", "seed = 13\nkeypoint_jitter = 1e200"))
+        assert _run(["synth", "--config", cfg_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid config: dataset.keypoint_jitter")
+        assert captured.err.count("\n") == 1
+        assert not data_dir.exists()
+
     def test_frame_size_the_encoders_cannot_split_is_3_at_parse_time(self, workspace, capsys):
         cfg_path, data_dir, tmp = workspace
         bad = tmp / "tall.cfg"

@@ -59,6 +59,16 @@ class TestParsing:
             parse_config(_write(tmp_path, "[model]\nta_target = sideways\n"))
         assert err.value.field == "model.ta_target"
 
+    @pytest.mark.parametrize("value", ["1e200", "4e37", "inf", "nan"])
+    def test_keypoint_jitter_that_could_overflow_float32_names_the_field(self, tmp_path, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, f"[dataset]\nkeypoint_jitter = {value}\n"))
+        assert err.value.field == "dataset.keypoint_jitter"
+
+    def test_keypoint_jitter_up_to_the_float32_bound_is_accepted(self, tmp_path):
+        cfg = parse_config(_write(tmp_path, "[dataset]\nkeypoint_jitter = 3.9e37\n"))
+        assert cfg.dataset.keypoint_jitter == 3.9e37
+
     def test_group_size_is_not_a_key(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             parse_config(_write(tmp_path, "[model]\ngroup_size = 8\n"))

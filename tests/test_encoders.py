@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from sharc.encoders import (
-    SKELETON_JOINTS,
+    SKELETON_INPUT_DIM,
     EncoderParams,
-    SilhouetteInput,
-    SkeletonFrame,
-    SmplParams,
+    _grid_forward,
     encode_appearance,
     encode_silhouette,
     encode_skeleton_sequence,
@@ -16,63 +14,109 @@ from sharc.encoders import (
     save_encoder,
 )
 from sharc.exceptions import CorruptFile, DimMismatch, EmptyInput, InvalidInput
+from sharc.gallery import TrackletRecord
 
 
 def _sil(h=8, w=8):
+    """(1, h, w) mask and (1, h, w, 3) RGB already zero outside it."""
     mask = ((np.indices((h, w)).sum(axis=0) % 3) == 0).astype(float)
     rgb = mask[:, :, None] * np.linspace(0.0, 1.0, h * w * 3).reshape(h, w, 3)
-    return SilhouetteInput(mask=mask, rgb=rgb)
+    return mask[None], rgb[None]
 
 
 def _smpl():
-    return SmplParams(
-        camera=np.array([0.1, -0.2, 0.3]),
-        shape=np.linspace(-1, 1, 10),
-        joint_rotations=np.sin(np.arange(72) * 0.1),
+    """(1, 85) body vector: camera, shape, joint rotations."""
+    return np.concatenate(
+        [np.array([0.1, -0.2, 0.3]), np.linspace(-1, 1, 10), np.sin(np.arange(72) * 0.1)]
+    )[None]
+
+
+def _record(**arrays):
+    """A valid one-frame 4x4 record, with any of its arrays replaced."""
+    fields = dict(
+        masks=np.ones((1, 4, 4)),
+        appearance=np.full((1, 4, 4, 3), 0.5),
+        body=np.zeros((1, 85)),
+        skeleton=np.full((1, SKELETON_INPUT_DIM), 0.5),
     )
+    fields.update(arrays)
+    return TrackletRecord(tracklet_id="t", subject_id="s", clothing_id="c", **fields)
 
 
 class TestInputTypes:
     def test_silhouette_rejects_nonbinary_mask(self):
         with pytest.raises(InvalidInput):
-            SilhouetteInput(mask=np.full((4, 4), 0.5), rgb=np.zeros((4, 4, 3)))
+            _record(masks=np.full((1, 4, 4), 0.5))
 
     def test_silhouette_rejects_rgb_out_of_range(self):
-        mask = np.ones((4, 4))
         with pytest.raises(InvalidInput):
-            SilhouetteInput(mask=mask, rgb=np.full((4, 4, 3), 1.5))
+            _record(appearance=np.full((1, 4, 4, 3), 1.5))
 
     def test_silhouette_keeps_the_frame_and_masks_it(self):
-        mask = np.zeros((4, 4))
-        mask[1:3, 1:3] = 1.0
-        frame = np.full((4, 4, 3), 0.25)
-        s = SilhouetteInput(mask=mask, rgb=frame)
-        assert s.rgb is frame  # the same array, not a copy
-        np.testing.assert_array_equal(s.masked_rgb[mask == 1.0], 0.25)
-        np.testing.assert_array_equal(s.masked_rgb[mask == 0.0], 0.0)
+        mask = np.zeros((1, 4, 4))
+        mask[0, 1:3, 1:3] = 1.0
+        frame = np.full((1, 4, 4, 3), 0.25)
+        rec = _record(masks=mask, appearance=frame)
+        assert rec.appearance is frame  # the same array, not a copy
+        # colour outside the mask never reaches the silhouette encoder
+        other = frame.copy()
+        other[mask == 0.0] = 0.75
+        enc = EncoderParams.initialize((4, 6), seed=21)
+        np.testing.assert_array_equal(
+            encode_silhouette(rec.masks, other, enc), encode_silhouette(rec.masks, frame, enc)
+        )
         np.testing.assert_array_equal(frame, 0.25)
 
     def test_stacked_layout(self):
-        s = _sil()
-        g = s.stacked()
-        assert g.shape == (8, 8, 4)
-        assert np.array_equal(g[:, :, 0], s.mask)
-        assert np.array_equal(g[:, :, 1:], s.masked_rgb)
+        mask, rgb = _sil()
+        enc = EncoderParams.initialize((4, 6, 8), seed=21)
+        stacked = np.zeros((1, 8, 8, 4))
+        stacked[..., 0] = mask
+        stacked[..., 1:] = np.where(mask[..., None] == 1.0, rgb, 0.0)
+        np.testing.assert_array_equal(encode_silhouette(mask, rgb, enc), _grid_forward(stacked, enc))
 
     def test_smpl_dims_enforced(self):
         with pytest.raises(InvalidInput):
-            SmplParams(camera=np.zeros(2), shape=np.zeros(10), joint_rotations=np.zeros(72))
+            _record(body=np.zeros((1, 84)))
         with pytest.raises(InvalidInput):
-            SmplParams(camera=np.zeros(3), shape=np.zeros(9), joint_rotations=np.zeros(72))
-        assert _smpl().as_vector().shape == (85,)
+            _record(body=np.zeros((2, 85)))
+        assert _record(body=_smpl()).body.shape == (1, 85)
 
     def test_skeleton_dims_and_confidence(self):
         with pytest.raises(InvalidInput):
-            SkeletonFrame(joints=np.zeros((16, 2)), confidence=np.zeros(16))
+            _record(skeleton=np.zeros((1, 48)))
         with pytest.raises(InvalidInput):
-            SkeletonFrame(joints=np.zeros((17, 2)), confidence=np.full(17, 1.5))
-        f = SkeletonFrame(joints=np.ones((17, 2)), confidence=np.full(17, 0.5))
-        assert f.as_vector().shape == (SKELETON_JOINTS * 3,)
+            _record(skeleton=np.full((1, SKELETON_INPUT_DIM), 1.5))  # confidences above 1
+        assert _record(skeleton=np.ones((1, SKELETON_INPUT_DIM))).skeleton.shape == (1, 51)
+
+    def test_joint_coordinates_are_not_confidences(self):
+        # x, y of the 17 joints come first and may leave [0, 1]
+        skeleton = np.full((1, SKELETON_INPUT_DIM), 0.5)
+        skeleton[0, :34] = -3.0
+        _record(skeleton=skeleton)
+        skeleton[0, 34] = -0.1
+        with pytest.raises(InvalidInput, match="confidences"):
+            _record(skeleton=skeleton)
+
+    @pytest.mark.parametrize("name", ["appearance", "body", "skeleton"])
+    def test_non_finite_entries_rejected(self, name):
+        arr = getattr(_record(), name).copy()
+        arr.reshape(-1)[0] = np.nan
+        with pytest.raises(InvalidInput, match="finite"):
+            _record(**{name: arr})
+
+    def test_modalities_must_agree_on_frames(self):
+        with pytest.raises(InvalidInput):
+            _record(appearance=np.full((1, 4, 2, 3), 0.5))
+        with pytest.raises(InvalidInput):
+            _record(skeleton=np.full((2, SKELETON_INPUT_DIM), 0.5))
+        with pytest.raises(InvalidInput):
+            _record(masks=np.ones((4, 4)))
+
+    def test_no_frames_rejected(self):
+        with pytest.raises(EmptyInput):
+            _record(masks=np.ones((0, 4, 4)), appearance=np.ones((0, 4, 4, 3)),
+                    body=np.zeros((0, 85)), skeleton=np.zeros((0, 51)))
 
 
 class TestParams:
@@ -103,15 +147,15 @@ class TestParams:
 class TestForward:
     def test_silhouette_output_shape_and_pooling(self):
         enc = EncoderParams.initialize((4, 6, 8), seed=21)
-        out = encode_silhouette(_sil(), enc)
-        assert out.shape == (2, 2, 8)
+        out = encode_silhouette(*_sil(), enc)
+        assert out.shape == (1, 2, 2, 8)
         assert grid_output_shape((8, 8), enc) == (2, 2)
 
     def test_silhouette_golden_values(self):
         # frozen output of the committed seed; guards against silent changes
         # to initialization order or the forward pass
         enc = EncoderParams.initialize((4, 6, 8), seed=21)
-        out = encode_silhouette(_sil(), enc)
+        out = encode_silhouette(*_sil(), enc)[0]
         c00 = [0.26434253723408896, 0.0, 0.06918787484902808, 0.3545987236029784,
                0.3976584955559581, 0.2981803921051417, 0.0, 0.0]
         c11 = [0.2346447887233394, 0.0, 0.06740278993328563, 0.3568957739949148,
@@ -121,15 +165,15 @@ class TestForward:
 
     def test_odd_grid_rejected(self):
         enc = EncoderParams.initialize((4, 6), seed=21)
-        mask = np.ones((5, 8))
-        rgb = np.zeros((5, 8, 3))
+        mask = np.ones((1, 5, 8))
+        rgb = np.zeros((1, 5, 8, 3))
         rgb[:] = 0.5
         with pytest.raises(DimMismatch):
-            encode_silhouette(SilhouetteInput(mask=mask, rgb=rgb), enc)
+            encode_silhouette(mask, rgb, enc)
 
     def test_smpl_broadcast_golden(self):
         enc = EncoderParams.initialize((85, 12, 8), seed=22)
-        out = encode_smpl(_smpl(), enc, (2, 2))
+        out = encode_smpl(_smpl(), enc, (2, 2))[0]
         assert out.shape == (2, 2, 8)
         assert np.array_equal(out[0, 0], out[1, 1])  # same vector everywhere
         s00 = [0.0, 0.05976064086282433, 0.052674538698834525, 0.0,
@@ -137,25 +181,22 @@ class TestForward:
         np.testing.assert_allclose(out[0, 0], s00, rtol=0, atol=1e-12)
 
     def test_skeleton_sequence_shape(self):
-        enc = EncoderParams.initialize((SKELETON_JOINTS * 3, 10, 6), seed=4)
-        frames = [
-            SkeletonFrame(joints=np.full((17, 2), 0.1 * t), confidence=np.full(17, 1.0))
-            for t in range(5)
-        ]
+        enc = EncoderParams.initialize((SKELETON_INPUT_DIM, 10, 6), seed=4)
+        frames = np.array([np.r_[np.full(34, 0.1 * t), np.full(17, 1.0)] for t in range(5)])
         out = encode_skeleton_sequence(frames, enc)
         assert out.shape == (5, 6)
         with pytest.raises(EmptyInput):
-            encode_skeleton_sequence([], enc)
+            encode_skeleton_sequence(np.zeros((0, 51)), enc)
 
     def test_appearance_encoder(self):
         enc = EncoderParams.initialize((3, 5, 7), seed=6)
-        out = encode_appearance(np.full((8, 8, 3), 0.25), enc)
-        assert out.shape == (2, 2, 7)
+        out = encode_appearance(np.full((1, 8, 8, 3), 0.25), enc)
+        assert out.shape == (1, 2, 2, 7)
 
     def test_outputs_nonnegative(self):
         # every block ends in a ReLU
         enc = EncoderParams.initialize((4, 6, 8), seed=21)
-        assert encode_silhouette(_sil(), enc).min() >= 0.0
+        assert encode_silhouette(*_sil(), enc).min() >= 0.0
 
 
 class TestSerialization:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sharc.appearance import AttentionParams
-from sharc.encoders import EncoderParams, SilhouetteInput, SkeletonFrame, SmplParams
-from sharc.exceptions import CorruptIndex, EmptyInput, InvalidInput, SubjectMismatch
+from sharc.encoders import EncoderParams
+from sharc.exceptions import CorruptIndex, DimMismatch, EmptyInput, InvalidInput, SubjectMismatch
 from sharc.gallery import (
     AppearanceModel,
     ManifestRow,
@@ -108,8 +108,9 @@ class TestPseudoVideo:
         assert len(joined) == len(a) + len(b)
         assert joined.clothing_id == "mixed"
         assert joined.subject_id == a.subject_id
-        np.testing.assert_array_equal(joined.silhouettes[0].mask, a.silhouettes[0].mask)
-        np.testing.assert_array_equal(joined.silhouettes[len(a)].mask, b.silhouettes[0].mask)
+        for name in ("masks", "appearance", "body", "skeleton"):
+            np.testing.assert_array_equal(getattr(joined, name)[0], getattr(a, name)[0])
+            np.testing.assert_array_equal(getattr(joined, name)[len(a)], getattr(b, name)[0])
 
     def test_rejects_mixed_subjects(self):
         recs = _dataset(num_ids=2, tpi=1)
@@ -119,6 +120,12 @@ class TestPseudoVideo:
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):
             build_pseudo_video([])
+
+    def test_rejects_stills_of_other_frame_sizes(self):
+        a = _dataset(num_ids=1)[0]
+        small = replace(a, masks=a.masks[:, :8], appearance=a.appearance[:, :8])
+        with pytest.raises(DimMismatch, match="frame size"):
+            build_pseudo_video([a, small])
 
 
 class TestRegister:
@@ -293,4 +300,22 @@ class TestManifest:
         p = tmp_path / "m.csv"
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidInput):
+            read_manifest(p)
+
+    def test_rejects_a_repeated_tracklet(self, tmp_path):
+        rows = [
+            ManifestRow("s000_t00", "s000", "c0", "frames/s000_t00.dat"),
+            ManifestRow("s000_t01", "s000", "c0", "frames/s000_t01.dat"),
+            ManifestRow("s000_t00", "s000", "c0", "frames/s000_t00.dat"),
+        ]
+        p = tmp_path / "m.csv"
+        write_manifest(rows, p, header_comment="c")
+        # the comment is line 1 and the header line 2
+        with pytest.raises(InvalidInput, match="m.csv: line 5 repeats tracklet 's000_t00' of line 3"):
+            read_manifest(p)
+
+    def test_rejects_text_that_is_not_utf8(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"tracklet_id,subject_id,clothing_id,frames_path\ns\xff,s,c,f.dat\n")
+        with pytest.raises(InvalidInput, match="m.csv: manifest is not UTF-8"):
             read_manifest(p)

@@ -77,7 +77,7 @@ def test_ablate_gamma_embeds_each_tracklet_once(tmp_path, monkeypatch):
     encode, embed = sharc.gallery.encode_appearance, ShapeModel.embed
 
     def counting_encode(*args, **kwargs):
-        calls["frames"] += 1
+        calls["frames"] += len(args[0])
         return encode(*args, **kwargs)
 
     def counting_embed(self, *args, **kwargs):

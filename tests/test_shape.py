@@ -1,30 +1,33 @@
 import numpy as np
 import pytest
 
-from sharc.encoders import EncoderParams, SilhouetteInput, SkeletonFrame, SmplParams
+from sharc.encoders import EncoderParams
 from sharc.exceptions import DimMismatch, EmptyInput
 from sharc.shape import ShapeModel, fuse_pose, pool_motion, temporal_pool_pose
 
 
-def _sil(t):
-    mask = ((np.indices((8, 8)).sum(axis=0) + t) % 3 == 0).astype(float)
-    rgb = mask[:, :, None] * np.linspace(0.0, 1.0, 192).reshape(8, 8, 3)
-    return SilhouetteInput(mask=mask, rgb=rgb)
+def _mask(t):
+    return ((np.indices((8, 8)).sum(axis=0) + t) % 3 == 0).astype(float)
 
 
-def _smpl(t):
-    return SmplParams(
-        camera=np.array([0.1, -0.2, 0.3]) * t,
-        shape=np.linspace(-1, 1, 10),
-        joint_rotations=np.sin(np.arange(72) * 0.1 + t),
+def _rgb(t):
+    return _mask(t)[:, :, None] * np.linspace(0.0, 1.0, 192).reshape(8, 8, 3)
+
+
+def _body(t):
+    return np.concatenate(
+        [np.array([0.1, -0.2, 0.3]) * t, np.linspace(-1, 1, 10), np.sin(np.arange(72) * 0.1 + t)]
     )
 
 
 def _skel(t):
-    return SkeletonFrame(
-        joints=np.cos(np.arange(34) * 0.2 + t).reshape(17, 2),
-        confidence=np.full(17, 0.9),
-    )
+    # x, y per joint, then the confidences
+    return np.concatenate([np.cos(np.arange(34) * 0.2 + t), np.full(17, 0.9)])
+
+
+def _inputs(frames):
+    """(masks, appearance, body, skeleton) arrays over the given frame numbers."""
+    return tuple(np.array([f(t) for t in frames]) for f in (_mask, _rgb, _body, _skel))
 
 
 def _model(bins=2):
@@ -67,16 +70,12 @@ def test_pool_motion_is_column_mean():
 
 class TestShapeEmbedding:
     def test_bins_plus_motion_row(self):
-        emb = _model().embed([_sil(t) for t in range(4)],
-                             [_smpl(t) for t in range(4)],
-                             [_skel(t) for t in range(4)])
+        emb = _model().embed(*_inputs(range(4)))
         assert emb.bins.shape == (3, 8)  # 2 pose bins + 1 motion bin
         assert emb.flatten().shape == (24,)
 
     def test_golden_values(self):
-        emb = _model().embed([_sil(t) for t in range(4)],
-                             [_smpl(t) for t in range(4)],
-                             [_skel(t) for t in range(4)])
+        emb = _model().embed(*_inputs(range(4)))
         first6 = [0.5380093459458617, 0.0, 0.14597630035111295,
                   0.8737317919635238, 0.8756020535008846, 0.6105182648514685]
         motion4 = [-0.05631227332198065, -0.1840707406663278,
@@ -86,11 +85,9 @@ class TestShapeEmbedding:
 
     def test_skeleton_change_touches_only_motion_row(self):
         model = _model()
-        sils = [_sil(t) for t in range(4)]
-        smpls = [_smpl(t) for t in range(4)]
-        a = model.embed(sils, smpls, [_skel(t) for t in range(4)])
-        zeroed = [SkeletonFrame(joints=np.zeros((17, 2)), confidence=np.zeros(17))] * 4
-        b = model.embed(sils, smpls, zeroed)
+        masks, rgb, body, skeleton = _inputs(range(4))
+        a = model.embed(masks, rgb, body, skeleton)
+        b = model.embed(masks, rgb, body, np.zeros_like(skeleton))
         np.testing.assert_array_equal(a.bins[:-1], b.bins[:-1])
         assert not np.array_equal(a.bins[-1], b.bins[-1])
 
@@ -98,31 +95,30 @@ class TestShapeEmbedding:
         model = _model()
         order = [0, 1, 2, 3]
         perm = [2, 0, 3, 1]
-        a = model.embed([_sil(t) for t in order], [_smpl(t) for t in order],
-                        [_skel(t) for t in order])
-        b = model.embed([_sil(t) for t in perm], [_smpl(t) for t in perm],
-                        [_skel(t) for t in perm])
+        a = model.embed(*_inputs(order))
+        b = model.embed(*_inputs(perm))
         # max pooling is order-free and the motion mean is exactly rounded
         np.testing.assert_array_equal(a.bins, b.bins)
 
     def test_single_frame_works(self):
-        emb = _model().embed([_sil(0)], [_smpl(0)], [_skel(0)])
+        emb = _model().embed(*_inputs([0]))
         assert emb.bins.shape == (3, 8)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimMismatch):
-            _model().embed([_sil(0)], [_smpl(0), _smpl(1)], [_skel(0)])
+            masks, rgb, _, skeleton = _inputs([0])
+            _model().embed(masks, rgb, _inputs([0, 1])[2], skeleton)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            _model().embed([], [], [])
+            _model().embed(*(a[:0] for a in _inputs([0])))
 
 
 def test_motion_projection_maps_channel_widths():
     model = _model()
     assert model.motion_projection is not None
     assert model.motion_projection.shape == (8, 6)
-    motion = model.motion_bin([_skel(t) for t in range(3)])
+    motion = model.motion_bin(_inputs(range(3))[3])
     assert motion.shape == (8,)
 
 

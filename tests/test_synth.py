@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sharc.exceptions import CorruptFile, InvalidInput, ProtocolError
 from sharc.gallery import TrackletRecord
 from sharc.synth import (
+    MAX_KEYPOINT_JITTER,
     DatasetSpec,
     generate_dataset,
     generate_tracklet,
@@ -50,6 +51,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidInput):
             _spec(height=3)
 
+    def test_keypoint_jitter_that_could_overflow_float32_is_rejected(self):
+        _spec(keypoint_jitter=MAX_KEYPOINT_JITTER)
+        for jitter in (MAX_KEYPOINT_JITTER * 1.001, 1e200, float("inf"), float("nan")):
+            with pytest.raises(InvalidInput, match="keypoint_jitter"):
+                _spec(keypoint_jitter=jitter)
+
     def test_subject_labels(self):
         assert subject_label(0) == "s000"
         assert subject_label(41) == "s041"
@@ -61,34 +68,28 @@ class TestGeneration:
         b = generate_dataset(_spec())
         assert [r.tracklet_id for r in a] == [r.tracklet_id for r in b]
         for ra, rb in zip(a, b):
-            for fa, fb in zip(ra.silhouettes, rb.silhouettes):
-                np.testing.assert_array_equal(fa.mask, fb.mask)
-                np.testing.assert_array_equal(fa.masked_rgb, fb.masked_rgb)
-            for fa, fb in zip(ra.smpls, rb.smpls):
-                np.testing.assert_array_equal(fa.as_vector(), fb.as_vector())
-            for fa, fb in zip(ra.skeletons, rb.skeletons):
-                np.testing.assert_array_equal(fa.as_vector(), fb.as_vector())
+            for name in ("masks", "appearance", "body", "skeleton"):
+                np.testing.assert_array_equal(getattr(ra, name), getattr(rb, name))
 
     def test_generation_order_does_not_matter(self):
         spec = _spec()
         late = generate_tracklet(spec, 2, 1)
         again = generate_tracklet(spec, 2, 1)
-        np.testing.assert_array_equal(late.silhouettes[0].mask, again.silhouettes[0].mask)
+        np.testing.assert_array_equal(late.masks[0], again.masks[0])
 
     def test_modality_invariants(self):
         spec = _spec()
         for rec in generate_dataset(spec):
-            assert len(rec) == spec.frames_per_tracklet
-            for sil in rec.silhouettes:
-                assert sil.mask.shape == (spec.height, spec.width)
-                assert set(np.unique(sil.mask)) <= {0.0, 1.0}
-                assert np.all(sil.masked_rgb >= 0.0) and np.all(sil.masked_rgb <= 1.0)
-                np.testing.assert_array_equal(sil.masked_rgb[sil.mask == 0.0], 0.0)
-            for smpl in rec.smpls:
-                assert smpl.as_vector().shape == (85,)
-            for skel in rec.skeletons:
-                assert skel.joints.shape == (17, 2)
-                assert np.all((skel.confidence >= 0.0) & (skel.confidence <= 1.0))
+            t = spec.frames_per_tracklet
+            assert len(rec) == t
+            assert rec.masks.shape == (t, spec.height, spec.width)
+            assert set(np.unique(rec.masks)) <= {0.0, 1.0}
+            assert rec.appearance.shape == (t, spec.height, spec.width, 3)
+            assert np.all(rec.appearance >= 0.0) and np.all(rec.appearance <= 1.0)
+            assert rec.body.shape == (t, 85)
+            assert rec.skeleton.shape == (t, 51)
+            conf = rec.skeleton[:, 34:]
+            assert np.all((conf >= 0.0) & (conf <= 1.0))
 
     def test_identity_profiles_differ_between_subjects(self):
         spec = _spec()
@@ -108,18 +109,16 @@ class TestGeneration:
         a, b = generate_dataset(spec)[:2]
         assert a.subject_id == b.subject_id and a.clothing_id != b.clothing_id
         assert not np.array_equal(a.appearance[0], b.appearance[0])
-        np.testing.assert_array_equal(a.skeletons[0].joints, b.skeletons[0].joints)
+        np.testing.assert_array_equal(a.skeleton[0, :34], b.skeleton[0, :34])
 
     def test_zero_noise_single_outfit_repeats_exactly(self):
         spec = _spec(clothing_variants=1, sil_flip_rate=0.0, keypoint_jitter=0.0,
                      appearance_shift=0.0)
         a, b = generate_dataset(spec)[:2]
         assert a.subject_id == b.subject_id
-        for fa, fb in zip(a.silhouettes, b.silhouettes):
-            np.testing.assert_array_equal(fa.mask, fb.mask)
-            np.testing.assert_array_equal(fa.masked_rgb, fb.masked_rgb)
-        for fa, fb in zip(a.smpls, b.smpls):
-            np.testing.assert_array_equal(fa.as_vector(), fb.as_vector())
+        np.testing.assert_array_equal(a.masks, b.masks)
+        np.testing.assert_array_equal(a.appearance, b.appearance)
+        np.testing.assert_array_equal(a.body, b.body)
 
     def test_index_bounds(self):
         spec = _spec()
@@ -173,14 +172,10 @@ class TestFrameContainer:
         back = read_tracklet_frames(p, rec.tracklet_id, rec.subject_id, rec.clothing_id)
         assert back.tracklet_id == rec.tracklet_id
         assert len(back) == len(rec)
-        for fa, fb in zip(rec.silhouettes, back.silhouettes):
-            np.testing.assert_array_equal(fb.mask, fa.mask)  # 0/1 survives f32
+        np.testing.assert_array_equal(back.masks, rec.masks)  # 0/1 survives u8
+        for name in ("appearance", "body", "skeleton"):
             np.testing.assert_array_equal(
-                fb.masked_rgb, fa.masked_rgb.astype(np.float32).astype(np.float64)
-            )
-        for fa, fb in zip(rec.smpls, back.smpls):
-            np.testing.assert_array_equal(
-                fb.as_vector(), fa.as_vector().astype(np.float32).astype(np.float64)
+                getattr(back, name), getattr(rec, name).astype(np.float32).astype(np.float64)
             )
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -220,19 +215,21 @@ class TestFrameContainer:
         # a well-formed header with frame count 0: the parser, not the
         # record it would build, must reject it
         p = tmp_path / "t.dat"
-        p.write_bytes(b"SHRCDAT2" + struct.pack("<III", 0, 12, 10))
+        p.write_bytes(b"SHRCDAT3" + struct.pack("<III", 0, 12, 10))
         with pytest.raises(CorruptFile, match="t.dat: frame container holds no frames"):
             read_tracklet_frames(p, "t", "s", "c")
 
 
-    def test_silhouettes_share_the_appearance_frames(self, tmp_path):
+    def test_record_holds_one_array_per_modality(self, tmp_path):
         rec = generate_tracklet(_spec(), 1, 1)
         p = tmp_path / "t.dat"
         write_tracklet_frames(rec, p)
         back = read_tracklet_frames(p, rec.tracklet_id, rec.subject_id, rec.clothing_id)
+        t, h, w = len(rec), rec.masks.shape[1], rec.masks.shape[2]
         for r in (rec, back):
-            for sil, app in zip(r.silhouettes, r.appearance):
-                assert sil.rgb is app
+            assert r.masks.shape == (t, h, w) and r.appearance.shape == (t, h, w, 3)
+            assert r.body.shape == (t, 85) and r.skeleton.shape == (t, 51)
+            assert all(getattr(r, n).dtype == np.float64 for n in ("masks", "appearance", "body", "skeleton"))
 
     def test_layout_has_no_masked_rgb_section(self, tmp_path):
         spec = _spec()
@@ -240,20 +237,22 @@ class TestFrameContainer:
         p = tmp_path / "t.dat"
         write_tracklet_frames(rec, p)
         raw = p.read_bytes()
-        assert raw[:8] == b"SHRCDAT2"
-        assert struct.unpack_from("<III", raw, 8) == (len(rec), spec.height, spec.width)
+        assert raw[:8] == b"SHRCDAT3"
+        t = len(rec)
+        assert struct.unpack_from("<III", raw, 8) == (t, spec.height, spec.width)
         hw = spec.height * spec.width
-        # (tag, value count, bytes per value) per frame: u8 mask, f32 body
-        # params, f32 skeleton, f32 appearance frame
-        sections = [(1, hw, 1), (2, 85, 4), (3, 51, 4), (4, hw * 3, 4)]
+        # (tag, value count, bytes per value) for the whole tracklet: u8
+        # masks, f32 body vectors, f32 skeletons, f32 appearance frames
+        sections = [(1, t * hw, 1), (2, t * 85, 4), (3, t * 51, 4), (4, t * hw * 3, 4)]
         off = 20
-        for _ in range(len(rec)):
-            for tag, count, size in sections:
-                assert struct.unpack_from("<II", raw, off) == (tag, count)
-                off += 8 + count * size
+        for tag, count, size in sections:
+            assert struct.unpack_from("<II", raw, off) == (tag, count)
+            off += 8 + count * size
         assert off == len(raw)
-        mask = np.frombuffer(raw, dtype="u1", count=hw, offset=28)
-        np.testing.assert_array_equal(mask.reshape(spec.height, spec.width), rec.silhouettes[0].mask)
+        masks = np.frombuffer(raw, dtype="u1", count=t * hw, offset=28)
+        np.testing.assert_array_equal(masks.reshape(t, spec.height, spec.width), rec.masks)
+        skeleton = np.frombuffer(raw, dtype="<f4", count=t * 51, offset=28 + t * hw + 8 + t * 85 * 4 + 8)
+        np.testing.assert_array_equal(skeleton.reshape(t, 51), rec.skeleton.astype(np.float32))
 
     @pytest.mark.parametrize("h, w", [(0, 10), (12, 0), (0, 0)])
     def test_zero_size_frames_are_corrupt(self, tmp_path, h, w):
@@ -261,7 +260,7 @@ class TestFrameContainer:
         p = tmp_path / "t.dat"
         body = struct.pack("<II", 1, 0) + struct.pack("<II", 2, 85) + bytes(4 * 85)
         body += struct.pack("<II", 3, 51) + bytes(4 * 51) + struct.pack("<II", 4, 0)
-        p.write_bytes(b"SHRCDAT2" + struct.pack("<III", 1, h, w) + body)
+        p.write_bytes(b"SHRCDAT3" + struct.pack("<III", 1, h, w) + body)
         with pytest.raises(CorruptFile, match=f"t.dat: frames are {h}x{w}"):
             read_tracklet_frames(p, "t", "s", "c")
 
@@ -269,17 +268,30 @@ class TestFrameContainer:
         # a well-formed container of the old layout: five f32 sections per
         # frame, the masked RGB among them
         rec = generate_tracklet(_spec(), 0, 0)
-        h, w = rec.silhouettes[0].mask.shape
+        h, w = rec.masks.shape[1:]
         parts = [b"SHRCDAT1", struct.pack("<III", len(rec), h, w)]
-        for sil, smpl, skel, app in zip(rec.silhouettes, rec.smpls, rec.skeletons, rec.appearance):
-            for tag, values in enumerate(
-                (sil.mask, sil.masked_rgb, smpl.as_vector(), skel.as_vector(), app), start=1
-            ):
+        for mask, app, body, skel in zip(rec.masks, rec.appearance, rec.body, rec.skeleton):
+            for tag, values in enumerate((mask, app * mask[:, :, None], body, skel, app), start=1):
                 flat = np.asarray(values, dtype="<f4").reshape(-1)
                 parts.append(struct.pack("<II", tag, flat.size) + flat.tobytes())
         p = tmp_path / "old.dat"
         p.write_bytes(b"".join(parts))
         with pytest.raises(CorruptFile, match="old.dat: .*re-run synth"):
+            read_tracklet_frames(p, "t", "s", "c")
+
+    def test_shrcdat2_is_rejected_with_a_hint(self, tmp_path):
+        # a well-formed container of the per-frame layout: four sections per
+        # frame, the mask as u8
+        rec = generate_tracklet(_spec(), 0, 0)
+        h, w = rec.masks.shape[1:]
+        parts = [b"SHRCDAT2", struct.pack("<III", len(rec), h, w)]
+        for frame in zip(rec.masks, rec.body, rec.skeleton, rec.appearance):
+            for tag, (values, dtype) in enumerate(zip(frame, ("u1", "<f4", "<f4", "<f4")), start=1):
+                flat = np.asarray(values, dtype=dtype).reshape(-1)
+                parts.append(struct.pack("<II", tag, flat.size) + flat.tobytes())
+        p = tmp_path / "old.dat"
+        p.write_bytes(b"".join(parts))
+        with pytest.raises(CorruptFile, match="old.dat: SHRCDAT2 .*re-run synth"):
             read_tracklet_frames(p, "t", "s", "c")
 
 
@@ -288,7 +300,7 @@ def _small_container(tmp_path) -> bytes:
     p = tmp_path / "small.dat"
     write_tracklet_frames(generate_tracklet(spec, 0, 0), p)
     raw = p.read_bytes()
-    assert raw[:8] == b"SHRCDAT2"
+    assert raw[:8] == b"SHRCDAT3"
     return raw
 
 
@@ -311,7 +323,9 @@ class TestContainerFuzz:
 
     def test_signalling_nan_is_refused_without_a_warning(self, tmp_path):
         raw = bytearray(_small_container(tmp_path))
-        first_app = 20 + 8 + 16 + 8 + 4 * 85 + 8 + 4 * 51 + 8  # first appearance value
+        # header, then two frames of 4x4 masks (u8), body vectors and
+        # skeletons, then the first appearance value
+        first_app = 20 + 8 + 2 * 16 + 8 + 2 * 4 * 85 + 8 + 2 * 4 * 51 + 8
         raw[first_app : first_app + 4] = struct.pack("<I", 0x7F800001)
         p = tmp_path / "snan.dat"
         p.write_bytes(bytes(raw))
@@ -332,12 +346,13 @@ class TestContainerFuzz:
         rec = _read_or_refuse(p)
         if rec is not None:
             assert isinstance(rec, TrackletRecord) and len(rec) == 2
-            for sil, app in zip(rec.silhouettes, rec.appearance):
-                assert sil.mask.shape == (4, 4) and sil.rgb is app
-                assert set(np.unique(sil.mask)) <= {0.0, 1.0}
-                assert np.all(np.isfinite(app)) and app.min() >= 0.0 and app.max() <= 1.0
-            for smpl, skel in zip(rec.smpls, rec.skeletons):
-                assert np.all(np.isfinite(smpl.as_vector())) and np.all(np.isfinite(skel.as_vector()))
+            assert rec.masks.shape == (2, 4, 4) and rec.appearance.shape == (2, 4, 4, 3)
+            assert set(np.unique(rec.masks)) <= {0.0, 1.0}
+            app = rec.appearance
+            assert np.all(np.isfinite(app)) and app.min() >= 0.0 and app.max() <= 1.0
+            assert np.all(np.isfinite(rec.body)) and np.all(np.isfinite(rec.skeleton))
+            conf = rec.skeleton[:, 34:]
+            assert conf.min() >= 0.0 and conf.max() <= 1.0
 
 
 class TestDatasetIo:
@@ -348,11 +363,20 @@ class TestDatasetIo:
         assert [r.tracklet_id for r in loaded] == [r.tracklet_id for r in recs]
         assert [r.clothing_id for r in loaded] == [r.clothing_id for r in recs]
         for ra, rb in zip(recs, loaded):
-            np.testing.assert_array_equal(rb.silhouettes[0].mask, ra.silhouettes[0].mask)
+            np.testing.assert_array_equal(rb.masks[0], ra.masks[0])
 
     def test_missing_container_reported(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
         manifest = write_dataset(recs, tmp_path / "data")
         (tmp_path / "data" / "frames" / f"{recs[0].tracklet_id}.dat").unlink()
         with pytest.raises(CorruptFile):
+            load_dataset(manifest)
+
+    def test_container_path_naming_a_directory_is_corrupt(self, tmp_path):
+        recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
+        manifest = write_dataset(recs, tmp_path / "data")
+        container = tmp_path / "data" / "frames" / f"{recs[1].tracklet_id}.dat"
+        container.unlink()
+        container.mkdir()
+        with pytest.raises(CorruptFile, match=f"manifest.csv: frame container frames/{container.name} is not a file"):
             load_dataset(manifest)
