@@ -11,7 +11,6 @@ and are evaluated with CMC/mAP. Everything is seeded and deterministic.
 __version__ = "0.1.0"
 
 from .appearance import (
-    AppearanceEmbedding,
     AttentionParams,
     average_aggregate,
     flatten_feature,

@@ -4,8 +4,10 @@ The attention route halves the number of frames per pyramid level by combining
 consecutive pairs with spatial and temporal attention, so a depth-L pyramid
 consumes exactly 2**L frames (8 at the default depth of 3). The averaging
 route means all frames and flattens the pooled vector with a signed power
-transform. The two routes are kept as separate parts on the embedding so
-either can be zeroed for ablations.
+transform. The aggregations and the attention kernels take leading axes, so
+a tracklet's groups run as one array. An embedding is the (attn, avg) pair of C-vectors; the
+scoring vector built from it, where either route can be zeroed for
+ablations, belongs to the appearance model.
 """
 
 from __future__ import annotations
@@ -69,44 +71,41 @@ class AttentionParams:
 
 
 def spatial_attention(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Reweight a grid by a softmax attention map over its spatial positions.
+    """Reweight (..., H, W, C) grids by a softmax attention map over their
+    spatial positions.
 
     Logits come from a per-position linear projection of the input; softmax
     runs over H*W per channel, so a constant grid gets uniform attention and
-    the output equals input / (H*W).
+    the output equals input / (H*W). The caller validates the grids.
     """
-    g = core.as_grid(a)
-    if g.shape[2] != weights.shape[1]:
-        raise DimMismatch(f"grid has {g.shape[2]} channels, SA weights expect {weights.shape[1]}")
-    logits = g @ weights.T
-    return core.softmax_grid(logits) * g
+    if a.shape[-1] != weights.shape[1]:
+        raise DimMismatch(f"grid has {a.shape[-1]} channels, SA weights expect {weights.shape[1]}")
+    return core.softmax_grid(a @ weights.T) * a
 
 
 def temporal_attention(
     a_t: np.ndarray, a_t1: np.ndarray, weights: np.ndarray, target: str = "later"
 ) -> np.ndarray:
-    """Attention from a consecutive pair, applied pointwise to one of them.
+    """Attention from consecutive (..., H, W, C) grids, applied pointwise to one of them.
 
     Logits are projected from the channel-wise concatenation [a_t, a_t1];
     `target` picks which frame the softmax map multiplies: the later one
-    (default), the earlier one, or their average.
+    (default), the earlier one, or their average. The caller validates the
+    grids.
     """
-    x = core.as_grid(a_t, "a_t")
-    y = core.as_grid(a_t1, "a_t1")
-    if x.shape != y.shape:
-        raise DimMismatch(f"frame shapes differ: {x.shape} vs {y.shape}")
-    if weights.shape[1] != 2 * x.shape[2]:
-        raise DimMismatch(f"TA weights expect {weights.shape[1]} channels, pair has {2 * x.shape[2]}")
+    if a_t.shape != a_t1.shape:
+        raise DimMismatch(f"frame shapes differ: {a_t.shape} vs {a_t1.shape}")
+    if weights.shape[1] != 2 * a_t.shape[-1]:
+        raise DimMismatch(f"TA weights expect {weights.shape[1]} channels, pair has {2 * a_t.shape[-1]}")
     if target not in TA_TARGETS:
         raise InvalidInput(f"unknown TA target {target!r}, expected one of {TA_TARGETS}")
-    logits = np.concatenate([x, y], axis=2) @ weights.T
-    att = core.softmax_grid(logits)
+    att = core.softmax_grid(np.concatenate([a_t, a_t1], axis=-1) @ weights.T)
     if target == "later":
-        base = y
+        base = a_t1
     elif target == "earlier":
-        base = x
+        base = a_t
     else:
-        base = 0.5 * (x + y)
+        base = 0.5 * (a_t + a_t1)
     return att * base
 
 
@@ -117,23 +116,25 @@ def pyramid_aggregate(
     sa_fn=None,
     ta_fn=None,
 ) -> np.ndarray:
-    """Reduce a group of 2**levels frame grids, (2**levels, H, W, C), to one
-    C-vector through the attention pyramid.
+    """Reduce groups of 2**levels frame grids, (..., 2**levels, H, W, C), to
+    one C-vector per group, (..., C), through the attention pyramid.
 
     Level l maps consecutive non-overlapping pairs (x, y) to
     SA_l(x) + SA_l(y) + TA_l(x, y), halving the population each level; the
-    final grid is averaged over its spatial positions. sa_fn / ta_fn allow the
-    attention operators to be stubbed out (signatures sa_fn(grid, level) and
+    final grid is averaged over its spatial positions. Each pair position is
+    one call over every group at once. sa_fn / ta_fn allow the attention
+    operators to be stubbed out (signatures sa_fn(grids, level) and
     ta_fn(x, y, level)); tests use identity/zero stubs to check the recursion
     against a hand-unrolled sum.
     """
     expected = params.group_size
-    if len(frames) != expected:
-        raise InvalidFrameCount(f"pyramid needs exactly {expected} frames, got {len(frames)}")
-    group = core.as_grids(frames, "frames")
-    if group.shape[3] != params.channels:
-        raise DimMismatch(f"frames have {group.shape[3]} channels, attention expects {params.channels}")
-    current = list(group)
+    # an empty list has no frame axis to count
+    group = core.as_grids(frames, "frames") if len(frames) else np.empty((0, 0, 0, 0))
+    if group.shape[-4] != expected:
+        raise InvalidFrameCount(f"pyramid needs exactly {expected} frames, got {group.shape[-4]}")
+    if group.shape[-1] != params.channels:
+        raise DimMismatch(f"frames have {group.shape[-1]} channels, attention expects {params.channels}")
+    current = list(np.moveaxis(group, -4, 0))
 
     for level in range(params.levels):
         if sa_fn is None:
@@ -148,19 +149,20 @@ def pyramid_aggregate(
             sa(current[i]) + sa(current[i + 1]) + ta(current[i], current[i + 1])
             for i in range(0, len(current), 2)
         ]
-    return current[0].mean(axis=(0, 1))
+    return current[0].mean(axis=(-3, -2))
 
 
 def average_aggregate(frames: np.ndarray) -> np.ndarray:
-    """Mean of (N, H, W, C) frame grids over the frames, then global spatial
-    average, to a C-vector."""
-    if len(frames) == 0:
+    """Mean of (..., N, H, W, C) frame grids over the frames, then global
+    spatial average, to (..., C)."""
+    grids = core.as_grids(frames, "frames") if len(frames) else np.empty((0, 0, 0, 0))
+    if grids.shape[-4] == 0:
         raise EmptyInput("no frames to average")
-    return core.as_grids(frames, "frames").mean(axis=0).mean(axis=(0, 1))
+    return grids.mean(axis=-4).mean(axis=(-3, -2))
 
 
 def flatten_feature(v: np.ndarray, gamma: float) -> np.ndarray:
-    """Signed power transform sgn(x) * |x|**gamma, gamma in [0, 1].
+    """Signed power transform sgn(x) * |x|**gamma of each entry, gamma in [0, 1].
 
     gamma=1 is the identity; gamma=0 binarizes to the sign vector (with
     sgn(0) = 0, so zeros stay zero for every gamma). Exponents below 1 expand
@@ -168,57 +170,18 @@ def flatten_feature(v: np.ndarray, gamma: float) -> np.ndarray:
     """
     if not (0.0 <= gamma <= 1.0):
         raise InvalidGamma(f"gamma must be in [0, 1], got {gamma}")
-    arr = core.as_vector(v)
+    arr = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput("features to flatten contain non-finite entries")
     if gamma == 1.0:
         return arr.copy()
     return np.sign(arr) * np.abs(arr) ** gamma
 
 
-@dataclass(frozen=True)
-class AppearanceEmbedding:
-    """Attention-route and averaging-route vectors for one frame group (or a
-    group average); gamma is recorded for provenance."""
-
-    attn_part: np.ndarray
-    avg_part: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        a = np.asarray(self.attn_part, dtype=np.float64)
-        v = np.asarray(self.avg_part, dtype=np.float64)
-        if a.ndim != 1 or v.ndim != 1:
-            raise InvalidInput("embedding parts must be vectors")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v))):
-            raise InvalidInput("embedding parts contain non-finite entries")
-        object.__setattr__(self, "attn_part", a)
-        object.__setattr__(self, "avg_part", v)
-
-    def vector(
-        self, normalize_parts: bool = True, use_attn: bool = True, use_avg: bool = True
-    ) -> np.ndarray:
-        """Concatenated scoring vector; disabled parts are zeroed in place so
-        dimensionality never changes between ablation configurations."""
-        attn = self.attn_part
-        avg = self.avg_part
-        if normalize_parts:
-            # l2_normalize passes all-zero vectors through, so zeroed ablation
-            # parts survive this unchanged
-            attn = core.l2_normalize(attn)
-            avg = core.l2_normalize(avg)
-        if not use_attn:
-            attn = np.zeros_like(attn)
-        if not use_avg:
-            avg = np.zeros_like(avg)
-        return np.concatenate([attn, avg])
-
-
-def mean_embedding(parts: list[AppearanceEmbedding]) -> AppearanceEmbedding:
-    """Average the per-group embeddings of one tracklet, part by part."""
-    if len(parts) == 0:
+def mean_embedding(groups: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Average one tracklet's (G, C) attention-route and averaging-route
+    vectors over its G groups, to the (attn, avg) pair of C-vectors."""
+    attn, avg = groups
+    if len(attn) == 0:
         raise EmptyInput("no group embeddings to average")
-    gammas = {p.gamma for p in parts}
-    if len(gammas) != 1:
-        raise InvalidInput(f"group embeddings disagree on gamma: {sorted(gammas)}")
-    attn = np.mean([p.attn_part for p in parts], axis=0)
-    avg = np.mean([p.avg_part for p in parts], axis=0)
-    return AppearanceEmbedding(attn_part=attn, avg_part=avg, gamma=parts[0].gamma)
+    return attn.mean(axis=0), avg.mean(axis=0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .appearance import TA_TARGETS, AttentionParams
@@ -20,7 +21,7 @@ from .exceptions import ConfigError
 from .gallery import AppearanceModel
 from .prng import derive_seed
 from .shape import ShapeModel
-from .synth import MAX_KEYPOINT_JITTER, DatasetSpec
+from .synth import MAX_KEYPOINT_JITTER, MIN_FRAME_SIDE, DatasetSpec
 
 
 def _positive(v):
@@ -29,8 +30,13 @@ def _positive(v):
 
 
 def _nonneg(v):
-    if v < 0:
-        raise ValueError("must be >= 0")
+    if not (math.isfinite(v) and v >= 0):
+        raise ValueError("must be finite and >= 0")
+
+
+def _frame_side(v):
+    if v < MIN_FRAME_SIDE:
+        raise ValueError(f"must be >= {MIN_FRAME_SIDE}")
 
 
 def _unit(v):
@@ -70,8 +76,8 @@ _SCHEMA = {
         "keypoint_jitter": (float, 0.0, _jitter),
         "appearance_shift": (float, 0.0, _nonneg),
         "seed": (int, 1, None),
-        "height": (int, 16, _positive),
-        "width": (int, 16, _positive),
+        "height": (int, 16, _frame_side),
+        "width": (int, 16, _frame_side),
     },
     "model": {
         "bins": (int, 4, _positive),
@@ -335,14 +341,14 @@ def build_shape_model(cfg: RunConfig) -> ShapeModel:
     )
 
 
-def build_appearance_model(cfg: RunConfig, gamma: float | None = None) -> AppearanceModel:
+def build_appearance_model(cfg: RunConfig) -> AppearanceModel:
     m = cfg.model
     enc = EncoderParams.initialize(_grid_widths(m)["appearance"], derive_seed(m.encoder_seed, 104))
     attn = AttentionParams.initialize(m.channels, levels=m.pyramid_levels, seed=m.attention_seed)
     return AppearanceModel(
         encoder=enc,
         attention=attn,
-        gamma=m.gamma if gamma is None else gamma,
+        gamma=m.gamma,
         ta_target=m.ta_target,
         normalize_parts=m.normalize_parts,
         use_attn=cfg.ablation.use_attn,

@@ -40,13 +40,13 @@ def as_grid(g, name: str = "grid") -> np.ndarray:
 
 
 def as_grids(g, name: str = "grids") -> np.ndarray:
-    """Coerce a stack of equal (H, W, C) grids to a finite (N, H, W, C) float64 array."""
+    """Coerce stacks of equal (H, W, C) grids to a finite (..., N, H, W, C) float64 array."""
     try:
         arr = np.asarray(g, dtype=np.float64)
     except ValueError:
         raise DimMismatch(f"{name} differ in shape") from None
-    if arr.ndim != 4:
-        raise InvalidInput(f"{name} must be (N, H, W, C), got shape {arr.shape}")
+    if arr.ndim < 4:
+        raise InvalidInput(f"{name} must be (..., N, H, W, C), got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} contain non-finite entries")
     return arr
@@ -98,10 +98,10 @@ def softmax(v) -> np.ndarray:
 
 
 def softmax_grid(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the spatial positions of an (H, W, C) grid, per channel."""
-    shifted = logits - logits.max(axis=(0, 1), keepdims=True)
+    """Softmax over the spatial positions of (..., H, W, C) grids, per grid and channel."""
+    shifted = logits - logits.max(axis=(-3, -2), keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=(0, 1), keepdims=True)
+    return e / e.sum(axis=(-3, -2), keepdims=True)
 
 
 def strip_pool(grid, strips: int, mode: str = "max+mean") -> np.ndarray:

@@ -11,13 +11,15 @@ members. The shape branch pools over arbitrary lengths, so it always sees the
 full sequence.
 
 The appearance branch runs in two stages. `AppearanceModel.group_features`
-encodes all frames of a tracklet in one pass and reduces every group to its
-pyramid and spatial average C-vectors; nothing in it depends on gamma.
-`AppearanceModel.finish` flattens each group's average with gamma and then
-averages the groups (flattening is nonlinear, so it comes before the mean).
-`embed_tracklet` is the two stages in a row; the gamma sweep runs the first
-stage once per tracklet and the second once per gamma. `register` likewise
-is embedding followed by `build_index`.
+encodes all frames of a tracklet in one pass, gathers its G groups into one
+(G, 2**pyramid_levels, h, w, C) array and reduces them to (G, C) pyramid
+aggregates and (G, C) spatial averages; nothing in it depends on gamma.
+`AppearanceModel.finish` flattens the averages with gamma and then averages
+over the groups (flattening is nonlinear, so it comes before the mean), to
+the (attn, avg) pair of C-vectors that `AppearanceModel.vector` turns into
+the scoring vector. `embed_tracklet` is the two stages in a row; the gamma
+sweep runs the first stage once per tracklet and the second once per gamma.
+`register` likewise is embedding followed by `build_index`.
 
 Index files ("SHRCIDX2"): little-endian; 8-byte magic, u32 byte length + ASCII
 model hash (the hash of the config keys that change the stored vectors, empty
@@ -36,14 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .appearance import (
-    AppearanceEmbedding,
-    AttentionParams,
-    average_aggregate,
-    flatten_feature,
-    mean_embedding,
-    pyramid_aggregate,
-)
+from .appearance import AttentionParams, average_aggregate, flatten_feature, mean_embedding, pyramid_aggregate
+from .core import l2_normalize
 from .encoders import SKELETON_INPUT_DIM, SKELETON_JOINTS, SMPL_DIM, EncoderParams, encode_appearance
 from .exceptions import CorruptIndex, DimMismatch, EmptyInput, InvalidInput, SubjectMismatch
 from .shape import ShapeModel
@@ -163,37 +159,34 @@ class AppearanceModel:
     use_attn: bool = True
     use_avg: bool = True
 
-    def group_features(self, frames: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    def group_features(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gamma-free stage: encode the (T, H, W, 3) frames in one pass, then
-        per pyramid-sized group its (pyramid aggregate, spatial average)
-        C-vectors."""
+        the (G, C) pyramid aggregates and (G, C) spatial averages of the G
+        pyramid-sized groups, all groups in one call each."""
         encoded = encode_appearance(frames, self.encoder)
-        groups = [encoded[group] for group in chunk_frames(len(encoded), self.attention.group_size)]
-        return [
-            (pyramid_aggregate(g, self.attention, ta_target=self.ta_target), average_aggregate(g))
-            for g in groups
-        ]
+        groups = encoded[np.array(chunk_frames(len(encoded), self.attention.group_size))]
+        return pyramid_aggregate(groups, self.attention, ta_target=self.ta_target), average_aggregate(groups)
 
-    def finish(self, groups: list[tuple[np.ndarray, np.ndarray]]) -> AppearanceEmbedding:
-        """Flatten each group's average with this model's gamma, then average the groups."""
-        return mean_embedding(
-            [
-                AppearanceEmbedding(
-                    attn_part=attn, avg_part=flatten_feature(avg, self.gamma), gamma=self.gamma
-                )
-                for attn, avg in groups
-            ]
-        )
+    def finish(self, groups: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Flatten every group's average with this model's gamma, then average
+        over the groups: the (attn, avg) pair of C-vectors."""
+        attn, avg = groups
+        return mean_embedding((attn, flatten_feature(avg, self.gamma)))
 
-    def embed_tracklet(self, frames: np.ndarray) -> AppearanceEmbedding:
+    def embed_tracklet(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.finish(self.group_features(frames))
 
-    def vector(self, emb: AppearanceEmbedding) -> np.ndarray:
-        return emb.vector(
-            normalize_parts=self.normalize_parts,
-            use_attn=self.use_attn,
-            use_avg=self.use_avg,
-        )
+    def vector(self, emb: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Scoring vector of an (attn, avg) pair: both parts concatenated, a
+        disabled part zeroed so the width never changes between ablations."""
+        attn, avg = emb
+        if self.normalize_parts:
+            attn, avg = l2_normalize(attn), l2_normalize(avg)
+        if not self.use_attn:
+            attn = np.zeros_like(attn)
+        if not self.use_avg:
+            avg = np.zeros_like(avg)
+        return np.concatenate([attn, avg])
 
 
 @dataclass(frozen=True)
@@ -212,12 +205,6 @@ class GalleryIndex:
 
     entries: list[IndexEntry] = field(default_factory=list)
     model_hash: str = ""
-
-    def subject_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in self.entries:
-            seen.setdefault(e.subject_id, None)
-        return list(seen)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -238,11 +225,11 @@ def tracklet_embeddings(
 
 @dataclass(frozen=True)
 class TrackletFeatures:
-    """The gamma-free work on one tracklet: its shape vector and its
-    per-group appearance C-vectors before flattening."""
+    """The gamma-free work on one tracklet: its shape vector and its (G, C)
+    appearance group features before flattening."""
 
     shape: np.ndarray
-    groups: list[tuple[np.ndarray, np.ndarray]]
+    groups: tuple[np.ndarray, np.ndarray]
 
     def embeddings(self, appearance_model: AppearanceModel) -> tuple[np.ndarray, np.ndarray]:
         """(shape vector, appearance vector), as tracklet_embeddings gives them."""

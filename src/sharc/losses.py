@@ -71,15 +71,6 @@ class Batch:
         self.embeddings = e
         self.labels = lab
 
-    def class_centroids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(classes, centroids, counts) over the labels present in the batch."""
-        classes = np.unique(self.labels)
-        centroids = np.stack(
-            [self.embeddings[self.labels == k].mean(axis=0) for k in classes]
-        )
-        counts = np.array([(self.labels == k).sum() for k in classes])
-        return classes, centroids, counts
-
 
 def triplet_loss(anchor, positive, negative, margin: float) -> float:
     """Hinge on the anchor-positive vs anchor-negative distance gap."""

@@ -51,6 +51,9 @@ SIGNATURE_DIM = 6
 # frame container.
 MAX_KEYPOINT_JITTER = float(np.finfo(np.float32).max) / 8.6
 
+# smallest frame height and width a DatasetSpec accepts
+MIN_FRAME_SIDE = 4
+
 # (tag, record field, on-disk dtype) of the sections of a SHRCDAT3 container,
 # in on-disk order
 _SECTIONS = ((1, "masks", "u1"), (2, "body", "<f4"), (3, "skeleton", "<f4"), (4, "appearance", "<f4"))
@@ -114,8 +117,10 @@ class DatasetSpec:
             raise InvalidInput("keypoint_jitter and appearance_shift must be nonnegative")
         if not self.keypoint_jitter <= MAX_KEYPOINT_JITTER:
             raise InvalidInput(f"keypoint_jitter must be at most {MAX_KEYPOINT_JITTER!r}, got {self.keypoint_jitter}")
-        if self.height < 4 or self.width < 4:
-            raise InvalidInput(f"frame grid must be at least 4x4, got {self.height}x{self.width}")
+        if self.height < MIN_FRAME_SIDE or self.width < MIN_FRAME_SIDE:
+            raise InvalidInput(
+                f"frame grid must be at least {MIN_FRAME_SIDE}x{MIN_FRAME_SIDE}, got {self.height}x{self.width}"
+            )
 
 
 def subject_label(index: int) -> str:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sharc.appearance import (
-    AppearanceEmbedding,
     AttentionParams,
     average_aggregate,
     flatten_feature,
@@ -15,7 +14,7 @@ from sharc.appearance import (
     temporal_attention,
 )
 from sharc.encoders import EncoderParams
-from sharc.exceptions import DimMismatch, InvalidFrameCount, InvalidGamma, InvalidInput
+from sharc.exceptions import DimMismatch, EmptyInput, InvalidFrameCount, InvalidGamma, InvalidInput
 from sharc.gallery import AppearanceModel
 
 
@@ -164,37 +163,38 @@ def test_average_aggregate_closed_form():
     np.testing.assert_array_equal(average_aggregate(frames), np.full(3, 3.0))
 
 
+def test_average_aggregate_rejects_an_empty_frame_axis():
+    for frames in ([], np.zeros((2, 0, 2, 2, 3))):
+        with pytest.raises(EmptyInput):
+            average_aggregate(frames)
+
+
+def _model(**options):
+    """An appearance model whose weights the scoring-vector tests never use."""
+    return AppearanceModel(encoder=EncoderParams.initialize((3, 2), seed=6), attention=_params(2), **options)
+
+
 class TestEmbedding:
     def test_vector_concatenates_parts(self):
-        emb = AppearanceEmbedding(
-            attn_part=np.array([3.0, 4.0]), avg_part=np.array([0.0, 2.0]), gamma=0.0
-        )
-        v = emb.vector(normalize_parts=True)
+        emb = (np.array([3.0, 4.0]), np.array([0.0, 2.0]))
+        v = _model(normalize_parts=True).vector(emb)
         np.testing.assert_allclose(v[:2], [0.6, 0.8], atol=1e-12)
         np.testing.assert_allclose(v[2:], [0.0, 1.0], atol=1e-12)
-        raw = emb.vector(normalize_parts=False)
+        raw = _model(normalize_parts=False).vector(emb)
         np.testing.assert_array_equal(raw, [3.0, 4.0, 0.0, 2.0])
 
     def test_vector_route_toggles(self):
-        emb = AppearanceEmbedding(
-            attn_part=np.array([3.0, 4.0]), avg_part=np.array([1.0, 2.0]), gamma=0.0
-        )
-        no_attn = emb.vector(use_attn=False)
+        emb = (np.array([3.0, 4.0]), np.array([1.0, 2.0]))
+        no_attn = _model(use_attn=False).vector(emb)
         assert np.array_equal(no_attn[:2], [0.0, 0.0]) and no_attn[2:].any()
-        no_avg = emb.vector(use_avg=False)
+        no_avg = _model(use_avg=False).vector(emb)
         assert no_avg[:2].any() and np.array_equal(no_avg[2:], [0.0, 0.0])
 
     def test_mean_embedding_averages_parts(self):
-        a = AppearanceEmbedding(np.array([1.0]), np.array([2.0]), gamma=0.5)
-        b = AppearanceEmbedding(np.array([3.0]), np.array([6.0]), gamma=0.5)
-        m = mean_embedding([a, b])
-        assert m.attn_part[0] == 2.0 and m.avg_part[0] == 4.0
-
-    def test_mean_embedding_rejects_mixed_gamma(self):
-        a = AppearanceEmbedding(np.array([1.0]), np.array([2.0]), gamma=0.5)
-        b = AppearanceEmbedding(np.array([1.0]), np.array([2.0]), gamma=0.0)
-        with pytest.raises(InvalidInput):
-            mean_embedding([a, b])
+        # two groups of one channel
+        attn, avg = mean_embedding((np.array([[1.0], [3.0]]), np.array([[2.0], [6.0]])))
+        assert attn.shape == avg.shape == (1,)
+        assert attn[0] == 2.0 and avg[0] == 4.0
 
     def test_golden_pipeline_values(self):
         frames = np.array([
@@ -209,8 +209,8 @@ class TestEmbedding:
         enc = EncoderParams.initialize((3, 5, 7), seed=6)
         model = AppearanceModel(encoder=enc, attention=AttentionParams.initialize(7, seed=11), gamma=0.5)
         # 8 frames are one group, and the mean of one group is that group
-        emb = model.embed_tracklet(frames)
+        attn, avg = model.embed_tracklet(frames)
         attn4 = [0.0010436266632538873, 0.0, 0.0005746775701032886, 0.003696505170243647]
         avg4 = [0.3978971470490903, 0.0, 0.2952629113316236, 0.7488482711267707]
-        np.testing.assert_allclose(emb.attn_part[:4], attn4, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(emb.avg_part[:4], avg4, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(attn[:4], attn4, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(avg[:4], avg4, rtol=0, atol=1e-12)

@@ -1,21 +1,25 @@
-"""The batched encoders against the per-frame forward they replaced.
+"""The batched encoders and appearance groups against the paths they replaced.
 
 Each encoder runs a whole tracklet at once: one 2-D product per grid layer
 over all T*H*W pixels, and one matrix-vector product per row for the body
 and skeleton encoders. The per-frame functions below are the earlier forward,
-kept as a scalar oracle; the batched outputs must equal them to the bit, at
-frame counts that split unevenly, and must not depend on the BLAS thread
-count.
+kept as a scalar oracle. `AppearanceModel.group_features` runs all of a
+tracklet's frame groups through one pyramid and one averaging call; calling
+both once per group is its oracle. The batched outputs must equal their
+oracles to the bit, at frame counts that split unevenly, and must not depend
+on the BLAS thread count.
 """
 
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sharc
+from sharc.appearance import TA_TARGETS, AttentionParams, average_aggregate, pyramid_aggregate
 from sharc.config import build_appearance_model, build_shape_model, parse_config
 from sharc.encoders import (
     encode_appearance,
@@ -24,6 +28,7 @@ from sharc.encoders import (
     encode_smpl,
     grid_output_shape,
 )
+from sharc.gallery import chunk_frames
 
 
 def _pool_frame(grid):
@@ -97,6 +102,28 @@ def test_batched_encoders_equal_the_per_frame_forward(tmp_path, t, size):
         assert np.array_equal(got, want), name
 
 
+@pytest.mark.parametrize("ta_target", TA_TARGETS)
+@pytest.mark.parametrize("levels", [2, 3, 4])
+@pytest.mark.parametrize("t", [1, 5, 8, 9, 20, 47])
+def test_batched_groups_equal_one_group_at_a_time(tmp_path, t, levels, ta_target):
+    _, app_model = _models(tmp_path)
+    app_model = replace(
+        app_model,
+        attention=AttentionParams.initialize(app_model.attention.channels, levels=levels, seed=11),
+        ta_target=ta_target,
+    )
+    frames = _inputs(t, 16, seed=t)[1]
+    attn, avg = app_model.group_features(frames)
+
+    encoded = encode_appearance(frames, app_model.encoder)
+    groups = [encoded[g] for g in chunk_frames(t, 2**levels)]
+    want_attn = np.stack([pyramid_aggregate(g, app_model.attention, ta_target=ta_target) for g in groups])
+    want_avg = np.stack([average_aggregate(g) for g in groups])
+    assert attn.shape == avg.shape == (len(groups), app_model.attention.channels)
+    assert np.array_equal(attn, want_attn)
+    assert np.array_equal(avg, want_avg)
+
+
 _HASH_SCRIPT = """
 import hashlib, sys
 import numpy as np
@@ -104,7 +131,8 @@ sys.path.insert(0, sys.argv[1])
 import test_batched_encoders as t
 from pathlib import Path
 models = t._models(Path(sys.argv[2]))
-out = t._batched(*t._inputs(47, 12, seed=3), *models)
+inputs = t._inputs(47, 12, seed=3)
+out = t._batched(*inputs, *models) + list(models[1].group_features(inputs[1]))
 print(hashlib.sha256(b"".join(np.ascontiguousarray(o).tobytes() for o in out)).hexdigest())
 """
 

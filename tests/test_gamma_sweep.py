@@ -2,9 +2,12 @@
 
 `cli._gamma_sweep` embeds every tracklet once and only re-finishes the
 appearance vectors per gamma. The oracle below re-embeds everything for each
-gamma: build_appearance_model(cfg, gamma) -> register -> _score_queries.
-Both must give the same index entries and fused scores to the bit.
+gamma: replace(build_appearance_model(cfg), gamma=gamma) -> register ->
+_score_queries. Both must give the same index entries and fused scores to
+the bit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from sharc.synth import generate_dataset, split_protocol
 
 def _oracle(cfg, gallery, queries, gamma):
     shape_model = build_shape_model(cfg)
-    app_model = build_appearance_model(cfg, gamma=gamma)
+    app_model = replace(build_appearance_model(cfg), gamma=gamma)
     index = register(gallery, shape_model, app_model, centroid=cfg.ablation.centroid)
     _, _, fused = cli._score_queries(queries, shape_model, app_model, index, cfg)
     return index, fused

@@ -106,16 +106,6 @@ class TestBatch:
         with pytest.raises(DimMismatch):
             Batch(embeddings=np.zeros((2, 2)), labels=np.array([0, 1]), centers=np.zeros((2, 5)))
 
-    def test_class_centroids(self):
-        batch = Batch(
-            embeddings=np.array([[0.0, 0.0], [2.0, 2.0], [5.0, 5.0]]),
-            labels=np.array([0, 0, 1]),
-        )
-        classes, centroids, counts = batch.class_centroids()
-        np.testing.assert_array_equal(classes, [0, 1])
-        np.testing.assert_array_equal(centroids, [[1.0, 1.0], [5.0, 5.0]])
-        np.testing.assert_array_equal(counts, [2, 1])
-
 
 class TestObjectives:
     def _batch(self, seed=0, n_per=3, k=4, d=5):
