@@ -44,7 +44,7 @@ from .gallery import (
 )
 from .losses import make_toy_dataset, train_toy
 from .matcher import ScoreMatrix, appearance_scores, fuse_scores, rank, shape_scores
-from .metrics import evaluate_ranking
+from .metrics import EvalReport, evaluate_ranking
 from .prng import derive_seed
 from .shape import ShapeModel
 from .synth import generate_dataset, load_dataset, split_protocol, write_dataset
@@ -134,12 +134,10 @@ def _gamma_sweep(cfg: RunConfig, gallery: list[TrackletRecord], queries: list[Tr
         yield gamma, index, fused
 
 
-def _rank1(fused: ScoreMatrix, subject_of: dict[str, str]) -> float:
-    ranked = rank(fused)
+def _evaluate(fused: ScoreMatrix, subject_of: dict[str, str]) -> EvalReport:
+    """Rank the fused scores and evaluate each query against its subject."""
     labels = [subject_of[q] for q in fused.query_ids]
-    gallery_labels = {g: g for g in fused.gallery_ids}
-    report = evaluate_ranking(ranked, labels, gallery_labels, ranks=(1,))
-    return report.rank_k[1]
+    return evaluate_ranking(rank(fused), labels, {g: g for g in fused.gallery_ids})
 
 
 def _write_table(path: str, comment: str, header: str, rows: list[str]) -> None:
@@ -207,12 +205,7 @@ def cmd_evaluate(cfg: RunConfig, out: str) -> int:
     unknown = [q for q in fused.query_ids if q not in subject_of]
     if unknown:
         raise InvalidInput(f"{fused_path}: query id {unknown[0]!r} is not in {query_path}")
-    ranked = rank(fused)
-    report = evaluate_ranking(
-        ranked,
-        [subject_of[q] for q in fused.query_ids],
-        {g: g for g in fused.gallery_ids},
-    )
+    report = _evaluate(fused, subject_of)
     with open(os.path.join(out, "report.txt"), "w") as f:
         f.write(f"# {_comment(cfg)}\n")
         for line in report.lines():
@@ -229,7 +222,7 @@ def cmd_ablate_gamma(cfg: RunConfig, out: str) -> int:
     queries = _load_records(os.path.join(cfg.data_dir, "query.csv"), cfg)
     subject_of = {r.tracklet_id: r.subject_id for r in queries}
     rows = [
-        f"{gamma!r},{_rank1(fused, subject_of)!r}"
+        f"{gamma!r},{_evaluate(fused, subject_of).rank_k[1]!r}"
         for gamma, _, fused in _gamma_sweep(cfg, gallery, queries)
     ]
     _write_table(os.path.join(out, "ablate_gamma.csv"), _comment(cfg), "gamma,rank1", rows)
@@ -248,7 +241,7 @@ def cmd_ablate_alpha(cfg: RunConfig, out: str) -> int:
     rows = []
     for alpha in ALPHA_SWEEP:
         fused = fuse_scores(s_shape, s_app, alpha)
-        rows.append(f"{alpha!r},{_rank1(fused, subject_of)!r}")
+        rows.append(f"{alpha!r},{_evaluate(fused, subject_of).rank_k[1]!r}")
     _write_table(os.path.join(out, "ablate_alpha.csv"), _comment(cfg), "alpha,rank1", rows)
     print("\n".join(["alpha,rank1"] + rows))
     return 0

@@ -11,7 +11,9 @@ pair reproduces the same parameters on any platform.
 
 Parameter files ("SHRCENC1"): little-endian; 8-byte magic, then per layer
 u32 rows, u32 cols, rows*cols f32 weights in row-major order, rows f32 biases.
-Layers are read until end of file.
+Layers are read until end of file. A layer with no rows or columns, one whose
+input width is not the previous layer's output width, and non-finite weights
+or biases make the file corrupt.
 """
 
 from __future__ import annotations
@@ -195,6 +197,11 @@ def load_encoder(path) -> EncoderParams:
             raise CorruptFile(f"{path}: truncated layer header")
         rows, cols = struct.unpack_from("<II", data, off)
         off += 8
+        i = len(layers)
+        if rows == 0 or cols == 0:
+            raise CorruptFile(f"{path}: layer {i} is {rows}x{cols}")
+        if layers and cols != layers[-1][0].shape[0]:
+            raise CorruptFile(f"{path}: layer {i} takes {cols} inputs, layer {i - 1} emits {layers[-1][0].shape[0]}")
         need = 4 * (rows * cols + rows)
         if off + need > len(data):
             raise CorruptFile(f"{path}: truncated layer payload")
@@ -202,6 +209,8 @@ def load_encoder(path) -> EncoderParams:
         off += 4 * rows * cols
         b = np.frombuffer(data, dtype="<f4", count=rows, offset=off).astype(np.float64)
         off += 4 * rows
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise CorruptFile(f"{path}: layer {i} has non-finite weights or biases")
         layers.append((w.reshape(rows, cols), b))
     if not layers:
         raise CorruptFile(f"{path}: no layers")

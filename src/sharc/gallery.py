@@ -27,7 +27,9 @@ when unknown), u32 entry count, then per entry a u32 byte length + UTF-8
 subject id, u32 dim + f32 shape centroid, u32 dim + f32 appearance centroid,
 u32 source tracklet count. Centroids are stored in 32-bit, so save -> load ->
 save is byte-stable after the first quantization. "SHRCIDX1" files, which
-carry no model hash, are rejected.
+carry no model hash, are rejected, and so is any file that `register` and
+`save_index` cannot produce: no entries, an empty subject id, an empty or
+non-finite vector, widths that differ between entries, or a source count of 0.
 """
 
 from __future__ import annotations
@@ -342,14 +344,26 @@ def load_index(path) -> GalleryIndex:
 
     model_hash = text()
     (count,) = struct.unpack("<I", take(4))
+    if count == 0:
+        raise CorruptIndex(f"{path}: index has no entries")
     entries = []
-    for _ in range(count):
+    for i in range(count):
         subject = text()
+        if not subject:
+            raise CorruptIndex(f"{path}: entry {i} has an empty subject id")
         vecs = []
-        for _ in range(2):
+        for name in ("shape", "appearance"):
             (dim,) = struct.unpack("<I", take(4))
-            vecs.append(np.frombuffer(take(4 * dim), dtype="<f4").astype(np.float64))
+            vec = np.frombuffer(take(4 * dim), dtype="<f4").astype(np.float64)
+            if dim == 0 or not np.all(np.isfinite(vec)):
+                raise CorruptIndex(f"{path}: entry {i} has an empty or non-finite {name} vector")
+            width = len(getattr(entries[0], name)) if entries else dim
+            if dim != width:
+                raise CorruptIndex(f"{path}: entry {i} {name} width {dim} differs from entry 0's {width}")
+            vecs.append(vec)
         (k,) = struct.unpack("<I", take(4))
+        if k == 0:
+            raise CorruptIndex(f"{path}: entry {i} has a source count of 0")
         entries.append(IndexEntry(subject, shape=vecs[0], appearance=vecs[1], source_count=k))
     if off != len(data):
         raise CorruptIndex(f"{path}: {len(data) - off} trailing bytes")

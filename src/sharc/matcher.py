@@ -15,6 +15,9 @@ score bytes do not depend on the BLAS thread count. Distances come from exact
 differences, one query row at a time, never from the cancelling expansion
 |q|^2 + |g|^2 - 2 q.g. `core.cosine_similarity` and `core.euclidean_distance`
 compute the same cells one pair at a time; the two agree to within 1e-12.
+
+`rank` orders a whole score matrix at once: one stable argsort of the negated
+scores along each row, over the columns put in id order first.
 """
 
 from __future__ import annotations
@@ -201,11 +204,7 @@ def fuse_scores(s_shape: ScoreMatrix, s_app: ScoreMatrix, alpha: float) -> Score
 
 
 def rank(scores: ScoreMatrix) -> list[list[str]]:
-    """Descending-score gallery id list per query; ties break by ascending id."""
-    ids = np.array(scores.gallery_ids)
-    out = []
-    for row in scores.scores:
-        # lexsort: last key is primary, so sort by -score then id
-        order = np.lexsort((ids, -row))
-        out.append([scores.gallery_ids[j] for j in order])
-    return out
+    """Descending-score gallery id list per query; ties break by ascending id, then by column."""
+    by_id = sorted(range(len(scores.gallery_ids)), key=scores.gallery_ids.__getitem__)
+    order = np.argsort(-scores.scores[:, by_id], axis=1, kind="stable")
+    return np.array([scores.gallery_ids[j] for j in by_id], dtype=object)[order].tolist()

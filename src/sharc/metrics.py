@@ -4,6 +4,11 @@ Both metrics operate on ranked gallery id lists plus subject labels, so they
 are independent of how the scores were produced. A query whose subject never
 appears in the gallery has undefined metrics and raises UnmatchableQuery
 unless the caller opts into skipping such queries.
+
+The inputs are validated once and each ranked list is walked once, to the
+0-based positions of its correct ids; every rank-k accuracy and every AP is
+read from those positions. A list that holds none of its query's correct ids
+(one shorter than the gallery, say) is a miss at every k and has no AP.
 """
 
 from __future__ import annotations
@@ -17,21 +22,41 @@ from .exceptions import InvalidInput, UnmatchableQuery
 DEFAULT_RANKS = (1, 5, 10, 20)
 
 
-def _check_inputs(ranked_lists, query_labels, gallery_labels, skip_unmatchable):
+def _correct_positions(ranked: list[str], label: str, gallery_labels: dict[str, str]) -> list[int]:
+    """0-based positions, ascending, of the ids in `ranked` labelled `label`."""
+    # count and index compare in C, faster than one Python comparison per id
+    labels = list(map(gallery_labels.__getitem__, ranked))
+    positions = []
+    for _ in range(labels.count(label)):
+        positions.append(labels.index(label, positions[-1] + 1 if positions else 0))
+    return positions
+
+
+def _matched(ranked_lists, query_labels, gallery_labels, skip_unmatchable) -> list[tuple[str, list[int]]]:
+    """(label, correct-id positions) of each query whose label the gallery holds."""
     if len(ranked_lists) != len(query_labels):
-        raise InvalidInput(
-            f"{len(ranked_lists)} ranked lists but {len(query_labels)} query labels"
-        )
+        raise InvalidInput(f"{len(ranked_lists)} ranked lists but {len(query_labels)} query labels")
     matchable = set(gallery_labels.values())
-    keep = [i for i, lab in enumerate(query_labels) if lab in matchable]
-    if len(keep) != len(query_labels) and not skip_unmatchable:
-        missing = [i for i in range(len(query_labels)) if i not in set(keep)]
-        raise UnmatchableQuery(
-            f"queries with no correct gallery entry: indices {missing}"
-        )
-    if not keep:
+    missing = [i for i, lab in enumerate(query_labels) if lab not in matchable]
+    if missing and not skip_unmatchable:
+        raise UnmatchableQuery(f"queries with no correct gallery entry: indices {missing}")
+    if len(missing) == len(query_labels):
         raise InvalidInput("no matchable queries")
-    return keep
+    pairs = zip(ranked_lists, query_labels)
+    return [(lab, _correct_positions(r, lab, gallery_labels)) for r, lab in pairs if lab in matchable]
+
+
+def _hit_rate(matched: list[tuple[str, list[int]]], k: int) -> float:
+    if k < 1:
+        raise InvalidInput(f"k must be positive, got {k}")
+    return sum(1 for _, positions in matched if positions and positions[0] < k) / len(matched)
+
+
+def _ap(label: str, positions: list[int]) -> float:
+    """Precision at each correct position, summed in rank order, over their count."""
+    if not positions:
+        raise UnmatchableQuery(f"label {label!r} absent from the ranked list")
+    return sum((hit + 1) / (pos + 1) for hit, pos in enumerate(positions)) / len(positions)
 
 
 def cmc(
@@ -42,27 +67,12 @@ def cmc(
     skip_unmatchable: bool = False,
 ) -> float:
     """Fraction of queries whose top-k ranked ids contain a correct subject."""
-    if k < 1:
-        raise InvalidInput(f"k must be positive, got {k}")
-    keep = _check_inputs(ranked_lists, query_labels, gallery_labels, skip_unmatchable)
-    hits = 0
-    for i in keep:
-        top = ranked_lists[i][:k]
-        if any(gallery_labels[g] == query_labels[i] for g in top):
-            hits += 1
-    return hits / len(keep)
+    return _hit_rate(_matched(ranked_lists, query_labels, gallery_labels, skip_unmatchable), k)
 
 
 def average_precision(ranked: list[str], label: str, gallery_labels: dict[str, str]) -> float:
     """Precision averaged over the ranks of the correct entries."""
-    correct_ranks = [
-        pos + 1 for pos, g in enumerate(ranked) if gallery_labels[g] == label
-    ]
-    if not correct_ranks:
-        raise UnmatchableQuery(f"label {label!r} absent from the ranked list")
-    return sum((hit + 1) / rank_pos for hit, rank_pos in enumerate(correct_ranks)) / len(
-        correct_ranks
-    )
+    return _ap(label, _correct_positions(ranked, label, gallery_labels))
 
 
 def mean_average_precision(
@@ -71,9 +81,8 @@ def mean_average_precision(
     gallery_labels: dict[str, str],
     skip_unmatchable: bool = False,
 ) -> float:
-    keep = _check_inputs(ranked_lists, query_labels, gallery_labels, skip_unmatchable)
-    aps = [average_precision(ranked_lists[i], query_labels[i], gallery_labels) for i in keep]
-    return float(np.mean(aps))
+    matched = _matched(ranked_lists, query_labels, gallery_labels, skip_unmatchable)
+    return float(np.mean([_ap(*m) for m in matched]))
 
 
 @dataclass
@@ -104,10 +113,7 @@ def evaluate_ranking(
     ranks: tuple[int, ...] = DEFAULT_RANKS,
     skip_unmatchable: bool = False,
 ) -> EvalReport:
-    keep = _check_inputs(ranked_lists, query_labels, gallery_labels, skip_unmatchable)
-    rank_k = {
-        k: cmc(ranked_lists, query_labels, gallery_labels, k, skip_unmatchable)
-        for k in ranks
-    }
-    aps = [average_precision(ranked_lists[i], query_labels[i], gallery_labels) for i in keep]
+    matched = _matched(ranked_lists, query_labels, gallery_labels, skip_unmatchable)
+    rank_k = {k: _hit_rate(matched, k) for k in ranks}
+    aps = [_ap(*m) for m in matched]
     return EvalReport(rank_k=rank_k, map_score=float(np.mean(aps)), per_query_ap=aps)

@@ -113,8 +113,10 @@ class DatasetSpec:
                 raise InvalidInput(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.sil_flip_rate <= 1.0:
             raise InvalidInput(f"sil_flip_rate must be in [0, 1], got {self.sil_flip_rate}")
-        if self.keypoint_jitter < 0.0 or self.appearance_shift < 0.0:
-            raise InvalidInput("keypoint_jitter and appearance_shift must be nonnegative")
+        if self.keypoint_jitter < 0.0:
+            raise InvalidInput(f"keypoint_jitter must be nonnegative, got {self.keypoint_jitter}")
+        if not (math.isfinite(self.appearance_shift) and self.appearance_shift >= 0.0):
+            raise InvalidInput(f"appearance_shift must be finite and nonnegative, got {self.appearance_shift}")
         if not self.keypoint_jitter <= MAX_KEYPOINT_JITTER:
             raise InvalidInput(f"keypoint_jitter must be at most {MAX_KEYPOINT_JITTER!r}, got {self.keypoint_jitter}")
         if self.height < MIN_FRAME_SIDE or self.width < MIN_FRAME_SIDE:

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from sharc.encoders import (
+    ENCODER_MAGIC,
     SKELETON_INPUT_DIM,
     EncoderParams,
     _grid_forward,
@@ -227,4 +230,24 @@ class TestSerialization:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 3])
         with pytest.raises(CorruptFile):
+            load_encoder(path)
+
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            ([(np.array([[1.0, np.nan]]), np.zeros(1))], "layer 0 has non-finite weights or biases"),
+            ([(np.ones((2, 3)), np.zeros(2)), (np.ones((1, 2)), np.array([np.inf]))], "layer 1 has non-finite"),
+            ([(np.ones((0, 3)), np.zeros(0))], "layer 0 is 0x3"),
+            ([(np.ones((2, 3)), np.zeros(2)), (np.ones((2, 0)), np.zeros(2))], "layer 1 is 2x0"),
+            ([(np.ones((2, 3)), np.zeros(2)), (np.ones((1, 4)), np.zeros(1))], "layer 1 takes 4 inputs, layer 0 emits 2"),
+        ],
+        ids=["nan-weight", "inf-bias", "no-rows", "no-columns", "width-mismatch"],
+    )
+    def test_refuses_layers_no_encoder_has(self, tmp_path, layers, message):
+        path = tmp_path / "enc.bin"
+        with open(path, "wb") as f:
+            f.write(ENCODER_MAGIC)
+            for w, b in layers:
+                f.write(struct.pack("<II", *w.shape) + w.astype("<f4").tobytes() + b.astype("<f4").tobytes())
+        with pytest.raises(CorruptFile, match=f"enc.bin: {message}"):
             load_encoder(path)

@@ -8,6 +8,8 @@ from sharc.encoders import EncoderParams
 from sharc.exceptions import CorruptIndex, DimMismatch, EmptyInput, InvalidInput, SubjectMismatch
 from sharc.gallery import (
     AppearanceModel,
+    GalleryIndex,
+    IndexEntry,
     ManifestRow,
     TrackletRecord,
     build_index,
@@ -224,6 +226,10 @@ class TestTwoStageEmbedding:
         np.testing.assert_array_equal(app, want_app)
 
 
+def _entry(subject="s0", shape=(1.0, 2.0, 3.0), appearance=(0.5, 0.25), count=1):
+    return IndexEntry(subject, np.array(shape, dtype=float), np.array(appearance, dtype=float), count)
+
+
 class TestIndexFile:
     def test_roundtrip(self, tmp_path):
         recs = _dataset(num_ids=2, tpi=2)
@@ -282,6 +288,26 @@ class TestIndexFile:
             load_index(p)
         p.write_bytes(raw + b"\x00")
         with pytest.raises(CorruptIndex):
+            load_index(p)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([], "index has no entries"),
+            ([_entry(shape=())], "entry 0 has an empty or non-finite shape vector"),
+            ([_entry(appearance=(0.5, np.nan))], "entry 0 has an empty or non-finite appearance vector"),
+            ([_entry(), _entry("s1", shape=(np.inf, 1.0, 2.0))], "entry 1 has an empty or non-finite shape vector"),
+            ([_entry(), _entry("s1", shape=(1.0, 2.0))], "entry 1 shape width 2 differs from entry 0's 3"),
+            ([_entry(), _entry("s1", appearance=(1.0,))], "entry 1 appearance width 1 differs from entry 0's 2"),
+            ([_entry(count=0)], "entry 0 has a source count of 0"),
+            ([_entry(), _entry("")], "entry 1 has an empty subject id"),
+        ],
+        ids=["no-entries", "zero-width", "nan", "inf", "shape-widths", "appearance-widths", "count-0", "empty-id"],
+    )
+    def test_refuses_what_save_index_never_writes(self, tmp_path, entries, message):
+        p = tmp_path / "bad.shrc"
+        save_index(GalleryIndex(entries=entries, model_hash="0123456789ab"), p)
+        with pytest.raises(CorruptIndex, match=f"bad.shrc: {message}"):
             load_index(p)
 
 

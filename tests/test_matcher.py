@@ -266,6 +266,30 @@ class TestRank:
         m = ScoreMatrix(np.array([[0.5, 0.5, 0.1]]), ["q"], ["zz", "aa", "mm"])
         assert rank(m) == [["aa", "zz", "mm"]]
 
+    @staticmethod
+    def _lexsort_oracle(m):
+        """The per-row rank: lexsort by -score, then id, then column order."""
+        ids = np.array(m.gallery_ids)
+        return [[m.gallery_ids[j] for j in np.lexsort((ids, -row))] for row in m.scores]
+
+    @pytest.mark.parametrize(
+        "scores, gallery_ids",
+        [
+            # exact ties across many columns, ids in no particular column order
+            (np.random.default_rng(3).integers(0, 3, (6, 40)) / 4.0, [f"g{(7 * i) % 40:02d}" for i in range(40)]),
+            # 0.0 and -0.0 are one score: the tie breaks by id
+            (np.array([[0.0, -0.0, 0.0, -0.0, 1.0], [-0.0, 0.0, -0.0, 0.0, -1.0]]), ["d", "b", "e", "a", "c"]),
+            # unsorted ids, distinct scores
+            (np.random.default_rng(4).standard_normal((5, 9)), ["z", "m", "a", "q", "b", "y", "c", "x", "n"]),
+            # a repeated id
+            (np.array([[0.5, 0.5, 0.5, 0.2]]), ["k", "j", "k", "a"]),
+        ],
+        ids=["many-ties", "signed-zeros", "unsorted-ids", "repeated-id"],
+    )
+    def test_matches_the_per_row_lexsort(self, scores, gallery_ids):
+        m = ScoreMatrix(scores, [f"q{i}" for i in range(len(scores))], gallery_ids)
+        assert rank(m) == self._lexsort_oracle(m)
+
     def test_each_row_is_a_permutation(self):
         rng = np.random.default_rng(6)
         ids = [f"s{i}" for i in range(7)]

@@ -20,14 +20,18 @@ def _oracle_cmc(ranked_lists, query_labels, gallery_labels, k):
     return sum(hits) / len(hits)
 
 
-def _oracle_map(ranked_lists, query_labels, gallery_labels):
+def _oracle_aps(ranked_lists, query_labels, gallery_labels):
     aps = []
     for ranked, lab in zip(ranked_lists, query_labels):
         rel = np.array([gallery_labels[g] == lab for g in ranked])
         cum = np.cumsum(rel)
         precision_at_hits = cum[rel] / (np.flatnonzero(rel) + 1)
         aps.append(precision_at_hits.mean())
-    return float(np.mean(aps))
+    return aps
+
+
+def _oracle_map(ranked_lists, query_labels, gallery_labels):
+    return float(np.mean(_oracle_aps(ranked_lists, query_labels, gallery_labels)))
 
 
 def _random_instance(rng, n_query=10, n_gallery=30):
@@ -107,6 +111,46 @@ class TestEvalReport:
         assert len(report.per_query_ap) == len(labels)
         assert isinstance(report.map_score, float)
         assert all(isinstance(v, float) for v in report.rank_k.values())
+
+    @pytest.mark.parametrize("skip_unmatchable", [False, True])
+    def test_every_metric_equals_the_oracles(self, skip_unmatchable):
+        # two to five gallery entries per subject (fewer than eight hits, so the
+        # oracle's numpy mean sums in the same order as the sequential AP sum)
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            gallery_labels = {}
+            for s in range(6):
+                for t in range(rng.integers(2, 6)):
+                    gallery_labels[f"g{s}_{t}"] = f"s{s}"
+            ids = list(gallery_labels)
+            rng.shuffle(ids)
+            labels = [f"s{rng.integers(6)}" for _ in range(12)]
+            if skip_unmatchable:
+                labels[::4] = ["ghost"] * len(labels[::4])
+            scores = ScoreMatrix(rng.standard_normal((12, len(ids))), [f"q{i}" for i in range(12)], ids)
+            ranked = rank(scores)
+            report = evaluate_ranking(
+                ranked, labels, gallery_labels, ranks=(1, 2, 3, 5, 40), skip_unmatchable=skip_unmatchable
+            )
+            kept = [i for i, lab in enumerate(labels) if lab != "ghost"]
+            kept_ranked, kept_labels = [ranked[i] for i in kept], [labels[i] for i in kept]
+            for k, value in report.rank_k.items():
+                assert value == _oracle_cmc(kept_ranked, kept_labels, gallery_labels, k)
+            assert report.per_query_ap == _oracle_aps(kept_ranked, kept_labels, gallery_labels)
+            assert report.map_score == _oracle_map(kept_ranked, kept_labels, gallery_labels)
+
+    def test_a_list_without_its_correct_ids_is_a_miss_and_has_no_ap(self):
+        # the second list stops before its correct id
+        gal = {"a": "x", "b": "y", "c": "y"}
+        ranked = [["b", "a", "c"], ["b", "c"]]
+        labels = ["x", "x"]
+        assert cmc(ranked, labels, gal, k=3) == 0.5
+        with pytest.raises(UnmatchableQuery, match="label 'x' absent from the ranked list"):
+            average_precision(ranked[1], "x", gal)
+        with pytest.raises(UnmatchableQuery, match="absent from the ranked list"):
+            mean_average_precision(ranked, labels, gal)
+        with pytest.raises(UnmatchableQuery, match="absent from the ranked list"):
+            evaluate_ranking(ranked, labels, gal)
 
     def test_lines_and_csv_shapes(self):
         report = EvalReport(rank_k={1: 0.5, 5: 1.0}, map_score=0.75)

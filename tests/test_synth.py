@@ -50,6 +50,9 @@ class TestSpecValidation:
             _spec(keypoint_jitter=-0.1)
         with pytest.raises(InvalidInput):
             _spec(height=3)
+        for shift in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InvalidInput, match="appearance_shift"):
+                _spec(appearance_shift=shift)
 
     def test_keypoint_jitter_that_could_overflow_float32_is_rejected(self):
         _spec(keypoint_jitter=MAX_KEYPOINT_JITTER)
