@@ -149,9 +149,7 @@ def _write_table(path: str, comment: str, header: str, rows: list[str]) -> None:
 
 def cmd_synth(cfg: RunConfig, out: str) -> int:
     records = generate_dataset(cfg.dataset)
-    manifest_path = write_dataset(records, out)
-    rows = read_manifest(manifest_path)
-    write_manifest(rows, manifest_path, _comment(cfg))
+    rows = read_manifest(write_dataset(records, out, _comment(cfg)))
     gallery, query = split_protocol(rows, cfg.protocol.gallery_ratio, cfg.protocol.split_seed)
     write_manifest(gallery, os.path.join(out, "gallery.csv"), _comment(cfg))
     write_manifest(query, os.path.join(out, "query.csv"), _comment(cfg))
@@ -254,13 +252,14 @@ def cmd_train_toy(cfg: RunConfig, out: str) -> int:
         (t.input_dim, t.hidden_dim, t.embed_dim), derive_seed(t.seed, 1)
     )
     result = train_toy(params, dataset, t.objective, t.steps, t.lr, derive_seed(t.seed, 2))
+    # first, so that weights float32 cannot hold leave no loss trace behind either
+    save_encoder(result.params, os.path.join(out, "trained_encoder.shrcenc"))
     _write_table(
         os.path.join(out, "loss_trace.csv"),
         _comment(cfg),
         "step,loss",
         [f"{i},{loss!r}" for i, loss in enumerate(result.trace)],
     )
-    save_encoder(result.params, os.path.join(out, "trained_encoder.shrcenc"))
     print(f"objective={t.objective} initial={result.trace[0]!r} final={result.trace[-1]!r}")
     return 0
 

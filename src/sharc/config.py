@@ -1,179 +1,112 @@
 """Run configuration: flat key=value files with section headers.
 
-Every key has a default, so an empty file is a valid config; unknown sections
-or keys are rejected (typos should not silently fall back to defaults). All
-randomness in a run flows from the seeds named here. The resolved
-configuration (defaults filled in) is hashed so output files can be traced
-back to the exact settings that produced them.
+Each section of a file is one frozen dataclass, listed in `SECTIONS`, and each
+key is declared once, as a field made by `exceptions.setting`: its default
+gives the key's type and default value, and its check the key's range. The
+`[dataset]` section is `synth.DatasetSpec`, so a config and a spec built in
+code obey the same rules. Every key has a default, so an empty file is a
+valid config; unknown sections or keys are rejected (typos should not
+silently fall back to defaults). A value that fails its check, or that
+passes it but cannot run with the others (a frame the encoders cannot pool,
+a dataset with no query tracklets, one class for a loss that needs two), is
+refused here with a ConfigError naming the key. All randomness in a run
+flows from the seeds named here. The resolved configuration (defaults filled
+in) is hashed so output files can be traced back to the exact settings that
+produced them.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .appearance import TA_TARGETS, AttentionParams
 from .core import HPP_MODES
 from .encoders import SKELETON_INPUT_DIM, SMPL_DIM, EncoderParams
-from .exceptions import ConfigError
+from .exceptions import ConfigError, at_least, finite_nonneg, setting, within
 from .gallery import AppearanceModel
 from .prng import derive_seed
 from .shape import ShapeModel
-from .synth import MAX_KEYPOINT_JITTER, MIN_FRAME_SIDE, DatasetSpec
+from .synth import DatasetSpec
 
-
-def _positive(v):
-    if v < 1:
-        raise ValueError("must be >= 1")
-
-
-def _nonneg(v):
-    if not (math.isfinite(v) and v >= 0):
-        raise ValueError("must be finite and >= 0")
-
-
-def _frame_side(v):
-    if v < MIN_FRAME_SIDE:
-        raise ValueError(f"must be >= {MIN_FRAME_SIDE}")
-
-
-def _unit(v):
-    if not 0.0 <= v <= 1.0:
-        raise ValueError("must be in [0, 1]")
+_POSITIVE = at_least(1)
+_UNIT = within(0, 1)
 
 
 def _open_unit(v):
-    if not 0.0 < v < 1.0:
-        raise ValueError("must be in (0, 1)")
+    return None if 0.0 < v < 1.0 else "must be in (0, 1)"
 
 
-def _jitter(v):
-    if not 0.0 <= v <= MAX_KEYPOINT_JITTER:
-        raise ValueError(
-            f"must be in [0, {MAX_KEYPOINT_JITTER!r}], so that generated keypoints and body "
-            "parameters stay finite in float32"
-        )
-
-
-def _choice(options):
-    def check(v):
-        if v not in options:
-            raise ValueError(f"must be one of {', '.join(options)}")
-
-    return check
-
-
-# section -> key -> (python type, default, validator or None)
-_SCHEMA = {
-    "dataset": {
-        "num_ids": (int, 8, _positive),
-        "tracklets_per_id": (int, 2, _positive),
-        "frames_per_tracklet": (int, 12, _positive),
-        "clothing_variants": (int, 1, _positive),
-        "sil_flip_rate": (float, 0.0, _unit),
-        "keypoint_jitter": (float, 0.0, _jitter),
-        "appearance_shift": (float, 0.0, _nonneg),
-        "seed": (int, 1, None),
-        "height": (int, 16, _frame_side),
-        "width": (int, 16, _frame_side),
-    },
-    "model": {
-        "bins": (int, 4, _positive),
-        "channels": (int, 16, _positive),
-        "motion_channels": (int, 12, _positive),
-        "gamma": (float, 0.0, _unit),
-        "alpha": (float, 0.1, _unit),
-        "pyramid_levels": (int, 3, _positive),
-        "hpp_mode": (str, "max+mean", _choice(HPP_MODES)),
-        "ta_target": (str, "later", _choice(TA_TARGETS)),
-        "encoder_seed": (int, 5, None),
-        "attention_seed": (int, 11, None),
-        "projection_seed": (int, 7, None),
-        "normalize_parts": (bool, True, None),
-        "rescale_appearance": (bool, True, None),
-    },
-    "protocol": {
-        "gallery_ratio": (float, 0.5, _open_unit),
-        "split_seed": (int, 2, None),
-    },
-    "ablation": {
-        "drop_silhouette": (bool, False, None),
-        "drop_smpl": (bool, False, None),
-        "drop_skeleton": (bool, False, None),
-        "use_attn": (bool, True, None),
-        "use_avg": (bool, True, None),
-        "centroid": (bool, True, None),
-    },
-    "paths": {
-        "data_dir": (str, "out", None),
-    },
-    "train": {
-        "objective": (str, "shape", _choice(("shape", "appearance"))),
-        "num_ids": (int, 8, _positive),
-        "samples_per_id": (int, 4, _positive),
-        "input_dim": (int, 16, _positive),
-        "noise": (float, 0.1, _nonneg),
-        "steps": (int, 200, _positive),
-        "lr": (float, 0.05, _nonneg),
-        "seed": (int, 3, None),
-        "data_seed": (int, 9, None),
-        "hidden_dim": (int, 24, _positive),
-        "embed_dim": (int, 16, _positive),
-    },
-}
-
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
+def _one_of(options):
+    return lambda v: None if v in options else f"must be one of {', '.join(options)}"
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    bins: int
-    channels: int
-    motion_channels: int
-    gamma: float
-    alpha: float
-    pyramid_levels: int
-    hpp_mode: str
-    ta_target: str
-    encoder_seed: int
-    attention_seed: int
-    projection_seed: int
-    normalize_parts: bool
-    rescale_appearance: bool
+    bins: int = setting(4, _POSITIVE)
+    channels: int = setting(16, _POSITIVE)
+    motion_channels: int = setting(12, _POSITIVE)
+    gamma: float = setting(0.0, _UNIT)
+    alpha: float = setting(0.1, _UNIT)
+    pyramid_levels: int = setting(3, _POSITIVE)
+    hpp_mode: str = setting("max+mean", _one_of(HPP_MODES))
+    ta_target: str = setting("later", _one_of(TA_TARGETS))
+    encoder_seed: int = setting(5)
+    attention_seed: int = setting(11)
+    projection_seed: int = setting(7)
+    normalize_parts: bool = setting(True)
+    rescale_appearance: bool = setting(True)
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    gallery_ratio: float
-    split_seed: int
+    gallery_ratio: float = setting(0.5, _open_unit)
+    split_seed: int = setting(2)
 
 
 @dataclass(frozen=True)
 class AblationConfig:
-    drop_silhouette: bool
-    drop_smpl: bool
-    drop_skeleton: bool
-    use_attn: bool
-    use_avg: bool
-    centroid: bool
+    drop_silhouette: bool = setting(False)
+    drop_smpl: bool = setting(False)
+    drop_skeleton: bool = setting(False)
+    use_attn: bool = setting(True)
+    use_avg: bool = setting(True)
+    centroid: bool = setting(True)
+
+
+@dataclass(frozen=True)
+class PathsConfig:
+    data_dir: str = setting("out")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    objective: str
-    num_ids: int
-    samples_per_id: int
-    input_dim: int
-    noise: float
-    steps: int
-    lr: float
-    seed: int
-    data_seed: int
-    hidden_dim: int
-    embed_dim: int
+    objective: str = setting("shape", _one_of(("shape", "appearance")))
+    num_ids: int = setting(8, _POSITIVE)
+    samples_per_id: int = setting(4, _POSITIVE)
+    input_dim: int = setting(16, _POSITIVE)
+    noise: float = setting(0.1, finite_nonneg)
+    steps: int = setting(200, _POSITIVE)
+    lr: float = setting(0.05, finite_nonneg)
+    seed: int = setting(3)
+    data_seed: int = setting(9)
+    hidden_dim: int = setting(24, _POSITIVE)
+    embed_dim: int = setting(16, _POSITIVE)
+
+
+# config file section -> the dataclass declaring its keys
+SECTIONS = {
+    "dataset": DatasetSpec,
+    "model": ModelConfig,
+    "protocol": ProtocolConfig,
+    "ablation": AblationConfig,
+    "paths": PathsConfig,
+    "train": TrainConfig,
+}
+
+_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
+               "false": False, "no": False, "off": False, "0": False}
 
 
 @dataclass(frozen=True)
@@ -182,22 +115,25 @@ class RunConfig:
     model: ModelConfig
     protocol: ProtocolConfig
     ablation: AblationConfig
-    data_dir: str
+    paths: PathsConfig
     train: TrainConfig
 
+    @property
+    def data_dir(self) -> str:
+        return self.paths.data_dir
+
     def resolved_items(self) -> list[tuple[str, str]]:
-        """(section.key, value-as-text) pairs, sorted, defaults included."""
-        sections = {
-            "dataset": self.dataset,
-            "model": self.model,
-            "protocol": self.protocol,
-            "ablation": self.ablation,
-            "train": self.train,
-        }
-        items = [("paths.data_dir", self.data_dir)]
-        for name, obj in sections.items():
-            for key in _SCHEMA[name]:
-                items.append((f"{name}.{key}", repr(getattr(obj, key))))
+        """(section.key, value-as-text) pairs, sorted, defaults included.
+
+        Values are written with repr, except data_dir, which the hash has
+        always taken as written.
+        """
+        items = []
+        for section, cls in SECTIONS.items():
+            obj = getattr(self, section)
+            for f in fields(cls):
+                value = getattr(obj, f.name)
+                items.append((f"{section}.{f.name}", value if cls is PathsConfig else repr(value)))
         return sorted(items)
 
     def hash(self) -> str:
@@ -227,19 +163,18 @@ def _digest(items: list[tuple[str, str]]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-def _coerce(section: str, key: str, text: str, typ):
-    field = f"{section}.{key}"
+def _coerce(name: str, text: str, typ):
     if typ is bool:
         word = text.strip().lower()
         if word not in _BOOL_WORDS:
-            raise ConfigError(field, f"expected a boolean, got {text!r}")
+            raise ConfigError(name, f"expected a boolean, got {text!r}")
         return _BOOL_WORDS[word]
     if typ is str:
         return text.strip()
     try:
         return typ(text.strip())
     except ValueError:
-        raise ConfigError(field, f"expected {typ.__name__}, got {text!r}") from None
+        raise ConfigError(name, f"expected {typ.__name__}, got {text!r}") from None
 
 
 def parse_config(path) -> RunConfig:
@@ -252,38 +187,23 @@ def parse_config(path) -> RunConfig:
         except configparser.Error as exc:
             raise ConfigError("(file)", f"unparseable config: {exc}") from None
 
-    resolved: dict[str, dict] = {}
-    for section, keys in _SCHEMA.items():
-        resolved[section] = {key: default for key, (_, default, _) in keys.items()}
+    given: dict[str, dict] = {section: {} for section in SECTIONS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in SECTIONS:
             raise ConfigError(section, "unknown section")
+        declared = {f.name: f for f in fields(SECTIONS[section])}
         for key, text in parser[section].items():
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"{section}.{key}", "unknown key")
-            typ, _, validator = _SCHEMA[section][key]
-            value = _coerce(section, key, text, typ)
-            if validator is not None:
-                try:
-                    validator(value)
-                except ValueError as exc:
-                    raise ConfigError(f"{section}.{key}", str(exc)) from None
-            resolved[section][key] = value
-
-    model = ModelConfig(**resolved["model"])
-    try:
-        dataset = DatasetSpec(**resolved["dataset"])
-    except Exception as exc:
-        raise ConfigError("dataset", str(exc)) from None
-    _check_geometry(dataset, model)
-    return RunConfig(
-        dataset=dataset,
-        model=model,
-        protocol=ProtocolConfig(**resolved["protocol"]),
-        ablation=AblationConfig(**resolved["ablation"]),
-        data_dir=resolved["paths"]["data_dir"],
-        train=TrainConfig(**resolved["train"]),
-    )
+            name = f"{section}.{key}"
+            if key not in declared:
+                raise ConfigError(name, "unknown key")
+            value = _coerce(name, text, type(declared[key].default))
+            problem = declared[key].metadata["check"](value)
+            if problem is not None:
+                raise ConfigError(name, problem)
+            given[section][key] = value
+    cfg = RunConfig(**{section: cls(**given[section]) for section, cls in SECTIONS.items()})
+    _check_runnable(cfg)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +223,20 @@ def _grid_widths(m: ModelConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
-def _check_geometry(dataset: DatasetSpec, model: ModelConfig) -> None:
-    """Reject frame sizes the grid encoders cannot pool or the strips cannot split."""
+def _check_runnable(cfg: RunConfig) -> None:
+    """Refuse values that pass their own checks but cannot run together."""
+    dataset, model = cfg.dataset, cfg.model
+    if dataset.tracklets_per_id < 2:
+        raise ConfigError(
+            "dataset.tracklets_per_id",
+            f"must be >= 2, so that every subject has a gallery and a query tracklet; got {dataset.tracklets_per_id}",
+        )
+    if cfg.train.objective == "appearance" and cfg.train.num_ids < 2:
+        raise ConfigError(
+            "train.num_ids",
+            f"must be >= 2 under the appearance objective, whose centroid triplet loss needs two classes; "
+            f"got {cfg.train.num_ids}",
+        )
     # every grid-encoder layer ends in a 2x2 average pool
     factors = {name: 2 ** (len(w) - 1) for name, w in _grid_widths(model).items()}
     for name, factor in factors.items():

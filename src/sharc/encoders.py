@@ -176,13 +176,21 @@ def encode_appearance(frames: np.ndarray, params: EncoderParams) -> np.ndarray:
 
 
 def save_encoder(params: EncoderParams, path) -> None:
+    """Write a SHRCENC1 file; weights that float32 cannot hold are refused
+    before the file is opened, since `load_encoder` would refuse the file."""
+    # out-of-range values cast to inf, which the check below reports
+    with np.errstate(over="ignore"):
+        layers = [(w.astype("<f4"), b.astype("<f4")) for w, b in params.layers]
+    for i, (w, b) in enumerate(layers):
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise InvalidInput(f"{path}: layer {i} has weights or biases that are not finite in float32")
     with open(path, "wb") as f:
         f.write(ENCODER_MAGIC)
-        for w, b in params.layers:
+        for w, b in layers:
             rows, cols = w.shape
             f.write(struct.pack("<II", rows, cols))
-            f.write(w.astype("<f4").tobytes(order="C"))
-            f.write(b.astype("<f4").tobytes())
+            f.write(w.tobytes(order="C"))
+            f.write(b.tobytes())
 
 
 def load_encoder(path) -> EncoderParams:

@@ -200,6 +200,8 @@ def _ctl_grad(e: np.ndarray, labels: np.ndarray, margin: float) -> tuple[float, 
             d = float(np.linalg.norm(e[a] - centroids[other]))
             if d < d_an:
                 best_k, d_an = other, d
+        if best_k is None:  # no distance to another centroid is finite
+            return float("nan"), grad
         hinge = d_ap - d_an + margin
         if hinge <= 0.0:
             continue
@@ -389,6 +391,9 @@ def _loss_and_grads(objective, x, labels, layers, wc, bc, centers):
     return loss, grads, d_wc, d_bc
 
 
+# a diverging run overflows before its loss turns non-finite, and the
+# TrainingDiverged that follows says so in one line
+@np.errstate(over="ignore", invalid="ignore")
 def train_toy(
     params: EncoderParams,
     dataset: ToyDataset,

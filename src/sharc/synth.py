@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .encoders import SKELETON_INPUT_DIM, SKELETON_JOINTS, SMPL_DIM
-from .exceptions import CorruptFile, InvalidInput, ProtocolError
+from .exceptions import CorruptFile, InvalidInput, ProtocolError, at_least, finite_nonneg, setting, within
 from .gallery import ManifestRow, TrackletRecord, read_manifest, write_manifest
 from .prng import SplitMix64, derive_seed
 
@@ -50,9 +50,6 @@ SIGNATURE_DIM = 6
 # keypoint_jitter * 8.6. Below this bound none of them overflows float32 in a
 # frame container.
 MAX_KEYPOINT_JITTER = float(np.finfo(np.float32).max) / 8.6
-
-# smallest frame height and width a DatasetSpec accepts
-MIN_FRAME_SIDE = 4
 
 # (tag, record field, on-disk dtype) of the sections of a SHRCDAT3 container,
 # in on-disk order
@@ -96,33 +93,32 @@ class IdentityProfile:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    num_ids: int
-    tracklets_per_id: int
-    frames_per_tracklet: int
-    clothing_variants: int
-    sil_flip_rate: float
-    keypoint_jitter: float
-    appearance_shift: float
-    seed: int
-    height: int = 16
-    width: int = 16
+    """The `[dataset]` config section: each field's default and range check.
+
+    Building a spec runs every check and raises InvalidInput naming the first
+    field that fails; `parse_config` runs the same checks key by key.
+    """
+
+    num_ids: int = setting(8, at_least(1))
+    tracklets_per_id: int = setting(2, at_least(1))
+    frames_per_tracklet: int = setting(12, at_least(1))
+    clothing_variants: int = setting(1, at_least(1))
+    sil_flip_rate: float = setting(0.0, within(0, 1))
+    keypoint_jitter: float = setting(
+        0.0,
+        within(0, MAX_KEYPOINT_JITTER, ", so that generated keypoints and body parameters stay finite in float32"),
+    )
+    appearance_shift: float = setting(0.0, finite_nonneg)
+    seed: int = setting(1)
+    height: int = setting(16, at_least(4))
+    width: int = setting(16, at_least(4))
 
     def __post_init__(self):
-        for name in ("num_ids", "tracklets_per_id", "frames_per_tracklet", "clothing_variants"):
-            if getattr(self, name) < 1:
-                raise InvalidInput(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.sil_flip_rate <= 1.0:
-            raise InvalidInput(f"sil_flip_rate must be in [0, 1], got {self.sil_flip_rate}")
-        if self.keypoint_jitter < 0.0:
-            raise InvalidInput(f"keypoint_jitter must be nonnegative, got {self.keypoint_jitter}")
-        if not (math.isfinite(self.appearance_shift) and self.appearance_shift >= 0.0):
-            raise InvalidInput(f"appearance_shift must be finite and nonnegative, got {self.appearance_shift}")
-        if not self.keypoint_jitter <= MAX_KEYPOINT_JITTER:
-            raise InvalidInput(f"keypoint_jitter must be at most {MAX_KEYPOINT_JITTER!r}, got {self.keypoint_jitter}")
-        if self.height < MIN_FRAME_SIDE or self.width < MIN_FRAME_SIDE:
-            raise InvalidInput(
-                f"frame grid must be at least {MIN_FRAME_SIDE}x{MIN_FRAME_SIDE}, got {self.height}x{self.width}"
-            )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            problem = f.metadata["check"](value)
+            if problem is not None:
+                raise InvalidInput(f"{f.name} {problem}, got {value!r}")
 
 
 def subject_label(index: int) -> str:
@@ -364,10 +360,11 @@ def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: s
     return TrackletRecord(tracklet_id=tracklet_id, subject_id=subject_id, clothing_id=clothing_id, **arrays)
 
 
-def write_dataset(records: list[TrackletRecord], out_dir) -> str:
+def write_dataset(records: list[TrackletRecord], out_dir, header_comment: str | None = None) -> str:
     """Write frame containers plus the manifest; returns the manifest path.
 
-    frames_path entries are relative to the manifest's directory.
+    frames_path entries are relative to the manifest's directory; the
+    manifest starts with `header_comment`, if given, as a `#` line.
     """
     frames_dir = os.path.join(out_dir, "frames")
     os.makedirs(frames_dir, exist_ok=True)
@@ -384,7 +381,7 @@ def write_dataset(records: list[TrackletRecord], out_dir) -> str:
             )
         )
     manifest_path = os.path.join(out_dir, "manifest.csv")
-    write_manifest(rows, manifest_path)
+    write_manifest(rows, manifest_path, header_comment)
     return manifest_path
 
 

@@ -1,4 +1,5 @@
 import filecmp
+import warnings
 
 import pytest
 
@@ -178,6 +179,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: invalid config: dataset.keypoint_jitter")
         assert captured.err.count("\n") == 1
+        assert not data_dir.exists()
+
+    def test_one_tracklet_per_subject_is_3_before_any_frame_is_written(self, workspace, capsys):
+        # before, synth wrote every frame container, then failed to split them
+        cfg_path, data_dir, tmp = workspace
+        cfg_path.write_text(cfg_path.read_text().replace("tracklets_per_id = 2", "tracklets_per_id = 1"))
+        assert _run(["synth", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: dataset.tracklets_per_id: ") and err.count("\n") == 1
         assert not data_dir.exists()
 
     def test_frame_size_the_encoders_cannot_split_is_3_at_parse_time(self, workspace, capsys):
@@ -363,6 +373,27 @@ class TestSweepsAndTraining:
         assert losses[-1] < losses[0]
         assert (out / "trained_encoder.shrcenc").exists()
         assert "final=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("objective", ["shape", "appearance"])
+    def test_diverging_training_prints_one_line(self, workspace, capsys, objective):
+        cfg_path, data_dir, tmp = workspace
+        cfg_path.write_text(
+            cfg_path.read_text().replace("steps = 5", f"steps = 5\nlr = 1e300\nobjective = {objective}")
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert _run(["train-toy", "--config", cfg_path, "--out", tmp / "o"]) == 2
+        assert capsys.readouterr().err == "error: non-finite loss at step 1\n"
+
+    def test_weights_that_overflow_float32_are_2_with_no_outputs(self, workspace, capsys):
+        # before, the encoder file was written and load_encoder refused it
+        cfg_path, data_dir, tmp = workspace
+        cfg_path.write_text(cfg_path.read_text().replace("steps = 5", "steps = 3\nlr = 1e10"))
+        out = tmp / "o"
+        assert _run(["train-toy", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "trained_encoder.shrcenc: layer 0 has weights or biases that are not finite in float32" in err
+        assert list(out.iterdir()) == []
 
     def test_modality_drop_changes_shape_scores_only(self, workspace):
         cfg_path, data_dir, tmp = workspace

@@ -1,7 +1,12 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from sharc.config import build_appearance_model, build_shape_model, parse_config
-from sharc.exceptions import ConfigError
+from sharc.config import SECTIONS, build_appearance_model, build_shape_model, parse_config
+from sharc.exceptions import ConfigError, InvalidInput
+from sharc.synth import DatasetSpec
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -96,6 +101,9 @@ class TestParsing:
             ("[dataset]\nheight = 2\n", "dataset.height"),
             ("[dataset]\nwidth = 2\n", "dataset.width"),
             ("[model]\nbins = 3\n", "model.bins"),
+            # a DatasetSpec may hold one tracklet per subject, but a run cannot split it
+            ("[dataset]\ntracklets_per_id = 1\n", "dataset.tracklets_per_id"),
+            ("[train]\nobjective = appearance\nnum_ids = 1\n", "train.num_ids"),
         ],
     )
     def test_geometry_is_checked_at_parse_time(self, tmp_path, text, field):
@@ -106,6 +114,30 @@ class TestParsing:
     def test_geometry_that_fits_is_accepted(self, tmp_path):
         cfg = parse_config(_write(tmp_path, "[dataset]\nheight = 24\nwidth = 12\n\n[model]\nbins = 6\n"))
         assert (cfg.dataset.height, cfg.dataset.width, cfg.model.bins) == (24, 12, 6)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("num_ids", 0),
+            ("tracklets_per_id", 0),
+            ("frames_per_tracklet", 0),
+            ("clothing_variants", 0),
+            ("sil_flip_rate", 1.5),
+            ("keypoint_jitter", -0.1),
+            ("appearance_shift", float("nan")),
+            ("height", 3),
+            ("width", 2),
+        ],
+    )
+    def test_a_dataset_rule_refuses_a_config_and_a_spec_alike(self, tmp_path, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, f"[dataset]\n{key} = {value}\n"))
+        assert err.value.field == f"dataset.{key}"
+        with pytest.raises(InvalidInput, match=f"^{key} must be"):
+            DatasetSpec(**{key: value})
+
+    def test_one_training_class_is_accepted_under_the_shape_objective(self, tmp_path):
+        assert parse_config(_write(tmp_path, "[train]\nnum_ids = 1\n")).train.num_ids == 1
 
     def test_unparseable_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -123,6 +155,26 @@ class TestHash:
         assert a.hash() != c.hash()
         assert len(a.hash()) == 12
         assert set(a.hash()) <= set("0123456789abcdef")
+
+    @pytest.mark.parametrize(
+        "text, config_hash, model_hash",
+        [
+            ("", "6c76fdaa33a6", "ac976f5b1d76"),
+            (
+                "[dataset]\nnum_ids = 5\nkeypoint_jitter = 0.25\nheight = 24\n"
+                "[model]\nhpp_mode = mean\ngamma = 0.5\nbins = 3\n[ablation]\ndrop_smpl = yes\n"
+                "[paths]\ndata_dir = elsewhere\n[train]\nobjective = appearance\nlr = 0.01\n",
+                "fa08f5282fc8",
+                "6e16d5a3aba3",
+            ),
+        ],
+        ids=["defaults", "one-key-per-section"],
+    )
+    def test_hashes_are_pinned(self, tmp_path, text, config_hash, model_hash):
+        # every output file starts with the config hash and every index holds
+        # the model hash, so a change to either orphans existing results
+        cfg = parse_config(_write(tmp_path, text))
+        assert (cfg.hash(), cfg.model_hash()) == (config_hash, model_hash)
 
     def test_resolved_items_are_sorted_and_complete(self, tmp_path):
         cfg = parse_config(_write(tmp_path, ""))
@@ -180,3 +232,19 @@ class TestBuilders:
         a, b = build_shape_model(cfg), build_shape_model(cfg)
         for (wa, ba), (wb, bb) in zip(a.sil_encoder.layers, b.sil_encoder.layers):
             np.testing.assert_array_equal(wa, wb)
+
+
+def _readme_default(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"`{value}`" if isinstance(value, str) else repr(value)
+
+
+def test_readme_key_table_lists_every_key_with_its_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `\[(\w+)\]` \| (.+) \|$", readme, flags=re.M))
+    assert set(rows) == set(SECTIONS)
+    for section, cls in SECTIONS.items():
+        listed = re.findall(r"`(\w+)` \(([^)]+)\)", rows[section])
+        declared = [(f.name, _readme_default(f.default)) for f in fields(cls)]
+        assert listed == declared, section

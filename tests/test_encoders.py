@@ -217,6 +217,18 @@ class TestSerialization:
             np.testing.assert_allclose(wq, wp, rtol=0, atol=1e-7)
             np.testing.assert_allclose(bq, bp, rtol=0, atol=1e-7)
 
+    @pytest.mark.parametrize("value", [1e39, -np.inf, np.nan])
+    def test_save_refuses_weights_float32_cannot_hold(self, tmp_path, value):
+        p = EncoderParams.initialize((4, 6, 8), seed=9)
+        w, b = p.layers[1]
+        w = w.copy()
+        w[2, 3] = value
+        bad = EncoderParams(layers=(p.layers[0], (w, b)))
+        path = tmp_path / "enc.bin"
+        with pytest.raises(InvalidInput, match="enc.bin: layer 1 has weights or biases that are not finite in float32"):
+            save_encoder(bad, path)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)

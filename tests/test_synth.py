@@ -368,6 +368,13 @@ class TestDatasetIo:
         for ra, rb in zip(recs, loaded):
             np.testing.assert_array_equal(rb.masks[0], ra.masks[0])
 
+    def test_manifest_carries_the_header_comment(self, tmp_path):
+        recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
+        manifest = write_dataset(recs, tmp_path / "data", "sharc test")
+        with open(manifest) as f:
+            assert f.read().startswith("# sharc test\ntracklet_id,")
+        assert [r.tracklet_id for r in load_dataset(manifest)] == [r.tracklet_id for r in recs]
+
     def test_missing_container_reported(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
         manifest = write_dataset(recs, tmp_path / "data")
