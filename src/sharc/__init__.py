@@ -66,7 +66,7 @@ from .losses import (
 from .matcher import ScoreMatrix, appearance_scores, fuse_scores, rank, shape_scores
 from .metrics import EvalReport, average_precision, cmc, evaluate_ranking, mean_average_precision
 from .prng import SplitMix64, derive_seed
-from .shape import ShapeEmbedding, ShapeModel, fuse_pose, pool_motion, shape_embedding, temporal_pool_pose
+from .shape import ShapeEmbedding, ShapeModel, fuse_pose, pool_motion, temporal_pool_pose
 from .synth import (
     DatasetSpec,
     IdentityProfile,

@@ -7,6 +7,13 @@ and hardest negative inside the batch); the centroid-triplet positive centroid
 excludes the anchor itself, and anchors whose class has no other member are
 skipped.
 
+Each loss is one whole-batch array kernel, and one function composes both
+objectives. Hinges are summed left to right in anchor order, and the batch-hard
+gradient is scattered in that order (anchor += u, positive -= u, anchor -= v,
+negative += v), so it has the bits of a loop over anchors; the centroid-triplet
+gradient sums per class instead, an ulp or so away. A hinge counts unless it is
+`<= 0`, so a NaN hinge counts and a diverging batch has a NaN loss.
+
 The trainer fits an encoder stack (linear -> bias -> ReLU blocks, matching the
 encoders module) plus a linear classifier head with plain full-batch gradient
 descent. Gradients are analytic and checked against central differences on the
@@ -24,6 +31,7 @@ from .core import as_vector, euclidean_distance
 from .encoders import EncoderParams
 from .exceptions import (
     DimMismatch,
+    EmptyInput,
     GradientCheckFailed,
     InvalidInput,
     TrainingDiverged,
@@ -38,6 +46,28 @@ CTL_WEIGHT = 5e-4
 CENTER_UPDATE_RATE = 0.5
 
 
+def _labelled_rows(x, labels, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """`x` as a 2-D float64 array with one row per label, and the labels as int64.
+
+    Raises DimMismatch when the shapes disagree and EmptyInput for a batch
+    without samples.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    lab = np.asarray(labels, dtype=np.int64)
+    if a.ndim != 2 or lab.ndim != 1 or a.shape[0] != lab.shape[0]:
+        raise DimMismatch(f"{name} {a.shape} and labels {lab.shape} are inconsistent")
+    if lab.size == 0:
+        raise EmptyInput(f"{name}: the batch has no samples")
+    return a, lab
+
+
+def _check_classes(labels: np.ndarray, num_classes: int) -> None:
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise IndexError(
+            f"labels must lie in [0, {num_classes}), got {labels.min()}..{labels.max()}"
+        )
+
+
 @dataclass
 class Batch:
     """Operands of the objectives for one training batch."""
@@ -48,25 +78,15 @@ class Batch:
     centers: np.ndarray | None = None  # (K, D), for center loss
 
     def __post_init__(self):
-        e = np.asarray(self.embeddings, dtype=np.float64)
-        lab = np.asarray(self.labels, dtype=np.int64)
-        if e.ndim != 2 or lab.ndim != 1 or e.shape[0] != lab.shape[0]:
-            raise DimMismatch(
-                f"embeddings {e.shape} and labels {lab.shape} are inconsistent"
-            )
+        e, lab = _labelled_rows(self.embeddings, self.labels, "embeddings")
         if self.logits is not None:
-            z = np.asarray(self.logits, dtype=np.float64)
-            if z.ndim != 2 or z.shape[0] != e.shape[0]:
-                raise DimMismatch(f"logits {z.shape} do not match {e.shape[0]} embeddings")
-            if lab.min() < 0 or lab.max() >= z.shape[1]:
-                raise IndexError(f"labels must lie in [0, {z.shape[1]}), got {lab.min()}..{lab.max()}")
-            self.logits = z
+            self.logits, _ = _labelled_rows(self.logits, lab, "logits")
+            _check_classes(lab, self.logits.shape[1])
         if self.centers is not None:
             c = np.asarray(self.centers, dtype=np.float64)
             if c.ndim != 2 or c.shape[1] != e.shape[1]:
                 raise DimMismatch(f"centers {c.shape} do not match embedding dim {e.shape[1]}")
-            if lab.min() < 0 or lab.max() >= c.shape[0]:
-                raise IndexError(f"labels must lie in [0, {c.shape[0]}), got {lab.min()}..{lab.max()}")
+            _check_classes(lab, c.shape[0])
             self.centers = c
         self.embeddings = e
         self.labels = lab
@@ -82,24 +102,17 @@ def triplet_loss(anchor, positive, negative, margin: float) -> float:
 
 
 def cross_entropy(logits, label: int) -> float:
-    """-log softmax(logits)[label], computed with max-subtraction."""
+    """-log softmax(logits)[label]: the one-row case of the mean cross-entropy."""
     z = as_vector(logits, "logits")
     if not 0 <= label < z.shape[0]:
         raise IndexError(f"label {label} out of range for {z.shape[0]} classes")
-    m = z.max()
-    return float(np.log(np.exp(z - m).sum()) + m - z[label])
+    return _mean_ce_grad(z[None, :], np.array([label]))[0]
 
 
 def center_loss(embeddings, centers, labels) -> float:
     """Half mean squared distance of each embedding to its class center."""
-    e = np.asarray(embeddings, dtype=np.float64)
-    c = np.asarray(centers, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int64)
-    if e.ndim != 2 or c.ndim != 2 or e.shape[1] != c.shape[1]:
-        raise DimMismatch(f"embeddings {e.shape} and centers {c.shape} are inconsistent")
-    if lab.min() < 0 or lab.max() >= c.shape[0]:
-        raise IndexError(f"labels must lie in [0, {c.shape[0]})")
-    resid = e - c[lab]
+    batch = Batch(embeddings=embeddings, labels=labels, centers=centers)
+    resid = batch.embeddings - batch.centers[batch.labels]
     return float(0.5 * np.mean(np.sum(resid**2, axis=1)))
 
 
@@ -109,11 +122,35 @@ def _pairwise_distances(e: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2, 0.0))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis. Each row goes through the same dot
+    product as `np.linalg.norm` of that row alone, so it has the same bits."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _running_sum(x: np.ndarray) -> float:
+    """x[0] + x[1] + ... left to right (`np.sum` adds pairwise, in other bits)."""
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
+
+
+def _class_sums(x: np.ndarray, classes: np.ndarray, k: int) -> np.ndarray:
+    """(k, D) sums of the rows of `x` per class index, each in row order."""
+    sums = np.zeros((k, x.shape[1]))
+    np.add.at(sums, classes, x)
+    return sums
+
+
+def _unit_rows(diff: np.ndarray, d: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """diff / d row by row where `keep` and d > 0; zero rows elsewhere."""
+    keep = keep & (d > 0.0)
+    out = np.zeros_like(diff)
+    out[keep] = diff[keep] / d[keep][:, None]
+    return out
+
+
 def batch_hard_triplet(embeddings, labels, margin: float) -> float:
-    loss, _ = _batch_hard_triplet_grad(
-        np.asarray(embeddings, dtype=np.float64), np.asarray(labels, dtype=np.int64), margin
-    )
-    return loss
+    e, lab = _labelled_rows(embeddings, labels, "embeddings")
+    return _batch_hard_triplet_grad(e, lab, margin)[0]
 
 
 def _batch_hard_triplet_grad(
@@ -136,32 +173,24 @@ def _batch_hard_triplet_grad(
         return 0.0, grad
     n_valid = int(valid.sum())
 
-    pos_dist = np.where(pos_mask, dist, -np.inf)
-    neg_dist = np.where(neg_mask, dist, np.inf)
-    hardest_pos = pos_dist.argmax(axis=1)
-    hardest_neg = neg_dist.argmin(axis=1)
+    hardest_pos = np.where(pos_mask, dist, -np.inf).argmax(axis=1)
+    hardest_neg = np.where(neg_mask, dist, np.inf).argmin(axis=1)
+    anchor = np.flatnonzero(valid)
+    partner = np.stack([hardest_pos, hardest_neg], axis=1)[anchor]
+    d = dist[anchor[:, None], partner]
+    hinge = d[:, 0] - d[:, 1] + margin
+    active = ~(hinge <= 0.0)
 
-    total = 0.0
-    for a in np.flatnonzero(valid):
-        p, ng = hardest_pos[a], hardest_neg[a]
-        hinge = dist[a, p] - dist[a, ng] + margin
-        if hinge <= 0.0:
-            continue
-        total += hinge
-        if dist[a, p] > 0.0:
-            u = (e[a] - e[p]) / dist[a, p]
-            grad[a] += u
-            grad[p] -= u
-        if dist[a, ng] > 0.0:
-            v = (e[a] - e[ng]) / dist[a, ng]
-            grad[a] -= v
-            grad[ng] += v
-    return total / n_valid, grad / n_valid
+    # the negative pair's step is -v, so each pair adds +step to the anchor and
+    # -step to the partner; a zero step adds nothing, as grad never holds -0.0
+    step = _unit_rows(e[anchor][:, None, :] - e[partner], d, active[:, None]) * [[1.0], [-1.0]]
+    rows = np.stack([np.broadcast_to(anchor[:, None], d.shape), partner], axis=2)
+    np.add.at(grad, rows.reshape(-1), np.stack([step, -step], axis=2).reshape(-1, e.shape[1]))
+    return _running_sum(hinge[active]) / n_valid, grad / n_valid
 
 
 def centroid_triplet_loss(batch: Batch, margin: float = CTL_MARGIN) -> float:
-    loss, _ = _ctl_grad(batch.embeddings, batch.labels, margin)
-    return loss
+    return _ctl_grad(batch.embeddings, batch.labels, margin)[0]
 
 
 def _ctl_grad(e: np.ndarray, labels: np.ndarray, margin: float) -> tuple[float, np.ndarray]:
@@ -170,96 +199,97 @@ def _ctl_grad(e: np.ndarray, labels: np.ndarray, margin: float) -> tuple[float, 
     Per anchor: the positive centroid is the mean of the anchor's class
     excluding the anchor (anchors whose class has a single member are
     skipped); the negative is the hardest other-class centroid (computed over
-    all members). Hinge with the given margin, averaged over valid anchors.
+    all members, the first of equals in class order). Hinge with the given
+    margin, averaged over valid anchors. The loss is NaN when some anchor has
+    no finite distance to another class's centroid.
     """
-    classes = np.unique(labels)
-    if classes.shape[0] < 2:
+    classes, cls, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    k = classes.shape[0]
+    if k < 2:
         raise InvalidInput("centroid triplet loss needs at least two classes in the batch")
-    sums = {int(k): e[labels == k].sum(axis=0) for k in classes}
-    counts = {int(k): int((labels == k).sum()) for k in classes}
-    centroids = {k: sums[k] / counts[k] for k in sums}
+    sums = _class_sums(e, cls, k)
+    centroids = sums / counts[:, None]
 
-    grad = np.zeros_like(e)
-    total = 0.0
-    n_valid = 0
-    members = {int(k): np.flatnonzero(labels == k) for k in classes}
-    for a in range(e.shape[0]):
-        k = int(labels[a])
-        if counts[k] < 2:
-            continue
-        n_valid += 1
-        m = counts[k] - 1
-        pc = (sums[k] - e[a]) / m
-        d_ap = float(np.linalg.norm(e[a] - pc))
+    anchor = np.flatnonzero(counts[cls] > 1)
+    if anchor.size == 0:
+        return 0.0, np.zeros_like(e)
+    own = cls[anchor]
+    m = (counts[own] - 1)[:, None]
+    to_pos = e[anchor] - (sums[own] - e[anchor]) / m
+    d_ap = _row_norms(to_pos)
 
-        best_k, d_an = None, np.inf
-        for other in classes:
-            other = int(other)
-            if other == k:
-                continue
-            d = float(np.linalg.norm(e[a] - centroids[other]))
-            if d < d_an:
-                best_k, d_an = other, d
-        if best_k is None:  # no distance to another centroid is finite
-            return float("nan"), grad
-        hinge = d_ap - d_an + margin
-        if hinge <= 0.0:
-            continue
-        total += hinge
-        if d_ap > 0.0:
-            u = (e[a] - pc) / d_ap
-            grad[a] += u
-            for j in members[k]:
-                if j != a:
-                    grad[j] -= u / m
-        if d_an > 0.0:
-            v = (e[a] - centroids[best_k]) / d_an
-            grad[a] -= v
-            for j in members[best_k]:
-                grad[j] += v / counts[best_k]
-    if n_valid == 0:
-        return 0.0, grad
-    return total / n_valid, grad / n_valid
+    # neither a NaN distance nor the anchor's own class is a negative
+    d_cent = _row_norms(e[anchor][:, None, :] - centroids)
+    d_cent[np.isnan(d_cent)] = np.inf
+    d_cent[np.arange(anchor.size), own] = np.inf
+    best = d_cent.argmin(axis=1)
+    d_an = d_cent[np.arange(anchor.size), best]
+    if np.isinf(d_an).any():
+        return float("nan"), np.zeros_like(e)
+    hinge = d_ap - d_an + margin
+    active = ~(hinge <= 0.0)
+
+    # u pulls the anchor toward its positive centroid and moves each other
+    # member of its class by -u / m; v pushes it from the negative centroid
+    # and moves each member of that class by +v / count
+    u = _unit_rows(to_pos, d_ap, active)
+    v = _unit_rows(e[anchor] - centroids[best], d_an, active)
+    pull = _class_sums(u / m, own, k)
+    push = _class_sums(v / counts[best][:, None], best, k)
+    grad = push[cls] - pull[cls]
+    grad[anchor] += u + u / m - v
+    return _running_sum(hinge[active]) / anchor.size, grad / anchor.size
 
 
 def _mean_ce_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. the logits."""
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(n), labels]))
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(n), labels]))
+    probs = exp / total
     probs[np.arange(n), labels] -= 1.0
     return loss, probs / n
 
 
 def mean_cross_entropy(logits, labels) -> float:
-    z = np.asarray(logits, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.min() < 0 or lab.max() >= z.shape[1]:
-        raise IndexError(f"labels must lie in [0, {z.shape[1]})")
-    loss, _ = _mean_ce_grad(z, lab)
-    return loss
+    z, lab = _labelled_rows(logits, labels, "logits")
+    _check_classes(lab, z.shape[1])
+    return _mean_ce_grad(z, lab)[0]
+
+
+def _objective(
+    objective: str, e: np.ndarray, labels: np.ndarray, logits: np.ndarray, centers
+) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """Loss, its gradient w.r.t. the logits, and the terms of its gradient
+    w.r.t. the embeddings that do not pass through the logits. The caller adds
+    the terms, in order, to the logit gradient times the classifier weights."""
+    ce, d_logits = _mean_ce_grad(logits, labels)
+    if objective == "shape":
+        trip, d_trip = _batch_hard_triplet_grad(e, labels, SHAPE_TRIPLET_MARGIN)
+        return SHAPE_TRIPLET_WEIGHT * trip + ce, d_logits, [SHAPE_TRIPLET_WEIGHT * d_trip]
+    if objective == "appearance":
+        trip, d_trip = _batch_hard_triplet_grad(e, labels, APP_TRIPLET_MARGIN)
+        cen = center_loss(e, centers, labels)
+        ctl, d_ctl = _ctl_grad(e, labels, CTL_MARGIN)
+        terms = [d_trip, (e - centers[labels]) / e.shape[0], CTL_WEIGHT * d_ctl]
+        return trip + ce + cen + CTL_WEIGHT * ctl, d_logits, terms
+    raise InvalidInput(f"unknown objective {objective!r}, expected 'shape' or 'appearance'")
 
 
 def shape_objective(batch: Batch) -> float:
     """0.1 * batch-hard triplet (margin 0.2) + mean cross-entropy."""
     if batch.logits is None:
         raise InvalidInput("shape objective needs logits")
-    trip = batch_hard_triplet(batch.embeddings, batch.labels, SHAPE_TRIPLET_MARGIN)
-    ce = mean_cross_entropy(batch.logits, batch.labels)
-    return SHAPE_TRIPLET_WEIGHT * trip + ce
+    return _objective("shape", batch.embeddings, batch.labels, batch.logits, batch.centers)[0]
 
 
 def appearance_objective(batch: Batch) -> float:
     """Triplet (margin 0.3) + cross-entropy + center loss + 5e-4 * centroid triplet."""
     if batch.logits is None or batch.centers is None:
         raise InvalidInput("appearance objective needs logits and centers")
-    trip = batch_hard_triplet(batch.embeddings, batch.labels, APP_TRIPLET_MARGIN)
-    ce = mean_cross_entropy(batch.logits, batch.labels)
-    cen = center_loss(batch.embeddings, batch.centers, batch.labels)
-    ctl = centroid_triplet_loss(batch)
-    return trip + ce + cen + CTL_WEIGHT * ctl
+    return _objective("appearance", batch.embeddings, batch.labels, batch.logits, batch.centers)[0]
 
 
 def numerical_gradient(loss_fn, params: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -289,12 +319,8 @@ class ToyDataset:
     num_classes: int
 
     def __post_init__(self):
-        x = np.asarray(self.features, dtype=np.float64)
-        lab = np.asarray(self.labels, dtype=np.int64)
-        if x.ndim != 2 or lab.shape != (x.shape[0],):
-            raise DimMismatch(f"features {x.shape} and labels {lab.shape} are inconsistent")
-        if lab.min() < 0 or lab.max() >= self.num_classes:
-            raise IndexError(f"labels must lie in [0, {self.num_classes})")
+        x, lab = _labelled_rows(self.features, self.labels, "features")
+        _check_classes(lab, self.num_classes)
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", lab)
 
@@ -330,28 +356,6 @@ def _forward_cached(x: np.ndarray, layers) -> tuple[np.ndarray, list, list]:
     return hs[-1], zs, hs
 
 
-def _objective_with_embedding_grad(
-    objective: str, e: np.ndarray, labels: np.ndarray, wc, bc, centers
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss plus gradients w.r.t. embeddings, classifier weights, classifier bias."""
-    logits = e @ wc.T + bc
-    ce, dlogits = _mean_ce_grad(logits, labels)
-    d_wc = dlogits.T @ e
-    d_bc = dlogits.sum(axis=0)
-    de = dlogits @ wc
-    if objective == "shape":
-        trip, dtrip = _batch_hard_triplet_grad(e, labels, SHAPE_TRIPLET_MARGIN)
-        return SHAPE_TRIPLET_WEIGHT * trip + ce, de + SHAPE_TRIPLET_WEIGHT * dtrip, d_wc, d_bc
-    if objective == "appearance":
-        trip, dtrip = _batch_hard_triplet_grad(e, labels, APP_TRIPLET_MARGIN)
-        cen = center_loss(e, centers, labels)
-        dcen = (e - centers[labels]) / e.shape[0]
-        ctl, dctl = _ctl_grad(e, labels, CTL_MARGIN)
-        loss = trip + ce + cen + CTL_WEIGHT * ctl
-        return loss, de + dtrip + dcen + CTL_WEIGHT * dctl, d_wc, d_bc
-    raise InvalidInput(f"unknown objective {objective!r}, expected 'shape' or 'appearance'")
-
-
 def _flatten_params(layers, wc, bc) -> np.ndarray:
     parts = []
     for w, b in layers:
@@ -379,16 +383,14 @@ def _unflatten_params(flat: np.ndarray, layers, wc, bc):
 
 def _loss_and_grads(objective, x, labels, layers, wc, bc, centers):
     e, zs, hs = _forward_cached(x, layers)
-    loss, de, d_wc, d_bc = _objective_with_embedding_grad(
-        objective, e, labels, wc, bc, centers
-    )
+    loss, d_logits, terms = _objective(objective, e, labels, e @ wc.T + bc, centers)
     grads = [None] * len(layers)
-    g = de
+    g = sum(terms, d_logits @ wc)
     for i in reversed(range(len(layers))):
         g = g * (zs[i] > 0.0)
         grads[i] = (g.T @ hs[i], g.sum(axis=0))
         g = g @ layers[i][0]
-    return loss, grads, d_wc, d_bc
+    return loss, grads, d_logits.T @ e, d_logits.sum(axis=0)
 
 
 # a diverging run overflows before its loss turns non-finite, and the
@@ -401,7 +403,6 @@ def train_toy(
     steps: int,
     lr: float,
     seed: int,
-    check_gradients: bool = True,
     grad_check_tol: float = 1e-3,
 ) -> TrainResult:
     """Full-batch gradient descent on the chosen objective.
@@ -409,8 +410,8 @@ def train_toy(
     `seed` initializes the classifier head; centers start at zero and follow
     the moving-average update (rate 0.5) each step under the appearance
     objective. The first analytic gradient is verified against central
-    differences unless check_gradients is disabled. Loss trace holds the
-    initial loss followed by the loss after each of the `steps` updates.
+    differences. Loss trace holds the initial loss followed by the loss after
+    each of the `steps` updates.
     """
     if steps < 1:
         raise InvalidInput(f"steps must be >= 1, got {steps}")
@@ -427,12 +428,12 @@ def train_toy(
     wc = rng.uniform_array(-bound, bound, (k, embed_dim))
     bc = rng.uniform_array(-bound, bound, (k,))
     centers = np.zeros((k, embed_dim))
+    class_sizes = np.bincount(labels, minlength=k)[:, None]
 
     def loss_at(flat: np.ndarray) -> float:
         ls, w2, b2 = _unflatten_params(flat, layers, wc, bc)
         e, _, _ = _forward_cached(x, ls)
-        loss, _, _, _ = _objective_with_embedding_grad(objective, e, labels, w2, b2, centers)
-        return loss
+        return _objective(objective, e, labels, e @ w2.T + b2, centers)[0]
 
     trace: list[float] = []
     for step in range(steps + 1):
@@ -443,8 +444,8 @@ def train_toy(
         if step == steps:
             break
 
-        if step == 0 and check_gradients:
-            analytic = _flatten_params([g for g in grads], d_wc, d_bc)
+        if step == 0:
+            analytic = _flatten_params(grads, d_wc, d_bc)
             numeric = numerical_gradient(loss_at, _flatten_params(layers, wc, bc))
             denom = max(float(np.linalg.norm(numeric)), 1e-12)
             rel = float(np.linalg.norm(analytic - numeric)) / denom
@@ -459,13 +460,8 @@ def train_toy(
         bc = bc - lr * d_bc
         if objective == "appearance":
             e, _, _ = _forward_cached(x, layers)
-            for cls in range(k):
-                mask = labels == cls
-                cnt = int(mask.sum())
-                if cnt == 0:
-                    continue
-                delta = (cnt * centers[cls] - e[mask].sum(axis=0)) / (1.0 + cnt)
-                centers[cls] = centers[cls] - CENTER_UPDATE_RATE * delta
+            delta = (class_sizes * centers - _class_sums(e, labels, k)) / (1.0 + class_sizes)
+            centers = centers - CENTER_UPDATE_RATE * delta
 
     trained = EncoderParams(layers=tuple((w, b) for w, b in layers), seed=params.seed)
     return TrainResult(params=trained, classifier=(wc, bc), centers=centers, trace=trace)

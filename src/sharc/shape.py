@@ -134,40 +134,30 @@ class ShapeModel:
     def embed(
         self, masks: np.ndarray, appearance: np.ndarray, body: np.ndarray, skeleton: np.ndarray
     ) -> ShapeEmbedding:
-        return shape_embedding(masks, appearance, body, skeleton, self)
+        """Full shape-branch embedding for one tracklet's arrays (see TrackletRecord).
 
-
-def shape_embedding(
-    masks: np.ndarray,
-    appearance: np.ndarray,
-    body: np.ndarray,
-    skeleton: np.ndarray,
-    model: ShapeModel,
-) -> ShapeEmbedding:
-    """Full shape-branch embedding for one tracklet's arrays (see TrackletRecord).
-
-    Encode the silhouettes and body vectors of all frames and fuse them; pool
-    the fused sequence with elementwise max; strip-pool into `model.bins`
-    bands; append the pooled (and projected) motion feature as the extra bin.
-    """
-    n = len(masks)
-    if n == 0:
-        raise EmptyInput("tracklet has no frames")
-    if not (len(appearance) == len(body) == len(skeleton) == n):
-        raise DimMismatch(
-            f"modalities disagree on length: {n} masks, {len(appearance)} RGB frames, "
-            f"{len(body)} body vectors, {len(skeleton)} skeletons"
+        Encode the silhouettes and body vectors of all frames and fuse them; pool
+        the fused sequence with elementwise max; strip-pool into `bins` bands;
+        append the pooled (and projected) motion feature as the extra bin.
+        """
+        n = len(masks)
+        if n == 0:
+            raise EmptyInput("tracklet has no frames")
+        if not (len(appearance) == len(body) == len(skeleton) == n):
+            raise DimMismatch(
+                f"modalities disagree on length: {n} masks, {len(appearance)} RGB frames, "
+                f"{len(body)} body vectors, {len(skeleton)} skeletons"
+            )
+        spatial = grid_output_shape(masks.shape[1:3], self.sil_encoder)
+        fused = fuse_pose(
+            encode_silhouette(masks, appearance, self.sil_encoder),
+            encode_smpl(body, self.smpl_encoder, spatial),
         )
-    spatial = grid_output_shape(masks.shape[1:3], model.sil_encoder)
-    fused = fuse_pose(
-        encode_silhouette(masks, appearance, model.sil_encoder),
-        encode_smpl(body, model.smpl_encoder, spatial),
-    )
-    pose_bins = core.strip_pool(temporal_pool_pose(fused), model.bins, model.hpp_mode)
+        pose_bins = core.strip_pool(temporal_pool_pose(fused), self.bins, self.hpp_mode)
 
-    motion = model.motion_bin(skeleton)
-    if motion.shape[0] != pose_bins.shape[1]:
-        raise DimMismatch(
-            f"motion bin has {motion.shape[0]} channels, pose bins have {pose_bins.shape[1]}"
-        )
-    return ShapeEmbedding(bins=np.vstack([pose_bins, motion[None, :]]))
+        motion = self.motion_bin(skeleton)
+        if motion.shape[0] != pose_bins.shape[1]:
+            raise DimMismatch(
+                f"motion bin has {motion.shape[0]} channels, pose bins have {pose_bins.shape[1]}"
+            )
+        return ShapeEmbedding(bins=np.vstack([pose_bins, motion[None, :]]))

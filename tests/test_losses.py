@@ -12,6 +12,7 @@ from conftest import (
 from sharc.encoders import EncoderParams
 from sharc.exceptions import (
     DimMismatch,
+    EmptyInput,
     GradientCheckFailed,
     InvalidInput,
     TrainingDiverged,
@@ -22,9 +23,11 @@ from sharc.losses import (
     SHAPE_TRIPLET_MARGIN,
     SHAPE_TRIPLET_WEIGHT,
     Batch,
+    ToyDataset,
     _batch_hard_triplet_grad,
     _ctl_grad,
     _mean_ce_grad,
+    _pairwise_distances,
     appearance_objective,
     batch_hard_triplet,
     center_loss,
@@ -105,6 +108,34 @@ class TestBatch:
             Batch(embeddings=np.zeros((2, 2)), labels=np.array([0, 7]), logits=np.zeros((2, 3)))
         with pytest.raises(DimMismatch):
             Batch(embeddings=np.zeros((2, 2)), labels=np.array([0, 1]), centers=np.zeros((2, 5)))
+
+    def test_empty_batches_are_refused(self):
+        labels = np.zeros(0, dtype=int)
+        with pytest.raises(EmptyInput):
+            Batch(embeddings=np.zeros((0, 2)), labels=labels, logits=np.zeros((0, 3)))
+        with pytest.raises(EmptyInput):
+            center_loss(np.zeros((0, 2)), np.zeros((2, 2)), labels)
+        with pytest.raises(EmptyInput):
+            mean_cross_entropy(np.zeros((0, 3)), labels)
+        with pytest.raises(EmptyInput):
+            batch_hard_triplet(np.zeros((0, 2)), labels, margin=0.3)
+        with pytest.raises(EmptyInput):
+            ToyDataset(features=np.zeros((0, 3)), labels=labels, num_classes=2)
+
+    def test_inconsistent_batches_are_refused(self):
+        with pytest.raises(DimMismatch):
+            mean_cross_entropy(np.zeros((4, 3)), [0, 1])
+        with pytest.raises(DimMismatch):
+            batch_hard_triplet(np.zeros(4), [0, 0, 1, 1], margin=0.3)
+        with pytest.raises(DimMismatch):
+            center_loss(np.zeros((3, 2)), np.zeros((2, 2)), [0, 1])
+        with pytest.raises(DimMismatch):
+            ToyDataset(features=np.zeros((3, 2)), labels=[0, 1], num_classes=2)
+        # a label outside the classes stays an IndexError
+        with pytest.raises(IndexError):
+            mean_cross_entropy(np.zeros((2, 3)), [0, 3])
+        with pytest.raises(IndexError):
+            center_loss(np.zeros((2, 2)), np.zeros((2, 2)), [0, 2])
 
 
 class TestObjectives:
@@ -197,6 +228,169 @@ class TestGradients:
             numerical_gradient(lambda p: 0.0, np.zeros(2), eps=0.0)
 
 
+# The per-anchor loops the whole-batch kernels replaced, kept as oracles.
+
+
+def _batch_hard_loop(e, labels, margin):
+    n = e.shape[0]
+    dist = _pairwise_distances(e)
+    same = labels[:, None] == labels[None, :]
+    pos_mask = same & ~np.eye(n, dtype=bool)
+    neg_mask = ~same
+
+    grad = np.zeros_like(e)
+    valid = pos_mask.any(axis=1) & neg_mask.any(axis=1)
+    if not valid.any():
+        return 0.0, grad
+    n_valid = int(valid.sum())
+
+    pos_dist = np.where(pos_mask, dist, -np.inf)
+    neg_dist = np.where(neg_mask, dist, np.inf)
+    hardest_pos = pos_dist.argmax(axis=1)
+    hardest_neg = neg_dist.argmin(axis=1)
+
+    total = 0.0
+    for a in np.flatnonzero(valid):
+        p, ng = hardest_pos[a], hardest_neg[a]
+        hinge = dist[a, p] - dist[a, ng] + margin
+        if hinge <= 0.0:
+            continue
+        total += hinge
+        if dist[a, p] > 0.0:
+            u = (e[a] - e[p]) / dist[a, p]
+            grad[a] += u
+            grad[p] -= u
+        if dist[a, ng] > 0.0:
+            v = (e[a] - e[ng]) / dist[a, ng]
+            grad[a] -= v
+            grad[ng] += v
+    return total / n_valid, grad / n_valid
+
+
+def _ctl_loop(e, labels, margin):
+    classes = np.unique(labels)
+    sums = {int(k): e[labels == k].sum(axis=0) for k in classes}
+    counts = {int(k): int((labels == k).sum()) for k in classes}
+    centroids = {k: sums[k] / counts[k] for k in sums}
+
+    grad = np.zeros_like(e)
+    total = 0.0
+    n_valid = 0
+    members = {int(k): np.flatnonzero(labels == k) for k in classes}
+    for a in range(e.shape[0]):
+        k = int(labels[a])
+        if counts[k] < 2:
+            continue
+        n_valid += 1
+        m = counts[k] - 1
+        pc = (sums[k] - e[a]) / m
+        d_ap = float(np.linalg.norm(e[a] - pc))
+
+        best_k, d_an = None, np.inf
+        for other in classes:
+            other = int(other)
+            if other == k:
+                continue
+            d = float(np.linalg.norm(e[a] - centroids[other]))
+            if d < d_an:
+                best_k, d_an = other, d
+        if best_k is None:
+            return float("nan"), grad
+        hinge = d_ap - d_an + margin
+        if hinge <= 0.0:
+            continue
+        total += hinge
+        if d_ap > 0.0:
+            u = (e[a] - pc) / d_ap
+            grad[a] += u
+            for j in members[k]:
+                if j != a:
+                    grad[j] -= u / m
+        if d_an > 0.0:
+            v = (e[a] - centroids[best_k]) / d_an
+            grad[a] -= v
+            for j in members[best_k]:
+                grad[j] += v / counts[best_k]
+    if n_valid == 0:
+        return 0.0, grad
+    return total / n_valid, grad / n_valid
+
+
+def _seeded_batches(seed, count=300):
+    """Random batches; a third on an integer grid (exact distance ties and
+    duplicate points), a third with repeated rows (zero distances). Labels
+    drawn from n // 2 classes leave some classes with a single member."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, d = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+        labels = rng.integers(0, max(2, n // 2), n)
+        if i % 3 == 0:
+            e = rng.standard_normal((n, d))
+        elif i % 3 == 1:
+            e = rng.integers(-2, 3, (n, d)).astype(float)
+        else:
+            e = rng.standard_normal((n, d))
+            e[rng.integers(0, n, n // 2)] = e[0]
+        yield e, labels, float(rng.choice([0.0, 0.3, 2.0]))
+
+
+def _non_finite_batches(seed, count=200):
+    rng = np.random.default_rng(seed)
+    for e, labels, margin in _seeded_batches(seed, count):
+        e.flat[rng.integers(0, e.size)] = rng.choice([np.nan, np.inf, -np.inf])
+        yield e, labels, margin
+
+
+# two far-apart pairs: every hinge is negative
+SEPARATED = (np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.1, 0.0]]), np.array([0, 0, 1, 1]))
+
+
+class TestKernelsMatchLoops:
+    def _assert_batch_hard_equal(self, e, labels, margin):
+        loss, grad = _batch_hard_triplet_grad(e, labels, margin)
+        want_loss, want_grad = _batch_hard_loop(e, labels, margin)
+        assert np.array_equal(loss, want_loss, equal_nan=True)
+        assert np.array_equal(grad, want_grad, equal_nan=True)
+
+    def _assert_ctl_close(self, e, labels, margin):
+        if np.unique(labels).size < 2:
+            return
+        loss, grad = _ctl_grad(e, labels, margin)
+        want_loss, want_grad = _ctl_loop(e, labels, margin)
+        assert np.array_equal(loss, want_loss, equal_nan=True)
+        # the kernel sums the gradient per class, so its last bits may move;
+        # with a NaN loss the loop stops partway and its gradient means nothing
+        if np.isfinite(want_loss):
+            np.testing.assert_allclose(grad, want_grad, rtol=0.0, atol=1e-12)
+
+    def test_batch_hard_equals_the_loop(self):
+        for e, labels, margin in _seeded_batches(31):
+            self._assert_batch_hard_equal(e, labels, margin)
+        self._assert_batch_hard_equal(*SEPARATED, 0.3)
+        assert _batch_hard_triplet_grad(*SEPARATED, 0.3)[0] == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
+    def test_batch_hard_equals_the_loop_on_non_finite_embeddings(self):
+        nan_losses = 0
+        for e, labels, margin in _non_finite_batches(32):
+            self._assert_batch_hard_equal(e, labels, margin)
+            nan_losses += bool(np.isnan(_batch_hard_triplet_grad(e, labels, margin)[0]))
+        assert nan_losses > 0  # a NaN hinge counts, so the loss shows the divergence
+
+    def test_ctl_matches_the_loop(self):
+        for e, labels, margin in _seeded_batches(33):
+            self._assert_ctl_close(e, labels, margin)
+        self._assert_ctl_close(*SEPARATED, 0.3)
+        singletons = (np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 1.0]]), np.array([0, 1, 2]))
+        self._assert_ctl_close(*singletons, 0.3)
+        assert _ctl_grad(*singletons, 0.3)[0] == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
+    def test_ctl_matches_the_loop_on_non_finite_embeddings(self):
+        for e, labels, margin in _non_finite_batches(34):
+            self._assert_ctl_close(e, labels, margin)
+
+
 class TestToyDataset:
     def test_shapes_and_determinism(self):
         a = make_toy_dataset(num_ids=4, samples_per_id=3, input_dim=5, noise=0.1, seed=9)
@@ -254,7 +448,7 @@ class TestTrainer:
             layers=((np.full((3, 2), 1e200), np.zeros(3)),), seed=0
         )
         with pytest.raises(TrainingDiverged):
-            train_toy(huge, dataset, "shape", steps=1, lr=0.01, seed=5, check_gradients=False)
+            train_toy(huge, dataset, "shape", steps=1, lr=0.01, seed=5)
 
     def test_argument_validation(self):
         dataset = make_toy_dataset(num_ids=2, samples_per_id=2, input_dim=3, noise=0.1, seed=2)
@@ -265,4 +459,4 @@ class TestTrainer:
         with pytest.raises(DimMismatch):
             train_toy(wrong, dataset, "shape", steps=1, lr=0.1, seed=1)
         with pytest.raises(InvalidInput):
-            train_toy(params, dataset, "other", steps=1, lr=0.1, seed=1, check_gradients=False)
+            train_toy(params, dataset, "other", steps=1, lr=0.1, seed=1)
