@@ -73,6 +73,7 @@ from .synth import (
     generate_dataset,
     generate_tracklet,
     identity_profile,
+    iter_dataset,
     load_dataset,
     read_tracklet_frames,
     split_protocol,

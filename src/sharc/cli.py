@@ -47,7 +47,7 @@ from .matcher import ScoreMatrix, appearance_scores, fuse_scores, rank, shape_sc
 from .metrics import EvalReport, evaluate_ranking
 from .prng import derive_seed
 from .shape import ShapeModel
-from .synth import generate_dataset, load_dataset, split_protocol, write_dataset
+from .synth import iter_dataset, load_dataset, split_protocol, write_dataset
 
 GAMMA_SWEEP = (1.0, 0.2, 0.1, 0.0)
 ALPHA_SWEEP = (0.05, 0.1, 0.2, 0.3, 0.4)
@@ -148,12 +148,11 @@ def _write_table(path: str, comment: str, header: str, rows: list[str]) -> None:
 
 
 def cmd_synth(cfg: RunConfig, out: str) -> int:
-    records = generate_dataset(cfg.dataset)
-    rows = read_manifest(write_dataset(records, out, _comment(cfg)))
+    rows = read_manifest(write_dataset(iter_dataset(cfg.dataset), out, _comment(cfg)))
     gallery, query = split_protocol(rows, cfg.protocol.gallery_ratio, cfg.protocol.split_seed)
     write_manifest(gallery, os.path.join(out, "gallery.csv"), _comment(cfg))
     write_manifest(query, os.path.join(out, "query.csv"), _comment(cfg))
-    print(f"wrote {len(records)} tracklets, {len(gallery)} gallery / {len(query)} query")
+    print(f"wrote {len(rows)} tracklets, {len(gallery)} gallery / {len(query)} query")
     return 0
 
 

@@ -213,7 +213,15 @@ class GalleryIndex:
 
 
 def _shape_vector(tracklet: TrackletRecord, shape_model: ShapeModel) -> np.ndarray:
-    return shape_model.embed(tracklet.masks, tracklet.appearance, tracklet.body, tracklet.skeleton).flatten()
+    """The shape vector of one tracklet, refused when it is all zeros: cosine
+    scoring is undefined for it, so an index holding it could not be queried."""
+    vec = shape_model.embed(tracklet.masks, tracklet.appearance, tracklet.body, tracklet.skeleton).flatten()
+    if not np.any(vec):
+        raise InvalidInput(
+            f"tracklet {tracklet.tracklet_id}: shape vector is all zeros, and cosine similarity is "
+            "undefined for a zero vector"
+        )
+    return vec
 
 
 def tracklet_embeddings(

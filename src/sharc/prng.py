@@ -84,10 +84,25 @@ class SplitMix64:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller (always consumes 2*ceil(n/2) uniforms)."""
-        m = (n + 1) // 2
-        u1 = np.maximum(self.uniforms(m), _DOUBLE_UNIT)  # avoid log(0)
-        u2 = self.uniforms(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-        return out[:n]
+        return box_muller(self.uniforms(normal_uniform_count(n)), n)
+
+
+def normal_uniform_count(n: int) -> int:
+    """Uniforms that n Box-Muller normals consume: 2*ceil(n/2)."""
+    return 2 * ((n + 1) // 2)
+
+
+def box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals per row of u, whose last axis holds
+    normal_uniform_count(n) uniforms: the u1 half, then the u2 half.
+
+    `log`, `cos` and `sin` run on contiguous copies of the halves, so a row
+    takes the same SIMD loop as a one-row call and gives the same bits.
+    """
+    m = (n + 1) // 2
+    u1 = np.maximum(u[..., :m], _DOUBLE_UNIT)  # avoid log(0)
+    u2 = u[..., m:]
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    return out[..., :n]

@@ -19,17 +19,24 @@ Tracklet i of a subject wears clothing variant i mod clothing_variants, so
 with tracklets_per_id <= clothing_variants no two tracklets of a subject
 share an outfit and any gallery/query split is a clothes-change protocol.
 
-A tracklet is generated frame by frame and stacked into one array per
-modality. The SHRCDAT3 frame container stores each of the four arrays as one
-section: the masks (as u8), never the masked RGB, which the silhouette
-encoder derives from the masks and the appearance frames.
+A tracklet's stream is drawn as one block of uniforms of its exact total,
+sliced in stream order (the yaw, then frame by frame the draws that
+`_frame_draws` lists), and every modality is computed over all T frames at
+once: (T, h, w) masks, (T, h, w, 3) appearance, (T, 85) body vectors and
+(T, 51) skeletons. `iter_dataset` yields one tracklet at a time, so
+`write_dataset` holds one in memory. The SHRCDAT3 frame container stores
+each of the four arrays as one section: the masks (as u8), never the masked
+RGB, which the silhouette encoder derives from the masks and the appearance
+frames.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -37,7 +44,7 @@ import numpy as np
 from .encoders import SKELETON_INPUT_DIM, SKELETON_JOINTS, SMPL_DIM
 from .exceptions import CorruptFile, InvalidInput, ProtocolError, at_least, finite_nonneg, setting, within
 from .gallery import ManifestRow, TrackletRecord, read_manifest, write_manifest
-from .prng import SplitMix64, derive_seed
+from .prng import SplitMix64, box_muller, derive_seed, normal_uniform_count
 
 DATA_MAGIC = b"SHRCDAT3"
 _OLD_DATA_MAGICS = (b"SHRCDAT1", b"SHRCDAT2")
@@ -126,17 +133,12 @@ def subject_label(index: int) -> str:
 
 
 def identity_profile(spec: DatasetSpec, subject_index: int) -> IdentityProfile:
-    rng = SplitMix64(derive_seed(spec.seed, 1, subject_index))
-    latent = rng.uniform_array(-1.0, 1.0, (10,))
-    phase = rng.uniform_array(0.0, 1.0, (1,))[0]
-    freq = rng.uniform_array(0.6, 1.4, (1,))[0]
-    amp = rng.uniform_array(0.05, 0.15, (1,))[0]
-    signature = rng.uniform_array(-1.0, 1.0, (SIGNATURE_DIM,))
+    u = SplitMix64(derive_seed(spec.seed, 1, subject_index)).uniforms(13 + SIGNATURE_DIM)
     return IdentityProfile(
         subject_id=subject_label(subject_index),
-        latent_shape=latent,
-        gait_phase_params=np.array([phase, freq, amp]),
-        appearance_signature=signature,
+        latent_shape=-1.0 + 2.0 * u[:10],
+        gait_phase_params=np.array([u[10], 0.6 + (1.4 - 0.6) * u[11], 0.05 + (0.15 - 0.05) * u[12]]),
+        appearance_signature=-1.0 + 2.0 * u[13:],
     )
 
 
@@ -148,8 +150,10 @@ def _clothing_factors(spec: DatasetSpec, subject_index: int, variant: int):
     return thickness, offset
 
 
+@functools.lru_cache(maxsize=4)
 def _texture_basis(h: int, w: int) -> np.ndarray:
-    """(SIGNATURE_DIM, h, w, 3) fixed sinusoidal patterns mixing space and channel."""
+    """(SIGNATURE_DIM, h, w, 3) fixed sinusoidal patterns mixing space and
+    channel; one read-only array per frame size, shared by every tracklet."""
     ys = np.linspace(0.0, 1.0, h)[:, None, None]
     xs = np.linspace(0.0, 1.0, w)[None, :, None]
     cs = np.arange(3)[None, None, :]
@@ -157,7 +161,9 @@ def _texture_basis(h: int, w: int) -> np.ndarray:
     for s in range(SIGNATURE_DIM):
         fy, fx = 1 + s % 3, 1 + (s // 2) % 3
         basis.append(np.sin(2 * np.pi * (fy * ys + 0.37 * s)) * np.cos(2 * np.pi * fx * xs) + 0.3 * np.sin(cs + s))
-    return np.stack(basis)
+    basis = np.stack(basis)
+    basis.flags.writeable = False
+    return basis
 
 
 def _silhouette_profile(h: int, latent: np.ndarray) -> np.ndarray:
@@ -168,8 +174,30 @@ def _silhouette_profile(h: int, latent: np.ndarray) -> np.ndarray:
     return width * scale
 
 
+def _frame_draws(spec: DatasetSpec) -> tuple[tuple[str, int, bool], ...]:
+    """(name, value count, normal) of each per-frame draw, in stream order.
+
+    A normal draw of n values takes `normal_uniform_count(n)` uniforms, the
+    u1 half then the u2 half; the flips take one uniform per pixel. The flips
+    and the appearance noise are drawn only when their knob is above 0.
+    """
+    hw = spec.height * spec.width
+    draws = []
+    if spec.sil_flip_rate > 0.0:
+        draws.append(("flips", hw, False))
+    if spec.appearance_shift > 0.0:
+        draws.append(("appearance", 3 * hw, True))
+    draws += [("shape", 10, True), ("rotation", 72, True), ("joints", 2 * SKELETON_JOINTS, True)]
+    return tuple(draws)
+
+
 def generate_tracklet(spec: DatasetSpec, subject_index: int, tracklet_index: int) -> TrackletRecord:
-    """All modality frames for one tracklet, from its own PRNG stream."""
+    """All modality frames for one tracklet, from its own PRNG stream.
+
+    The stream is one block of uniforms: the viewpoint yaw, then frame by
+    frame the draws `_frame_draws` lists. Every modality is computed over all
+    T frames at once from that block.
+    """
     if not 0 <= subject_index < spec.num_ids:
         raise InvalidInput(f"subject_index {subject_index} out of range [0, {spec.num_ids})")
     if not 0 <= tracklet_index < spec.tracklets_per_id:
@@ -177,78 +205,83 @@ def generate_tracklet(spec: DatasetSpec, subject_index: int, tracklet_index: int
     profile = identity_profile(spec, subject_index)
     variant = tracklet_index % spec.clothing_variants
     thickness, clothing_offset = _clothing_factors(spec, subject_index, variant)
-    rng = SplitMix64(derive_seed(spec.seed, 3, subject_index, tracklet_index))
 
-    h, w = spec.height, spec.width
-    basis = _texture_basis(h, w)
+    t_count, h, w = spec.frames_per_tracklet, spec.height, spec.width
+    draws = _frame_draws(spec)
+    widths = [normal_uniform_count(n) if normal else n for _, n, normal in draws]
+    u = SplitMix64(derive_seed(spec.seed, 3, subject_index, tracklet_index)).uniforms(1 + t_count * sum(widths))
+    yaw = spec.keypoint_jitter * (u[0] - 0.5)
+    per_frame = u[1:].reshape(t_count, -1)
+    drawn, col = {}, 0
+    for (name, n, normal), width in zip(draws, widths):
+        block = per_frame[:, col : col + width]
+        drawn[name] = box_muller(block, n) if normal else block
+        col += width
+
     half_width = _silhouette_profile(h, profile.latent_shape) * thickness
     phase0, freq, amp = profile.gait_phase_params
-    yaw = spec.keypoint_jitter * rng.uniform_array(-0.5, 0.5, (1,))[0]
     width_mult = 1.0 - 0.2 * abs(np.sin(yaw))
+    gait = 2.0 * np.pi * (freq * np.arange(t_count) / max(t_count, 2) + phase0)
+    swing = amp * np.sin(gait)
 
-    masks, apps, bodies, skels = [], [], [], []
-    t_count = spec.frames_per_tracklet
-    for t in range(t_count):
-        gait = 2.0 * np.pi * (freq * t / max(t_count, 2) + phase0)
-        swing = amp * np.sin(gait)
+    # silhouette: column-symmetric body with gait sway, then pixel flips
+    rows = np.arange(h) / h
+    center = 0.5 * w + swing[:, None] * w * 0.5 * (1.0 - rows)
+    widths = half_width * w * width_mult
+    xs = np.arange(w)
+    masks = (np.abs(xs - center[:, :, None]) <= widths[:, None]).astype(np.float64)
+    if "flips" in drawn:
+        flips = drawn["flips"].reshape(t_count, h, w) < spec.sil_flip_rate
+        masks = np.where(flips, 1.0 - masks, masks)
 
-        # silhouette: column-symmetric body with gait sway, then pixel flips
-        rows = np.arange(h) / h
-        center = 0.5 * w + swing * w * 0.5 * (1.0 - rows)
-        widths = half_width * w * width_mult
-        xs = np.arange(w)[None, :]
-        mask = (np.abs(xs - center[:, None]) <= widths[:, None]).astype(np.float64)
-        if spec.sil_flip_rate > 0.0:
-            flips = rng.uniform_array(0.0, 1.0, (h, w)) < spec.sil_flip_rate
-            mask = np.where(flips, 1.0 - mask, mask)
+    # appearance: signature texture + clothing offset, squashed into (0, 1)
+    coeff = profile.appearance_signature + spec.appearance_shift * clothing_offset
+    pattern = np.tensordot(coeff, _texture_basis(h, w), axes=1)
+    if "appearance" in drawn:
+        pattern = pattern + 0.1 * spec.appearance_shift * drawn["appearance"].reshape(t_count, h, w, 3)
+    modulation = 1.0 + 0.1 * np.sin(gait)
+    appearance = 0.5 + 0.5 * np.tanh(pattern * modulation[:, None, None, None])
 
-        # appearance: signature texture + clothing offset, squashed into (0, 1)
-        coeff = profile.appearance_signature + spec.appearance_shift * clothing_offset
-        pattern = np.tensordot(coeff, basis, axes=1)
-        if spec.appearance_shift > 0.0:
-            pattern = pattern + 0.1 * spec.appearance_shift * rng.normals(h * w * 3).reshape(h, w, 3)
-        modulation = 1.0 + 0.1 * np.sin(gait)
-        appearance = 0.5 + 0.5 * np.tanh(pattern * modulation)
+    # body model: latent shape plus gait-driven joint rotations
+    cam = np.broadcast_to([yaw, 0.0, 1.0], (t_count, 3))
+    shape_noise = 0.1 * spec.keypoint_jitter * drawn["shape"]
+    rot = np.zeros((t_count, 72))
+    rot[:, 3:27:3] = swing[:, None] * np.sin(0.5 * np.arange(8))
+    rot = rot + 0.1 * spec.keypoint_jitter * drawn["rotation"]
+    body = np.concatenate([cam, profile.latent_shape + shape_noise, rot], axis=1)
 
-        masks.append(mask)
-        apps.append(appearance)
-
-        # body model: latent shape plus gait-driven joint rotations
-        cam = np.array([yaw, 0.0, 1.0])
-        shape_noise = 0.1 * spec.keypoint_jitter * rng.normals(10)
-        rot = np.zeros(72)
-        rot[3:27:3] = swing * np.sin(0.5 * np.arange(8))
-        rot = rot + 0.1 * spec.keypoint_jitter * rng.normals(72)
-        bodies.append(np.concatenate([cam, profile.latent_shape + shape_noise, rot]))
-
-        # skeleton: scaled canonical joints, limbs swinging in anti-phase
-        scale = 1.0 + 0.3 * np.tanh(profile.latent_shape[0])
-        joints = _BASE_JOINTS * scale
-        joints[:, 0] = joints[:, 0] * width_mult
-        joints[_SWING_JOINTS, 0] += swing * _SWING_SIGN
-        noise = spec.keypoint_jitter * rng.normals(SKELETON_JOINTS * 2).reshape(SKELETON_JOINTS, 2)
-        joints = joints + noise
-        conf = np.clip(1.0 - np.linalg.norm(noise, axis=1), 0.0, 1.0)
-        skels.append(np.concatenate([joints.reshape(-1), conf]))
+    # skeleton: scaled canonical joints, limbs swinging in anti-phase
+    scale = 1.0 + 0.3 * np.tanh(profile.latent_shape[0])
+    joints = _BASE_JOINTS * scale
+    joints[:, 0] = joints[:, 0] * width_mult
+    joints = np.repeat(joints[None], t_count, axis=0)
+    joints[:, _SWING_JOINTS, 0] += swing[:, None] * _SWING_SIGN
+    noise = spec.keypoint_jitter * drawn["joints"].reshape(t_count, SKELETON_JOINTS, 2)
+    joints = joints + noise
+    conf = np.clip(1.0 - np.linalg.norm(noise, axis=2), 0.0, 1.0)
+    skeleton = np.concatenate([joints.reshape(t_count, -1), conf], axis=1)
 
     return TrackletRecord(
         tracklet_id=f"{profile.subject_id}_t{tracklet_index:02d}",
         subject_id=profile.subject_id,
         clothing_id=f"c{variant}",
-        masks=np.stack(masks),
-        appearance=np.stack(apps),
-        body=np.stack(bodies),
-        skeleton=np.stack(skels),
+        masks=masks,
+        appearance=appearance,
+        body=body,
+        skeleton=skeleton,
     )
+
+
+def iter_dataset(spec: DatasetSpec) -> Iterator[TrackletRecord]:
+    """Every tracklet of every subject, subject-major order, one at a time."""
+    for s in range(spec.num_ids):
+        for t in range(spec.tracklets_per_id):
+            yield generate_tracklet(spec, s, t)
 
 
 def generate_dataset(spec: DatasetSpec) -> list[TrackletRecord]:
     """Every tracklet of every subject, subject-major order."""
-    return [
-        generate_tracklet(spec, s, t)
-        for s in range(spec.num_ids)
-        for t in range(spec.tracklets_per_id)
-    ]
+    return list(iter_dataset(spec))
 
 
 def split_protocol(records: list, ratio: float, seed: int) -> tuple[list, list]:
@@ -360,8 +393,11 @@ def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: s
     return TrackletRecord(tracklet_id=tracklet_id, subject_id=subject_id, clothing_id=clothing_id, **arrays)
 
 
-def write_dataset(records: list[TrackletRecord], out_dir, header_comment: str | None = None) -> str:
+def write_dataset(records: Iterable[TrackletRecord], out_dir, header_comment: str | None = None) -> str:
     """Write frame containers plus the manifest; returns the manifest path.
+
+    Each record's container is written as the record arrives, so an iterator
+    such as `iter_dataset` keeps one tracklet in memory at a time.
 
     frames_path entries are relative to the manifest's directory; the
     manifest starts with `header_comment`, if given, as a `#` line.

@@ -262,6 +262,23 @@ class TestExitCodes:
         assert enrolled in err and own in err and "Traceback" not in err
         assert not (out / "scores_fused.csv").exists()
 
+    def test_all_zero_shape_vectors_are_2_before_any_index_is_written(self, workspace, capsys):
+        # before, enroll wrote all-zero shape centroids and query then failed
+        cfg_path, data_dir, tmp = workspace
+        cfg_path.write_text(
+            cfg_path.read_text().replace("bins = 2\nchannels = 8\nmotion_channels = 6",
+                                         "bins = 1\nchannels = 1\nmotion_channels = 1")
+        )
+        assert parse_config(cfg_path).model.channels == 1
+        out = tmp / "run"
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        capsys.readouterr()
+        assert _run(["enroll", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tracklet s00") and err.count("\n") == 1
+        assert "shape vector is all zeros" in err and "Traceback" not in err
+        assert not (out / "index.shrc").exists()
+
     def test_index_queries_under_another_alpha(self, workspace):
         # alpha only weighs the scores; the stored vectors do not depend on it
         cfg_path, data_dir, tmp = workspace

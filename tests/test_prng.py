@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sharc.prng import SplitMix64, derive_seed
+from sharc.prng import SplitMix64, box_muller, derive_seed
 
 
 def test_same_seed_same_stream():
@@ -56,6 +56,16 @@ def test_normals_odd_count():
     # odd request is the even request truncated, same stream position
     z8 = SplitMix64(13).normals(8)
     assert np.array_equal(z, z8[:7])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 105])
+def test_box_muller_rows_equal_one_normals_call_each(n):
+    width = 2 * ((n + 1) // 2)
+    rows = box_muller(SplitMix64(21).uniforms(5 * width).reshape(5, width), n)
+    rng = SplitMix64(21)
+    assert rows.shape == (5, n)
+    for row in rows:
+        assert row.tobytes() == rng.normals(n).tobytes()
 
 
 def test_different_seeds_differ():

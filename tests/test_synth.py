@@ -1,3 +1,4 @@
+import itertools
 import struct
 import warnings
 
@@ -7,13 +8,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sharc.exceptions import CorruptFile, InvalidInput, ProtocolError
+from sharc.encoders import SKELETON_JOINTS
 from sharc.gallery import TrackletRecord
+from sharc.prng import SplitMix64, derive_seed
 from sharc.synth import (
+    _BASE_JOINTS,
+    _SWING_JOINTS,
+    _SWING_SIGN,
     MAX_KEYPOINT_JITTER,
+    SIGNATURE_DIM,
     DatasetSpec,
+    _clothing_factors,
+    _silhouette_profile,
+    _texture_basis,
     generate_dataset,
     generate_tracklet,
     identity_profile,
+    iter_dataset,
     load_dataset,
     read_tracklet_frames,
     split_protocol,
@@ -129,6 +140,105 @@ class TestGeneration:
             generate_tracklet(spec, spec.num_ids, 0)
         with pytest.raises(InvalidInput):
             generate_tracklet(spec, 0, spec.tracklets_per_id)
+
+
+def _normals(rng: SplitMix64, n: int) -> np.ndarray:
+    """Box-Muller as one scalar-stream call: the u1 half, then the u2 half."""
+    m = (n + 1) // 2
+    u1 = np.maximum(rng.uniforms(m), 2.0**-53)
+    u2 = rng.uniforms(m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+def _reference_tracklet(spec: DatasetSpec, subject_index: int, tracklet_index: int):
+    """Reference generator: one draw per field and per frame, frames stacked.
+
+    Returns (latent, gait params, signature) and the masks, appearance, body
+    and skeleton arrays.
+    """
+    rng = SplitMix64(derive_seed(spec.seed, 1, subject_index))
+    latent = rng.uniform_array(-1.0, 1.0, (10,))
+    phase0 = rng.uniform_array(0.0, 1.0, (1,))[0]
+    freq = rng.uniform_array(0.6, 1.4, (1,))[0]
+    amp = rng.uniform_array(0.05, 0.15, (1,))[0]
+    signature = rng.uniform_array(-1.0, 1.0, (SIGNATURE_DIM,))
+    profile = (latent, np.array([phase0, freq, amp]), signature)
+
+    thickness, clothing_offset = _clothing_factors(
+        spec, subject_index, tracklet_index % spec.clothing_variants
+    )
+    rng = SplitMix64(derive_seed(spec.seed, 3, subject_index, tracklet_index))
+    h, w = spec.height, spec.width
+    basis = _texture_basis(h, w)
+    half_width = _silhouette_profile(h, latent) * thickness
+    yaw = spec.keypoint_jitter * rng.uniform_array(-0.5, 0.5, (1,))[0]
+    width_mult = 1.0 - 0.2 * abs(np.sin(yaw))
+
+    masks, apps, bodies, skels = [], [], [], []
+    t_count = spec.frames_per_tracklet
+    for t in range(t_count):
+        gait = 2.0 * np.pi * (freq * t / max(t_count, 2) + phase0)
+        swing = amp * np.sin(gait)
+
+        rows = np.arange(h) / h
+        center = 0.5 * w + swing * w * 0.5 * (1.0 - rows)
+        widths = half_width * w * width_mult
+        xs = np.arange(w)[None, :]
+        mask = (np.abs(xs - center[:, None]) <= widths[:, None]).astype(np.float64)
+        if spec.sil_flip_rate > 0.0:
+            flips = rng.uniform_array(0.0, 1.0, (h, w)) < spec.sil_flip_rate
+            mask = np.where(flips, 1.0 - mask, mask)
+
+        coeff = signature + spec.appearance_shift * clothing_offset
+        pattern = np.tensordot(coeff, basis, axes=1)
+        if spec.appearance_shift > 0.0:
+            pattern = pattern + 0.1 * spec.appearance_shift * _normals(rng, h * w * 3).reshape(h, w, 3)
+        modulation = 1.0 + 0.1 * np.sin(gait)
+        masks.append(mask)
+        apps.append(0.5 + 0.5 * np.tanh(pattern * modulation))
+
+        cam = np.array([yaw, 0.0, 1.0])
+        shape_noise = 0.1 * spec.keypoint_jitter * _normals(rng, 10)
+        rot = np.zeros(72)
+        rot[3:27:3] = swing * np.sin(0.5 * np.arange(8))
+        rot = rot + 0.1 * spec.keypoint_jitter * _normals(rng, 72)
+        bodies.append(np.concatenate([cam, latent + shape_noise, rot]))
+
+        scale = 1.0 + 0.3 * np.tanh(latent[0])
+        joints = _BASE_JOINTS * scale
+        joints[:, 0] = joints[:, 0] * width_mult
+        joints[_SWING_JOINTS, 0] += swing * _SWING_SIGN
+        noise = spec.keypoint_jitter * _normals(rng, SKELETON_JOINTS * 2).reshape(SKELETON_JOINTS, 2)
+        joints = joints + noise
+        conf = np.clip(1.0 - np.linalg.norm(noise, axis=1), 0.0, 1.0)
+        skels.append(np.concatenate([joints.reshape(-1), conf]))
+    return profile, tuple(np.stack(a) for a in (masks, apps, bodies, skels))
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# 5x7 frames hold 105 RGB values, an odd count of appearance normals
+@pytest.mark.parametrize("seed", [1, 20231015])
+@pytest.mark.parametrize("frames", [1, 4])
+@pytest.mark.parametrize(
+    "flip, jitter, shift", list(itertools.product((0.0, 0.1), (0.0, 0.2), (0.0, 0.5)))
+)
+def test_tracklets_are_byte_equal_to_the_per_frame_reference(seed, frames, flip, jitter, shift):
+    spec = _spec(num_ids=2, tracklets_per_id=3, frames_per_tracklet=frames, clothing_variants=2,
+                 sil_flip_rate=flip, keypoint_jitter=jitter, appearance_shift=shift, seed=seed,
+                 height=5, width=7)
+    for s, t in itertools.product(range(spec.num_ids), range(spec.tracklets_per_id)):
+        profile, arrays = _reference_tracklet(spec, s, t)
+        got = identity_profile(spec, s)
+        for want, have in zip(profile, (got.latent_shape, got.gait_phase_params, got.appearance_signature)):
+            assert _same_bytes(want, have)
+        rec = generate_tracklet(spec, s, t)
+        for name, want in zip(("masks", "appearance", "body", "skeleton"), arrays):
+            assert _same_bytes(getattr(rec, name), want), (s, t, name)
 
 
 class TestSplitProtocol:
@@ -367,6 +477,39 @@ class TestDatasetIo:
         assert [r.clothing_id for r in loaded] == [r.clothing_id for r in recs]
         for ra, rb in zip(recs, loaded):
             np.testing.assert_array_equal(rb.masks[0], ra.masks[0])
+
+    def test_write_dataset_writes_each_container_before_drawing_the_next_record(self, tmp_path):
+        spec = _spec(num_ids=2, tracklets_per_id=2, frames_per_tracklet=2)
+        frames = tmp_path / "data" / "frames"
+        written_before_next = []
+
+        def records():
+            previous = None
+            for rec in iter_dataset(spec):
+                if previous is not None:
+                    written_before_next.append((frames / f"{previous}.dat").is_file())
+                previous = rec.tracklet_id
+                yield rec
+
+        write_dataset(records(), tmp_path / "data")
+        assert written_before_next == [True] * (spec.num_ids * spec.tracklets_per_id - 1)
+
+    def test_streamed_records_equal_the_generated_list(self, tmp_path):
+        spec = _spec(num_ids=2, tracklets_per_id=3, frames_per_tracklet=3)
+        listed = generate_dataset(spec)
+        streamed = iter_dataset(spec)
+        assert not isinstance(streamed, list)
+        streamed = list(streamed)
+        assert [r.tracklet_id for r in streamed] == [r.tracklet_id for r in listed]
+        for a, b in zip(listed, streamed):
+            assert (a.subject_id, a.clothing_id) == (b.subject_id, b.clothing_id)
+            for name in ("masks", "appearance", "body", "skeleton"):
+                assert _same_bytes(getattr(a, name), getattr(b, name))
+        write_dataset(listed, tmp_path / "listed")
+        write_dataset(iter_dataset(spec), tmp_path / "streamed")
+        for path in sorted((tmp_path / "listed").rglob("*.*")):
+            twin = tmp_path / "streamed" / path.relative_to(tmp_path / "listed")
+            assert path.read_bytes() == twin.read_bytes()
 
     def test_manifest_carries_the_header_comment(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
