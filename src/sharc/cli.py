@@ -8,8 +8,9 @@ accepted and has no effect: embedding runs serially. Outputs are
 deterministic given the seeds in the config; every generated table starts
 with a `#` comment naming the tool version and the hash of the resolved
 config. Exit codes: 0 success, 2 a data or file error (a missing, corrupt or
-malformed input, or inputs that do not fit each other), 3 invalid
-configuration.
+malformed input, inputs that do not fit each other, or a path the command
+cannot read or write, reported as `error: <path>: <reason>`), 3 invalid
+configuration (a config file that is not UTF-8 text included).
 
 Ablation switches zero out the corresponding modality input (rather than
 removing the encoder), so the model topology never changes between runs.
@@ -128,9 +129,12 @@ def _gamma_sweep(cfg: RunConfig, gallery: list[TrackletRecord], queries: list[Tr
     for gamma in GAMMA_SWEEP:
         model = replace(app_model, gamma=gamma)
         index = build_index(
-            gallery, [f.embeddings(model) for f in gallery_features], centroid=cfg.ablation.centroid
+            gallery,
+            [(shape, model.vector(model.finish(groups))) for shape, groups in gallery_features],
+            centroid=cfg.ablation.centroid,
         )
-        _, _, fused = _score_embedded(queries, [f.embeddings(model) for f in query_features], index, cfg)
+        query_embeddings = [(shape, model.vector(model.finish(groups))) for shape, groups in query_features]
+        _, _, fused = _score_embedded(queries, query_embeddings, index, cfg)
         yield gamma, index, fused
 
 
@@ -173,18 +177,15 @@ def cmd_query(cfg: RunConfig, out: str) -> int:
     index_path = os.path.join(out, "index.shrc")
     _require_file(index_path)
     index = load_index(index_path)
-    records = _load_records(os.path.join(cfg.data_dir, "query.csv"), cfg)
-    s_shape, s_app, fused = _score_queries(
-        records, build_shape_model(cfg), build_appearance_model(cfg), index, cfg
-    )
-    # an index of another vector width has already failed in scoring, with the
-    # widths in its message; one of the same width is refused here, before any
-    # score file is written
     if index.model_hash != cfg.model_hash():
         raise IndexMismatch(
             f"{index_path}: enrolled under model hash {index.model_hash}, this config's is "
             f"{cfg.model_hash()}; query with the enrolling config or re-run enroll"
         )
+    records = _load_records(os.path.join(cfg.data_dir, "query.csv"), cfg)
+    s_shape, s_app, fused = _score_queries(
+        records, build_shape_model(cfg), build_appearance_model(cfg), index, cfg
+    )
     s_shape.write_csv(os.path.join(out, "scores_shape.csv"), _comment(cfg))
     s_app.write_csv(os.path.join(out, "scores_appearance.csv"), _comment(cfg))
     fused.write_csv(os.path.join(out, "scores_fused.csv"), _comment(cfg))
@@ -287,17 +288,10 @@ def main(argv=None) -> int:
         sp.set_defaults(fn=fn)
     args = parser.parse_args(argv)
 
-    if not os.path.exists(args.config):
-        print(f"error: missing file: {args.config}", file=sys.stderr)
-        return 2
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 3
-    out = args.out if args.out is not None else cfg.data_dir
-    os.makedirs(out, exist_ok=True)
-    try:
+        out = args.out if args.out is not None else cfg.data_dir
+        os.makedirs(out, exist_ok=True)
         return args.fn(cfg, out)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
@@ -307,6 +301,10 @@ def main(argv=None) -> int:
         return 3
     except SharcError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # after SharcError: CorruptFile is an OSError that names its path itself
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -181,11 +181,13 @@ def parse_config(path) -> RunConfig:
     """Read and validate a config file; every field falls back to a default."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    with open(path, "r") as f:
+    with open(path, "r", encoding="utf-8") as f:
         try:
             parser.read_file(f, source=str(path))
         except configparser.Error as exc:
             raise ConfigError("(file)", f"unparseable config: {exc}") from None
+        except UnicodeDecodeError:
+            raise ConfigError("(file)", "config is not UTF-8 text") from None
 
     given: dict[str, dict] = {section: {} for section in SECTIONS}
     for section in parser.sections():

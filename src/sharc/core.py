@@ -89,14 +89,6 @@ def euclidean_distance(a, b) -> float:
     return float(np.linalg.norm(va - vb))
 
 
-def softmax(v) -> np.ndarray:
-    """Stable softmax: exponentials taken after subtracting the max entry."""
-    arr = as_vector(v)
-    shifted = arr - arr.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def softmax_grid(logits: np.ndarray) -> np.ndarray:
     """Softmax over the spatial positions of (..., H, W, C) grids, per grid and channel."""
     shifted = logits - logits.max(axis=(-3, -2), keepdims=True)

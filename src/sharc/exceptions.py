@@ -33,10 +33,6 @@ class InvalidGamma(SharcError, ValueError):
     """Flattening exponent outside [0, 1]."""
 
 
-class SubjectMismatch(SharcError, ValueError):
-    """Pseudo-video assembly received stills from more than one subject."""
-
-
 class CorruptFile(SharcError, IOError):
     """A binary artifact has a bad magic number or is truncated."""
 

@@ -43,7 +43,7 @@ import numpy as np
 from .appearance import AttentionParams, average_aggregate, flatten_feature, mean_embedding, pyramid_aggregate
 from .core import l2_normalize
 from .encoders import SKELETON_INPUT_DIM, SKELETON_JOINTS, SMPL_DIM, EncoderParams, encode_appearance
-from .exceptions import CorruptIndex, DimMismatch, EmptyInput, InvalidInput, SubjectMismatch
+from .exceptions import CorruptIndex, EmptyInput, InvalidInput
 from .shape import ShapeModel
 
 INDEX_MAGIC = b"SHRCIDX2"
@@ -122,31 +122,6 @@ def chunk_frames(n_frames: int, group_size: int) -> list[list[int]]:
         members = list(range(start, min(start + group_size, n_frames)))
         groups.append([members[i % len(members)] for i in range(group_size)])
     return groups
-
-
-def build_pseudo_video(stills: list[TrackletRecord]) -> TrackletRecord:
-    """Join single-frame gallery stills of one subject into one tracklet.
-
-    Frame order follows the input order; the result carries clothing id
-    "mixed" because the stills need not share an outfit.
-    """
-    if len(stills) == 0:
-        raise EmptyInput("no stills to combine")
-    subjects = {s.subject_id for s in stills}
-    if len(subjects) != 1:
-        raise SubjectMismatch(f"stills span multiple subjects: {sorted(subjects)}")
-    sizes = {s.masks.shape[1:] for s in stills}
-    if len(sizes) != 1:
-        raise DimMismatch(f"stills differ in frame size: {sorted(sizes)}")
-    return TrackletRecord(
-        tracklet_id=stills[0].tracklet_id + "+pseudo",
-        subject_id=stills[0].subject_id,
-        clothing_id="mixed",
-        **{
-            name: np.concatenate([getattr(s, name) for s in stills])
-            for name in ("masks", "appearance", "body", "skeleton")
-        },
-    )
 
 
 @dataclass(frozen=True)
@@ -233,26 +208,13 @@ def tracklet_embeddings(
     return shape_vec, app_vec
 
 
-@dataclass(frozen=True)
-class TrackletFeatures:
-    """The gamma-free work on one tracklet: its shape vector and its (G, C)
-    appearance group features before flattening."""
-
-    shape: np.ndarray
-    groups: tuple[np.ndarray, np.ndarray]
-
-    def embeddings(self, appearance_model: AppearanceModel) -> tuple[np.ndarray, np.ndarray]:
-        """(shape vector, appearance vector), as tracklet_embeddings gives them."""
-        return self.shape, appearance_model.vector(appearance_model.finish(self.groups))
-
-
 def tracklet_features(
     tracklet: TrackletRecord, shape_model: ShapeModel, appearance_model: AppearanceModel
-) -> TrackletFeatures:
-    return TrackletFeatures(
-        shape=_shape_vector(tracklet, shape_model),
-        groups=appearance_model.group_features(tracklet.appearance),
-    )
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The gamma-free work on one tracklet: (shape vector, its (G, C)
+    appearance group features before flattening). A model's
+    `vector(finish(groups))` turns the groups into its appearance vector."""
+    return _shape_vector(tracklet, shape_model), appearance_model.group_features(tracklet.appearance)
 
 
 def build_index(

@@ -1,4 +1,6 @@
+import errno
 import filecmp
+import os
 import warnings
 
 import pytest
@@ -60,6 +62,28 @@ class TestExitCodes:
         assert _run(["synth", "--config", bad, "--out", tmp_path / "o"]) == 3
         err = capsys.readouterr().err
         assert "invalid config" in err and "model.alpha" in err
+
+    def test_config_that_is_not_utf8_is_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[model]\nalpha = 0.5\n# caf\xe9\n")
+        assert _run(["synth", "--config", bad, "--out", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err == "error: invalid config: (file): config is not UTF-8 text\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "config, out, bad, code",
+        [
+            ("run.cfg", "blocker", "blocker", errno.EEXIST),
+            ("run.cfg", "blocker/run", "blocker/run", errno.ENOTDIR),
+            (".", "run", ".", errno.EISDIR),
+        ],
+        ids=["out_names_a_file", "out_under_a_file", "config_names_a_directory"],
+    )
+    def test_path_the_command_cannot_use_is_2_naming_it(self, workspace, capsys, config, out, bad, code):
+        _, _, tmp = workspace
+        (tmp / "blocker").write_text("")
+        assert _run(["synth", "--config", tmp / config, "--out", tmp / out]) == 2
+        assert capsys.readouterr().err == f"error: {tmp / bad}: {os.strerror(code)}\n"
 
     def test_unknown_key_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -232,6 +256,8 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_index_of_other_width_is_2(self, workspace, capsys):
+        # refused by its model hash before any query is read; the width check
+        # itself is covered in test_matcher
         cfg_path, data_dir, tmp = workspace
         out = tmp / "run"
         wide = tmp / "wide.cfg"
@@ -239,12 +265,14 @@ class TestExitCodes:
         assert parse_config(wide).model.channels == 16
         assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
         assert _run(["enroll", "--config", wide, "--out", out]) == 0
+        (data_dir / "query.csv").unlink()
         capsys.readouterr()
         assert _run(["query", "--config", cfg_path, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: query shape vectors have shapes")
-        assert "Traceback" not in err
-
+        enrolled, own = parse_config(wide).model_hash(), parse_config(cfg_path).model_hash()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert enrolled in err and own in err and "Traceback" not in err
+        assert not (out / "scores_fused.csv").exists()
 
     def test_index_of_other_model_is_2_naming_both_hashes(self, workspace, capsys):
         cfg_path, data_dir, tmp = workspace

@@ -9,7 +9,6 @@ from sharc.core import (
     cosine_similarity,
     euclidean_distance,
     l2_normalize,
-    softmax,
     softmax_grid,
     strip_pool,
 )
@@ -75,20 +74,6 @@ def test_euclidean_basics():
     assert euclidean_distance(a, a) == 0.0
     with pytest.raises(DimMismatch):
         euclidean_distance(a, np.ones(3))
-
-
-def test_softmax_sums_to_one_and_shift_invariant():
-    z = np.array([1.0, 2.0, 3.0])
-    p = softmax(z)
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(p, softmax(z + 100.0), atol=1e-12)
-    np.testing.assert_allclose(p, softmax(z - 1e6 + 1e6), atol=1e-12)
-
-
-def test_softmax_extreme_values_finite():
-    p = softmax(np.array([1e4, 0.0, -1e4]))
-    assert np.all(np.isfinite(p))
-    assert p.sum() == pytest.approx(1.0)
 
 
 def test_softmax_grid_normalizes_per_channel():

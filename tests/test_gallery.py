@@ -5,7 +5,7 @@ import pytest
 
 from sharc.appearance import AttentionParams
 from sharc.encoders import EncoderParams
-from sharc.exceptions import CorruptIndex, DimMismatch, EmptyInput, InvalidInput, SubjectMismatch
+from sharc.exceptions import CorruptIndex, EmptyInput, InvalidInput
 from sharc.gallery import (
     AppearanceModel,
     GalleryIndex,
@@ -13,7 +13,6 @@ from sharc.gallery import (
     ManifestRow,
     TrackletRecord,
     build_index,
-    build_pseudo_video,
     chunk_frames,
     load_index,
     read_manifest,
@@ -101,33 +100,6 @@ def _models(c=16, c_m=12):
         attention=AttentionParams.initialize(c, seed=5),
     )
     return shape_model, app_model
-
-
-class TestPseudoVideo:
-    def test_concatenates_in_order(self):
-        a, b = _dataset(num_ids=1)[:2]
-        joined = build_pseudo_video([a, b])
-        assert len(joined) == len(a) + len(b)
-        assert joined.clothing_id == "mixed"
-        assert joined.subject_id == a.subject_id
-        for name in ("masks", "appearance", "body", "skeleton"):
-            np.testing.assert_array_equal(getattr(joined, name)[0], getattr(a, name)[0])
-            np.testing.assert_array_equal(getattr(joined, name)[len(a)], getattr(b, name)[0])
-
-    def test_rejects_mixed_subjects(self):
-        recs = _dataset(num_ids=2, tpi=1)
-        with pytest.raises(SubjectMismatch):
-            build_pseudo_video(recs)
-
-    def test_rejects_empty(self):
-        with pytest.raises(EmptyInput):
-            build_pseudo_video([])
-
-    def test_rejects_stills_of_other_frame_sizes(self):
-        a = _dataset(num_ids=1)[0]
-        small = replace(a, masks=a.masks[:, :8], appearance=a.appearance[:, :8])
-        with pytest.raises(DimMismatch, match="frame size"):
-            build_pseudo_video([a, small])
 
 
 class TestRegister:
@@ -220,7 +192,8 @@ class TestTwoStageEmbedding:
     def test_tracklet_features_give_tracklet_embeddings(self):
         rec = _dataset(num_ids=1, tpi=1)[0]
         sm, am = _models()
-        shape, app = tracklet_features(rec, sm, am).embeddings(am)
+        shape, groups = tracklet_features(rec, sm, am)
+        app = am.vector(am.finish(groups))
         want_shape, want_app = tracklet_embeddings(rec, sm, am)
         np.testing.assert_array_equal(shape, want_shape)
         np.testing.assert_array_equal(app, want_app)
