@@ -19,7 +19,6 @@ removing the encoder), so the model topology never changes between runs.
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import sys
 from dataclasses import replace
@@ -29,15 +28,15 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, build_appearance_model, build_shape_model, parse_config
 from .encoders import EncoderParams, save_encoder
-from .exceptions import ConfigError, IndexMismatch, InvalidInput, ProtocolError, SharcError
+from .exceptions import ConfigError, EmptyInput, IndexMismatch, InvalidInput, ProtocolError, SharcError
 from .gallery import (
     AppearanceModel,
     GalleryIndex,
+    ManifestRow,
     TrackletRecord,
     build_index,
     load_index,
     read_manifest,
-    register,
     save_index,
     tracklet_embeddings,
     tracklet_features,
@@ -47,7 +46,6 @@ from .losses import make_toy_dataset, train_toy
 from .matcher import ScoreMatrix, appearance_scores, fuse_scores, rank, shape_scores
 from .metrics import EvalReport, evaluate_ranking
 from .prng import derive_seed
-from .shape import ShapeModel
 from .synth import iter_dataset, load_dataset, split_protocol, write_dataset
 
 GAMMA_SWEEP = (1.0, 0.2, 0.1, 0.0)
@@ -56,11 +54,6 @@ ALPHA_SWEEP = (0.05, 0.1, 0.2, 0.3, 0.4)
 
 def _comment(cfg: RunConfig) -> str:
     return f"sharc {__version__} config={cfg.hash()}"
-
-
-def _require_file(path: str) -> None:
-    if not os.path.exists(path):
-        raise FileNotFoundError(errno.ENOENT, "missing file", path)
 
 
 def _zero_drops(record: TrackletRecord, cfg: RunConfig) -> TrackletRecord:
@@ -82,19 +75,25 @@ def _zero_drops(record: TrackletRecord, cfg: RunConfig) -> TrackletRecord:
     return replace(record, masks=masks, body=body, skeleton=skeleton)
 
 
-def _load_records(manifest_path: str, cfg: RunConfig) -> list[TrackletRecord]:
-    _require_file(manifest_path)
-    return [_zero_drops(r, cfg) for r in load_dataset(manifest_path)]
+def _embed_manifest(name: str, cfg: RunConfig, embed) -> tuple[list[ManifestRow], list]:
+    """The rows of manifest `name` in data_dir and `embed` of each of its
+    tracklets, in row order; each tracklet is read, ablated and embedded
+    before the next is read. A manifest naming no tracklet is refused."""
+    path = os.path.join(cfg.data_dir, name)
+    rows = read_manifest(path)
+    if not rows:
+        raise EmptyInput(f"{path}: names no tracklets")
+    return rows, [embed(_zero_drops(record, cfg)) for record in load_dataset(path)]
 
 
 def _score_embedded(
-    queries: list[TrackletRecord],
+    queries: list[ManifestRow],
     embeddings: list[tuple[np.ndarray, np.ndarray]],
     index: GalleryIndex,
     cfg: RunConfig,
 ) -> tuple[ScoreMatrix, ScoreMatrix, ScoreMatrix]:
     """Score each query's (shape, appearance) vectors against the index."""
-    ids = [rec.tracklet_id for rec in queries]
+    ids = [row.tracklet_id for row in queries]
     s_shape = shape_scores([(q, s) for q, (s, _) in zip(ids, embeddings)], index)
     s_app = appearance_scores(
         [(q, a) for q, (_, a) in zip(ids, embeddings)], index, rescale=cfg.model.rescale_appearance
@@ -103,38 +102,23 @@ def _score_embedded(
     return s_shape, s_app, fused
 
 
-def _score_queries(
-    queries: list[TrackletRecord],
-    shape_model: ShapeModel,
-    appearance_model: AppearanceModel,
-    index: GalleryIndex,
-    cfg: RunConfig,
-) -> tuple[ScoreMatrix, ScoreMatrix, ScoreMatrix]:
-    """Embed the queries in input order and score them against the index."""
-    embeddings = [tracklet_embeddings(rec, shape_model, appearance_model) for rec in queries]
-    return _score_embedded(queries, embeddings, index, cfg)
-
-
-def _gamma_sweep(cfg: RunConfig, gallery: list[TrackletRecord], queries: list[TrackletRecord]):
+def _gamma_sweep(cfg: RunConfig, app_model: AppearanceModel, gallery: tuple, queries: tuple):
     """Yield (gamma, gallery index, fused scores) for each gamma of GAMMA_SWEEP.
 
-    Gamma acts only where each group's average is flattened, so every
-    tracklet's shape vector and per-group appearance features are computed
-    once, and each gamma only flattens, averages, indexes and scores.
+    `gallery` and `queries` are each (manifest rows, `tracklet_features` of
+    each row). Gamma acts only where each group's average is flattened, so
+    each gamma only flattens, averages, indexes and scores.
     """
-    shape_model = build_shape_model(cfg)
-    app_model = build_appearance_model(cfg)
-    gallery_features = [tracklet_features(r, shape_model, app_model) for r in gallery]
-    query_features = [tracklet_features(r, shape_model, app_model) for r in queries]
+    (gallery_rows, gallery_features), (query_rows, query_features) = gallery, queries
     for gamma in GAMMA_SWEEP:
         model = replace(app_model, gamma=gamma)
         index = build_index(
-            gallery,
+            gallery_rows,
             [(shape, model.vector(model.finish(groups))) for shape, groups in gallery_features],
             centroid=cfg.ablation.centroid,
         )
         query_embeddings = [(shape, model.vector(model.finish(groups))) for shape, groups in query_features]
-        _, _, fused = _score_embedded(queries, query_embeddings, index, cfg)
+        _, _, fused = _score_embedded(query_rows, query_embeddings, index, cfg)
         yield gamma, index, fused
 
 
@@ -161,43 +145,35 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_enroll(cfg: RunConfig, out: str) -> int:
-    records = _load_records(os.path.join(cfg.data_dir, "gallery.csv"), cfg)
-    index = register(
-        records,
-        build_shape_model(cfg),
-        build_appearance_model(cfg),
-        centroid=cfg.ablation.centroid,
-    )
+    models = build_shape_model(cfg), build_appearance_model(cfg)
+    rows, embeddings = _embed_manifest("gallery.csv", cfg, lambda r: tracklet_embeddings(r, *models))
+    index = build_index(rows, embeddings, centroid=cfg.ablation.centroid)
     save_index(replace(index, model_hash=cfg.model_hash()), os.path.join(out, "index.shrc"))
-    print(f"registered {len(records)} tracklets into {len(index)} entries")
+    print(f"registered {len(rows)} tracklets into {len(index)} entries")
     return 0
 
 
 def cmd_query(cfg: RunConfig, out: str) -> int:
     index_path = os.path.join(out, "index.shrc")
-    _require_file(index_path)
     index = load_index(index_path)
     if index.model_hash != cfg.model_hash():
         raise IndexMismatch(
             f"{index_path}: enrolled under model hash {index.model_hash}, this config's is "
             f"{cfg.model_hash()}; query with the enrolling config or re-run enroll"
         )
-    records = _load_records(os.path.join(cfg.data_dir, "query.csv"), cfg)
-    s_shape, s_app, fused = _score_queries(
-        records, build_shape_model(cfg), build_appearance_model(cfg), index, cfg
-    )
+    models = build_shape_model(cfg), build_appearance_model(cfg)
+    rows, embeddings = _embed_manifest("query.csv", cfg, lambda r: tracklet_embeddings(r, *models))
+    s_shape, s_app, fused = _score_embedded(rows, embeddings, index, cfg)
     s_shape.write_csv(os.path.join(out, "scores_shape.csv"), _comment(cfg))
     s_app.write_csv(os.path.join(out, "scores_appearance.csv"), _comment(cfg))
     fused.write_csv(os.path.join(out, "scores_fused.csv"), _comment(cfg))
-    print(f"scored {len(records)} queries against {len(fused.gallery_ids)} subjects")
+    print(f"scored {len(rows)} queries against {len(fused.gallery_ids)} subjects")
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig, out: str) -> int:
     fused_path = os.path.join(out, "scores_fused.csv")
     query_path = os.path.join(cfg.data_dir, "query.csv")
-    _require_file(fused_path)
-    _require_file(query_path)
     fused = ScoreMatrix.read_csv(fused_path)
     subject_of = {r.tracklet_id: r.subject_id for r in read_manifest(query_path)}
     unknown = [q for q in fused.query_ids if q not in subject_of]
@@ -216,12 +192,13 @@ def cmd_evaluate(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_ablate_gamma(cfg: RunConfig, out: str) -> int:
-    gallery = _load_records(os.path.join(cfg.data_dir, "gallery.csv"), cfg)
-    queries = _load_records(os.path.join(cfg.data_dir, "query.csv"), cfg)
-    subject_of = {r.tracklet_id: r.subject_id for r in queries}
+    shape_model, app_model = build_shape_model(cfg), build_appearance_model(cfg)
+    gallery = _embed_manifest("gallery.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
+    queries = _embed_manifest("query.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
+    subject_of = {r.tracklet_id: r.subject_id for r in queries[0]}
     rows = [
         f"{gamma!r},{_evaluate(fused, subject_of).rank_k[1]!r}"
-        for gamma, _, fused in _gamma_sweep(cfg, gallery, queries)
+        for gamma, _, fused in _gamma_sweep(cfg, app_model, gallery, queries)
     ]
     _write_table(os.path.join(out, "ablate_gamma.csv"), _comment(cfg), "gamma,rank1", rows)
     print("\n".join(["gamma,rank1"] + rows))
@@ -229,13 +206,12 @@ def cmd_ablate_gamma(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_ablate_alpha(cfg: RunConfig, out: str) -> int:
-    gallery = _load_records(os.path.join(cfg.data_dir, "gallery.csv"), cfg)
-    queries = _load_records(os.path.join(cfg.data_dir, "query.csv"), cfg)
-    subject_of = {r.tracklet_id: r.subject_id for r in queries}
-    shape_model = build_shape_model(cfg)
-    app_model = build_appearance_model(cfg)
-    index = register(gallery, shape_model, app_model, centroid=cfg.ablation.centroid)
-    s_shape, s_app, _ = _score_queries(queries, shape_model, app_model, index, cfg)
+    models = build_shape_model(cfg), build_appearance_model(cfg)
+    gallery_rows, gallery_embeddings = _embed_manifest("gallery.csv", cfg, lambda r: tracklet_embeddings(r, *models))
+    query_rows, query_embeddings = _embed_manifest("query.csv", cfg, lambda r: tracklet_embeddings(r, *models))
+    subject_of = {r.tracklet_id: r.subject_id for r in query_rows}
+    index = build_index(gallery_rows, gallery_embeddings, centroid=cfg.ablation.centroid)
+    s_shape, s_app, _ = _score_embedded(query_rows, query_embeddings, index, cfg)
     rows = []
     for alpha in ALPHA_SWEEP:
         fused = fuse_scores(s_shape, s_app, alpha)

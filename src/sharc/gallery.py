@@ -19,7 +19,8 @@ over the groups (flattening is nonlinear, so it comes before the mean), to
 the (attn, avg) pair of C-vectors that `AppearanceModel.vector` turns into
 the scoring vector. `embed_tracklet` is the two stages in a row; the gamma
 sweep runs the first stage once per tracklet and the second once per gamma.
-`register` likewise is embedding followed by `build_index`.
+`register` (embedding, then `build_index`) is the library's one-call path;
+the CLI embeds each tracklet as it reads it and calls `build_index`.
 
 Index files ("SHRCIDX2"): little-endian; 8-byte magic, u32 byte length + ASCII
 model hash (the hash of the config keys that change the stored vectors, empty
@@ -218,11 +219,12 @@ def tracklet_features(
 
 
 def build_index(
-    tracklets: list[TrackletRecord],
+    tracklets: list,
     embeddings: list[tuple[np.ndarray, np.ndarray]],
     centroid: bool = True,
 ) -> GalleryIndex:
-    """Gallery index from each tracklet's (shape, appearance) vectors.
+    """Gallery index from each tracklet's (shape, appearance) vectors; records
+    and manifest rows both serve as tracklets.
 
     Centroid mode averages each subject's tracklet embeddings into one entry;
     otherwise every tracklet becomes its own entry and matching later takes

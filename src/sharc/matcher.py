@@ -74,7 +74,7 @@ class ScoreMatrix:
     @classmethod
     def read_csv(cls, path) -> "ScoreMatrix":
         """Inverse of write_csv; a malformed row or a repeated id raises
-        InvalidInput naming its line."""
+        InvalidInput naming its line, and a file with no query row one naming it."""
         try:
             with open(path, "r") as f:
                 lines = f.readlines()
@@ -110,6 +110,8 @@ class ScoreMatrix:
             query_ids.append(cells[0])
         if gallery_ids is None:
             raise InvalidInput(f"{path}: empty score file")
+        if not query_ids:
+            raise InvalidInput(f"{path}: holds no query rows")
         return cls(scores=np.array(rows, dtype=np.float64), query_ids=query_ids, gallery_ids=gallery_ids)
 
 

@@ -421,17 +421,13 @@ def write_dataset(records: Iterable[TrackletRecord], out_dir, header_comment: st
     return manifest_path
 
 
-def load_dataset(manifest_path) -> list[TrackletRecord]:
-    """Read every tracklet named by a manifest; paths resolve against it."""
+def load_dataset(manifest_path) -> Iterator[TrackletRecord]:
+    """Yield each tracklet named by a manifest, read when asked for; paths resolve against it."""
     base = os.path.dirname(os.path.abspath(manifest_path))
-    records = []
     for row in read_manifest(manifest_path):
         path = os.path.join(base, row.frames_path)
         if not os.path.exists(path):
             raise CorruptFile(f"{manifest_path}: missing frame container {row.frames_path}")
         if not os.path.isfile(path):
             raise CorruptFile(f"{manifest_path}: frame container {row.frames_path} is not a file")
-        records.append(
-            read_tracklet_frames(path, row.tracklet_id, row.subject_id, row.clothing_id)
-        )
-    return records
+        yield read_tracklet_frames(path, row.tracklet_id, row.subject_id, row.clothing_id)

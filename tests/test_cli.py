@@ -5,8 +5,11 @@ import warnings
 
 import pytest
 
+import sharc.cli
+import sharc.synth
 from sharc.cli import main
 from sharc.config import parse_config
+from sharc.gallery import read_manifest
 
 SMALL_CFG = """
 [dataset]
@@ -129,6 +132,25 @@ class TestExitCodes:
         assert f"query id '{lines[2].split(',')[0]}'" in err and "Traceback" not in err
         assert not list(out.glob("scores_*.csv"))
 
+    @pytest.mark.parametrize(
+        "command, manifest",
+        [("enroll", "gallery.csv"), ("query", "query.csv"), ("ablate-gamma", "query.csv"),
+         ("ablate-alpha", "gallery.csv")],
+    )
+    def test_manifest_naming_no_tracklet_is_2_naming_it(self, workspace, capsys, command, manifest):
+        # before, query wrote header-only score files that evaluate then
+        # refused without naming a file, and enroll and the sweeps named none
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        assert _run(["enroll", "--config", cfg_path, "--out", out]) == 0
+        lines = (data_dir / manifest).read_text().splitlines()
+        (data_dir / manifest).write_text("\n".join(lines[:2]) + "\n")
+        capsys.readouterr()
+        assert _run([command, "--config", cfg_path, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {data_dir / manifest}: names no tracklets\n"
+        assert not list(out.glob("scores_*.csv")) and not list(out.glob("ablate_*.csv"))
+
     def test_old_frame_container_is_2_with_a_hint(self, workspace, capsys):
         cfg_path, data_dir, tmp = workspace
         out = tmp / "run"
@@ -237,8 +259,10 @@ class TestExitCodes:
             (lambda lines: lines[:3] + [lines[2]] + lines[3:], "line 4: query id 's00"),
             (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + "," + lines[1].split(",")[1]] + lines[2:],
              "line 2: gallery id 's000' appears twice"),
+            (lambda lines: lines[:2], "holds no query rows"),
         ],
-        ids=["short_row", "non_numeric", "unknown_query", "not_utf8", "repeated_query", "repeated_gallery"],
+        ids=["short_row", "non_numeric", "unknown_query", "not_utf8", "repeated_query", "repeated_gallery",
+             "no_rows"],
     )
     def test_corrupt_fused_scores_are_2(self, workspace, capsys, corrupt, message):
         cfg_path, data_dir, tmp = workspace
@@ -254,6 +278,7 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "scores_fused.csv" in err and message in err
         assert "Traceback" not in err
+        assert not (out / "report.txt").exists()
 
     def test_index_of_other_width_is_2(self, workspace, capsys):
         # refused by its model hash before any query is read; the width check
@@ -372,6 +397,38 @@ class TestPipeline:
         assert _run(["enroll", "--config", cfg_path, "--out", out1]) == 0
         assert _run(["enroll", "--config", cfg_path, "--out", out2, "--threads", "4"]) == 0
         assert filecmp.cmp(out1 / "index.shrc", out2 / "index.shrc", shallow=False)
+
+
+@pytest.mark.parametrize(
+    "command, embed, manifests",
+    [
+        ("enroll", "tracklet_embeddings", ["gallery.csv"]),
+        ("query", "tracklet_embeddings", ["query.csv"]),
+        ("ablate-gamma", "tracklet_features", ["gallery.csv", "query.csv"]),
+    ],
+)
+def test_each_tracklet_is_embedded_before_the_next_is_read(workspace, monkeypatch, command, embed, manifests):
+    # only ids and vectors outlive a tracklet: no command holds every record
+    cfg_path, data_dir, tmp = workspace
+    out = tmp / "run"
+    assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+    assert _run(["enroll", "--config", cfg_path, "--out", out]) == 0
+    events = []
+    read, embedded = sharc.synth.read_tracklet_frames, getattr(sharc.cli, embed)
+
+    def logged_read(path, tracklet_id, *args):
+        events.append(("read", tracklet_id))
+        return read(path, tracklet_id, *args)
+
+    def logged_embed(record, *args):
+        events.append(("embed", record.tracklet_id))
+        return embedded(record, *args)
+
+    monkeypatch.setattr(sharc.synth, "read_tracklet_frames", logged_read)
+    monkeypatch.setattr(sharc.cli, embed, logged_embed)
+    assert _run([command, "--config", cfg_path, "--out", out]) == 0
+    ids = [row.tracklet_id for name in manifests for row in read_manifest(data_dir / name)]
+    assert events == [(kind, tracklet) for tracklet in ids for kind in ("read", "embed")]
 
 
 @pytest.mark.parametrize("levels", [2, 4])

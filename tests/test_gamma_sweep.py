@@ -1,10 +1,10 @@
 """The gamma sweep of `ablate-gamma` against the per-gamma pipeline.
 
-`cli._gamma_sweep` embeds every tracklet once and only re-finishes the
-appearance vectors per gamma. The oracle below re-embeds everything for each
-gamma: replace(build_appearance_model(cfg), gamma=gamma) -> register ->
-_score_queries. Both must give the same index entries and fused scores to
-the bit.
+`cli._gamma_sweep` takes every tracklet's features, computed once, and only
+re-finishes the appearance vectors per gamma. The oracle below re-embeds
+everything for each gamma: replace(build_appearance_model(cfg), gamma=gamma)
+-> register, and tracklet_embeddings of each query -> _score_embedded. Both
+must give the same index entries and fused scores to the bit.
 """
 
 from dataclasses import replace
@@ -15,7 +15,7 @@ import pytest
 import sharc.gallery
 from sharc import cli
 from sharc.config import build_appearance_model, build_shape_model, parse_config
-from sharc.gallery import register
+from sharc.gallery import register, tracklet_embeddings, tracklet_features
 from sharc.shape import ShapeModel
 from sharc.synth import generate_dataset, split_protocol
 
@@ -24,7 +24,8 @@ def _oracle(cfg, gallery, queries, gamma):
     shape_model = build_shape_model(cfg)
     app_model = replace(build_appearance_model(cfg), gamma=gamma)
     index = register(gallery, shape_model, app_model, centroid=cfg.ablation.centroid)
-    _, _, fused = cli._score_queries(queries, shape_model, app_model, index, cfg)
+    embeddings = [tracklet_embeddings(r, shape_model, app_model) for r in queries]
+    _, _, fused = cli._score_embedded(queries, embeddings, index, cfg)
     return index, fused
 
 
@@ -51,7 +52,12 @@ def test_sweep_matches_per_gamma_pipeline(tmp_path, text):
     cfg = parse_config(path)
     gallery, queries = _records(cfg)
 
-    sweep = list(cli._gamma_sweep(cfg, gallery, queries))
+    shape_model, app_model = build_shape_model(cfg), build_appearance_model(cfg)
+    gallery_features, query_features = (
+        [tracklet_features(r, shape_model, app_model) for r in part] for part in (gallery, queries)
+    )
+
+    sweep = list(cli._gamma_sweep(cfg, app_model, (gallery, gallery_features), (queries, query_features)))
 
     assert [gamma for gamma, _, _ in sweep] == list(cli.GAMMA_SWEEP)
     for gamma, index, fused in sweep:

@@ -1,6 +1,7 @@
 import itertools
 import struct
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -472,7 +473,7 @@ class TestDatasetIo:
     def test_write_then_load(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=2, tracklets_per_id=2, frames_per_tracklet=3))
         manifest = write_dataset(recs, tmp_path / "data")
-        loaded = load_dataset(manifest)
+        loaded = list(load_dataset(manifest))
         assert [r.tracklet_id for r in loaded] == [r.tracklet_id for r in recs]
         assert [r.clothing_id for r in loaded] == [r.clothing_id for r in recs]
         for ra, rb in zip(recs, loaded):
@@ -518,12 +519,22 @@ class TestDatasetIo:
             assert f.read().startswith("# sharc test\ntracklet_id,")
         assert [r.tracklet_id for r in load_dataset(manifest)] == [r.tracklet_id for r in recs]
 
+    def test_load_dataset_reads_each_container_when_its_record_is_asked_for(self, tmp_path):
+        recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
+        manifest = write_dataset(recs, tmp_path / "data")
+        (tmp_path / "data" / "frames" / f"{recs[1].tracklet_id}.dat").unlink()
+        loaded = load_dataset(manifest)
+        assert isinstance(loaded, Iterator) and not isinstance(loaded, list)
+        assert next(loaded).tracklet_id == recs[0].tracklet_id
+        with pytest.raises(CorruptFile, match="missing frame container"):
+            next(loaded)
+
     def test_missing_container_reported(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
         manifest = write_dataset(recs, tmp_path / "data")
         (tmp_path / "data" / "frames" / f"{recs[0].tracklet_id}.dat").unlink()
         with pytest.raises(CorruptFile):
-            load_dataset(manifest)
+            list(load_dataset(manifest))
 
     def test_container_path_naming_a_directory_is_corrupt(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
@@ -532,4 +543,4 @@ class TestDatasetIo:
         container.unlink()
         container.mkdir()
         with pytest.raises(CorruptFile, match=f"manifest.csv: frame container frames/{container.name} is not a file"):
-            load_dataset(manifest)
+            list(load_dataset(manifest))
