@@ -1,11 +1,13 @@
 import errno
 import filecmp
 import os
+import re
 import warnings
 
 import pytest
 
 import sharc.cli
+import sharc.losses
 import sharc.synth
 from sharc.cli import main
 from sharc.config import parse_config
@@ -475,6 +477,30 @@ class TestSweepsAndTraining:
         assert losses[-1] < losses[0]
         assert (out / "trained_encoder.shrcenc").exists()
         assert "final=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("objective", ["shape", "appearance"])
+    def test_train_toy_passes_its_gradient_check_at_data_seed_8(self, tmp_path, objective):
+        # a hardest negative switches inside the +-1e-5 of one coordinate; the
+        # check used to exit 2 here with a correct gradient
+        cfg_path = tmp_path / "seed8.cfg"
+        cfg_path.write_text(f"[train]\ndata_seed = 8\nobjective = {objective}\n")
+        assert _run(["train-toy", "--config", cfg_path, "--out", tmp_path / "o"]) == 0
+
+    def test_a_wrong_gradient_is_2_in_one_line(self, workspace, capsys, monkeypatch):
+        right = sharc.losses._loss_and_grads
+
+        def wrong(*args):
+            loss, grads, d_wc, d_bc = right(*args)
+            return loss, grads, -d_wc, d_bc
+
+        monkeypatch.setattr(sharc.losses, "_loss_and_grads", wrong)
+        cfg_path, data_dir, tmp = workspace
+        assert _run(["train-toy", "--config", cfg_path, "--out", tmp / "o"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: analytic vs numerical gradient relative error \d\.\d{3}e[-+]\d{2} > 1\.0e-03\n", err
+        )
+        assert list((tmp / "o").iterdir()) == []
 
     @pytest.mark.parametrize("objective", ["shape", "appearance"])
     def test_diverging_training_prints_one_line(self, workspace, capsys, objective):

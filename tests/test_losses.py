@@ -1,3 +1,6 @@
+import copy
+import re
+
 import numpy as np
 import pytest
 from conftest import (
@@ -9,6 +12,8 @@ from conftest import (
     sample_smooth_points,
 )
 
+import sharc.losses
+from sharc.config import TrainConfig
 from sharc.encoders import EncoderParams
 from sharc.exceptions import (
     DimMismatch,
@@ -20,14 +25,19 @@ from sharc.exceptions import (
 from sharc.losses import (
     APP_TRIPLET_MARGIN,
     CTL_WEIGHT,
+    GRAD_CHECK_EPS,
     SHAPE_TRIPLET_MARGIN,
     SHAPE_TRIPLET_WEIGHT,
     Batch,
     ToyDataset,
     _batch_hard_triplet_grad,
     _ctl_grad,
+    _flatten_params,
+    _loss_and_grads,
     _mean_ce_grad,
+    _numeric_gradient,
     _pairwise_distances,
+    _unflatten_params,
     appearance_objective,
     batch_hard_triplet,
     center_loss,
@@ -40,6 +50,7 @@ from sharc.losses import (
     train_toy,
     triplet_loss,
 )
+from sharc.prng import derive_seed
 
 
 class TestClosedForms:
@@ -460,3 +471,141 @@ class TestTrainer:
             train_toy(wrong, dataset, "shape", steps=1, lr=0.1, seed=1)
         with pytest.raises(InvalidInput):
             train_toy(params, dataset, "other", steps=1, lr=0.1, seed=1)
+
+
+# The step-0 gradient check of train_toy: stacked loss evaluations against the
+# per-coordinate loop, which stays as the oracle.
+
+
+def _default_run(objective, data_seed):
+    """The dataset and encoder `sharc train-toy` builds from the default [train]."""
+    t = TrainConfig()
+    dataset = make_toy_dataset(t.num_ids, t.samples_per_id, t.input_dim, t.noise, data_seed)
+    params = EncoderParams.initialize((t.input_dim, t.hidden_dim, t.embed_dim), derive_seed(t.seed, 1))
+    return params, dataset, objective, derive_seed(t.seed, 2)
+
+
+def _small_run(objective, widths, num_ids, samples_per_id, data_seed):
+    dataset = make_toy_dataset(num_ids, samples_per_id, widths[0], 0.1, data_seed)
+    return EncoderParams.initialize(widths, seed=1), dataset, objective, 5
+
+
+def _checked_state(monkeypatch, run):
+    """Run train_toy for one step and return the state its gradient check saw
+    and what the check returned."""
+    seen = []
+    check = sharc.losses._numeric_gradient
+
+    def recording(*state):
+        # train_toy updates its list of layers in place after the check
+        seen.append((copy.deepcopy(state), check(*state)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(sharc.losses, "_numeric_gradient", recording)
+    params, dataset, objective, seed = run
+    train_toy(params, dataset, objective, steps=1, lr=0.05, seed=seed)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def _loop_oracle(objective, x, labels, layers, wc, bc, centers):
+    """numerical_gradient over the loss the trainer computes at each step."""
+
+    def loss_at(flat):
+        ls, w2, b2 = _unflatten_params(flat, layers, wc, bc)
+        return _loss_and_grads(objective, x, labels, ls, w2, b2, centers)[0]
+
+    return numerical_gradient(loss_at, _flatten_params(layers, wc, bc))
+
+
+RUNS = {
+    # P = 944 = 14 * 64 + 48 at the default [train]
+    **{
+        f"{objective}-default-seed{seed}": (_default_run, (objective, seed))
+        for objective in ("shape", "appearance")
+        for seed in (8, 9)
+    },
+    # one layer, as in TestTrainer.test_argument_validation: P = 26 < 64
+    **{f"{o}-1-layer": (_small_run, (o, (3, 4), 2, 2, 2)) for o in ("shape", "appearance")},
+    # three layers: P = 197 = 3 * 64 + 5
+    **{f"{o}-3-layers": (_small_run, (o, (6, 9, 7, 5), 4, 3, 5)) for o in ("shape", "appearance")},
+}
+
+
+class TestStackedGradientCheck:
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_central_differences_equal_the_loop(self, monkeypatch, name):
+        make, args = RUNS[name]
+        state, (numeric, central, redone) = _checked_state(monkeypatch, make(*args))
+        assert np.array_equal(central, _loop_oracle(*state))
+        # a coordinate whose rows keep the pattern keeps its central difference
+        assert np.array_equal(numeric[~redone], central[~redone])
+
+    def test_chunking_does_not_move_a_bit(self, monkeypatch):
+        state, (numeric, central, redone) = _checked_state(monkeypatch, _default_run("shape", 8))
+        for rows in (1, 59, 944, 1000):  # 59 divides P = 944
+            monkeypatch.setattr(sharc.losses, "GRAD_CHECK_ROWS", rows)
+            again = _numeric_gradient(*state)
+            for got, want in zip(again, (numeric, central, redone)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("objective", ["shape", "appearance"])
+    def test_the_kink_at_data_seed_8_is_re_differenced(self, monkeypatch, objective):
+        # at +1e-5 the layer-2 bias of unit 6 switches one anchor's hardest
+        # negative; that one coordinate made the whole check fail
+        state, (numeric, central, redone) = _checked_state(monkeypatch, _default_run(objective, 8))
+        assert np.flatnonzero(redone).tolist() == [798]
+        analytic = _flatten_params(*_loss_and_grads(*state)[1:])
+        assert gradient_rel_error(analytic, central) > 1e-3
+        assert gradient_rel_error(analytic, numeric) < 1e-5
+
+    def test_kinks_on_both_sides_take_a_smaller_central_step(self, monkeypatch):
+        state, _ = _checked_state(monkeypatch, _default_run("shape", 9))
+        objective, x, labels, layers, wc, bc, centers = state
+        # unit 5 of layer 0: sample 0 sits 3e-6 above its ReLU kink and sample
+        # 1 sits 3e-6 below, so +1e-5 and -1e-5 on the unit's bias each
+        # switch one mask, and 1e-6 switches neither
+        w, b = layers[0][0].copy(), layers[0][1].copy()
+        unit, gap = 5, x[0] - x[1]
+        w[unit] -= (w[unit] @ gap - 6e-6) / (gap @ gap) * gap
+        b[unit] = 3e-6 - w[unit] @ x[0]
+        layers = [(w, b)] + layers[1:]
+        state = (objective, x, labels, layers, wc, bc, centers)
+        numeric, central, redone = _numeric_gradient(*state)
+        bias = w.size + unit
+        assert redone[bias]
+
+        def loss_at(flat):
+            ls, w2, b2 = _unflatten_params(flat, layers, wc, bc)
+            return _loss_and_grads(objective, x, labels, ls, w2, b2, centers)[0]
+
+        p, step, h = _flatten_params(layers, wc, bc), np.zeros(numeric.size), GRAD_CHECK_EPS / 10
+        step[bias] = h
+        assert numeric[bias] == (loss_at(p + step) - loss_at(p - step)) / (2.0 * h)
+        analytic = _flatten_params(*_loss_and_grads(*state)[1:])
+        assert gradient_rel_error(analytic, central) > 1e-3
+        assert gradient_rel_error(analytic, numeric) < 1e-5
+
+    @pytest.mark.parametrize("objective", ["shape", "appearance"])
+    def test_nothing_is_re_differenced_at_the_default_seed(self, monkeypatch, objective):
+        _, (numeric, central, redone) = _checked_state(monkeypatch, _default_run(objective, 9))
+        assert not redone.any()
+        assert np.array_equal(numeric, central)
+
+    @pytest.mark.parametrize("objective", ["shape", "appearance"])
+    @pytest.mark.parametrize("data_seed", [8, 9])
+    @pytest.mark.parametrize("layer, factor", [(0, -1.0), (1, 1.01)])
+    def test_a_wrong_gradient_still_fails(self, monkeypatch, objective, data_seed, layer, factor):
+        right = sharc.losses._loss_and_grads
+
+        def wrong(*args):
+            loss, grads, d_wc, d_bc = right(*args)
+            grads = list(grads)
+            grads[layer] = (factor * grads[layer][0], grads[layer][1])
+            return loss, grads, d_wc, d_bc
+
+        monkeypatch.setattr(sharc.losses, "_loss_and_grads", wrong)
+        params, dataset, objective, seed = _default_run(objective, data_seed)
+        message = r"analytic vs numerical gradient relative error \d\.\d{3}e[-+]\d{2} > 1\.0e-03"
+        with pytest.raises(GradientCheckFailed, match=re.compile(f"^{message}$")):
+            train_toy(params, dataset, objective, steps=1, lr=0.05, seed=seed)
