@@ -42,7 +42,6 @@ from .gallery import (
     tracklet_features,
     write_manifest,
 )
-from .losses import make_toy_dataset, train_toy
 from .matcher import ScoreMatrix, appearance_scores, fuse_scores, rank, shape_scores
 from .metrics import EvalReport, evaluate_ranking
 from .prng import derive_seed
@@ -222,6 +221,9 @@ def cmd_ablate_alpha(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_train_toy(cfg: RunConfig, out: str) -> int:
+    # here, not at the top: only this command runs the trainer
+    from .losses import make_toy_dataset, train_toy
+
     t = cfg.train
     dataset = make_toy_dataset(t.num_ids, t.samples_per_id, t.input_dim, t.noise, t.data_seed)
     params = EncoderParams.initialize(

@@ -1,10 +1,13 @@
-"""Feature encoders over whole tracklets, with seeded, portable weights.
+"""Feature encoders over tracklet frames, with seeded, portable weights.
 
 Each encoder is a stack of (linear map -> bias -> ReLU) blocks; grid encoders
 additionally halve the spatial resolution with 2x2 average pooling after every
-block. Every encoder takes one modality of a tracklet as a single array, with
-frames on the first axis: (T, H, W) masks and (T, H, W, 3) RGB frames, the
-(T, 85) body vectors or the (T, 51) skeletons. The arrays are validated once,
+block. Every encoder takes one modality of any run of frames as a single
+array, with frames on the first axis: (T, H, W) masks and (T, H, W, 3) RGB
+frames, the (T, 85) body vectors or the (T, 51) skeletons. Frames are encoded
+independently, so the models feed the grid encoders a tracklet in the slices
+of `frame_chunks`: at most CHUNK_ROWS pixel rows per 2-D product, whatever
+the tracklet's length. The arrays are validated once,
 where a `TrackletRecord` is built, not here. Weights are drawn from
 SplitMix64, uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], so a (seed, widths)
 pair reproduces the same parameters on any platform.
@@ -33,6 +36,12 @@ SMPL_DIM = 3 + 10 + 72  # body vector: camera, shape, joint rotations
 SKELETON_JOINTS = 17
 # skeleton vector: x, y of each joint, then the joints' confidences
 SKELETON_INPUT_DIM = SKELETON_JOINTS * 3
+
+# pixel rows per 2-D product when a tracklet is encoded in frame chunks: 8
+# frames of 32x32, a 512 KB layer-1 product at 8 hidden channels. A product
+# over a whole 48-frame tracklet is 3.1 MB, and its fresh pages fault in again
+# for every tracklet.
+CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,7 @@ def _grid_forward(grids: np.ndarray, params: EncoderParams) -> np.ndarray:
         t, h, wd, c = x.shape
         if c != w.shape[1]:
             raise DimMismatch(f"grid has {c} channels, layer expects {w.shape[1]}")
-        # in place after the product: a tracklet's pixels make these arrays large
+        # in place after the product, so the bias and the ReLU allocate nothing
         y = x.reshape(-1, c) @ w.T
         y += b
         x = _avgpool2x2(np.maximum(y, 0.0, out=y).reshape(t, h, wd, w.shape[0]))
@@ -129,6 +138,13 @@ def _vector_forward(rows: np.ndarray, params: EncoderParams) -> np.ndarray:
             raise DimMismatch(f"rows have {x.shape[1]} entries, layer expects {w.shape[1]}")
         x = np.maximum(np.matmul(w, x[:, :, None])[..., 0] + b, 0.0)
     return x
+
+
+def frame_chunks(n_frames: int, frame_pixels: int) -> list[slice]:
+    """Consecutive slices covering n_frames, each of at most CHUNK_ROWS pixel
+    rows; a frame larger than the budget gets a slice of its own."""
+    step = max(1, CHUNK_ROWS // frame_pixels)
+    return [slice(start, min(start + step, n_frames)) for start in range(0, n_frames, step)]
 
 
 def grid_output_shape(input_hw: tuple[int, int], params: EncoderParams) -> tuple[int, int]:
@@ -213,13 +229,14 @@ def load_encoder(path) -> EncoderParams:
         need = 4 * (rows * cols + rows)
         if off + need > len(data):
             raise CorruptFile(f"{path}: truncated layer payload")
-        w = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=off).astype(np.float64)
+        w = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=off)
         off += 4 * rows * cols
-        b = np.frombuffer(data, dtype="<f4", count=rows, offset=off).astype(np.float64)
+        b = np.frombuffer(data, dtype="<f4", count=rows, offset=off)
         off += 4 * rows
+        # before the cast to float64, which warns on a signalling NaN
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise CorruptFile(f"{path}: layer {i} has non-finite weights or biases")
-        layers.append((w.reshape(rows, cols), b))
+        layers.append((w.astype(np.float64).reshape(rows, cols), b.astype(np.float64)))
     if not layers:
         raise CorruptFile(f"{path}: no layers")
     return EncoderParams(layers=tuple(layers), seed=None)

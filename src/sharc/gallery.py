@@ -11,7 +11,8 @@ members. The shape branch pools over arbitrary lengths, so it always sees the
 full sequence.
 
 The appearance branch runs in two stages. `AppearanceModel.group_features`
-encodes all frames of a tracklet in one pass, gathers its G groups into one
+encodes the frames of a tracklet chunk by chunk (`encoders.frame_chunks`),
+joins the small encoded grids, gathers its G groups into one
 (G, 2**pyramid_levels, h, w, C) array and reduces them to (G, C) pyramid
 aggregates and (G, C) spatial averages; nothing in it depends on gamma.
 `AppearanceModel.finish` flattens the averages with gamma and then averages
@@ -43,7 +44,14 @@ import numpy as np
 
 from .appearance import AttentionParams, average_aggregate, flatten_feature, mean_embedding, pyramid_aggregate
 from .core import l2_normalize
-from .encoders import SKELETON_INPUT_DIM, SKELETON_JOINTS, SMPL_DIM, EncoderParams, encode_appearance
+from .encoders import (
+    SKELETON_INPUT_DIM,
+    SKELETON_JOINTS,
+    SMPL_DIM,
+    EncoderParams,
+    encode_appearance,
+    frame_chunks,
+)
 from .exceptions import CorruptIndex, EmptyInput, InvalidInput
 from .shape import ShapeModel
 
@@ -138,11 +146,12 @@ class AppearanceModel:
     use_avg: bool = True
 
     def group_features(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gamma-free stage: encode the (T, H, W, 3) frames in one pass, then
-        the (G, C) pyramid aggregates and (G, C) spatial averages of the G
-        pyramid-sized groups, all groups in one call each."""
-        encoded = encode_appearance(frames, self.encoder)
-        groups = encoded[np.array(chunk_frames(len(encoded), self.attention.group_size))]
+        """Gamma-free stage: encode the (T, H, W, 3) frames one frame chunk at
+        a time, then the (G, C) pyramid aggregates and (G, C) spatial averages
+        of the G pyramid-sized groups, all groups in one call each."""
+        members = np.array(chunk_frames(len(frames), self.attention.group_size))
+        chunks = frame_chunks(len(frames), frames.shape[1] * frames.shape[2])
+        groups = np.concatenate([encode_appearance(frames[c], self.encoder) for c in chunks])[members]
         return pyramid_aggregate(groups, self.attention, ta_target=self.ta_target), average_aggregate(groups)
 
     def finish(self, groups: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

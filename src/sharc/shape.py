@@ -1,7 +1,9 @@
 """Shape branch: fuse each frame's silhouette and body-model features, pool
 the sequence, strip-pool into bins, and append the pooled motion feature as
-one extra bin. Every stage takes a tracklet's frames as one array, frames on
-the first axis.
+one extra bin. Every stage takes frames as one array, frames on the first
+axis. `ShapeModel.embed` runs the pose stages over a tracklet in the frame
+chunks of `encoders.frame_chunks` and folds each chunk's max into a running
+max, which is exact, so no per-frame pose array spans the whole tracklet.
 
 The output of the branch is a (B + 1) x C matrix: B strip-pooled bins from the
 fused pose feature plus a final bin carrying the skeleton-motion feature
@@ -23,6 +25,7 @@ from .encoders import (
     encode_silhouette,
     encode_skeleton_sequence,
     encode_smpl,
+    frame_chunks,
     grid_output_shape,
 )
 from .exceptions import DimMismatch, EmptyInput, InvalidInput
@@ -136,9 +139,10 @@ class ShapeModel:
     ) -> ShapeEmbedding:
         """Full shape-branch embedding for one tracklet's arrays (see TrackletRecord).
 
-        Encode the silhouettes and body vectors of all frames and fuse them; pool
-        the fused sequence with elementwise max; strip-pool into `bins` bands;
-        append the pooled (and projected) motion feature as the extra bin.
+        Encode the silhouettes and body vectors and fuse them, one frame chunk
+        at a time; pool the fused sequence with elementwise max, chunk by chunk;
+        strip-pool into `bins` bands; append the pooled (and projected) motion
+        feature as the extra bin.
         """
         n = len(masks)
         if n == 0:
@@ -149,11 +153,15 @@ class ShapeModel:
                 f"{len(body)} body vectors, {len(skeleton)} skeletons"
             )
         spatial = grid_output_shape(masks.shape[1:3], self.sil_encoder)
-        fused = fuse_pose(
-            encode_silhouette(masks, appearance, self.sil_encoder),
-            encode_smpl(body, self.smpl_encoder, spatial),
-        )
-        pose_bins = core.strip_pool(temporal_pool_pose(fused), self.bins, self.hpp_mode)
+        pooled = None
+        for chunk in frame_chunks(n, masks.shape[1] * masks.shape[2]):
+            fused = fuse_pose(
+                encode_silhouette(masks[chunk], appearance[chunk], self.sil_encoder),
+                encode_smpl(body[chunk], self.smpl_encoder, spatial),
+            )
+            chunk_max = temporal_pool_pose(fused)
+            pooled = chunk_max if pooled is None else np.maximum(pooled, chunk_max, out=pooled)
+        pose_bins = core.strip_pool(pooled, self.bins, self.hpp_mode)
 
         motion = self.motion_bin(skeleton)
         if motion.shape[0] != pose_bins.shape[1]:

@@ -1,13 +1,17 @@
-"""The batched encoders and appearance groups against the paths they replaced.
+"""The batched encoders, chunked models and appearance groups against the
+paths they replaced.
 
-Each encoder runs a whole tracklet at once: one 2-D product per grid layer
-over all T*H*W pixels, and one matrix-vector product per row for the body
-and skeleton encoders. The per-frame functions below are the earlier forward,
-kept as a scalar oracle. `AppearanceModel.group_features` runs all of a
-tracklet's frame groups through one pyramid and one averaging call; calling
-both once per group is its oracle. The batched outputs must equal their
-oracles to the bit, at frame counts that split unevenly, and must not depend
-on the BLAS thread count.
+Each encoder runs any run of frames it is given as one array: one 2-D
+product per grid layer over all T*H*W pixels, and one matrix-vector product
+per row for the body and skeleton encoders. The per-frame functions below are
+the earlier forward, kept as a scalar oracle. The models feed a tracklet to
+the encoders in the frame chunks of `frame_chunks` (at most CHUNK_ROWS pixel
+rows per product); one whole-tracklet call of each encoder is the oracle of
+`ShapeModel.embed` and `AppearanceModel.group_features`.
+`group_features` runs all of a tracklet's frame groups through one pyramid
+and one averaging call; calling both once per group is its oracle. The
+batched outputs must equal their oracles to the bit, at frame counts that
+split unevenly, and must not depend on the BLAS thread count.
 """
 
 import os
@@ -19,16 +23,20 @@ import numpy as np
 import pytest
 
 import sharc
+from sharc import core
 from sharc.appearance import TA_TARGETS, AttentionParams, average_aggregate, pyramid_aggregate
 from sharc.config import build_appearance_model, build_shape_model, parse_config
 from sharc.encoders import (
+    CHUNK_ROWS,
     encode_appearance,
     encode_silhouette,
     encode_skeleton_sequence,
     encode_smpl,
+    frame_chunks,
     grid_output_shape,
 )
 from sharc.gallery import chunk_frames
+from sharc.shape import fuse_pose, temporal_pool_pose
 
 
 def _pool_frame(grid):
@@ -124,8 +132,57 @@ def test_batched_groups_equal_one_group_at_a_time(tmp_path, t, levels, ta_target
     assert np.array_equal(avg, want_avg)
 
 
+def _whole_shape_bins(model, masks, appearance, body, skeleton):
+    """`ShapeModel.embed`'s bins with every pose stage over the whole tracklet."""
+    spatial = grid_output_shape(masks.shape[1:], model.sil_encoder)
+    fused = fuse_pose(
+        encode_silhouette(masks, appearance, model.sil_encoder), encode_smpl(body, model.smpl_encoder, spatial)
+    )
+    pose_bins = core.strip_pool(temporal_pool_pose(fused), model.bins, model.hpp_mode)
+    return np.vstack([pose_bins, model.motion_bin(skeleton)[None, :]])
+
+
+def _whole_group_features(app_model, frames):
+    """`AppearanceModel.group_features` with one encoder call over the whole tracklet."""
+    encoded = encode_appearance(frames, app_model.encoder)
+    groups = encoded[np.array(chunk_frames(len(encoded), app_model.attention.group_size))]
+    return pyramid_aggregate(groups, app_model.attention, ta_target=app_model.ta_target), average_aggregate(groups)
+
+
+@pytest.mark.parametrize(
+    "n_frames, frame_pixels", [(1, 1024), (48, 1024), (19, 1024), (3, 16384), (301, 144), (5, 8193)]
+)
+def test_frame_chunks_cover_the_frames_within_the_row_budget(n_frames, frame_pixels):
+    chunks = frame_chunks(n_frames, frame_pixels)
+    assert [i for c in chunks for i in range(n_frames)[c]] == list(range(n_frames))
+    step = max(1, CHUNK_ROWS // frame_pixels)
+    assert [c.stop - c.start for c in chunks[:-1]] == [step] * (len(chunks) - 1)
+    assert all((c.stop - c.start) * frame_pixels <= max(CHUNK_ROWS, frame_pixels) for c in chunks)
+
+
+@pytest.mark.parametrize(
+    "t, size, n_chunks",
+    [(1, 32, 1), (5, 32, 1), (19, 32, 3), (67, 16, 3), (3, 128, 3)],
+    ids=["one-frame", "below-one-chunk", "two-chunks-plus-3", "two-chunks-plus-3-16px", "frame-over-budget"],
+)
+@pytest.mark.parametrize("drop", [None, "masks", "body", "skeleton"])
+def test_chunked_models_equal_the_whole_tracklet_composition(tmp_path, t, size, n_chunks, drop):
+    shape_model, app_model = _models(tmp_path)
+    inputs = list(_inputs(t, size, seed=t))
+    if drop is not None:
+        # the CLI's drop_* ablations zero the input array
+        index = ("masks", "appearance", "body", "skeleton").index(drop)
+        inputs[index] = np.zeros_like(inputs[index])
+    assert len(frame_chunks(t, size * size)) == n_chunks
+
+    assert np.array_equal(shape_model.embed(*inputs).bins, _whole_shape_bins(shape_model, *inputs))
+    got, want = app_model.group_features(inputs[1]), _whole_group_features(app_model, inputs[1])
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 _HASH_SCRIPT = """
 import hashlib, sys
+from dataclasses import replace
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 import test_batched_encoders as t
@@ -133,13 +190,18 @@ from pathlib import Path
 models = t._models(Path(sys.argv[2]))
 inputs = t._inputs(47, 12, seed=3)
 out = t._batched(*inputs, *models) + list(models[1].group_features(inputs[1]))
+chunked = t._inputs(23, 28, seed=4)
+# 7 bins strip the 7 rows that 28x28 frames encode to
+out += [replace(models[0], bins=7).embed(*chunked).bins] + list(models[1].group_features(chunked[1]))
 print(hashlib.sha256(b"".join(np.ascontiguousarray(o).tobytes() for o in out)).hexdigest())
 """
 
 
 def test_encoder_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 47 frames of 12x12: the second grid layer has 47 * 6 * 6 = 1692 pixel
-    # rows, no multiple of 8, so the threads' shares of the rows differ
+    # rows, no multiple of 8, so the threads' shares of the rows differ. 23
+    # frames of 28x28 run through the models in chunks of 10, 10 and 3
+    # frames; the last chunk's second layer has 3 * 14 * 14 = 588 rows
     src = os.path.dirname(os.path.dirname(os.path.abspath(sharc.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
     digests = []

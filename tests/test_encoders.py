@@ -1,7 +1,10 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sharc.encoders import (
     ENCODER_MAGIC,
@@ -244,6 +247,18 @@ class TestSerialization:
         with pytest.raises(CorruptFile):
             load_encoder(path)
 
+    def test_signalling_nan_is_refused_without_a_warning(self, tmp_path):
+        path = tmp_path / "enc.bin"
+        save_encoder(EncoderParams.initialize((4, 6), seed=9), path)
+        raw = bytearray(path.read_bytes())
+        # the first weight, after the magic and the layer header
+        raw[16:20] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorruptFile, match="layer 0 has non-finite weights or biases"):
+                load_encoder(path)
+
     @pytest.mark.parametrize(
         "layers, message",
         [
@@ -263,3 +278,44 @@ class TestSerialization:
                 f.write(struct.pack("<II", *w.shape) + w.astype("<f4").tobytes() + b.astype("<f4").tobytes())
         with pytest.raises(CorruptFile, match=f"enc.bin: {message}"):
             load_encoder(path)
+
+
+class TestEncoderFileFuzz:
+    """Any damaged SHRCENC1 file is refused as `CorruptFile`, or it reads as
+    parameters that `save_encoder` writes back to the same bytes."""
+
+    @staticmethod
+    def _saved(tmp_path):
+        path = tmp_path / "enc.bin"
+        save_encoder(EncoderParams.initialize((4, 6, 8), seed=9), path)
+        return path.read_bytes()
+
+    @staticmethod
+    def _refused_or_stable(tmp_path, raw):
+        path = tmp_path / "damaged.bin"
+        path.write_bytes(raw)
+        try:
+            params = load_encoder(path)
+        except CorruptFile:
+            return
+        assert isinstance(params, EncoderParams)
+        again = tmp_path / "again.bin"
+        save_encoder(params, again)
+        assert again.read_bytes() == raw
+
+    def test_every_truncation_is_refused_or_stable(self, tmp_path):
+        # every cut point, not a sample: the 2-layer file has 368 of them
+        raw = self._saved(tmp_path)
+        for n in range(len(raw)):
+            self._refused_or_stable(tmp_path, raw[:n])
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_single_byte_mutation_is_refused_or_stable(self, tmp_path, data):
+        raw = bytearray(self._saved(tmp_path))
+        pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+        # 0x7F or 0xFF in a float's high byte makes it inf or NaN when the next
+        # byte's top bit is set
+        values = st.sampled_from([0x00, 0x7F, 0x80, 0xFF]) | st.integers(0, 255)
+        raw[pos] = data.draw(values.filter(lambda v: v != raw[pos]), label="value")
+        self._refused_or_stable(tmp_path, bytes(raw))
