@@ -68,8 +68,9 @@ class ScoreMatrix:
                 f.write(f"# {header_comment}\n")
             f.write("query_id," + ",".join(self.gallery_ids) + "\n")
             for qid, row in zip(self.query_ids, self.scores):
-                # repr of a python float round-trips exactly; numpy scalars do not
-                f.write(qid + "," + ",".join(repr(float(x)) for x in row) + "\n")
+                # repr of a python float round-trips exactly; numpy scalars do
+                # not, and tolist() gives python floats
+                f.write(qid + "," + ",".join(map(repr, row.tolist())) + "\n")
 
     @classmethod
     def read_csv(cls, path) -> "ScoreMatrix":
@@ -101,7 +102,7 @@ class ScoreMatrix:
                     f"{path}: line {lineno}: expected {len(gallery_ids) + 1} cells, got {len(cells)}"
                 )
             try:
-                rows.append([float(x) for x in cells[1:]])
+                rows.append(list(map(float, cells[1:])))
             except ValueError:
                 raise InvalidInput(f"{path}: line {lineno}: non-numeric score") from None
             if cells[0] in seen:

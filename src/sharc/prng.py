@@ -4,8 +4,9 @@ Every stochastic quantity in the package (encoder weights, synthetic data,
 toy-training initialization) is drawn from SplitMix64 so that outputs are
 bit-identical across runs and platforms. SplitMix64 advances its 64-bit state
 by a fixed odd constant and scrambles it with two xor-multiply rounds; because
-the state is a plain counter, whole blocks of draws can be produced with
-vectorized uint64 arithmetic.
+the state is a plain counter, whole blocks of draws, for one stream or for
+many streams side by side (`uniform_rows`), are produced with vectorized
+uint64 arithmetic.
 """
 
 from __future__ import annotations
@@ -27,11 +28,34 @@ def _mix_int(state: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_block(states: np.ndarray) -> np.ndarray:
-    z = states
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix_rows(states: np.ndarray, n: int) -> np.ndarray:
+    """(len(states), n) raw outputs: row i is the n draws that follow states[i].
+
+    The three mixing rounds run in place on one scratch array; uint64
+    arithmetic wraps, so every step is exact.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z = states[:, None] + z
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def uniform_rows(seeds, n: int) -> np.ndarray:
+    """(len(seeds), n) doubles uniform in [0, 1); row i is bit-identical to
+    SplitMix64(seeds[i]).uniforms(n)."""
+    if n < 0:
+        raise ValueError(f"block size must be nonnegative, got {n}")
+    z = _mix_rows(np.array([int(s) & _MASK for s in seeds], dtype=np.uint64), n)
+    z >>= np.uint64(11)
+    # the top 53 bits convert exactly, so the float64 result can take z's place
+    return np.multiply(z, _DOUBLE_UNIT, out=z.view(np.float64))
 
 
 def derive_seed(*components) -> int:
@@ -67,15 +91,15 @@ class SplitMix64:
         """n raw 64-bit outputs; advances the stream exactly as n scalar calls."""
         if n < 0:
             raise ValueError(f"block size must be nonnegative, got {n}")
-        with np.errstate(over="ignore"):
-            steps = np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
-            out = _mix_block(np.uint64(self._state) + steps)
+        out = _mix_rows(np.array([self._state], dtype=np.uint64), n)[0]
         self._state = (self._state + _GAMMA * n) & _MASK
         return out
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform in [0, 1)."""
-        return (self.block_u64(n) >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
+        out = uniform_rows([self._state], n)[0]
+        self._state = (self._state + _GAMMA * n) & _MASK
+        return out
 
     def uniform_array(self, low: float, high: float, shape: tuple[int, ...]) -> np.ndarray:
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -96,13 +120,19 @@ def box_muller(u: np.ndarray, n: int) -> np.ndarray:
     """n standard normals per row of u, whose last axis holds
     normal_uniform_count(n) uniforms: the u1 half, then the u2 half.
 
-    `log`, `cos` and `sin` run on contiguous copies of the halves, so a row
-    takes the same SIMD loop as a one-row call and gives the same bits.
+    `log`, `cos` and `sin` run in place on contiguous copies of the halves,
+    row by row contiguous, so a row takes the same SIMD loop as a one-row call
+    and gives the same bits.
     """
     m = (n + 1) // 2
-    u1 = np.maximum(u[..., :m], _DOUBLE_UNIT)  # avoid log(0)
-    u2 = u[..., m:]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    r = np.maximum(u[..., :m], _DOUBLE_UNIT)  # avoid log(0)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = 2.0 * np.pi * u[..., m:]
+    out = np.empty(r.shape[:-1] + (2 * m,))
+    np.cos(theta, out=out[..., :m])
+    np.sin(theta, out=out[..., m:])
+    out[..., :m] *= r
+    out[..., m:] *= r
     return out[..., :n]

@@ -19,12 +19,17 @@ Tracklet i of a subject wears clothing variant i mod clothing_variants, so
 with tracklets_per_id <= clothing_variants no two tracklets of a subject
 share an outfit and any gallery/query split is a clothes-change protocol.
 
-A tracklet's stream is drawn as one block of uniforms of its exact total,
+A tracklet's stream is drawn as one row of uniforms of its exact total,
 sliced in stream order (the yaw, then frame by frame the draws that
-`_frame_draws` lists), and every modality is computed over all T frames at
-once: (T, h, w) masks, (T, h, w, 3) appearance, (T, 85) body vectors and
-(T, 51) skeletons. `iter_dataset` yields one tracklet at a time, so
-`write_dataset` holds one in memory. The SHRCDAT3 frame container stores
+`_frame_draws` lists). `iter_dataset` generates consecutive tracklets as one
+block of at most `encoders.CHUNK_ROWS` pixel rows (T*h*w per tracklet; a
+tracklet at or above the budget is a block of its own): every stream of the
+block is mixed in one pass (`prng.uniform_rows`), and every modality is
+computed over a leading tracklet axis and all T frames at once, as (N, T,
+h, w) masks, (N, T, h, w, 3) appearance, (N, T, 85) body vectors and (N, T,
+51) skeletons. A tracklet's bytes do not depend on its block. The block's
+records are yielded one at a time, so `write_dataset` holds one block in
+memory. The SHRCDAT3 frame container stores
 each of the four arrays as one section: the masks (as u8), never the masked
 RGB, which the silhouette encoder derives from the masks and the appearance
 frames.
@@ -41,10 +46,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .encoders import SKELETON_INPUT_DIM, SKELETON_JOINTS, SMPL_DIM
+from .encoders import SKELETON_INPUT_DIM, SKELETON_JOINTS, SMPL_DIM, frame_chunks
 from .exceptions import CorruptFile, InvalidInput, ProtocolError, at_least, finite_nonneg, setting, within
 from .gallery import ManifestRow, TrackletRecord, read_manifest, write_manifest
-from .prng import SplitMix64, box_muller, derive_seed, normal_uniform_count
+from .prng import SplitMix64, box_muller, derive_seed, normal_uniform_count, uniform_rows
 
 DATA_MAGIC = b"SHRCDAT3"
 _OLD_DATA_MAGICS = (b"SHRCDAT1", b"SHRCDAT2")
@@ -132,22 +137,30 @@ def subject_label(index: int) -> str:
     return f"s{index:03d}"
 
 
+def _profile_rows(spec: DatasetSpec, subjects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(latent shapes, gait parameters, appearance signatures), one row per
+    entry of `subjects`, each from that subject's own stream."""
+    u = uniform_rows([derive_seed(spec.seed, 1, s) for s in subjects], 13 + SIGNATURE_DIM)
+    gait = np.stack([u[:, 10], 0.6 + (1.4 - 0.6) * u[:, 11], 0.05 + (0.15 - 0.05) * u[:, 12]], axis=1)
+    return -1.0 + 2.0 * u[:, :10], gait, -1.0 + 2.0 * u[:, 13:]
+
+
 def identity_profile(spec: DatasetSpec, subject_index: int) -> IdentityProfile:
-    u = SplitMix64(derive_seed(spec.seed, 1, subject_index)).uniforms(13 + SIGNATURE_DIM)
+    latent, gait, signature = _profile_rows(spec, [subject_index])
     return IdentityProfile(
         subject_id=subject_label(subject_index),
-        latent_shape=-1.0 + 2.0 * u[:10],
-        gait_phase_params=np.array([u[10], 0.6 + (1.4 - 0.6) * u[11], 0.05 + (0.15 - 0.05) * u[12]]),
-        appearance_signature=-1.0 + 2.0 * u[13:],
+        latent_shape=latent[0],
+        gait_phase_params=gait[0],
+        appearance_signature=signature[0],
     )
 
 
-def _clothing_factors(spec: DatasetSpec, subject_index: int, variant: int):
-    """(thickness multiplier, appearance offset vector) for one outfit."""
-    rng = SplitMix64(derive_seed(spec.seed, 2, subject_index, variant))
-    thickness = 1.0 + 0.2 * rng.uniform_array(-1.0, 1.0, (1,))[0]
-    offset = rng.normals(SIGNATURE_DIM)
-    return thickness, offset
+def _outfit_rows(spec: DatasetSpec, outfits) -> tuple[np.ndarray, np.ndarray]:
+    """(thickness multipliers, appearance offset vectors), one row per
+    (subject index, variant) entry of `outfits`: a uniform in [-1, 1) scales
+    the thickness, then SIGNATURE_DIM normals."""
+    u = uniform_rows([derive_seed(spec.seed, 2, s, v) for s, v in outfits], 1 + normal_uniform_count(SIGNATURE_DIM))
+    return 1.0 + 0.2 * (-1.0 + 2.0 * u[:, 0]), box_muller(u[:, 1:], SIGNATURE_DIM)
 
 
 @functools.lru_cache(maxsize=4)
@@ -167,10 +180,13 @@ def _texture_basis(h: int, w: int) -> np.ndarray:
 
 
 def _silhouette_profile(h: int, latent: np.ndarray) -> np.ndarray:
-    """Half-width per row in [0, 1] units of the grid width: head, torso, legs."""
+    """Half-width per row in [0, 1] units of the grid width: head, torso, legs.
+
+    `latent` may carry leading axes, one (h,) profile per latent shape.
+    """
     rows = np.arange(h) / h
-    width = np.where(rows < 0.2, 0.10, np.where(rows < 0.6, 0.22 + 0.05 * np.tanh(latent[1]), 0.13))
-    scale = 1.0 + 0.3 * np.tanh(latent[0])
+    width = np.where(rows < 0.2, 0.10, np.where(rows < 0.6, 0.22 + 0.05 * np.tanh(latent[..., 1, None]), 0.13))
+    scale = 1.0 + 0.3 * np.tanh(latent[..., 0, None])
     return width * scale
 
 
@@ -191,92 +207,119 @@ def _frame_draws(spec: DatasetSpec) -> tuple[tuple[str, int, bool], ...]:
     return tuple(draws)
 
 
-def generate_tracklet(spec: DatasetSpec, subject_index: int, tracklet_index: int) -> TrackletRecord:
-    """All modality frames for one tracklet, from its own PRNG stream.
+def _generate_block(spec: DatasetSpec, pairs: list[tuple[int, int]]) -> list[TrackletRecord]:
+    """The records of consecutive (subject index, tracklet index) pairs, built
+    as one block.
 
-    The stream is one block of uniforms: the viewpoint yaw, then frame by
-    frame the draws `_frame_draws` lists. Every modality is computed over all
-    T frames at once from that block.
+    Each tracklet's stream is one row of uniforms of its exact total: the
+    viewpoint yaw, then frame by frame the draws `_frame_draws` lists. Every
+    modality is computed over a leading tracklet axis and all T frames at
+    once: (N, T, h, w) masks, (N, T, h, w, 3) appearance, (N, T, 85) body
+    vectors and (N, T, 51) skeletons. `box_muller` runs on contiguous copies,
+    so a tracklet's values do not depend on its place in the block. The
+    texture product is a BLAS call and stays one per tracklet, whose rounding
+    a batched product need not share.
     """
-    if not 0 <= subject_index < spec.num_ids:
-        raise InvalidInput(f"subject_index {subject_index} out of range [0, {spec.num_ids})")
-    if not 0 <= tracklet_index < spec.tracklets_per_id:
-        raise InvalidInput(f"tracklet_index {tracklet_index} out of range [0, {spec.tracklets_per_id})")
-    profile = identity_profile(spec, subject_index)
-    variant = tracklet_index % spec.clothing_variants
-    thickness, clothing_offset = _clothing_factors(spec, subject_index, variant)
-
+    n = len(pairs)
     t_count, h, w = spec.frames_per_tracklet, spec.height, spec.width
+    subjects = [s for s, _ in pairs]
+    variants = [t % spec.clothing_variants for _, t in pairs]
+    latent, gait_params, signature = _profile_rows(spec, subjects)
+    thickness, clothing_offset = _outfit_rows(spec, list(zip(subjects, variants)))
+
     draws = _frame_draws(spec)
-    widths = [normal_uniform_count(n) if normal else n for _, n, normal in draws]
-    u = SplitMix64(derive_seed(spec.seed, 3, subject_index, tracklet_index)).uniforms(1 + t_count * sum(widths))
-    yaw = spec.keypoint_jitter * (u[0] - 0.5)
-    per_frame = u[1:].reshape(t_count, -1)
+    widths = [normal_uniform_count(k) if normal else k for _, k, normal in draws]
+    u = uniform_rows([derive_seed(spec.seed, 3, s, t) for s, t in pairs], 1 + t_count * sum(widths))
+    yaw = spec.keypoint_jitter * (u[:, 0] - 0.5)
+    per_frame = u[:, 1:].reshape(n, t_count, -1)
     drawn, col = {}, 0
-    for (name, n, normal), width in zip(draws, widths):
-        block = per_frame[:, col : col + width]
-        drawn[name] = box_muller(block, n) if normal else block
+    for (name, k, normal), width in zip(draws, widths):
+        block = per_frame[:, :, col : col + width]
+        drawn[name] = box_muller(block, k) if normal else block
         col += width
 
-    half_width = _silhouette_profile(h, profile.latent_shape) * thickness
-    phase0, freq, amp = profile.gait_phase_params
-    width_mult = 1.0 - 0.2 * abs(np.sin(yaw))
+    half_width = _silhouette_profile(h, latent) * thickness[:, None]
+    phase0, freq, amp = np.split(gait_params, 3, axis=1)
+    width_mult = 1.0 - 0.2 * np.abs(np.sin(yaw))
     gait = 2.0 * np.pi * (freq * np.arange(t_count) / max(t_count, 2) + phase0)
     swing = amp * np.sin(gait)
 
     # silhouette: column-symmetric body with gait sway, then pixel flips
     rows = np.arange(h) / h
-    center = 0.5 * w + swing[:, None] * w * 0.5 * (1.0 - rows)
-    widths = half_width * w * width_mult
-    xs = np.arange(w)
-    masks = (np.abs(xs - center[:, :, None]) <= widths[:, None]).astype(np.float64)
+    center = 0.5 * w + swing[..., None] * w * 0.5 * (1.0 - rows)
+    widths = half_width * w * width_mult[:, None]
+    offset = np.arange(w) - center[..., None]
+    inside = np.abs(offset, out=offset) <= widths[:, None, :, None]
     if "flips" in drawn:
-        flips = drawn["flips"].reshape(t_count, h, w) < spec.sil_flip_rate
-        masks = np.where(flips, 1.0 - masks, masks)
+        inside ^= drawn["flips"].reshape(n, t_count, h, w) < spec.sil_flip_rate
+    masks = inside.astype(np.float64)
 
-    # appearance: signature texture + clothing offset, squashed into (0, 1)
-    coeff = profile.appearance_signature + spec.appearance_shift * clothing_offset
-    pattern = np.tensordot(coeff, _texture_basis(h, w), axes=1)
+    # appearance: signature texture + clothing offset, squashed into (0, 1).
+    # Left out of place: with fewer large temporaries glibc's heap-trim
+    # threshold stays lower, and a 48-frame 32x32 tracklet's pages were
+    # returned and faulted in again for every tracklet (4x the faults)
+    coeff = signature + spec.appearance_shift * clothing_offset
+    basis = _texture_basis(h, w)
+    pattern = np.stack([np.tensordot(c, basis, axes=1) for c in coeff])[:, None]
     if "appearance" in drawn:
-        pattern = pattern + 0.1 * spec.appearance_shift * drawn["appearance"].reshape(t_count, h, w, 3)
+        pattern = pattern + 0.1 * spec.appearance_shift * drawn["appearance"].reshape(n, t_count, h, w, 3)
     modulation = 1.0 + 0.1 * np.sin(gait)
-    appearance = 0.5 + 0.5 * np.tanh(pattern * modulation[:, None, None, None])
+    appearance = 0.5 + 0.5 * np.tanh(pattern * modulation[..., None, None, None])
 
     # body model: latent shape plus gait-driven joint rotations
-    cam = np.broadcast_to([yaw, 0.0, 1.0], (t_count, 3))
+    cam = np.broadcast_to(np.stack([yaw, np.zeros(n), np.ones(n)], axis=1)[:, None], (n, t_count, 3))
     shape_noise = 0.1 * spec.keypoint_jitter * drawn["shape"]
-    rot = np.zeros((t_count, 72))
-    rot[:, 3:27:3] = swing[:, None] * np.sin(0.5 * np.arange(8))
+    rot = np.zeros((n, t_count, 72))
+    rot[..., 3:27:3] = swing[..., None] * np.sin(0.5 * np.arange(8))
     rot = rot + 0.1 * spec.keypoint_jitter * drawn["rotation"]
-    body = np.concatenate([cam, profile.latent_shape + shape_noise, rot], axis=1)
+    body = np.concatenate([cam, latent[:, None] + shape_noise, rot], axis=2)
 
     # skeleton: scaled canonical joints, limbs swinging in anti-phase
-    scale = 1.0 + 0.3 * np.tanh(profile.latent_shape[0])
-    joints = _BASE_JOINTS * scale
-    joints[:, 0] = joints[:, 0] * width_mult
-    joints = np.repeat(joints[None], t_count, axis=0)
-    joints[:, _SWING_JOINTS, 0] += swing[:, None] * _SWING_SIGN
-    noise = spec.keypoint_jitter * drawn["joints"].reshape(t_count, SKELETON_JOINTS, 2)
+    scale = 1.0 + 0.3 * np.tanh(latent[:, 0])
+    joints = _BASE_JOINTS * scale[:, None, None]
+    joints[..., 0] = joints[..., 0] * width_mult[:, None]
+    joints = np.repeat(joints[:, None], t_count, axis=1)
+    joints[..., _SWING_JOINTS, 0] += swing[..., None] * _SWING_SIGN
+    noise = spec.keypoint_jitter * drawn["joints"].reshape(n, t_count, SKELETON_JOINTS, 2)
     joints = joints + noise
-    conf = np.clip(1.0 - np.linalg.norm(noise, axis=2), 0.0, 1.0)
-    skeleton = np.concatenate([joints.reshape(t_count, -1), conf], axis=1)
+    conf = np.clip(1.0 - np.linalg.norm(noise, axis=3), 0.0, 1.0)
+    skeleton = np.concatenate([joints.reshape(n, t_count, -1), conf], axis=2)
 
-    return TrackletRecord(
-        tracklet_id=f"{profile.subject_id}_t{tracklet_index:02d}",
-        subject_id=profile.subject_id,
-        clothing_id=f"c{variant}",
-        masks=masks,
-        appearance=appearance,
-        body=body,
-        skeleton=skeleton,
-    )
+    return [
+        TrackletRecord(
+            tracklet_id=f"{subject_label(s)}_t{t:02d}",
+            subject_id=subject_label(s),
+            clothing_id=f"c{variant}",
+            masks=masks[i],
+            appearance=appearance[i],
+            body=body[i],
+            skeleton=skeleton[i],
+        )
+        for i, ((s, t), variant) in enumerate(zip(pairs, variants))
+    ]
+
+
+def generate_tracklet(spec: DatasetSpec, subject_index: int, tracklet_index: int) -> TrackletRecord:
+    """All modality frames for one tracklet, from its own PRNG streams: a
+    block of one."""
+    if not 0 <= subject_index < spec.num_ids:
+        raise InvalidInput(f"subject_index {subject_index} out of range [0, {spec.num_ids})")
+    if not 0 <= tracklet_index < spec.tracklets_per_id:
+        raise InvalidInput(f"tracklet_index {tracklet_index} out of range [0, {spec.tracklets_per_id})")
+    return _generate_block(spec, [(subject_index, tracklet_index)])[0]
 
 
 def iter_dataset(spec: DatasetSpec) -> Iterator[TrackletRecord]:
-    """Every tracklet of every subject, subject-major order, one at a time."""
-    for s in range(spec.num_ids):
-        for t in range(spec.tracklets_per_id):
-            yield generate_tracklet(spec, s, t)
+    """Every tracklet of every subject, subject-major order, one at a time.
+
+    Consecutive tracklets are generated as one block of at most CHUNK_ROWS
+    pixel rows, T*h*w per tracklet (`frame_chunks` packs them; a tracklet at
+    or above the budget is a block of its own). A block is generated only
+    when its first record is asked for, so one block is in memory at a time.
+    """
+    pairs = [(s, t) for s in range(spec.num_ids) for t in range(spec.tracklets_per_id)]
+    for block in frame_chunks(len(pairs), spec.frames_per_tracklet * spec.height * spec.width):
+        yield from _generate_block(spec, pairs[block])
 
 
 def generate_dataset(spec: DatasetSpec) -> list[TrackletRecord]:
@@ -397,7 +440,7 @@ def write_dataset(records: Iterable[TrackletRecord], out_dir, header_comment: st
     """Write frame containers plus the manifest; returns the manifest path.
 
     Each record's container is written as the record arrives, so an iterator
-    such as `iter_dataset` keeps one tracklet in memory at a time.
+    such as `iter_dataset` keeps one block of tracklets in memory at a time.
 
     frames_path entries are relative to the manifest's directory; the
     manifest starts with `header_comment`, if given, as a `#` line.

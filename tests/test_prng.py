@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sharc.prng import SplitMix64, box_muller, derive_seed
+from sharc.prng import SplitMix64, box_muller, derive_seed, uniform_rows
 
 
 def test_same_seed_same_stream():
@@ -66,6 +66,33 @@ def test_box_muller_rows_equal_one_normals_call_each(n):
     assert rows.shape == (5, n)
     for row in rows:
         assert row.tobytes() == rng.normals(n).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 105])
+def test_uniform_rows_equal_one_stream_each(n):
+    seeds = [0, 1, 2**64 - 1]
+    rows = uniform_rows(seeds, n)
+    assert rows.shape == (3, n) and rows.dtype == np.float64
+    for seed, row in zip(seeds, rows):
+        assert row.tobytes() == SplitMix64(seed).uniforms(n).tobytes()
+        scalar = SplitMix64(seed)
+        assert row.tolist() == [(scalar.next_u64() >> 11) * 2.0**-53 for _ in range(n)]
+
+
+def _scalar_continuation(seed: int, skip: int) -> list[int]:
+    rng = SplitMix64(seed)
+    for _ in range(skip):
+        rng.next_u64()
+    return [rng.next_u64() for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 105])
+def test_blocks_advance_the_state_as_scalar_draws(seed, n):
+    for draw, consumed in ((SplitMix64.uniforms, n), (SplitMix64.block_u64, n), (SplitMix64.normals, n + n % 2)):
+        rng = SplitMix64(seed)
+        draw(rng, n)
+        assert [rng.next_u64() for _ in range(3)] == _scalar_continuation(seed, consumed), draw.__name__
 
 
 def test_different_seeds_differ():

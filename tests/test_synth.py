@@ -1,5 +1,8 @@
 import itertools
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from collections.abc import Iterator
 
@@ -8,8 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sharc
+import sharc.synth
 from sharc.exceptions import CorruptFile, InvalidInput, ProtocolError
-from sharc.encoders import SKELETON_JOINTS
+from sharc.encoders import CHUNK_ROWS, SKELETON_JOINTS
 from sharc.gallery import TrackletRecord
 from sharc.prng import SplitMix64, derive_seed
 from sharc.synth import (
@@ -19,7 +24,6 @@ from sharc.synth import (
     MAX_KEYPOINT_JITTER,
     SIGNATURE_DIM,
     DatasetSpec,
-    _clothing_factors,
     _silhouette_profile,
     _texture_basis,
     generate_dataset,
@@ -167,9 +171,9 @@ def _reference_tracklet(spec: DatasetSpec, subject_index: int, tracklet_index: i
     signature = rng.uniform_array(-1.0, 1.0, (SIGNATURE_DIM,))
     profile = (latent, np.array([phase0, freq, amp]), signature)
 
-    thickness, clothing_offset = _clothing_factors(
-        spec, subject_index, tracklet_index % spec.clothing_variants
-    )
+    rng = SplitMix64(derive_seed(spec.seed, 2, subject_index, tracklet_index % spec.clothing_variants))
+    thickness = 1.0 + 0.2 * rng.uniform_array(-1.0, 1.0, (1,))[0]
+    clothing_offset = _normals(rng, SIGNATURE_DIM)
     rng = SplitMix64(derive_seed(spec.seed, 3, subject_index, tracklet_index))
     h, w = spec.height, spec.width
     basis = _texture_basis(h, w)
@@ -240,6 +244,90 @@ def test_tracklets_are_byte_equal_to_the_per_frame_reference(seed, frames, flip,
         rec = generate_tracklet(spec, s, t)
         for name, want in zip(("masks", "appearance", "body", "skeleton"), arrays):
             assert _same_bytes(getattr(rec, name), want), (s, t, name)
+
+
+# (frames, height, width, subjects x tracklets, expected block sizes) under
+# CHUNK_ROWS = 8192 pixel rows: three 2x32x40 tracklets (7,680 rows) fill a
+# block, so eight end in a partial block of two; 9x32x32 tracklets (9,216
+# rows) are each above the budget; T = 1; and 5x7 frames hold 105 RGB values,
+# an odd count of appearance normals, five tracklets of 40 frames to a block
+_BLOCK_CASES = {
+    "partial last block": (2, 32, 40, (4, 2), [3, 3, 2]),
+    "each above the budget": (9, 32, 32, (2, 2), [1, 1, 1, 1]),
+    "one frame": (1, 16, 16, (3, 3), [9]),
+    "odd normal count": (40, 5, 7, (4, 3), [5, 5, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_blocks_are_byte_equal_to_the_per_frame_reference(case, monkeypatch):
+    frames, height, width, (ids, per_id), sizes = _BLOCK_CASES[case]
+    assert frames * height * width * sizes[0] <= max(CHUNK_ROWS, frames * height * width)
+    spec = _spec(num_ids=ids, tracklets_per_id=per_id, frames_per_tracklet=frames, clothing_variants=2,
+                 sil_flip_rate=0.1, keypoint_jitter=0.2, appearance_shift=0.5, seed=20231015,
+                 height=height, width=width)
+    blocks = []
+    generate_block = sharc.synth._generate_block
+
+    def logged(spec, pairs):
+        blocks.append(len(pairs))
+        return generate_block(spec, pairs)
+
+    monkeypatch.setattr(sharc.synth, "_generate_block", logged)
+    records = list(iter_dataset(spec))
+    assert blocks == sizes
+    pairs = list(itertools.product(range(ids), range(per_id)))
+    assert [r.tracklet_id for r in records] == [f"{subject_label(s)}_t{t:02d}" for s, t in pairs]
+    for rec, (s, t) in zip(records, pairs):
+        _, arrays = _reference_tracklet(spec, s, t)
+        for name, want in zip(("masks", "appearance", "body", "skeleton"), arrays):
+            assert _same_bytes(getattr(rec, name), want), (s, t, name)
+
+
+def test_iter_dataset_generates_at_most_one_block_ahead(monkeypatch):
+    spec = _spec(num_ids=4, tracklets_per_id=2, frames_per_tracklet=2, height=32, width=40)
+    calls = []
+    generate_block = sharc.synth._generate_block
+
+    def counted(spec, pairs):
+        calls.append(len(pairs))
+        return generate_block(spec, pairs)
+
+    monkeypatch.setattr(sharc.synth, "_generate_block", counted)
+    yielded = 0
+    for _ in iter_dataset(spec):
+        yielded += 1
+        # the block holding the record just yielded is the last one generated
+        assert sum(calls[:-1]) < yielded <= sum(calls)
+    assert calls == [3, 3, 2]
+
+
+_SYNTH_SCRIPT = "import sys; from sharc.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_frames_do_not_depend_on_the_simd_level(tmp_path):
+    # 3x16x16 tracklets pack ten to a block, so the twelve here make a full
+    # and a partial block; numpy's AVX2 loops replace its AVX-512 ones where
+    # the CPU has them, and the variable has no effect where it does not
+    cfg = tmp_path / "packed.cfg"
+    cfg.write_text("\n".join([
+        "[dataset]", "num_ids = 6", "tracklets_per_id = 2", "frames_per_tracklet = 3",
+        "clothing_variants = 2", "height = 16", "width = 16", "sil_flip_rate = 0.05",
+        "keypoint_jitter = 0.05", "appearance_shift = 0.3", "[paths]", f"data_dir = {tmp_path / 'data'}", "",
+    ]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sharc.__file__)))
+    outs = []
+    for features in ("", "X86_V4 AVX512_ICL AVX512_SPR"):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=features)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+        out = tmp_path / f"disabled-{len(outs)}"
+        subprocess.run([sys.executable, "-c", _SYNTH_SCRIPT, "synth", "--config", str(cfg), "--out", str(out)],
+                       env=env, capture_output=True, text=True, timeout=120, check=True)
+        outs.append(out / "frames")
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert len(names) == 12 and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestSplitProtocol:
