@@ -34,7 +34,6 @@ class AttentionParams:
 
     sa_weights: tuple[np.ndarray, ...]
     ta_weights: tuple[np.ndarray, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         if len(self.sa_weights) != len(self.ta_weights) or not self.sa_weights:
@@ -67,7 +66,7 @@ class AttentionParams:
             sa.append(rng.uniform_array(-bound, bound, (channels, channels)))
             bound = 1.0 / np.sqrt(2 * channels)
             ta.append(rng.uniform_array(-bound, bound, (channels, 2 * channels)))
-        return cls(sa_weights=tuple(sa), ta_weights=tuple(ta), seed=seed)
+        return cls(sa_weights=tuple(sa), ta_weights=tuple(ta))
 
 
 def spatial_attention(a: np.ndarray, weights: np.ndarray) -> np.ndarray:

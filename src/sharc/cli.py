@@ -12,8 +12,8 @@ malformed input, inputs that do not fit each other, or a path the command
 cannot read or write, reported as `error: <path>: <reason>`), 3 invalid
 configuration (a config file that is not UTF-8 text included).
 
-Ablation switches zero out the corresponding modality input (rather than
-removing the encoder), so the model topology never changes between runs.
+The commands only orchestrate: the models that `config` builds apply every
+`[ablation]` key, and both sweeps run one loop, `_sweep`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .gallery import (
     AppearanceModel,
     GalleryIndex,
     ManifestRow,
-    TrackletRecord,
     build_index,
     load_index,
     read_manifest,
@@ -55,34 +54,15 @@ def _comment(cfg: RunConfig) -> str:
     return f"sharc {__version__} config={cfg.hash()}"
 
 
-def _zero_drops(record: TrackletRecord, cfg: RunConfig) -> TrackletRecord:
-    """Apply modality ablations by zeroing the dropped inputs.
-
-    An all-zero mask also hides every pixel of the RGB frame beneath it from
-    the silhouette encoder.
-    """
-    ab = cfg.ablation
-    if not (ab.drop_silhouette or ab.drop_smpl or ab.drop_skeleton):
-        return record
-    masks, body, skeleton = record.masks, record.body, record.skeleton
-    if ab.drop_silhouette:
-        masks = np.zeros_like(masks)
-    if ab.drop_smpl:
-        body = np.zeros_like(body)
-    if ab.drop_skeleton:
-        skeleton = np.zeros_like(skeleton)
-    return replace(record, masks=masks, body=body, skeleton=skeleton)
-
-
 def _embed_manifest(name: str, cfg: RunConfig, embed) -> tuple[list[ManifestRow], list]:
     """The rows of manifest `name` in data_dir and `embed` of each of its
-    tracklets, in row order; each tracklet is read, ablated and embedded
-    before the next is read. A manifest naming no tracklet is refused."""
+    tracklets, in row order; each tracklet is read and embedded before the
+    next is read. A manifest naming no tracklet is refused."""
     path = os.path.join(cfg.data_dir, name)
     rows = read_manifest(path)
     if not rows:
         raise EmptyInput(f"{path}: names no tracklets")
-    return rows, [embed(_zero_drops(record, cfg)) for record in load_dataset(path)]
+    return rows, [embed(record) for record in load_dataset(path)]
 
 
 def _score_embedded(
@@ -90,26 +70,27 @@ def _score_embedded(
     embeddings: list[tuple[np.ndarray, np.ndarray]],
     index: GalleryIndex,
     cfg: RunConfig,
-) -> tuple[ScoreMatrix, ScoreMatrix, ScoreMatrix]:
+) -> tuple[ScoreMatrix, ScoreMatrix]:
     """Score each query's (shape, appearance) vectors against the index."""
     ids = [row.tracklet_id for row in queries]
     s_shape = shape_scores([(q, s) for q, (s, _) in zip(ids, embeddings)], index)
     s_app = appearance_scores(
         [(q, a) for q, (_, a) in zip(ids, embeddings)], index, rescale=cfg.model.rescale_appearance
     )
-    fused = fuse_scores(s_shape, s_app, cfg.model.alpha)
-    return s_shape, s_app, fused
+    return s_shape, s_app
 
 
-def _gamma_sweep(cfg: RunConfig, app_model: AppearanceModel, gallery: tuple, queries: tuple):
-    """Yield (gamma, gallery index, fused scores) for each gamma of GAMMA_SWEEP.
+def _sweep(cfg: RunConfig, app_model: AppearanceModel, gallery: tuple, queries: tuple, gammas, alphas):
+    """Yield (gamma, alpha, gallery index, fused scores) for each gamma of
+    `gammas` and, within it, each alpha of `alphas`.
 
     `gallery` and `queries` are each (manifest rows, `tracklet_features` of
     each row). Gamma acts only where each group's average is flattened, so
-    each gamma only flattens, averages, indexes and scores.
+    each gamma only flattens, averages, indexes and scores; alpha acts only
+    where the two score matrices are fused, so each alpha only fuses.
     """
     (gallery_rows, gallery_features), (query_rows, query_features) = gallery, queries
-    for gamma in GAMMA_SWEEP:
+    for gamma in gammas:
         model = replace(app_model, gamma=gamma)
         index = build_index(
             gallery_rows,
@@ -117,8 +98,9 @@ def _gamma_sweep(cfg: RunConfig, app_model: AppearanceModel, gallery: tuple, que
             centroid=cfg.ablation.centroid,
         )
         query_embeddings = [(shape, model.vector(model.finish(groups))) for shape, groups in query_features]
-        _, _, fused = _score_embedded(query_rows, query_embeddings, index, cfg)
-        yield gamma, index, fused
+        s_shape, s_app = _score_embedded(query_rows, query_embeddings, index, cfg)
+        for alpha in alphas:
+            yield gamma, alpha, index, fuse_scores(s_shape, s_app, alpha)
 
 
 def _evaluate(fused: ScoreMatrix, subject_of: dict[str, str]) -> EvalReport:
@@ -162,7 +144,8 @@ def cmd_query(cfg: RunConfig, out: str) -> int:
         )
     models = build_shape_model(cfg), build_appearance_model(cfg)
     rows, embeddings = _embed_manifest("query.csv", cfg, lambda r: tracklet_embeddings(r, *models))
-    s_shape, s_app, fused = _score_embedded(rows, embeddings, index, cfg)
+    s_shape, s_app = _score_embedded(rows, embeddings, index, cfg)
+    fused = fuse_scores(s_shape, s_app, cfg.model.alpha)
     s_shape.write_csv(os.path.join(out, "scores_shape.csv"), _comment(cfg))
     s_app.write_csv(os.path.join(out, "scores_appearance.csv"), _comment(cfg))
     fused.write_csv(os.path.join(out, "scores_fused.csv"), _comment(cfg))
@@ -179,45 +162,38 @@ def cmd_evaluate(cfg: RunConfig, out: str) -> int:
     if unknown:
         raise InvalidInput(f"{fused_path}: query id {unknown[0]!r} is not in {query_path}")
     report = _evaluate(fused, subject_of)
-    with open(os.path.join(out, "report.txt"), "w") as f:
-        f.write(f"# {_comment(cfg)}\n")
-        for line in report.lines():
-            f.write(line + "\n")
+    lines = report.lines()
+    _write_table(os.path.join(out, "report.txt"), _comment(cfg), lines[0], lines[1:])
     table = report.csv_rows()
     _write_table(os.path.join(out, "report.csv"), _comment(cfg), table[0], table[1:])
-    for line in report.lines():
+    for line in lines:
         print(line)
     return 0
 
 
-def cmd_ablate_gamma(cfg: RunConfig, out: str) -> int:
+def _write_sweep(cfg: RunConfig, out: str, key: str, gammas, alphas) -> int:
+    """Write `ablate_<key>.csv`: rank-1 of every (gamma, alpha) setting, keyed
+    by the swept one of the two, `key`."""
     shape_model, app_model = build_shape_model(cfg), build_appearance_model(cfg)
     gallery = _embed_manifest("gallery.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
     queries = _embed_manifest("query.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
     subject_of = {r.tracklet_id: r.subject_id for r in queries[0]}
+    header = f"{key},rank1"
     rows = [
-        f"{gamma!r},{_evaluate(fused, subject_of).rank_k[1]!r}"
-        for gamma, _, fused in _gamma_sweep(cfg, app_model, gallery, queries)
+        f"{(gamma if key == 'gamma' else alpha)!r},{_evaluate(fused, subject_of).rank_k[1]!r}"
+        for gamma, alpha, _, fused in _sweep(cfg, app_model, gallery, queries, gammas, alphas)
     ]
-    _write_table(os.path.join(out, "ablate_gamma.csv"), _comment(cfg), "gamma,rank1", rows)
-    print("\n".join(["gamma,rank1"] + rows))
+    _write_table(os.path.join(out, f"ablate_{key}.csv"), _comment(cfg), header, rows)
+    print("\n".join([header] + rows))
     return 0
+
+
+def cmd_ablate_gamma(cfg: RunConfig, out: str) -> int:
+    return _write_sweep(cfg, out, "gamma", GAMMA_SWEEP, [cfg.model.alpha])
 
 
 def cmd_ablate_alpha(cfg: RunConfig, out: str) -> int:
-    models = build_shape_model(cfg), build_appearance_model(cfg)
-    gallery_rows, gallery_embeddings = _embed_manifest("gallery.csv", cfg, lambda r: tracklet_embeddings(r, *models))
-    query_rows, query_embeddings = _embed_manifest("query.csv", cfg, lambda r: tracklet_embeddings(r, *models))
-    subject_of = {r.tracklet_id: r.subject_id for r in query_rows}
-    index = build_index(gallery_rows, gallery_embeddings, centroid=cfg.ablation.centroid)
-    s_shape, s_app, _ = _score_embedded(query_rows, query_embeddings, index, cfg)
-    rows = []
-    for alpha in ALPHA_SWEEP:
-        fused = fuse_scores(s_shape, s_app, alpha)
-        rows.append(f"{alpha!r},{_evaluate(fused, subject_of).rank_k[1]!r}")
-    _write_table(os.path.join(out, "ablate_alpha.csv"), _comment(cfg), "alpha,rank1", rows)
-    print("\n".join(["alpha,rank1"] + rows))
-    return 0
+    return _write_sweep(cfg, out, "alpha", [cfg.model.gamma], ALPHA_SWEEP)
 
 
 def cmd_train_toy(cfg: RunConfig, out: str) -> int:

@@ -272,6 +272,9 @@ def build_shape_model(cfg: RunConfig) -> ShapeModel:
         bins=m.bins,
         projection_seed=m.projection_seed,
         hpp_mode=m.hpp_mode,
+        drop_silhouette=cfg.ablation.drop_silhouette,
+        drop_smpl=cfg.ablation.drop_smpl,
+        drop_skeleton=cfg.ablation.drop_skeleton,
     )
 
 

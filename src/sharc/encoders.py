@@ -49,12 +49,9 @@ class EncoderParams:
     """Weights and biases of one encoder stack.
 
     layers[i] is (W, b) with W of shape (out, in) and b of shape (out,).
-    `seed` records the stream the weights were drawn from; None for parameters
-    loaded from a file.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.layers:
@@ -87,7 +84,7 @@ class EncoderParams:
             w = rng.uniform_array(-bound, bound, (fan_out, fan_in))
             b = rng.uniform_array(-bound, bound, (fan_out,))
             layers.append((w, b))
-        return cls(layers=tuple(layers), seed=seed)
+        return cls(layers=tuple(layers))
 
 
 def _avgpool2x2(x: np.ndarray) -> np.ndarray:
@@ -239,4 +236,4 @@ def load_encoder(path) -> EncoderParams:
         layers.append((w.astype(np.float64).reshape(rows, cols), b.astype(np.float64)))
     if not layers:
         raise CorruptFile(f"{path}: no layers")
-    return EncoderParams(layers=tuple(layers), seed=None)
+    return EncoderParams(layers=tuple(layers))

@@ -335,13 +335,14 @@ def load_index(path) -> GalleryIndex:
         vecs = []
         for name in ("shape", "appearance"):
             (dim,) = struct.unpack("<I", take(4))
-            vec = np.frombuffer(take(4 * dim), dtype="<f4").astype(np.float64)
-            if dim == 0 or not np.all(np.isfinite(vec)):
+            raw = np.frombuffer(take(4 * dim), dtype="<f4")
+            # before the cast to float64, which warns on a signalling NaN
+            if dim == 0 or not np.all(np.isfinite(raw)):
                 raise CorruptIndex(f"{path}: entry {i} has an empty or non-finite {name} vector")
             width = len(getattr(entries[0], name)) if entries else dim
             if dim != width:
                 raise CorruptIndex(f"{path}: entry {i} {name} width {dim} differs from entry 0's {width}")
-            vecs.append(vec)
+            vecs.append(raw.astype(np.float64))
         (k,) = struct.unpack("<I", take(4))
         if k == 0:
             raise CorruptIndex(f"{path}: entry {i} has a source count of 0")

@@ -661,5 +661,5 @@ def train_toy(
             delta = (class_sizes * centers - _class_sums(e, labels, k)) / (1.0 + class_sizes)
             centers = centers - CENTER_UPDATE_RATE * delta
 
-    trained = EncoderParams(layers=tuple((w, b) for w, b in layers), seed=params.seed)
+    trained = EncoderParams(layers=tuple(layers))
     return TrainResult(params=trained, classifier=(wc, bc), centers=centers, trace=trace)

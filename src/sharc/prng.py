@@ -1,12 +1,15 @@
 """Seeded pseudo-random number generation.
 
 Every stochastic quantity in the package (encoder weights, synthetic data,
-toy-training initialization) is drawn from SplitMix64 so that outputs are
-bit-identical across runs and platforms. SplitMix64 advances its 64-bit state
-by a fixed odd constant and scrambles it with two xor-multiply rounds; because
-the state is a plain counter, whole blocks of draws, for one stream or for
-many streams side by side (`uniform_rows`), are produced with vectorized
-uint64 arithmetic.
+toy-training initialization) is drawn from SplitMix64, so outputs are
+bit-identical across runs on one host. Uniforms, and the weights drawn from
+them, are the same bits on any platform; normals (through `log`, `cos` and
+`sin`), scores and loss traces can move by an ulp between numpy's SIMD levels
+and BLAS kernels. SplitMix64 advances its 64-bit state by a fixed odd
+constant and scrambles it with two xor-multiply rounds; because the state is
+a plain counter, whole blocks of draws, for one stream or for many streams
+side by side (`uniform_rows`), are produced with vectorized uint64
+arithmetic.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ fused pose feature plus a final bin carrying the skeleton-motion feature
 (projected to C channels when the motion encoder emits a different width).
 Matching flattens the matrix to a single vector; the bin layout is kept on the
 embedding for ablations.
+
+The `[ablation]` drops zero the dropped input inside `ShapeModel.embed`, not
+its encoder, so the topology and the embedding width never change between
+runs; an all-zero mask also hides the RGB beneath it from the silhouette encoder.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ class ShapeEmbedding:
 
 @dataclass(frozen=True)
 class ShapeModel:
-    """Bundles the three shape-branch encoders and the bin configuration."""
+    """The three shape-branch encoders, the bin configuration and the input drops."""
 
     sil_encoder: EncoderParams
     smpl_encoder: EncoderParams
@@ -99,6 +103,9 @@ class ShapeModel:
     bins: int
     motion_projection: np.ndarray | None = None  # (C, C_m); None when C_m == C
     hpp_mode: str = "max+mean"
+    drop_silhouette: bool = False
+    drop_smpl: bool = False
+    drop_skeleton: bool = False
 
     @classmethod
     def build(
@@ -139,10 +146,10 @@ class ShapeModel:
     ) -> ShapeEmbedding:
         """Full shape-branch embedding for one tracklet's arrays (see TrackletRecord).
 
-        Encode the silhouettes and body vectors and fuse them, one frame chunk
-        at a time; pool the fused sequence with elementwise max, chunk by chunk;
-        strip-pool into `bins` bands; append the pooled (and projected) motion
-        feature as the extra bin.
+        Zero the dropped inputs; encode the silhouettes and body vectors and
+        fuse them, one frame chunk at a time; pool the fused sequence with
+        elementwise max, chunk by chunk; strip-pool into `bins` bands; append
+        the pooled (and projected) motion feature as the extra bin.
         """
         n = len(masks)
         if n == 0:
@@ -152,6 +159,12 @@ class ShapeModel:
                 f"modalities disagree on length: {n} masks, {len(appearance)} RGB frames, "
                 f"{len(body)} body vectors, {len(skeleton)} skeletons"
             )
+        if self.drop_silhouette:
+            masks = np.zeros_like(masks)
+        if self.drop_smpl:
+            body = np.zeros_like(body)
+        if self.drop_skeleton:
+            skeleton = np.zeros_like(skeleton)
         spatial = grid_output_shape(masks.shape[1:3], self.sil_encoder)
         pooled = None
         for chunk in frame_chunks(n, masks.shape[1] * masks.shape[2]):

@@ -2,7 +2,9 @@ import errno
 import filecmp
 import os
 import re
+import struct
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +12,9 @@ import sharc.cli
 import sharc.losses
 import sharc.synth
 from sharc.cli import main
-from sharc.config import parse_config
-from sharc.gallery import read_manifest
+from sharc.config import build_appearance_model, build_shape_model, parse_config
+from sharc.gallery import read_manifest, register, save_index
+from sharc.synth import load_dataset
 
 SMALL_CFG = """
 [dataset]
@@ -334,6 +337,26 @@ class TestExitCodes:
         assert "shape vector is all zeros" in err and "Traceback" not in err
         assert not (out / "index.shrc").exists()
 
+    def test_signalling_nan_in_the_index_is_2_in_one_line(self, workspace, capsys):
+        # before, numpy warned about the cast to float64 ahead of the error line
+        cfg_path, data_dir, tmp = workspace
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        assert _run(["enroll", "--config", cfg_path, "--out", data_dir]) == 0
+        index = data_dir / "index.shrc"
+        raw = bytearray(index.read_bytes())
+        # magic, model hash, entry count, entry 0's subject id, shape width
+        off = 8 + 4 + struct.unpack_from("<I", raw, 8)[0] + 4
+        off += 4 + struct.unpack_from("<I", raw, off)[0] + 4
+        raw[off : off + 4] = struct.pack("<I", 0x7F800001)
+        index.write_bytes(bytes(raw))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert _run(["query", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {index}: entry 0 has an empty or non-finite shape vector\n"
+        assert not (data_dir / "scores_fused.csv").exists()
+
     def test_index_queries_under_another_alpha(self, workspace):
         # alpha only weighs the scores; the stored vectors do not depend on it
         cfg_path, data_dir, tmp = workspace
@@ -392,6 +415,24 @@ class TestPipeline:
         for name in ("index.shrc", "scores_fused.csv"):
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
+    @pytest.mark.parametrize("drop", ["drop_silhouette", "drop_smpl", "drop_skeleton"])
+    def test_register_with_config_built_models_writes_the_enrolled_index(self, workspace, drop):
+        # the models that config builds apply the [ablation] drops themselves,
+        # so the library path gives the CLI's index byte for byte
+        cfg_path, data_dir, tmp = workspace
+        cfg_path.write_text(cfg_path.read_text() + f"\n[ablation]\n{drop} = true\n")
+        cfg = parse_config(cfg_path)
+        assert _run(["synth", "--config", cfg_path]) == 0
+        assert _run(["enroll", "--config", cfg_path]) == 0
+        index = register(
+            list(load_dataset(data_dir / "gallery.csv")),
+            build_shape_model(cfg),
+            build_appearance_model(cfg),
+            centroid=cfg.ablation.centroid,
+        )
+        save_index(replace(index, model_hash=cfg.model_hash()), tmp / "library.shrc")
+        assert (tmp / "library.shrc").read_bytes() == (data_dir / "index.shrc").read_bytes()
+
     def test_threads_do_not_change_results(self, workspace):
         cfg_path, data_dir, tmp = workspace
         assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
@@ -407,6 +448,7 @@ class TestPipeline:
         ("enroll", "tracklet_embeddings", ["gallery.csv"]),
         ("query", "tracklet_embeddings", ["query.csv"]),
         ("ablate-gamma", "tracklet_features", ["gallery.csv", "query.csv"]),
+        ("ablate-alpha", "tracklet_features", ["gallery.csv", "query.csv"]),
     ],
 )
 def test_each_tracklet_is_embedded_before_the_next_is_read(workspace, monkeypatch, command, embed, manifests):

@@ -1,7 +1,10 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sharc.appearance import AttentionParams
 from sharc.encoders import EncoderParams
@@ -282,6 +285,64 @@ class TestIndexFile:
         save_index(GalleryIndex(entries=entries, model_hash="0123456789ab"), p)
         with pytest.raises(CorruptIndex, match=f"bad.shrc: {message}"):
             load_index(p)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+class TestIndexFileFuzz:
+    """Any damaged SHRCIDX2 file is refused as `CorruptIndex`, or it reads as
+    an index that `save_index` writes back to the same bytes."""
+
+    @staticmethod
+    def _saved(tmp_path):
+        path = tmp_path / "index.shrc"
+        entries = [_entry(), _entry("s1", shape=(-4.0, 0.5, 6.0), appearance=(0.125, 3.0), count=2)]
+        save_index(GalleryIndex(entries=entries, model_hash="0123456789ab"), path)
+        return path.read_bytes()
+
+    @staticmethod
+    def _refused_or_stable(tmp_path, raw):
+        path = tmp_path / "damaged.shrc"
+        path.write_bytes(raw)
+        try:
+            index = load_index(path)
+        except CorruptIndex:
+            return
+        assert isinstance(index, GalleryIndex)
+        again = tmp_path / "again.shrc"
+        save_index(index, again)
+        assert again.read_bytes() == raw
+
+    def test_every_truncation_is_refused_or_stable(self, tmp_path):
+        # every cut point, not a sample: the 2-entry file has 104 of them
+        raw = self._saved(tmp_path)
+        assert len(raw) == 104
+        for n in range(len(raw)):
+            self._refused_or_stable(tmp_path, raw[:n])
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_single_byte_mutation_is_refused_or_stable(self, tmp_path, data):
+        raw = bytearray(self._saved(tmp_path))
+        pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+        # 0x7F or 0xFF in a float's high byte makes it inf or NaN when the next
+        # byte's top bit is set
+        values = st.sampled_from([0x00, 0x7F, 0x80, 0xFF]) | st.integers(0, 255)
+        raw[pos] = data.draw(values.filter(lambda v: v != raw[pos]), label="value")
+        self._refused_or_stable(tmp_path, bytes(raw))
+
+    @pytest.mark.parametrize("entry, name", [(0, "shape"), (1, "appearance")])
+    def test_signalling_nan_is_refused_without_a_warning(self, tmp_path, entry, name):
+        raw = bytearray(self._saved(tmp_path))
+        # magic, model hash and entry count; each entry is a 2-byte subject id,
+        # 3 shape and 2 appearance floats and a count: 38 bytes
+        off = 8 + 4 + 12 + 4 + 38 * entry + 4 + 2 + 4
+        if name == "appearance":
+            off += 12 + 4
+        raw[off : off + 4] = struct.pack("<I", 0x7F800001)
+        path = tmp_path / "snan.shrc"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptIndex, match=f"snan.shrc: entry {entry} has an empty or non-finite {name} vector"):
+            load_index(path)
 
 
 class TestManifest:
