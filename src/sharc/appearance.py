@@ -79,7 +79,10 @@ def spatial_attention(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     if a.shape[-1] != weights.shape[1]:
         raise DimMismatch(f"grid has {a.shape[-1]} channels, SA weights expect {weights.shape[1]}")
-    return core.softmax_grid(a @ weights.T) * a
+    logits = a @ weights.T
+    att = core.softmax_grid(logits, out=logits)
+    att *= a
+    return att
 
 
 def temporal_attention(
@@ -98,14 +101,16 @@ def temporal_attention(
         raise DimMismatch(f"TA weights expect {weights.shape[1]} channels, pair has {2 * a_t.shape[-1]}")
     if target not in TA_TARGETS:
         raise InvalidInput(f"unknown TA target {target!r}, expected one of {TA_TARGETS}")
-    att = core.softmax_grid(np.concatenate([a_t, a_t1], axis=-1) @ weights.T)
+    logits = np.concatenate([a_t, a_t1], axis=-1) @ weights.T
+    att = core.softmax_grid(logits, out=logits)
     if target == "later":
         base = a_t1
     elif target == "earlier":
         base = a_t
     else:
         base = 0.5 * (a_t + a_t1)
-    return att * base
+    att *= base
+    return att
 
 
 def pyramid_aggregate(
@@ -120,11 +125,14 @@ def pyramid_aggregate(
 
     Level l maps consecutive non-overlapping pairs (x, y) to
     SA_l(x) + SA_l(y) + TA_l(x, y), halving the population each level; the
-    final grid is averaged over its spatial positions. Each pair position is
-    one call over every group at once. sa_fn / ta_fn allow the attention
-    operators to be stubbed out (signatures sa_fn(grids, level) and
-    ta_fn(x, y, level)); tests use identity/zero stubs to check the recursion
-    against a hand-unrolled sum.
+    final grid is averaged over its spatial positions. Each level is one SA
+    call over the whole population and every group, and one TA call over all
+    its pairs; each attention product keeps the shape of a per-member call,
+    so the bits are those of one call per member and pair. sa_fn / ta_fn
+    allow the attention operators to be stubbed out (signatures
+    sa_fn(grids, level) and ta_fn(x, y, level)); a stub still sees one member
+    or one pair per call, and tests use identity/zero stubs to check the
+    recursion against a hand-unrolled sum.
     """
     expected = params.group_size
     # an empty list has no frame axis to count
@@ -133,21 +141,20 @@ def pyramid_aggregate(
         raise InvalidFrameCount(f"pyramid needs exactly {expected} frames, got {group.shape[-4]}")
     if group.shape[-1] != params.channels:
         raise DimMismatch(f"frames have {group.shape[-1]} channels, attention expects {params.channels}")
-    current = list(np.moveaxis(group, -4, 0))
+    current = np.moveaxis(group, -4, 0)
 
     for level in range(params.levels):
+        x, y = current[0::2], current[1::2]
         if sa_fn is None:
-            sa = lambda g: spatial_attention(g, params.sa_weights[level])
+            sa = spatial_attention(current, params.sa_weights[level])
         else:
-            sa = lambda g: sa_fn(g, level)
+            sa = np.stack([sa_fn(g, level) for g in current])
         if ta_fn is None:
-            ta = lambda x, y: temporal_attention(x, y, params.ta_weights[level], ta_target)
+            ta = temporal_attention(x, y, params.ta_weights[level], ta_target)
         else:
-            ta = lambda x, y: ta_fn(x, y, level)
-        current = [
-            sa(current[i]) + sa(current[i + 1]) + ta(current[i], current[i + 1])
-            for i in range(0, len(current), 2)
-        ]
+            ta = np.stack([ta_fn(a, b, level) for a, b in zip(x, y)])
+        current = sa[0::2] + sa[1::2]
+        current += ta
     return current[0].mean(axis=(-3, -2))
 
 

@@ -89,11 +89,15 @@ def euclidean_distance(a, b) -> float:
     return float(np.linalg.norm(va - vb))
 
 
-def softmax_grid(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the spatial positions of (..., H, W, C) grids, per grid and channel."""
-    shifted = logits - logits.max(axis=(-3, -2), keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=(-3, -2), keepdims=True)
+def softmax_grid(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the spatial positions of (..., H, W, C) grids, per grid and
+    channel; written into `out` when given, which may be `logits` itself."""
+    # in place after the shift: a whole pyramid level's logits are a few
+    # hundred KB, and each fresh temporary of that size faults its pages in
+    e = np.subtract(logits, logits.max(axis=(-3, -2), keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=(-3, -2), keepdims=True)
+    return e
 
 
 def strip_pool(grid, strips: int, mode: str = "max+mean") -> np.ndarray:

@@ -4,10 +4,11 @@ Each encoder is a stack of (linear map -> bias -> ReLU) blocks; grid encoders
 additionally halve the spatial resolution with 2x2 average pooling after every
 block. Every encoder takes one modality of any run of frames as a single
 array, with frames on the first axis: (T, H, W) masks and (T, H, W, 3) RGB
-frames, the (T, 85) body vectors or the (T, 51) skeletons. Frames are encoded
-independently, so the models feed the grid encoders a tracklet in the slices
-of `frame_chunks`: at most CHUNK_ROWS pixel rows per 2-D product, whatever
-the tracklet's length. The arrays are validated once,
+frames, the (T, 85) body vectors or the (T, 51) skeletons. Grid encoders work
+channels first inside, on (C, T*H*W) pixel columns, and return (T, H', W', C)
+grids. Frames are encoded independently, so the models feed the grid encoders
+a tracklet in the slices of `frame_chunks`: at most CHUNK_ROWS pixels per 2-D
+product, whatever the tracklet's length. The arrays are validated once,
 where a `TrackletRecord` is built, not here. Weights are drawn from
 SplitMix64, uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], so a (seed, widths)
 pair reproduces the same parameters on any platform.
@@ -37,7 +38,7 @@ SKELETON_JOINTS = 17
 # skeleton vector: x, y of each joint, then the joints' confidences
 SKELETON_INPUT_DIM = SKELETON_JOINTS * 3
 
-# pixel rows per 2-D product when a tracklet is encoded in frame chunks: 8
+# pixels per 2-D product when a tracklet is encoded in frame chunks: 8
 # frames of 32x32, a 512 KB layer-1 product at 8 hidden channels. A product
 # over a whole 48-frame tracklet is 3.1 MB, and its fresh pages fault in again
 # for every tracklet.
@@ -87,38 +88,41 @@ class EncoderParams:
         return cls(layers=tuple(layers))
 
 
-def _avgpool2x2(x: np.ndarray) -> np.ndarray:
-    """2x2 average pooling over the H and W axes of a (T, H, W, C) array.
-
-    Strided adds sum each window in the same order as a per-frame
-    reshape-and-mean, and run faster than a batched one.
-    """
-    h, w = x.shape[1:3]
-    if h % 2 != 0 or w % 2 != 0:
-        raise DimMismatch(f"2x2 pooling needs even spatial dims, got {h}x{w}")
-    return 0.25 * (x[:, 0::2, 0::2] + x[:, 0::2, 1::2] + x[:, 1::2, 0::2] + x[:, 1::2, 1::2])
-
-
 def _grid_forward(grids: np.ndarray, params: EncoderParams) -> np.ndarray:
     """Per-pixel linear blocks with ReLU over (T, H, W, C) grids, each followed
     by 2x2 average pooling.
 
-    Each layer is one 2-D product over all T*H*W pixels. Every output cell is
-    one dot product no longer than the layer's input width, so its bytes do not
-    depend on how BLAS splits the rows between threads.
+    Inside, the pixels are held channels first, (C, T*H*W): each layer is one
+    2-D product w @ x, and the bias, the ReLU and the pooling run in place
+    over contiguous rows. Every output cell is one dot product over the
+    layer's input channels, the same bits as the pixels-first x @ w.T it
+    replaced, under OpenBLAS's SkylakeX, Haswell and Sandybridge kernels, and
+    they do not depend on how BLAS splits the columns between threads. Each
+    pool sums its window as ((top-left + top-right) + bottom-left) +
+    bottom-right, the order of a per-frame reshape-and-mean. One transpose at
+    the end returns (T, H', W', C') grids.
     """
-    x = grids
-    if x.ndim != 4:
-        raise InvalidInput(f"grids must be (T, H, W, C), got shape {x.shape}")
+    if grids.ndim != 4:
+        raise InvalidInput(f"grids must be (T, H, W, C), got shape {grids.shape}")
+    t, h, wd, c = grids.shape
+    # a view when the grids come channels first, as encode_silhouette's do
+    x = np.ascontiguousarray(grids.reshape(-1, c).T)
     for w, b in params.layers:
-        t, h, wd, c = x.shape
-        if c != w.shape[1]:
-            raise DimMismatch(f"grid has {c} channels, layer expects {w.shape[1]}")
-        # in place after the product, so the bias and the ReLU allocate nothing
-        y = x.reshape(-1, c) @ w.T
-        y += b
-        x = _avgpool2x2(np.maximum(y, 0.0, out=y).reshape(t, h, wd, w.shape[0]))
-    return x
+        if x.shape[0] != w.shape[1]:
+            raise DimMismatch(f"grid has {x.shape[0]} channels, layer expects {w.shape[1]}")
+        if h % 2 != 0 or wd % 2 != 0:
+            raise DimMismatch(f"2x2 pooling needs even spatial dims, got {h}x{wd}")
+        y = w @ x
+        y += b[:, None]
+        np.maximum(y, 0.0, out=y)
+        h, wd = h // 2, wd // 2
+        window = y.reshape(-1, h, 2, wd, 2)
+        x = window[:, :, 0, :, 0] + window[:, :, 0, :, 1]
+        x += window[:, :, 1, :, 0]
+        x += window[:, :, 1, :, 1]
+        x *= 0.25
+        x = x.reshape(w.shape[0], -1)
+    return np.ascontiguousarray(x.reshape(x.shape[0], t, h, wd).transpose(1, 2, 3, 0))
 
 
 def _vector_forward(rows: np.ndarray, params: EncoderParams) -> np.ndarray:
@@ -138,8 +142,8 @@ def _vector_forward(rows: np.ndarray, params: EncoderParams) -> np.ndarray:
 
 
 def frame_chunks(n_frames: int, frame_pixels: int) -> list[slice]:
-    """Consecutive slices covering n_frames, each of at most CHUNK_ROWS pixel
-    rows; a frame larger than the budget gets a slice of its own."""
+    """Consecutive slices covering n_frames, each of at most CHUNK_ROWS
+    pixels; a frame larger than the budget gets a slice of its own."""
     step = max(1, CHUNK_ROWS // frame_pixels)
     return [slice(start, min(start + step, n_frames)) for start in range(0, n_frames, step)]
 
@@ -159,10 +163,14 @@ def encode_silhouette(masks: np.ndarray, appearance: np.ndarray, params: Encoder
     (T, H', W', C) feature grids.
 
     Each pixel's input is its mask value followed by its RGB times the mask,
-    so the encoder sees no colour outside the silhouette.
+    so the encoder sees no colour outside the silhouette. Both are written
+    straight into the channels-first (4, T*H*W) input of the first layer.
     """
-    m = masks[..., None]
-    return _grid_forward(np.concatenate([m, appearance * m], axis=3), params)
+    t, h, w = masks.shape
+    x = np.empty((4, t * h * w))
+    x[0] = masks.reshape(-1)
+    np.multiply(appearance.reshape(-1, 3).T, x[0], out=x[1:])
+    return _grid_forward(x.T.reshape(t, h, w, 4), params)
 
 
 def encode_smpl(body: np.ndarray, params: EncoderParams, spatial: tuple[int, int]) -> np.ndarray:

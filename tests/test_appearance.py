@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sharc.appearance import (
+    TA_TARGETS,
     AttentionParams,
     average_aggregate,
     flatten_feature,
@@ -156,6 +157,56 @@ class TestPyramid:
         p = _params(channels=5)
         with pytest.raises(DimMismatch):
             pyramid_aggregate(_frames(8, c=3), p)
+
+
+def _pyramid_by_pairs(group, params, ta_target):
+    """The pyramid as one SA call per population member and one TA call per
+    pair, each over every group at once: the oracle of `pyramid_aggregate`'s
+    one call of each per level."""
+    current = list(np.moveaxis(group, -4, 0))
+    for level in range(params.levels):
+        sa = [spatial_attention(g, params.sa_weights[level]) for g in current]
+        current = [
+            sa[i] + sa[i + 1] + temporal_attention(current[i], current[i + 1], params.ta_weights[level], ta_target)
+            for i in range(0, len(current), 2)
+        ]
+    return current[0].mean(axis=(-3, -2))
+
+
+@pytest.mark.parametrize("ta_target", TA_TARGETS)
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["no-group-axis", "one-group", "three-groups"])
+def test_pyramid_equals_the_per_pair_oracle(levels, ta_target, lead):
+    rng = np.random.default_rng(100 * levels + len(lead))
+    params = _params(channels=16, levels=levels, seed=levels)
+    # 4x6 grids: a swapped spatial axis cannot go unnoticed
+    group = rng.normal(size=lead + (2**levels, 4, 6, 16))
+    got = pyramid_aggregate(group, params, ta_target=ta_target)
+    want = _pyramid_by_pairs(group, params, ta_target)
+    assert got.shape == want.shape == lead + (16,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_stubs_see_one_member_or_pair_per_call_over_every_group():
+    p = _params()
+    group = np.random.default_rng(6).normal(size=(3, 8, 2, 4, 3))
+    sa_shapes, ta_shapes = [], []
+
+    def sa_stub(g, level):
+        sa_shapes.append((level, g.shape))
+        return g
+
+    def ta_stub(x, y, level):
+        ta_shapes.append((level, x.shape, y.shape))
+        return np.zeros_like(x)
+
+    out = pyramid_aggregate(group, p, sa_fn=sa_stub, ta_fn=ta_stub)
+    assert [lvl for lvl, _ in sa_shapes] == [0] * 8 + [1] * 4 + [2] * 2
+    assert [lvl for lvl, _, _ in ta_shapes] == [0] * 4 + [1] * 2 + [2]
+    assert {shape for _, shape in sa_shapes} == {(3, 2, 4, 3)}
+    assert {(x, y) for _, x, y in ta_shapes} == {((3, 2, 4, 3), (3, 2, 4, 3))}
+    # identity SA and zero TA leave the sum of the eight members
+    np.testing.assert_allclose(out, group.sum(axis=1).mean(axis=(1, 2)), rtol=1e-12)
 
 
 def test_average_aggregate_closed_form():

@@ -28,6 +28,8 @@ from sharc.appearance import TA_TARGETS, AttentionParams, average_aggregate, pyr
 from sharc.config import build_appearance_model, build_shape_model, parse_config
 from sharc.encoders import (
     CHUNK_ROWS,
+    EncoderParams,
+    _grid_forward,
     encode_appearance,
     encode_silhouette,
     encode_skeleton_sequence,
@@ -35,6 +37,7 @@ from sharc.encoders import (
     frame_chunks,
     grid_output_shape,
 )
+from sharc.exceptions import DimMismatch, InvalidInput
 from sharc.gallery import chunk_frames
 from sharc.shape import fuse_pose, temporal_pool_pose
 
@@ -132,6 +135,61 @@ def test_batched_groups_equal_one_group_at_a_time(tmp_path, t, levels, ta_target
     assert np.array_equal(avg, want_avg)
 
 
+def _hand_built(widths, seed):
+    """An EncoderParams with the given widths, drawn outside `initialize`."""
+    rng = np.random.default_rng(seed)
+    return EncoderParams(
+        layers=tuple((rng.normal(size=(o, i)), rng.normal(size=o)) for i, o in zip(widths[:-1], widths[1:]))
+    )
+
+
+@pytest.mark.parametrize(
+    "hw, hidden",
+    [((8, 16), (5,)), ((8, 16), (6, 7)), ((8, 16), (3, 8, 2)), ((12, 28), (5,)), ((12, 28), (8, 16))],
+    ids=["8x16-1layer", "8x16-2layers", "8x16-3layers", "12x28-1layer", "12x28-2layers"],
+)
+def test_grid_encoders_equal_the_per_frame_forward_on_non_square_frames(hw, hidden):
+    # 67 frames split unevenly either way: 64 + 3 frames of 8x16, and
+    # 24 + 24 + 19 frames of 12x28. On square frames a channels-first reshape
+    # that swaps H and W would go unnoticed
+    t = 67
+    rng = np.random.default_rng(sum(hw) + len(hidden))
+    masks = (rng.random((t,) + hw) < 0.4).astype(np.float64)
+    appearance = rng.random((t,) + hw + (3,))
+    sil, app = _hand_built((4,) + hidden, seed=1), _hand_built((3,) + hidden, seed=2)
+    chunks = frame_chunks(t, hw[0] * hw[1])
+    assert len(chunks) > 1 and chunks[-1].stop - chunks[-1].start < chunks[0].stop - chunks[0].start
+
+    got_sil = np.concatenate([encode_silhouette(masks[c], appearance[c], sil) for c in chunks])
+    got_app = np.concatenate([encode_appearance(appearance[c], app) for c in chunks])
+    want_sil = np.stack(
+        [_grid_frame(np.concatenate([m[:, :, None], a * m[:, :, None]], axis=2), sil) for m, a in zip(masks, appearance)]
+    )
+    want_app = np.stack([_grid_frame(a, app) for a in appearance])
+    scale = 2 ** len(hidden)
+    assert got_sil.shape == want_sil.shape == (t, hw[0] // scale, hw[1] // scale, hidden[-1])
+    assert got_app.shape == want_app.shape
+    assert got_sil.tobytes() == want_sil.tobytes()
+    assert got_app.tobytes() == want_app.tobytes()
+
+
+def test_grid_encoder_error_paths_keep_their_types():
+    app = _hand_built((3, 6, 5), seed=3)
+    with pytest.raises(InvalidInput):
+        _grid_forward(np.zeros((8, 8, 3)), app)
+    with pytest.raises(InvalidInput):
+        _grid_forward(np.zeros((1, 1, 8, 8, 3)), app)
+    with pytest.raises(DimMismatch):
+        _grid_forward(np.zeros((2, 8, 8, 4)), app)
+    with pytest.raises(DimMismatch):
+        encode_silhouette(np.zeros((2, 8, 8)), np.zeros((2, 8, 8, 3)), app)
+    # 12x28 pools to 6x14 and then to 3x7, which a third layer cannot halve
+    with pytest.raises(DimMismatch):
+        encode_appearance(np.zeros((2, 12, 28, 3)), _hand_built((3, 4, 4, 4), seed=4))
+    with pytest.raises(DimMismatch):
+        encode_silhouette(np.zeros((2, 8, 10)), np.zeros((2, 8, 10, 3)), _hand_built((4, 4, 4), seed=5))
+
+
 def _whole_shape_bins(model, masks, appearance, body, skeleton):
     """`ShapeModel.embed`'s bins with every pose stage over the whole tracklet."""
     spatial = grid_output_shape(masks.shape[1:], model.sil_encoder)
@@ -199,7 +257,7 @@ print(hashlib.sha256(b"".join(np.ascontiguousarray(o).tobytes() for o in out)).h
 
 def test_encoder_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 47 frames of 12x12: the second grid layer has 47 * 6 * 6 = 1692 pixel
-    # rows, no multiple of 8, so the threads' shares of the rows differ. 23
+    # columns, no multiple of 8, so the threads' shares of them differ. 23
     # frames of 28x28 run through the models in chunks of 10, 10 and 3
     # frames; the last chunk's second layer has 3 * 14 * 14 = 588 rows
     src = os.path.dirname(os.path.dirname(os.path.abspath(sharc.__file__)))
