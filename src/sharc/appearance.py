@@ -79,8 +79,7 @@ def spatial_attention(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     if a.shape[-1] != weights.shape[1]:
         raise DimMismatch(f"grid has {a.shape[-1]} channels, SA weights expect {weights.shape[1]}")
-    logits = a @ weights.T
-    att = core.softmax_grid(logits, out=logits)
+    att = core.softmax_grid(a @ weights.T)
     att *= a
     return att
 
@@ -101,8 +100,7 @@ def temporal_attention(
         raise DimMismatch(f"TA weights expect {weights.shape[1]} channels, pair has {2 * a_t.shape[-1]}")
     if target not in TA_TARGETS:
         raise InvalidInput(f"unknown TA target {target!r}, expected one of {TA_TARGETS}")
-    logits = np.concatenate([a_t, a_t1], axis=-1) @ weights.T
-    att = core.softmax_grid(logits, out=logits)
+    att = core.softmax_grid(np.concatenate([a_t, a_t1], axis=-1) @ weights.T)
     if target == "later":
         base = a_t1
     elif target == "earlier":

@@ -89,12 +89,9 @@ def euclidean_distance(a, b) -> float:
     return float(np.linalg.norm(va - vb))
 
 
-def softmax_grid(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the spatial positions of (..., H, W, C) grids, per grid and
-    channel; written into `out` when given, which may be `logits` itself."""
-    # in place after the shift: a whole pyramid level's logits are a few
-    # hundred KB, and each fresh temporary of that size faults its pages in
-    e = np.subtract(logits, logits.max(axis=(-3, -2), keepdims=True), out=out)
+def softmax_grid(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the spatial positions of (..., H, W, C) grids, per grid and channel."""
+    e = logits - logits.max(axis=(-3, -2), keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=(-3, -2), keepdims=True)
     return e

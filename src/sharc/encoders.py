@@ -97,10 +97,11 @@ def _grid_forward(grids: np.ndarray, params: EncoderParams) -> np.ndarray:
     over contiguous rows. Every output cell is one dot product over the
     layer's input channels, the same bits as the pixels-first x @ w.T it
     replaced, under OpenBLAS's SkylakeX, Haswell and Sandybridge kernels, and
-    they do not depend on how BLAS splits the columns between threads. Each
-    pool sums its window as ((top-left + top-right) + bottom-left) +
-    bottom-right, the order of a per-frame reshape-and-mean. One transpose at
-    the end returns (T, H', W', C') grids.
+    they do not depend on how BLAS splits the columns between threads; a
+    one-channel layer keeps the pixels-first product, whose matrix-vector
+    kernel sums in another order than that of w @ x. Each pool sums its
+    window as ((top-left + top-right) + bottom-left) + bottom-right. One
+    transpose at the end returns (T, H', W', C') grids.
     """
     if grids.ndim != 4:
         raise InvalidInput(f"grids must be (T, H, W, C), got shape {grids.shape}")
@@ -112,7 +113,12 @@ def _grid_forward(grids: np.ndarray, params: EncoderParams) -> np.ndarray:
             raise DimMismatch(f"grid has {x.shape[0]} channels, layer expects {w.shape[1]}")
         if h % 2 != 0 or wd % 2 != 0:
             raise DimMismatch(f"2x2 pooling needs even spatial dims, got {h}x{wd}")
-        y = w @ x
+        if w.shape[0] == 1:
+            # numpy sends a one-row w @ x to another matrix-vector kernel than
+            # the per-pixel x @ w.T, one that sums in another order
+            y = (x.T.copy() @ w.T).T
+        else:
+            y = w @ x
         y += b[:, None]
         np.maximum(y, 0.0, out=y)
         h, wd = h // 2, wd // 2

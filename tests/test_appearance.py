@@ -117,21 +117,27 @@ class TestPyramid:
         assert pyramid_aggregate(_frames(8), p).shape == (3,)
 
     def test_level_populations(self):
-        # 8 -> 4 -> 2 -> 1: SA sees two grids per pair, TA one pair
+        # 8 -> 4 -> 2 -> 1: SA sees two grids per pair, TA one pair, each
+        # call over every group at once
         p = _params()
-        sa_calls, ta_calls = [], []
+        for lead in [(), (3,)]:
+            group = np.random.default_rng(6).normal(size=lead + (8, 2, 4, 3))
+            sa_calls, ta_calls = [], []
 
-        def sa_stub(g, level):
-            sa_calls.append(level)
-            return g
+            def sa_stub(g, level):
+                sa_calls.append((level, g.shape))
+                return g
 
-        def ta_stub(x, y, level):
-            ta_calls.append(level)
-            return np.zeros_like(x)
+            def ta_stub(x, y, level):
+                ta_calls.append((level, x.shape, y.shape))
+                return np.zeros_like(x)
 
-        pyramid_aggregate(_frames(8), p, sa_fn=sa_stub, ta_fn=ta_stub)
-        assert [sa_calls.count(l) for l in range(3)] == [8, 4, 2]
-        assert [ta_calls.count(l) for l in range(3)] == [4, 2, 1]
+            pyramid_aggregate(group, p, sa_fn=sa_stub, ta_fn=ta_stub)
+            assert [lvl for lvl, _ in sa_calls] == [0] * 8 + [1] * 4 + [2] * 2
+            assert [lvl for lvl, _, _ in ta_calls] == [0] * 4 + [1] * 2 + [2]
+            member = lead + (2, 4, 3)
+            assert {shape for _, shape in sa_calls} == {member}
+            assert {(x, y) for _, x, y in ta_calls} == {(member, member)}
 
     def test_stub_oracle_constant_frames(self):
         # SA = identity and TA = 0 turn each level into plain pairwise sums,
@@ -185,28 +191,6 @@ def test_pyramid_equals_the_per_pair_oracle(levels, ta_target, lead):
     want = _pyramid_by_pairs(group, params, ta_target)
     assert got.shape == want.shape == lead + (16,)
     assert got.tobytes() == want.tobytes()
-
-
-def test_stubs_see_one_member_or_pair_per_call_over_every_group():
-    p = _params()
-    group = np.random.default_rng(6).normal(size=(3, 8, 2, 4, 3))
-    sa_shapes, ta_shapes = [], []
-
-    def sa_stub(g, level):
-        sa_shapes.append((level, g.shape))
-        return g
-
-    def ta_stub(x, y, level):
-        ta_shapes.append((level, x.shape, y.shape))
-        return np.zeros_like(x)
-
-    out = pyramid_aggregate(group, p, sa_fn=sa_stub, ta_fn=ta_stub)
-    assert [lvl for lvl, _ in sa_shapes] == [0] * 8 + [1] * 4 + [2] * 2
-    assert [lvl for lvl, _, _ in ta_shapes] == [0] * 4 + [1] * 2 + [2]
-    assert {shape for _, shape in sa_shapes} == {(3, 2, 4, 3)}
-    assert {(x, y) for _, x, y in ta_shapes} == {((3, 2, 4, 3), (3, 2, 4, 3))}
-    # identity SA and zero TA leave the sum of the eight members
-    np.testing.assert_allclose(out, group.sum(axis=1).mean(axis=(1, 2)), rtol=1e-12)
 
 
 def test_average_aggregate_closed_form():

@@ -43,8 +43,12 @@ from sharc.shape import fuse_pose, temporal_pool_pose
 
 
 def _pool_frame(grid):
+    # ((top-left + top-right) + bottom-left) + bottom-right: the order of
+    # numpy's reshape-and-mean over several channels; over one channel that
+    # mean sums the two rows pairwise instead
     h, w, c = grid.shape
-    return grid.reshape(h // 2, 2, w // 2, 2, c).mean(axis=(1, 3))
+    window = grid.reshape(h // 2, 2, w // 2, 2, c)
+    return 0.25 * (window[:, 0, :, 0] + window[:, 0, :, 1] + window[:, 1, :, 0] + window[:, 1, :, 1])
 
 
 def _grid_frame(grid, params):
@@ -145,8 +149,8 @@ def _hand_built(widths, seed):
 
 @pytest.mark.parametrize(
     "hw, hidden",
-    [((8, 16), (5,)), ((8, 16), (6, 7)), ((8, 16), (3, 8, 2)), ((12, 28), (5,)), ((12, 28), (8, 16))],
-    ids=["8x16-1layer", "8x16-2layers", "8x16-3layers", "12x28-1layer", "12x28-2layers"],
+    [((8, 16), (5,)), ((8, 16), (6, 7)), ((8, 16), (3, 8, 2)), ((8, 16), (5, 1)), ((12, 28), (5,)), ((12, 28), (8, 16))],
+    ids=["8x16-1layer", "8x16-2layers", "8x16-3layers", "8x16-width1", "12x28-1layer", "12x28-2layers"],
 )
 def test_grid_encoders_equal_the_per_frame_forward_on_non_square_frames(hw, hidden):
     # 67 frames split unevenly either way: 64 + 3 frames of 8x16, and
