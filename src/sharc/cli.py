@@ -13,7 +13,10 @@ cannot read or write, reported as `error: <path>: <reason>`), 3 invalid
 configuration (a config file that is not UTF-8 text included).
 
 The commands only orchestrate: the models that `config` builds apply every
-`[ablation]` key, and both sweeps run one loop, `_sweep`.
+`[ablation]` key, and both sweeps run one loop, `_sweep`. At module level
+this file imports only `config` and `exceptions`; each command imports what
+it runs in its own body, so `evaluate` loads no model and `train-toy` no
+dataset, gallery or scoring module.
 """
 
 from __future__ import annotations
@@ -22,29 +25,19 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import RunConfig, build_appearance_model, build_shape_model, parse_config
-from .encoders import EncoderParams, save_encoder
 from .exceptions import ConfigError, EmptyInput, IndexMismatch, InvalidInput, ProtocolError, SharcError
-from .gallery import (
-    AppearanceModel,
-    GalleryIndex,
-    ManifestRow,
-    build_index,
-    load_index,
-    read_manifest,
-    save_index,
-    tracklet_embeddings,
-    tracklet_features,
-    write_manifest,
-)
-from .matcher import ScoreMatrix, appearance_scores, fuse_scores, rank, shape_scores
-from .metrics import EvalReport, evaluate_ranking
-from .prng import derive_seed
-from .synth import iter_dataset, load_dataset, split_protocol, write_dataset
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .gallery import AppearanceModel, GalleryIndex
+    from .manifest import ManifestRow
+    from .matcher import ScoreMatrix
+    from .metrics import EvalReport
 
 GAMMA_SWEEP = (1.0, 0.2, 0.1, 0.0)
 ALPHA_SWEEP = (0.05, 0.1, 0.2, 0.3, 0.4)
@@ -58,6 +51,9 @@ def _embed_manifest(name: str, cfg: RunConfig, embed) -> tuple[list[ManifestRow]
     """The rows of manifest `name` in data_dir and `embed` of each of its
     tracklets, in row order; each tracklet is read and embedded before the
     next is read. A manifest naming no tracklet is refused."""
+    from .manifest import read_manifest
+    from .synth import load_dataset
+
     path = os.path.join(cfg.data_dir, name)
     rows = read_manifest(path)
     if not rows:
@@ -72,6 +68,8 @@ def _score_embedded(
     cfg: RunConfig,
 ) -> tuple[ScoreMatrix, ScoreMatrix]:
     """Score each query's (shape, appearance) vectors against the index."""
+    from .matcher import appearance_scores, shape_scores
+
     ids = [row.tracklet_id for row in queries]
     s_shape = shape_scores([(q, s) for q, (s, _) in zip(ids, embeddings)], index)
     s_app = appearance_scores(
@@ -89,6 +87,9 @@ def _sweep(cfg: RunConfig, app_model: AppearanceModel, gallery: tuple, queries: 
     each gamma only flattens, averages, indexes and scores; alpha acts only
     where the two score matrices are fused, so each alpha only fuses.
     """
+    from .gallery import build_index
+    from .matcher import fuse_scores
+
     (gallery_rows, gallery_features), (query_rows, query_features) = gallery, queries
     for gamma in gammas:
         model = replace(app_model, gamma=gamma)
@@ -104,9 +105,11 @@ def _sweep(cfg: RunConfig, app_model: AppearanceModel, gallery: tuple, queries: 
 
 
 def _evaluate(fused: ScoreMatrix, subject_of: dict[str, str]) -> EvalReport:
-    """Rank the fused scores and evaluate each query against its subject."""
-    labels = [subject_of[q] for q in fused.query_ids]
-    return evaluate_ranking(rank(fused), labels, {g: g for g in fused.gallery_ids})
+    """Evaluate each query of the fused scores against its subject, from the
+    rank of its subject's column."""
+    from .metrics import evaluate_scores
+
+    return evaluate_scores(fused.scores, fused.gallery_ids, [subject_of[q] for q in fused.query_ids])
 
 
 def _write_table(path: str, comment: str, header: str, rows: list[str]) -> None:
@@ -117,6 +120,9 @@ def _write_table(path: str, comment: str, header: str, rows: list[str]) -> None:
 
 
 def cmd_synth(cfg: RunConfig, out: str) -> int:
+    from .manifest import read_manifest, write_manifest
+    from .synth import iter_dataset, split_protocol, write_dataset
+
     rows = read_manifest(write_dataset(iter_dataset(cfg.dataset), out, _comment(cfg)))
     gallery, query = split_protocol(rows, cfg.protocol.gallery_ratio, cfg.protocol.split_seed)
     write_manifest(gallery, os.path.join(out, "gallery.csv"), _comment(cfg))
@@ -126,6 +132,8 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_enroll(cfg: RunConfig, out: str) -> int:
+    from .gallery import build_index, save_index, tracklet_embeddings
+
     models = build_shape_model(cfg), build_appearance_model(cfg)
     rows, embeddings = _embed_manifest("gallery.csv", cfg, lambda r: tracklet_embeddings(r, *models))
     index = build_index(rows, embeddings, centroid=cfg.ablation.centroid)
@@ -135,6 +143,9 @@ def cmd_enroll(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_query(cfg: RunConfig, out: str) -> int:
+    from .gallery import load_index, tracklet_embeddings
+    from .matcher import fuse_scores
+
     index_path = os.path.join(out, "index.shrc")
     index = load_index(index_path)
     if index.model_hash != cfg.model_hash():
@@ -154,6 +165,9 @@ def cmd_query(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, out: str) -> int:
+    from .manifest import read_manifest
+    from .matcher import ScoreMatrix
+
     fused_path = os.path.join(out, "scores_fused.csv")
     query_path = os.path.join(cfg.data_dir, "query.csv")
     fused = ScoreMatrix.read_csv(fused_path)
@@ -174,6 +188,8 @@ def cmd_evaluate(cfg: RunConfig, out: str) -> int:
 def _write_sweep(cfg: RunConfig, out: str, key: str, gammas, alphas) -> int:
     """Write `ablate_<key>.csv`: rank-1 of every (gamma, alpha) setting, keyed
     by the swept one of the two, `key`."""
+    from .gallery import tracklet_features
+
     shape_model, app_model = build_shape_model(cfg), build_appearance_model(cfg)
     gallery = _embed_manifest("gallery.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
     queries = _embed_manifest("query.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
@@ -197,8 +213,9 @@ def cmd_ablate_alpha(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_train_toy(cfg: RunConfig, out: str) -> int:
-    # here, not at the top: only this command runs the trainer
+    from .encoders import EncoderParams, save_encoder
     from .losses import make_toy_dataset, train_toy
+    from .prng import derive_seed
 
     t = cfg.train
     dataset = make_toy_dataset(t.num_ids, t.samples_per_id, t.input_dim, t.noise, t.data_seed)

@@ -3,16 +3,16 @@
 Each section of a file is one frozen dataclass, listed in `SECTIONS`, and each
 key is declared once, as a field made by `exceptions.setting`: its default
 gives the key's type and default value, and its check the key's range. The
-`[dataset]` section is `synth.DatasetSpec`, so a config and a spec built in
-code obey the same rules. Every key has a default, so an empty file is a
-valid config; unknown sections or keys are rejected (typos should not
-silently fall back to defaults). A value that fails its check, or that
-passes it but cannot run with the others (a frame the encoders cannot pool,
-a dataset with no query tracklets, one class for a loss that needs two), is
-refused here with a ConfigError naming the key. All randomness in a run
-flows from the seeds named here. The resolved configuration (defaults filled
-in) is hashed so output files can be traced back to the exact settings that
-produced them.
+`[dataset]` section is `DatasetSpec`, which `synth` generates from, so a
+config and a spec built in code obey the same rules. Every key has a
+default, so an empty file is a valid config; unknown sections or keys are
+rejected (typos should not silently fall back to defaults). A value that
+fails its check, or that passes it but cannot run with the others (a frame
+the encoders cannot pool, a dataset with no query tracklets, one class for a
+loss that needs two), is refused here with a ConfigError naming the key.
+All randomness in a run flows from the seeds named here. The resolved
+configuration (defaults filled in) is hashed so output files can be traced
+back to the exact settings that produced them.
 """
 
 from __future__ import annotations
@@ -20,18 +20,27 @@ from __future__ import annotations
 import configparser
 import hashlib
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .appearance import TA_TARGETS, AttentionParams
 from .core import HPP_MODES
-from .encoders import SKELETON_INPUT_DIM, SMPL_DIM, EncoderParams
-from .exceptions import ConfigError, at_least, finite_nonneg, setting, within
-from .gallery import AppearanceModel
-from .prng import derive_seed
-from .shape import ShapeModel
-from .synth import DatasetSpec
+from .exceptions import ConfigError, InvalidInput, at_least, finite_nonneg, setting, within
+
+if TYPE_CHECKING:
+    from .gallery import AppearanceModel
+    from .shape import ShapeModel
 
 _POSITIVE = at_least(1)
 _UNIT = within(0, 1)
+
+# The largest normal SplitMix64.normals can draw is sqrt(-2 ln 2**-53) = 8.57
+# (Box-Muller from 53-bit uniforms), and the jitter scales every noise term of
+# the body vector and the skeleton, so a generated value is at most about
+# keypoint_jitter * 8.6. Below this bound none of them overflows float32 in a
+# frame container.
+MAX_KEYPOINT_JITTER = float(np.finfo(np.float32).max) / 8.6
 
 
 def _open_unit(v):
@@ -40,6 +49,36 @@ def _open_unit(v):
 
 def _one_of(options):
     return lambda v: None if v in options else f"must be one of {', '.join(options)}"
+
+
+@dataclass(frozen=True)
+class DatasetSpec:
+    """The `[dataset]` config section: each field's default and range check.
+
+    Building a spec runs every check and raises InvalidInput naming the first
+    field that fails; `parse_config` runs the same checks key by key.
+    """
+
+    num_ids: int = setting(8, at_least(1))
+    tracklets_per_id: int = setting(2, at_least(1))
+    frames_per_tracklet: int = setting(12, at_least(1))
+    clothing_variants: int = setting(1, at_least(1))
+    sil_flip_rate: float = setting(0.0, within(0, 1))
+    keypoint_jitter: float = setting(
+        0.0,
+        within(0, MAX_KEYPOINT_JITTER, ", so that generated keypoints and body parameters stay finite in float32"),
+    )
+    appearance_shift: float = setting(0.0, finite_nonneg)
+    seed: int = setting(1)
+    height: int = setting(16, at_least(4))
+    width: int = setting(16, at_least(4))
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            problem = f.metadata["check"](value)
+            if problem is not None:
+                raise InvalidInput(f"{f.name} {problem}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -258,7 +297,13 @@ def _check_runnable(cfg: RunConfig) -> None:
         )
 
 
+# the builders import the models when called, so a command that builds none
+# (evaluate, train-toy) does not load them
 def build_shape_model(cfg: RunConfig) -> ShapeModel:
+    from .encoders import SKELETON_INPUT_DIM, SMPL_DIM, EncoderParams
+    from .prng import derive_seed
+    from .shape import ShapeModel
+
     m = cfg.model
     sil = EncoderParams.initialize(_grid_widths(m)["silhouette"], derive_seed(m.encoder_seed, 101))
     smpl = EncoderParams.initialize((SMPL_DIM, _VEC_HIDDEN, m.channels), derive_seed(m.encoder_seed, 102))
@@ -279,6 +324,10 @@ def build_shape_model(cfg: RunConfig) -> ShapeModel:
 
 
 def build_appearance_model(cfg: RunConfig) -> AppearanceModel:
+    from .encoders import EncoderParams
+    from .gallery import AppearanceModel
+    from .prng import derive_seed
+
     m = cfg.model
     enc = EncoderParams.initialize(_grid_widths(m)["appearance"], derive_seed(m.encoder_seed, 104))
     attn = AttentionParams.initialize(m.channels, levels=m.pyramid_levels, seed=m.attention_seed)

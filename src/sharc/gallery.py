@@ -36,7 +36,6 @@ non-finite vector, widths that differ between entries, or a source count of 0.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass, field
 
@@ -56,8 +55,6 @@ from .exceptions import CorruptIndex, EmptyInput, InvalidInput
 from .shape import ShapeModel
 
 INDEX_MAGIC = b"SHRCIDX2"
-
-MANIFEST_HEADER = ["tracklet_id", "subject_id", "clothing_id", "frames_path"]
 
 
 @dataclass(frozen=True)
@@ -350,53 +347,3 @@ def load_index(path) -> GalleryIndex:
     if off != len(data):
         raise CorruptIndex(f"{path}: {len(data) - off} trailing bytes")
     return GalleryIndex(entries=entries, model_hash=model_hash)
-
-
-@dataclass(frozen=True)
-class ManifestRow:
-    tracklet_id: str
-    subject_id: str
-    clothing_id: str
-    frames_path: str
-
-
-def write_manifest(rows: list[ManifestRow], path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        if header_comment is not None:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(MANIFEST_HEADER)
-        for r in rows:
-            writer.writerow([r.tracklet_id, r.subject_id, r.clothing_id, r.frames_path])
-
-
-def read_manifest(path) -> list[ManifestRow]:
-    """The rows of a manifest, which must be UTF-8 and name each tracklet once.
-
-    A repeated tracklet would otherwise be embedded twice: counted twice in
-    its subject's centroid, or scored as two rows with one id.
-    """
-    rows = []
-    first_line: dict[str, int] = {}
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            while header is not None and header and header[0].startswith("#"):
-                header = next(reader, None)
-            if header != MANIFEST_HEADER:
-                raise InvalidInput(f"{path}: expected header {','.join(MANIFEST_HEADER)}")
-            for line in reader:
-                if len(line) != 4:
-                    raise InvalidInput(f"{path}: malformed row {line!r}")
-                row = ManifestRow(*line)
-                if row.tracklet_id in first_line:
-                    raise InvalidInput(
-                        f"{path}: line {reader.line_num} repeats tracklet {row.tracklet_id!r} "
-                        f"of line {first_line[row.tracklet_id]}"
-                    )
-                first_line[row.tracklet_id] = reader.line_num
-                rows.append(row)
-    except UnicodeDecodeError:
-        raise InvalidInput(f"{path}: manifest is not UTF-8 text") from None
-    return rows

@@ -24,11 +24,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exceptions import AlignmentError, DimMismatch, EmptyInput, InvalidInput
-from .gallery import GalleryIndex
+
+if TYPE_CHECKING:
+    from .gallery import GalleryIndex
 
 
 @dataclass
@@ -53,7 +56,7 @@ class ScoreMatrix:
         self.scores = s
 
     def write_csv(self, path, header_comment: str | None = None) -> None:
-        """Comma-separated export: gallery ids as header, one row per query.
+        """Comma-separated UTF-8 export: gallery ids as header, one row per query.
 
         An id that read_csv would not give back (one holding a comma or a line
         break, or a query id that starts a `#` comment line) raises
@@ -63,7 +66,7 @@ class ScoreMatrix:
             for i in ids:
                 if any(c in i for c in ",\r\n") or (kind == "query" and i.startswith("#")):
                     raise InvalidInput(f"{path}: {kind} id {i!r} cannot be written to a score file")
-        with open(path, "w", newline="") as f:
+        with open(path, "w", newline="", encoding="utf-8") as f:
             if header_comment is not None:
                 f.write(f"# {header_comment}\n")
             f.write("query_id," + ",".join(self.gallery_ids) + "\n")
@@ -77,7 +80,7 @@ class ScoreMatrix:
         """Inverse of write_csv; a malformed row or a repeated id raises
         InvalidInput naming its line, and a file with no query row one naming it."""
         try:
-            with open(path, "r") as f:
+            with open(path, "r", encoding="utf-8") as f:
                 lines = f.readlines()
         except UnicodeDecodeError:
             raise InvalidInput(f"{path}: not a text file") from None

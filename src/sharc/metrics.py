@@ -9,6 +9,10 @@ The inputs are validated once and each ranked list is walked once, to the
 0-based positions of its correct ids; every rank-k accuracy and every AP is
 read from those positions. A list that holds none of its query's correct ids
 (one shorter than the gallery, say) is a miss at every k and has no AP.
+
+`evaluate_scores` gives the same report straight from a score matrix whose
+columns are unique subject ids, as the CLI's are: each query has one correct
+column, so its rank is a count and nothing is sorted.
 """
 
 from __future__ import annotations
@@ -117,3 +121,48 @@ def evaluate_ranking(
     rank_k = {k: _hit_rate(matched, k) for k in ranks}
     aps = [_ap(*m) for m in matched]
     return EvalReport(rank_k=rank_k, map_score=float(np.mean(aps)), per_query_ap=aps)
+
+
+def evaluate_scores(
+    scores: np.ndarray,
+    gallery_ids: list[str],
+    query_labels: list[str],
+    ranks: tuple[int, ...] = DEFAULT_RANKS,
+) -> EvalReport:
+    """`evaluate_ranking(rank(...), query_labels, {g: g for g in gallery_ids})`
+    for a finite (Q, G) score matrix whose G columns are unique subject ids.
+
+    A query's 0-based rank is the number of columns that beat its correct
+    column under `rank`'s rule: a higher score, or an equal score and a
+    smaller id. Its AP is then 1 / (rank + 1).
+    """
+    column = {g: j for j, g in enumerate(gallery_ids)}
+    if len(column) != len(gallery_ids):
+        raise InvalidInput("gallery ids must be unique")
+    s = np.asarray(scores, dtype=np.float64)
+    if s.shape != (len(query_labels), len(gallery_ids)):
+        raise InvalidInput(
+            f"scores shape {s.shape} does not match {len(query_labels)} queries x {len(gallery_ids)} ids"
+        )
+    if not np.all(np.isfinite(s)):
+        raise InvalidInput("scores contain non-finite entries")
+    missing = [i for i, lab in enumerate(query_labels) if lab not in column]
+    if missing:
+        raise UnmatchableQuery(f"queries with no correct gallery entry: indices {missing}")
+    if not query_labels:
+        raise InvalidInput("no matchable queries")
+    for k in ranks:
+        if k < 1:
+            raise InvalidInput(f"k must be positive, got {k}")
+    id_order = np.empty(len(gallery_ids), dtype=np.int64)
+    id_order[sorted(range(len(gallery_ids)), key=gallery_ids.__getitem__)] = np.arange(len(gallery_ids))
+    correct = np.array([column[lab] for lab in query_labels])
+    target = s[np.arange(len(correct)), correct][:, None]
+    ahead = (s > target) | ((s == target) & (id_order < id_order[correct][:, None]))
+    positions = np.count_nonzero(ahead, axis=1)
+    aps = (1.0 / (positions + 1)).tolist()
+    return EvalReport(
+        rank_k={k: int(np.count_nonzero(positions < k)) / len(aps) for k in ranks},
+        map_score=float(np.mean(aps)),
+        per_query_ap=aps,
+    )

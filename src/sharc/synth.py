@@ -42,26 +42,21 @@ import math
 import os
 import struct
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DatasetSpec
 from .encoders import SKELETON_INPUT_DIM, SKELETON_JOINTS, SMPL_DIM, frame_chunks
-from .exceptions import CorruptFile, InvalidInput, ProtocolError, at_least, finite_nonneg, setting, within
-from .gallery import ManifestRow, TrackletRecord, read_manifest, write_manifest
+from .exceptions import CorruptFile, InvalidInput, ProtocolError
+from .gallery import TrackletRecord
+from .manifest import ManifestRow, read_manifest, write_manifest
 from .prng import SplitMix64, box_muller, derive_seed, normal_uniform_count, uniform_rows
 
 DATA_MAGIC = b"SHRCDAT3"
 _OLD_DATA_MAGICS = (b"SHRCDAT1", b"SHRCDAT2")
 
 SIGNATURE_DIM = 6
-
-# The largest normal SplitMix64.normals can draw is sqrt(-2 ln 2**-53) = 8.57
-# (Box-Muller from 53-bit uniforms), and the jitter scales every noise term of
-# the body vector and the skeleton, so a generated value is at most about
-# keypoint_jitter * 8.6. Below this bound none of them overflows float32 in a
-# frame container.
-MAX_KEYPOINT_JITTER = float(np.finfo(np.float32).max) / 8.6
 
 # (tag, record field, on-disk dtype) of the sections of a SHRCDAT3 container,
 # in on-disk order
@@ -101,36 +96,6 @@ class IdentityProfile:
     latent_shape: np.ndarray  # (10,)
     gait_phase_params: np.ndarray  # (3,): phase offset, stride frequency, swing amplitude
     appearance_signature: np.ndarray  # (SIGNATURE_DIM,)
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """The `[dataset]` config section: each field's default and range check.
-
-    Building a spec runs every check and raises InvalidInput naming the first
-    field that fails; `parse_config` runs the same checks key by key.
-    """
-
-    num_ids: int = setting(8, at_least(1))
-    tracklets_per_id: int = setting(2, at_least(1))
-    frames_per_tracklet: int = setting(12, at_least(1))
-    clothing_variants: int = setting(1, at_least(1))
-    sil_flip_rate: float = setting(0.0, within(0, 1))
-    keypoint_jitter: float = setting(
-        0.0,
-        within(0, MAX_KEYPOINT_JITTER, ", so that generated keypoints and body parameters stay finite in float32"),
-    )
-    appearance_shift: float = setting(0.0, finite_nonneg)
-    seed: int = setting(1)
-    height: int = setting(16, at_least(4))
-    width: int = setting(16, at_least(4))
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            problem = f.metadata["check"](value)
-            if problem is not None:
-                raise InvalidInput(f"{f.name} {problem}, got {value!r}")
 
 
 def subject_label(index: int) -> str:

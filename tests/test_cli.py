@@ -3,17 +3,20 @@ import filecmp
 import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import pytest
 
-import sharc.cli
+import sharc.gallery
 import sharc.losses
 import sharc.synth
 from sharc.cli import main
 from sharc.config import build_appearance_model, build_shape_model, parse_config
-from sharc.gallery import read_manifest, register, save_index
+from sharc.gallery import register, save_index
+from sharc.manifest import read_manifest
 from sharc.synth import load_dataset
 
 SMALL_CFG = """
@@ -458,7 +461,7 @@ def test_each_tracklet_is_embedded_before_the_next_is_read(workspace, monkeypatc
     assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
     assert _run(["enroll", "--config", cfg_path, "--out", out]) == 0
     events = []
-    read, embedded = sharc.synth.read_tracklet_frames, getattr(sharc.cli, embed)
+    read, embedded = sharc.synth.read_tracklet_frames, getattr(sharc.gallery, embed)
 
     def logged_read(path, tracklet_id, *args):
         events.append(("read", tracklet_id))
@@ -469,7 +472,7 @@ def test_each_tracklet_is_embedded_before_the_next_is_read(workspace, monkeypatc
         return embedded(record, *args)
 
     monkeypatch.setattr(sharc.synth, "read_tracklet_frames", logged_read)
-    monkeypatch.setattr(sharc.cli, embed, logged_embed)
+    monkeypatch.setattr(sharc.gallery, embed, logged_embed)
     assert _run([command, "--config", cfg_path, "--out", out]) == 0
     ids = [row.tracklet_id for name in manifests for row in read_manifest(data_dir / name)]
     assert events == [(kind, tracklet) for tracklet in ids for kind in ("read", "embed")]
@@ -487,6 +490,77 @@ def test_pipeline_runs_at_other_pyramid_depths(workspace, capsys, levels):
     for command in ("enroll", "query", "evaluate"):
         assert _run([command, "--config", cfg_path, "--out", out]) == 0, capsys.readouterr().err
     assert (out / "report.txt").read_text().splitlines()[1].startswith("rank_1=")
+
+
+_CLI_SCRIPT = "import sys; from sharc.cli import main; sys.exit(main(sys.argv[1:]))"
+# the same, then the sharc modules the command loaded, as the last stdout line
+_LOADED_SCRIPT = (
+    "import sys; from sharc.cli import main; code = main(sys.argv[1:]); "
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('sharc.')))); sys.exit(code)"
+)
+
+
+def _child(script, args, **env_vars):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sharc.__file__)))
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True,
+                          timeout=120)
+
+
+def test_score_files_are_utf8_whatever_the_locale(workspace):
+    # under an ASCII locale query used to write its score files in the
+    # locale's encoding, and stopped with a UnicodeEncodeError traceback
+    cfg_path, data_dir, tmp = workspace
+    out = tmp / "run"
+    assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+    for name in ("gallery.csv", "query.csv"):
+        path = data_dir / name
+        path.write_text(path.read_text(encoding="utf-8").replace(",s000,", ",sé,"), encoding="utf-8")
+    for command in ("enroll", "query", "evaluate"):
+        done = _child(_CLI_SCRIPT, [command, "--config", cfg_path, "--out", out],
+                      PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    for name in ("scores_shape.csv", "scores_appearance.csv", "scores_fused.csv"):
+        header = (out / name).read_bytes().splitlines()[1]
+        assert header.startswith(b"query_id,") and "sé".encode("utf-8") in header.split(b","), name
+    assert (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        ("evaluate", ["sharc.gallery", "sharc.shape", "sharc.synth", "sharc.encoders", "sharc.losses"]),
+        ("train-toy", ["sharc.gallery", "sharc.shape", "sharc.synth", "sharc.matcher", "sharc.metrics",
+                       "sharc.manifest"]),
+    ],
+)
+def test_each_command_imports_only_what_it_runs(workspace, command, absent):
+    # process start-up is most of evaluate's wall time
+    cfg_path, data_dir, tmp = workspace
+    if command == "evaluate":
+        for setup in ("synth", "enroll", "query"):
+            assert _run([setup, "--config", cfg_path]) == 0
+    done = _child(_LOADED_SCRIPT, [command, "--config", cfg_path])
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    loaded = done.stdout.decode().splitlines()[-1].split()
+    assert "sharc.cli" in loaded and "sharc.config" in loaded
+    assert [m for m in absent if m in loaded] == []
+
+
+def test_a_query_whose_subject_is_no_column_is_2_in_one_line(workspace, capsys):
+    cfg_path, data_dir, tmp = workspace
+    out = tmp / "run"
+    for command in ("synth", "enroll", "query"):
+        assert _run([command, "--config", cfg_path, "--out", data_dir if command == "synth" else out]) == 0
+    fused = out / "scores_fused.csv"
+    lines = fused.read_text().splitlines()
+    assert lines[1] == "query_id,s000,s001,s002"
+    fused.write_text("\n".join([lines[0], "query_id,s000,x001,s002"] + lines[2:]) + "\n")
+    capsys.readouterr()
+    assert _run(["evaluate", "--config", cfg_path, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: queries with no correct gallery entry: indices [1]\n"
+    assert not (out / "report.txt").exists()
 
 
 class TestSweepsAndTraining:

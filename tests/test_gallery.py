@@ -13,18 +13,16 @@ from sharc.gallery import (
     AppearanceModel,
     GalleryIndex,
     IndexEntry,
-    ManifestRow,
     TrackletRecord,
     build_index,
     chunk_frames,
     load_index,
-    read_manifest,
     register,
     save_index,
     tracklet_embeddings,
     tracklet_features,
-    write_manifest,
 )
+from sharc.manifest import ManifestRow, read_manifest, write_manifest
 from sharc.shape import ShapeModel
 from sharc.synth import DatasetSpec, generate_dataset
 

@@ -8,6 +8,7 @@ from sharc.metrics import (
     average_precision,
     cmc,
     evaluate_ranking,
+    evaluate_scores,
     mean_average_precision,
 )
 
@@ -164,3 +165,81 @@ class TestEvalReport:
         for line in report.lines():
             _, text = line.split("=")
             assert repr(float(text)) == text
+
+
+def _ranked_report(scores, gallery_ids, labels, ranks=(1, 5, 10, 20)):
+    """The oracle: sort each row with `rank`, then evaluate the ranked lists."""
+    matrix = ScoreMatrix(scores, [f"q{i}" for i in range(len(labels))], gallery_ids)
+    return evaluate_ranking(rank(matrix), labels, {g: g for g in gallery_ids}, ranks=ranks)
+
+
+class TestEvaluateScores:
+    """`evaluate_scores` counts each query's rank; `evaluate_ranking(rank(...))`
+    sorts. Both must give the same report, float for float."""
+
+    @staticmethod
+    def _case(rng, n_query, n_gallery, grid):
+        # ids whose string order is not their column order: "s10" < "s2"
+        gallery_ids = [f"s{i}" for i in rng.permutation(n_gallery)]
+        scores = rng.standard_normal((n_query, n_gallery))
+        if grid:
+            scores = np.round(scores * grid) / grid
+        labels = [gallery_ids[j] for j in rng.integers(n_gallery, size=n_query)]
+        return scores, gallery_ids, labels
+
+    @pytest.mark.parametrize("grid", [None, 4, 1], ids=["continuous", "quarters", "integers"])
+    @pytest.mark.parametrize("n_query, n_gallery", [(1, 1), (1, 12), (7, 3), (40, 25), (60, 300)])
+    def test_equals_sorting_on_seeded_matrices(self, grid, n_query, n_gallery):
+        rng = np.random.default_rng(n_query * 1000 + n_gallery)
+        for _ in range(5):
+            scores, gallery_ids, labels = self._case(rng, n_query, n_gallery, grid)
+            got = evaluate_scores(scores, gallery_ids, labels, ranks=(1, 2, 5, 10, 20, 400))
+            want = _ranked_report(scores, gallery_ids, labels, ranks=(1, 2, 5, 10, 20, 400))
+            assert got.rank_k == want.rank_k
+            assert got.per_query_ap == want.per_query_ap
+            assert got.map_score == want.map_score
+            assert all(type(v) is float for v in [got.map_score, *got.rank_k.values(), *got.per_query_ap])
+
+    def test_a_row_in_which_every_column_ties(self):
+        rng = np.random.default_rng(5)
+        scores, gallery_ids, labels = self._case(rng, 9, 30, None)
+        scores[3] = 0.25
+        scores[5] = -0.0
+        got, want = evaluate_scores(scores, gallery_ids, labels), _ranked_report(scores, gallery_ids, labels)
+        assert got == want
+        # a tied row ranks its subject by id: as many columns ahead as smaller ids
+        assert got.per_query_ap[3] == 1 / (1 + sorted(gallery_ids).index(labels[3]))
+
+    def test_zero_and_negative_zero_tie(self):
+        rng = np.random.default_rng(6)
+        gallery_ids = [f"s{i}" for i in rng.permutation(16)]
+        scores = rng.choice(np.array([0.0, -0.0, 0.5, -0.5]), size=(50, 16))
+        labels = [gallery_ids[j] for j in rng.integers(16, size=50)]
+        assert np.any(np.signbit(scores) & (scores == 0.0))
+        assert evaluate_scores(scores, gallery_ids, labels) == _ranked_report(scores, gallery_ids, labels)
+
+    def test_a_query_whose_subject_is_no_column(self):
+        scores, gallery_ids = np.zeros((3, 2)), ["a", "b"]
+        with pytest.raises(UnmatchableQuery) as counted:
+            evaluate_scores(scores, gallery_ids, ["a", "ghost", "x"])
+        with pytest.raises(UnmatchableQuery) as ranked:
+            _ranked_report(scores, gallery_ids, ["a", "ghost", "x"])
+        assert str(counted.value) == str(ranked.value) == "queries with no correct gallery entry: indices [1, 2]"
+
+    @pytest.mark.parametrize(
+        "scores, gallery_ids, labels, message",
+        [
+            (np.zeros((1, 2)), ["a", "a"], ["a"], "gallery ids must be unique"),
+            (np.zeros((2, 2)), ["a", "b"], ["a"], "does not match 1 queries x 2 ids"),
+            (np.array([[0.0, np.nan]]), ["a", "b"], ["a"], "non-finite"),
+            (np.zeros((0, 2)), ["a", "b"], [], "no matchable queries"),
+        ],
+        ids=["repeated_id", "wrong_shape", "nan", "no_queries"],
+    )
+    def test_refuses_what_it_cannot_rank(self, scores, gallery_ids, labels, message):
+        with pytest.raises(InvalidInput, match=message):
+            evaluate_scores(scores, gallery_ids, labels)
+
+    def test_rejects_bad_k(self):
+        with pytest.raises(InvalidInput, match="k must be positive"):
+            evaluate_scores(np.zeros((1, 2)), ["a", "b"], ["a"], ranks=(1, 0))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import sharc
 import sharc.synth
+from sharc.config import MAX_KEYPOINT_JITTER
 from sharc.exceptions import CorruptFile, InvalidInput, ProtocolError
 from sharc.encoders import CHUNK_ROWS, SKELETON_JOINTS
 from sharc.gallery import TrackletRecord
@@ -21,7 +22,6 @@ from sharc.synth import (
     _BASE_JOINTS,
     _SWING_JOINTS,
     _SWING_SIGN,
-    MAX_KEYPOINT_JITTER,
     SIGNATURE_DIM,
     DatasetSpec,
     _silhouette_profile,
