@@ -123,12 +123,7 @@ def evaluate_ranking(
     return EvalReport(rank_k=rank_k, map_score=float(np.mean(aps)), per_query_ap=aps)
 
 
-def evaluate_scores(
-    scores: np.ndarray,
-    gallery_ids: list[str],
-    query_labels: list[str],
-    ranks: tuple[int, ...] = DEFAULT_RANKS,
-) -> EvalReport:
+def evaluate_scores(scores: np.ndarray, gallery_ids: list[str], query_labels: list[str]) -> EvalReport:
     """`evaluate_ranking(rank(...), query_labels, {g: g for g in gallery_ids})`
     for a finite (Q, G) score matrix whose G columns are unique subject ids.
 
@@ -151,9 +146,6 @@ def evaluate_scores(
         raise UnmatchableQuery(f"queries with no correct gallery entry: indices {missing}")
     if not query_labels:
         raise InvalidInput("no matchable queries")
-    for k in ranks:
-        if k < 1:
-            raise InvalidInput(f"k must be positive, got {k}")
     id_order = np.empty(len(gallery_ids), dtype=np.int64)
     id_order[sorted(range(len(gallery_ids)), key=gallery_ids.__getitem__)] = np.arange(len(gallery_ids))
     correct = np.array([column[lab] for lab in query_labels])
@@ -162,7 +154,7 @@ def evaluate_scores(
     positions = np.count_nonzero(ahead, axis=1)
     aps = (1.0 / (positions + 1)).tolist()
     return EvalReport(
-        rank_k={k: int(np.count_nonzero(positions < k)) / len(aps) for k in ranks},
+        rank_k={k: int(np.count_nonzero(positions < k)) / len(aps) for k in DEFAULT_RANKS},
         map_score=float(np.mean(aps)),
         per_query_ap=aps,
     )
