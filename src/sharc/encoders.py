@@ -6,7 +6,7 @@ block. Every encoder takes one modality of any run of frames as a single
 array, with frames on the first axis: (T, H, W) masks and (T, H, W, 3) RGB
 frames, the (T, 85) body vectors or the (T, 51) skeletons. Grid encoders work
 channels first inside, on (C, T*H*W) pixel columns, and return (T, H', W', C)
-grids. Frames are encoded independently, so the models feed the grid encoders
+grids; vector encoders return (T, C) rows. Frames are encoded independently, so the models feed the grid encoders
 a tracklet in the slices of `frame_chunks`: at most CHUNK_ROWS pixels per 2-D
 product, whatever the tracklet's length. The arrays are validated once,
 where a `TrackletRecord` is built, not here. Weights are drawn from
@@ -154,16 +154,6 @@ def frame_chunks(n_frames: int, frame_pixels: int) -> list[slice]:
     return [slice(start, min(start + step, n_frames)) for start in range(0, n_frames, step)]
 
 
-def grid_output_shape(input_hw: tuple[int, int], params: EncoderParams) -> tuple[int, int]:
-    """Spatial dims a grid encoder produces for the given input dims."""
-    h, w = input_hw
-    for _ in params.layers:
-        if h % 2 != 0 or w % 2 != 0:
-            raise DimMismatch(f"2x2 pooling needs even spatial dims, got {h}x{w}")
-        h, w = h // 2, w // 2
-    return h, w
-
-
 def encode_silhouette(masks: np.ndarray, appearance: np.ndarray, params: EncoderParams) -> np.ndarray:
     """Encode (T, H, W) masks over their (T, H, W, 3) RGB frames into
     (T, H', W', C) feature grids.
@@ -179,15 +169,12 @@ def encode_silhouette(masks: np.ndarray, appearance: np.ndarray, params: Encoder
     return _grid_forward(x.T.reshape(t, h, w, 4), params)
 
 
-def encode_smpl(body: np.ndarray, params: EncoderParams, spatial: tuple[int, int]) -> np.ndarray:
-    """Encode (T, 85) body vectors and broadcast each over `spatial` positions.
+def encode_smpl(body: np.ndarray, params: EncoderParams) -> np.ndarray:
+    """Encode (T, 85) body vectors into a (T, C) matrix, one row per frame.
 
-    Broadcasting makes the output (T, h, w, C) grids, so it can be fused
-    elementwise with the silhouette features.
-    """
-    vecs = _vector_forward(body, params)
-    h, w = spatial
-    return np.broadcast_to(vecs[:, None, None, :], (vecs.shape[0], h, w, vecs.shape[1])).copy()
+    The shape branch fuses each row with every cell of its frame's silhouette
+    grid through a broadcast view, so no (T, h, w, C) copy is made."""
+    return _vector_forward(body, params)
 
 
 def encode_skeleton_sequence(skeleton: np.ndarray, params: EncoderParams) -> np.ndarray:

@@ -24,8 +24,12 @@ appearance ones, by up to 4.4e-16.
 The trainer fits an encoder stack (linear -> bias -> ReLU blocks, matching the
 encoders module) plus a linear classifier head with plain full-batch gradient
 descent; centers are updated with the conventional moving-average rule rather
-than by gradient. Gradients are analytic and checked on the first step against
-central differences at eps 1e-5. The check evaluates the 2 * P perturbed
+than by gradient. The encoder and classifier parameters are one flat vector, a
+copy of the caller's: `_views` gives its (layers, wc, bc) arrays, taken once,
+the gradient comes back in the same flat order, and each step updates the
+vector in place, which rounds each entry as a per-array `w - lr * gw` would.
+Gradients are analytic and checked on the first step against central
+differences at eps 1e-5. The check evaluates the 2 * P perturbed
 parameter vectors as stacks of GRAD_CHECK_ROWS rows, loss only, so that it
 costs about 30 array passes instead of 2 * P Python calls; its central
 differences have the bits of the per-coordinate `numerical_gradient` loop,
@@ -34,11 +38,14 @@ which stays as the test oracle. Each row also reports its piecewise pattern
 centroid-triplet negatives). A coordinate whose +eps or -eps row leaves the
 pattern of the unperturbed parameters straddles a kink, where a central
 difference mixes two pieces, so it is differenced again on the piece of the
-parameters; every coordinate is then checked at the same tolerance.
+parameters; every coordinate is then checked at the same tolerance,
+GRAD_CHECK_TOL. The stacked rows are flat vectors too, seen through the same
+`_views` over their leading axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,6 +69,7 @@ CTL_MARGIN = 0.3
 CTL_WEIGHT = 5e-4
 CENTER_UPDATE_RATE = 0.5
 GRAD_CHECK_EPS = 1e-5
+GRAD_CHECK_TOL = 1e-3
 # perturbed parameter vectors per stacked loss evaluation in train_toy's
 # gradient check: it bounds the check's working set (one stack of all 2 * 944
 # rows of the default [train] roughly doubles the process's peak memory)
@@ -486,64 +494,54 @@ def _forward_cached(x: np.ndarray, layers) -> tuple[np.ndarray, list, list]:
     return hs[-1], zs, hs
 
 
-def _flatten_params(layers, wc, bc) -> np.ndarray:
-    parts = []
-    for w, b in layers:
-        parts.append(w.reshape(-1))
-        parts.append(b)
-    parts.append(wc.reshape(-1))
-    parts.append(bc)
-    return np.concatenate(parts)
-
-
-def _unflatten_params(flat: np.ndarray, layers, wc, bc):
-    """The inverse of `_flatten_params`, over any leading axes of `flat`."""
+def _views(flat: np.ndarray, shapes) -> tuple[list, np.ndarray, np.ndarray]:
+    """The (layers, wc, bc) views of a flat parameter vector, or of each row of
+    a stack (..., P) of them. `shapes` lists the parameter arrays in their
+    flat order: each layer's weights and then its biases, then wc and bc."""
     lead = flat.shape[:-1]
-    out_layers = []
+    parts = []
     off = 0
-    for w, b in layers:
-        out_w = flat[..., off : off + w.size].reshape(lead + w.shape)
-        off += w.size
-        out_b = flat[..., off : off + b.size]
-        off += b.size
-        out_layers.append((out_w, out_b))
-    out_wc = flat[..., off : off + wc.size].reshape(lead + wc.shape)
-    off += wc.size
-    out_bc = flat[..., off : off + bc.size]
-    return out_layers, out_wc, out_bc
+    for shape in shapes:
+        size = math.prod(shape)
+        parts.append(flat[..., off : off + size].reshape(lead + shape))
+        off += size
+    return list(zip(parts[:-2:2], parts[1:-2:2])), parts[-2], parts[-1]
 
 
-def _loss_and_grads(objective, x, labels, layers, wc, bc, centers):
+def _loss_and_grads(objective, x, labels, p, shapes, centers) -> tuple[float, np.ndarray]:
+    """The objective's loss at the flat parameters `p` and its gradient, in
+    the same flat order."""
+    layers, wc, bc = _views(p, shapes)
     e, zs, hs = _forward_cached(x, layers)
     loss, d_logits, terms = _objective(objective, e, labels, _affine(e, wc, bc), centers)
-    grads = [None] * len(layers)
+    grad = np.empty_like(p)
+    g_layers, g_wc, g_bc = _views(grad, shapes)
+    g_wc[...] = d_logits.T @ e
+    g_bc[...] = d_logits.sum(axis=0)
     g = sum(terms, d_logits @ wc)
     for i in reversed(range(len(layers))):
         g = g * (zs[i] > 0.0)
-        grads[i] = (g.T @ hs[i], g.sum(axis=0))
+        g_layers[i][0][...] = g.T @ hs[i]
+        g_layers[i][1][...] = g.sum(axis=0)
         g = g @ layers[i][0]
-    return loss, grads, d_logits.T @ e, d_logits.sum(axis=0)
+    return loss, grad
 
 
-def _stacked_loss(objective, x, labels, layers, wc, bc, centers):
+def _stacked_loss(objective, x, labels, rows, shapes, centers) -> tuple[np.ndarray, list[np.ndarray]]:
     """The objective's loss at each row of an (R, P) stack of flat parameter
     vectors, and each row's piecewise pattern: a list of (R, ...) arrays, the
     ReLU masks and then the choices `_objective_losses` reports. A row goes
     through the operations of one `_loss_and_grads` call, in the same order,
     so its loss has those bits."""
-
-    def loss_rows(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        ls, w2, b2 = _unflatten_params(rows, layers, wc, bc)
-        e, zs = _forward_cached(x, ls)[:2]
-        relu = [z > 0.0 for z in zs]
-        del zs  # the objective sets the check's peak memory; it needs only e
-        loss, pattern = _objective_losses(objective, e, labels, _affine(e, w2, b2), centers)
-        return loss, relu + pattern
-
-    return loss_rows
+    layers, wc, bc = _views(rows, shapes)
+    e, zs = _forward_cached(x, layers)[:2]
+    relu = [z > 0.0 for z in zs]
+    del zs  # the objective sets the check's peak memory; it needs only e
+    loss, pattern = _objective_losses(objective, e, labels, _affine(e, wc, bc), centers)
+    return loss, relu + pattern
 
 
-def _perturbed_losses(loss_rows, p: np.ndarray, coords: np.ndarray, step: float, base: list):
+def _perturbed_losses(objective, x, labels, p, shapes, centers, coords: np.ndarray, step: float, base: list):
     """The loss at p + step * e_i and at p - step * e_i for each coordinate i
     in `coords`, GRAD_CHECK_ROWS rows per call, and whether each of those
     rows leaves the pattern `base`."""
@@ -554,13 +552,14 @@ def _perturbed_losses(loss_rows, p: np.ndarray, coords: np.ndarray, step: float,
         steps = np.zeros((coords[part].size, p.size))
         steps[np.arange(steps.shape[0]), coords[part]] = step
         for side, sign in enumerate((1.0, -1.0)):
-            losses[side, part], pattern = loss_rows(p + sign * steps)
+            rows = p + sign * steps
+            losses[side, part], pattern = _stacked_loss(objective, x, labels, rows, shapes, centers)
             for got, want in zip(pattern, base):
                 off[side, part] |= (got != want).reshape(len(steps), -1).any(axis=1)
     return losses[0], losses[1], off[0], off[1]
 
 
-def _numeric_gradient(objective, x, labels, layers, wc, bc, centers):
+def _numeric_gradient(objective, x, labels, p, shapes, centers):
     """Central differences of the objective at the flat parameters, as stacked
     loss evaluations, with the kinks re-differenced.
 
@@ -574,10 +573,9 @@ def _numeric_gradient(objective, x, labels, layers, wc, bc, centers):
     differences and the mask of re-differenced coordinates.
     """
     eps = GRAD_CHECK_EPS
-    p = _flatten_params(layers, wc, bc)
-    loss_rows = _stacked_loss(objective, x, labels, layers, wc, bc, centers)
-    base_loss, base = loss_rows(p[None])
-    plus, minus, plus_off, minus_off = _perturbed_losses(loss_rows, p, np.arange(p.size), eps, base)
+    state = (objective, x, labels, p, shapes, centers)
+    base_loss, base = _stacked_loss(objective, x, labels, p[None], shapes, centers)
+    plus, minus, plus_off, minus_off = _perturbed_losses(*state, np.arange(p.size), eps, base)
     central = (plus - minus) / (2.0 * eps)
     numeric = central.copy()
     redone = plus_off | minus_off
@@ -589,7 +587,7 @@ def _numeric_gradient(objective, x, labels, layers, wc, bc, centers):
     for step in (eps / 10, eps / 100, eps / 1000):
         if both.size == 0:
             break
-        plus, minus, plus_off, minus_off = _perturbed_losses(loss_rows, p, both, step, base)
+        plus, minus, plus_off, minus_off = _perturbed_losses(*state, both, step, base)
         kept = ~(plus_off | minus_off)
         numeric[both[kept]] = (plus[kept] - minus[kept]) / (2.0 * step)
         both = both[~kept]
@@ -606,7 +604,6 @@ def train_toy(
     steps: int,
     lr: float,
     seed: int,
-    grad_check_tol: float = 1e-3,
 ) -> TrainResult:
     """Full-batch gradient descent on the chosen objective.
 
@@ -614,7 +611,8 @@ def train_toy(
     the moving-average update (rate 0.5) each step under the appearance
     objective. The first analytic gradient is verified against central
     differences. Loss trace holds the initial loss followed by the loss after
-    each of the `steps` updates.
+    each of the `steps` updates. The encoder and classifier parameters are
+    trained as one fresh flat vector, so `params` is left as it is.
     """
     if steps < 1:
         raise InvalidInput(f"steps must be >= 1, got {steps}")
@@ -623,19 +621,23 @@ def train_toy(
             f"dataset features have {dataset.features.shape[1]} dims, encoder expects {params.input_dim}"
         )
     x, labels = dataset.features, dataset.labels
-    layers = [(w.copy(), b.copy()) for w, b in params.layers]
     embed_dim = params.output_dim
     k = dataset.num_classes
     rng = SplitMix64(seed)
     bound = 1.0 / np.sqrt(embed_dim)
     wc = rng.uniform_array(-bound, bound, (k, embed_dim))
     bc = rng.uniform_array(-bound, bound, (k,))
+    arrays = [a for layer in params.layers for a in layer] + [wc, bc]
+    shapes = [a.shape for a in arrays]
+    p = np.concatenate([a.reshape(-1) for a in arrays])
+    # the step updates p in place, so these views stay current
+    layers, wc, bc = _views(p, shapes)
     centers = np.zeros((k, embed_dim))
     class_sizes = np.bincount(labels, minlength=k)[:, None]
 
     trace: list[float] = []
     for step in range(steps + 1):
-        loss, grads, d_wc, d_bc = _loss_and_grads(objective, x, labels, layers, wc, bc, centers)
+        loss, grad = _loss_and_grads(objective, x, labels, p, shapes, centers)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss at step {step}")
         trace.append(float(loss))
@@ -643,19 +645,15 @@ def train_toy(
             break
 
         if step == 0:
-            analytic = _flatten_params(grads, d_wc, d_bc)
-            numeric = _numeric_gradient(objective, x, labels, layers, wc, bc, centers)[0]
+            numeric = _numeric_gradient(objective, x, labels, p, shapes, centers)[0]
             denom = max(float(np.linalg.norm(numeric)), 1e-12)
-            rel = float(np.linalg.norm(analytic - numeric)) / denom
-            if rel > grad_check_tol:
+            rel = float(np.linalg.norm(grad - numeric)) / denom
+            if rel > GRAD_CHECK_TOL:
                 raise GradientCheckFailed(
-                    f"analytic vs numerical gradient relative error {rel:.3e} > {grad_check_tol:.1e}"
+                    f"analytic vs numerical gradient relative error {rel:.3e} > {GRAD_CHECK_TOL:.1e}"
                 )
 
-        for i, (gw, gb) in enumerate(grads):
-            layers[i] = (layers[i][0] - lr * gw, layers[i][1] - lr * gb)
-        wc = wc - lr * d_wc
-        bc = bc - lr * d_bc
+        p -= lr * grad
         if objective == "appearance":
             e, _, _ = _forward_cached(x, layers)
             delta = (class_sizes * centers - _class_sums(e, labels, k)) / (1.0 + class_sizes)

@@ -114,11 +114,11 @@ def evaluate_ranking(
     ranked_lists: list[list[str]],
     query_labels: list[str],
     gallery_labels: dict[str, str],
-    ranks: tuple[int, ...] = DEFAULT_RANKS,
     skip_unmatchable: bool = False,
 ) -> EvalReport:
+    """Rank-k accuracy at each of DEFAULT_RANKS, mAP and the per-query APs."""
     matched = _matched(ranked_lists, query_labels, gallery_labels, skip_unmatchable)
-    rank_k = {k: _hit_rate(matched, k) for k in ranks}
+    rank_k = {k: _hit_rate(matched, k) for k in DEFAULT_RANKS}
     aps = [_ap(*m) for m in matched]
     return EvalReport(rank_k=rank_k, map_score=float(np.mean(aps)), per_query_ap=aps)
 

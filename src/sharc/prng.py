@@ -90,14 +90,6 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix_int(self._state)
 
-    def block_u64(self, n: int) -> np.ndarray:
-        """n raw 64-bit outputs; advances the stream exactly as n scalar calls."""
-        if n < 0:
-            raise ValueError(f"block size must be nonnegative, got {n}")
-        out = _mix_rows(np.array([self._state], dtype=np.uint64), n)[0]
-        self._state = (self._state + _GAMMA * n) & _MASK
-        return out
-
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform in [0, 1)."""
         out = uniform_rows([self._state], n)[0]

@@ -4,6 +4,9 @@ one extra bin. Every stage takes frames as one array, frames on the first
 axis. `ShapeModel.embed` runs the pose stages over a tracklet in the frame
 chunks of `encoders.frame_chunks` and folds each chunk's max into a running
 max, which is exact, so no per-frame pose array spans the whole tracklet.
+The body-model encoder gives one (C,) vector per frame; the fusion sees it
+as a broadcast view over that frame's (h, w) silhouette grid, which
+multiplies elementwise to the bits a materialised copy gives.
 
 The output of the branch is a (B + 1) x C matrix: B strip-pooled bins from the
 fused pose feature plus a final bin carrying the skeleton-motion feature
@@ -30,7 +33,6 @@ from .encoders import (
     encode_skeleton_sequence,
     encode_smpl,
     frame_chunks,
-    grid_output_shape,
 )
 from .exceptions import DimMismatch, EmptyInput, InvalidInput
 from .prng import SplitMix64
@@ -165,13 +167,12 @@ class ShapeModel:
             body = np.zeros_like(body)
         if self.drop_skeleton:
             skeleton = np.zeros_like(skeleton)
-        spatial = grid_output_shape(masks.shape[1:3], self.sil_encoder)
         pooled = None
         for chunk in frame_chunks(n, masks.shape[1] * masks.shape[2]):
-            fused = fuse_pose(
-                encode_silhouette(masks[chunk], appearance[chunk], self.sil_encoder),
-                encode_smpl(body[chunk], self.smpl_encoder, spatial),
-            )
+            sil = encode_silhouette(masks[chunk], appearance[chunk], self.sil_encoder)
+            rows = encode_smpl(body[chunk], self.smpl_encoder)
+            # each frame's body vector over every cell of its silhouette grid
+            fused = fuse_pose(sil, np.broadcast_to(rows[:, None, None, :], sil.shape[:3] + rows.shape[1:]))
             chunk_max = temporal_pool_pose(fused)
             pooled = chunk_max if pooled is None else np.maximum(pooled, chunk_max, out=pooled)
         pose_bins = core.strip_pool(pooled, self.bins, self.hpp_mode)

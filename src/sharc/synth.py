@@ -42,7 +42,6 @@ import math
 import os
 import struct
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,36 +87,18 @@ _SWING_JOINTS = np.array([7, 8, 9, 10, 13, 14, 15, 16])  # elbows, wrists, knees
 _SWING_SIGN = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
 
 
-@dataclass(frozen=True)
-class IdentityProfile:
-    """Per-subject latent factors, deterministic in (seed, subject index)."""
-
-    subject_id: str
-    latent_shape: np.ndarray  # (10,)
-    gait_phase_params: np.ndarray  # (3,): phase offset, stride frequency, swing amplitude
-    appearance_signature: np.ndarray  # (SIGNATURE_DIM,)
-
-
 def subject_label(index: int) -> str:
     return f"s{index:03d}"
 
 
 def _profile_rows(spec: DatasetSpec, subjects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(latent shapes, gait parameters, appearance signatures), one row per
-    entry of `subjects`, each from that subject's own stream."""
+    """(latent shapes (10,), gait parameters (3,), appearance signatures
+    (SIGNATURE_DIM,)), one row per entry of `subjects`, each from that
+    subject's own stream. The gait parameters are the phase offset, the
+    stride frequency and the swing amplitude."""
     u = uniform_rows([derive_seed(spec.seed, 1, s) for s in subjects], 13 + SIGNATURE_DIM)
     gait = np.stack([u[:, 10], 0.6 + (1.4 - 0.6) * u[:, 11], 0.05 + (0.15 - 0.05) * u[:, 12]], axis=1)
     return -1.0 + 2.0 * u[:, :10], gait, -1.0 + 2.0 * u[:, 13:]
-
-
-def identity_profile(spec: DatasetSpec, subject_index: int) -> IdentityProfile:
-    latent, gait, signature = _profile_rows(spec, [subject_index])
-    return IdentityProfile(
-        subject_id=subject_label(subject_index),
-        latent_shape=latent[0],
-        gait_phase_params=gait[0],
-        appearance_signature=signature[0],
-    )
 
 
 def _outfit_rows(spec: DatasetSpec, outfits) -> tuple[np.ndarray, np.ndarray]:

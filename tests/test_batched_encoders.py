@@ -35,7 +35,6 @@ from sharc.encoders import (
     encode_skeleton_sequence,
     encode_smpl,
     frame_chunks,
-    grid_output_shape,
 )
 from sharc.exceptions import DimMismatch, InvalidInput
 from sharc.gallery import chunk_frames
@@ -67,25 +66,20 @@ def _vector_row(vec, params):
 
 def _oracle(masks, appearance, body, skeleton, shape_model, app_model):
     """Per-frame outputs of the four encoders, stacked over the frames."""
-    spatial = grid_output_shape(masks.shape[1:], shape_model.sil_encoder)
     sil = [
         _grid_frame(np.concatenate([m[:, :, None], a * m[:, :, None]], axis=2), shape_model.sil_encoder)
         for m, a in zip(masks, appearance)
     ]
-    smpl = []
-    for row in body:
-        vec = _vector_row(row, shape_model.smpl_encoder)
-        smpl.append(np.broadcast_to(vec, spatial + vec.shape))
+    smpl = [_vector_row(row, shape_model.smpl_encoder) for row in body]
     skel = [_vector_row(row, shape_model.skeleton_encoder) for row in skeleton]
     app = [_grid_frame(a, app_model.encoder) for a in appearance]
     return [np.stack(x) for x in (sil, smpl, skel, app)]
 
 
 def _batched(masks, appearance, body, skeleton, shape_model, app_model):
-    spatial = grid_output_shape(masks.shape[1:], shape_model.sil_encoder)
     return [
         encode_silhouette(masks, appearance, shape_model.sil_encoder),
-        encode_smpl(body, shape_model.smpl_encoder, spatial),
+        encode_smpl(body, shape_model.smpl_encoder),
         encode_skeleton_sequence(skeleton, shape_model.skeleton_encoder),
         encode_appearance(appearance, app_model.encoder),
     ]
@@ -195,11 +189,11 @@ def test_grid_encoder_error_paths_keep_their_types():
 
 
 def _whole_shape_bins(model, masks, appearance, body, skeleton):
-    """`ShapeModel.embed`'s bins with every pose stage over the whole tracklet."""
-    spatial = grid_output_shape(masks.shape[1:], model.sil_encoder)
-    fused = fuse_pose(
-        encode_silhouette(masks, appearance, model.sil_encoder), encode_smpl(body, model.smpl_encoder, spatial)
-    )
+    """`ShapeModel.embed`'s bins with every pose stage over the whole tracklet,
+    each frame's body vector copied to every cell of its silhouette grid."""
+    sil = encode_silhouette(masks, appearance, model.sil_encoder)
+    rows = encode_smpl(body, model.smpl_encoder)
+    fused = fuse_pose(sil, np.tile(rows[:, None, None, :], (1,) + sil.shape[1:3] + (1,)))
     pose_bins = core.strip_pool(temporal_pool_pose(fused), model.bins, model.hpp_mode)
     return np.vstack([pose_bins, model.motion_bin(skeleton)[None, :]])
 

@@ -32,12 +32,11 @@ from sharc.losses import (
     ToyDataset,
     _batch_hard_triplet_grad,
     _ctl_grad,
-    _flatten_params,
     _loss_and_grads,
     _mean_ce_grad,
     _numeric_gradient,
     _pairwise_distances,
-    _unflatten_params,
+    _views,
     appearance_objective,
     batch_hard_triplet,
     center_loss,
@@ -445,12 +444,26 @@ class TestTrainer:
             np.testing.assert_array_equal(ba, bb)
         np.testing.assert_array_equal(a.classifier[0], b.classifier[0])
 
-    def test_gradient_check_gate(self):
+    @pytest.mark.parametrize("objective", ["shape", "appearance"])
+    def test_training_leaves_the_callers_parameters_alone(self, objective):
+        dataset = make_toy_dataset(num_ids=4, samples_per_id=4, input_dim=6, noise=0.1, seed=9)
+        params = EncoderParams.initialize((6, 10, 8), seed=3)
+        before = copy.deepcopy(params.layers)
+        result = train_toy(params, dataset, objective, steps=5, lr=0.05, seed=5)
+        for (w, b), (w0, b0) in zip(params.layers, before):
+            assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
+        trained = [a for layer in result.params.layers for a in layer] + list(result.classifier)
+        assert not any(np.array_equal(w, w0) for (w, _), (w0, _) in zip(result.params.layers, before))
+        for given in (a for layer in params.layers for a in layer):
+            assert not any(np.shares_memory(given, a) for a in trained)
+
+    def test_gradient_check_gate(self, monkeypatch):
         dataset = make_toy_dataset(num_ids=3, samples_per_id=3, input_dim=4, noise=0.1, seed=2)
         params = EncoderParams.initialize((4, 6, 5), seed=1)
         # an impossible tolerance must trip the central-difference check
+        monkeypatch.setattr(sharc.losses, "GRAD_CHECK_TOL", 0.0)
         with pytest.raises(GradientCheckFailed):
-            train_toy(params, dataset, "shape", steps=1, lr=0.01, seed=5, grad_check_tol=0.0)
+            train_toy(params, dataset, "shape", steps=1, lr=0.01, seed=5)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_is_reported(self):
@@ -497,7 +510,7 @@ def _checked_state(monkeypatch, run):
     check = sharc.losses._numeric_gradient
 
     def recording(*state):
-        # train_toy updates its list of layers in place after the check
+        # train_toy updates its parameter vector in place after the check
         seen.append((copy.deepcopy(state), check(*state)))
         return seen[-1][1]
 
@@ -508,14 +521,13 @@ def _checked_state(monkeypatch, run):
     return seen[0]
 
 
-def _loop_oracle(objective, x, labels, layers, wc, bc, centers):
+def _loop_oracle(objective, x, labels, p, shapes, centers):
     """numerical_gradient over the loss the trainer computes at each step."""
 
     def loss_at(flat):
-        ls, w2, b2 = _unflatten_params(flat, layers, wc, bc)
-        return _loss_and_grads(objective, x, labels, ls, w2, b2, centers)[0]
+        return _loss_and_grads(objective, x, labels, flat, shapes, centers)[0]
 
-    return numerical_gradient(loss_at, _flatten_params(layers, wc, bc))
+    return numerical_gradient(loss_at, p)
 
 
 RUNS = {
@@ -555,34 +567,31 @@ class TestStackedGradientCheck:
         # negative; that one coordinate made the whole check fail
         state, (numeric, central, redone) = _checked_state(monkeypatch, _default_run(objective, 8))
         assert np.flatnonzero(redone).tolist() == [798]
-        analytic = _flatten_params(*_loss_and_grads(*state)[1:])
+        analytic = _loss_and_grads(*state)[1]
         assert gradient_rel_error(analytic, central) > 1e-3
         assert gradient_rel_error(analytic, numeric) < 1e-5
 
     def test_kinks_on_both_sides_take_a_smaller_central_step(self, monkeypatch):
         state, _ = _checked_state(monkeypatch, _default_run("shape", 9))
-        objective, x, labels, layers, wc, bc, centers = state
+        objective, x, labels, p, shapes, centers = state
         # unit 5 of layer 0: sample 0 sits 3e-6 above its ReLU kink and sample
         # 1 sits 3e-6 below, so +1e-5 and -1e-5 on the unit's bias each
         # switch one mask, and 1e-6 switches neither
-        w, b = layers[0][0].copy(), layers[0][1].copy()
+        w, b = _views(p, shapes)[0][0]
         unit, gap = 5, x[0] - x[1]
         w[unit] -= (w[unit] @ gap - 6e-6) / (gap @ gap) * gap
         b[unit] = 3e-6 - w[unit] @ x[0]
-        layers = [(w, b)] + layers[1:]
-        state = (objective, x, labels, layers, wc, bc, centers)
         numeric, central, redone = _numeric_gradient(*state)
         bias = w.size + unit
         assert redone[bias]
 
         def loss_at(flat):
-            ls, w2, b2 = _unflatten_params(flat, layers, wc, bc)
-            return _loss_and_grads(objective, x, labels, ls, w2, b2, centers)[0]
+            return _loss_and_grads(objective, x, labels, flat, shapes, centers)[0]
 
-        p, step, h = _flatten_params(layers, wc, bc), np.zeros(numeric.size), GRAD_CHECK_EPS / 10
+        step, h = np.zeros(numeric.size), GRAD_CHECK_EPS / 10
         step[bias] = h
         assert numeric[bias] == (loss_at(p + step) - loss_at(p - step)) / (2.0 * h)
-        analytic = _flatten_params(*_loss_and_grads(*state)[1:])
+        analytic = _loss_and_grads(*state)[1]
         assert gradient_rel_error(analytic, central) > 1e-3
         assert gradient_rel_error(analytic, numeric) < 1e-5
 
@@ -598,11 +607,10 @@ class TestStackedGradientCheck:
     def test_a_wrong_gradient_still_fails(self, monkeypatch, objective, data_seed, layer, factor):
         right = sharc.losses._loss_and_grads
 
-        def wrong(*args):
-            loss, grads, d_wc, d_bc = right(*args)
-            grads = list(grads)
-            grads[layer] = (factor * grads[layer][0], grads[layer][1])
-            return loss, grads, d_wc, d_bc
+        def wrong(objective, x, labels, p, shapes, centers):
+            loss, grad = right(objective, x, labels, p, shapes, centers)
+            _views(grad, shapes)[0][layer][0][...] *= factor
+            return loss, grad
 
         monkeypatch.setattr(sharc.losses, "_loss_and_grads", wrong)
         params, dataset, objective, seed = _default_run(objective, data_seed)

@@ -4,6 +4,7 @@ import pytest
 from sharc.exceptions import InvalidInput, UnmatchableQuery
 from sharc.matcher import ScoreMatrix, rank
 from sharc.metrics import (
+    DEFAULT_RANKS,
     EvalReport,
     average_precision,
     cmc,
@@ -105,9 +106,10 @@ class TestEvalReport:
     def test_evaluate_ranking_assembles_both_metrics(self):
         rng = np.random.default_rng(13)
         ranked, labels, gal = _random_instance(rng)
-        report = evaluate_ranking(ranked, labels, gal, ranks=(1, 5))
-        assert set(report.rank_k) == {1, 5}
-        assert report.rank_k[1] == cmc(ranked, labels, gal, 1)
+        report = evaluate_ranking(ranked, labels, gal)
+        assert tuple(report.rank_k) == DEFAULT_RANKS
+        for k in DEFAULT_RANKS:
+            assert report.rank_k[k] == cmc(ranked, labels, gal, k)
         assert report.map_score == mean_average_precision(ranked, labels, gal)
         assert len(report.per_query_ap) == len(labels)
         assert isinstance(report.map_score, float)
@@ -130,13 +132,16 @@ class TestEvalReport:
                 labels[::4] = ["ghost"] * len(labels[::4])
             scores = ScoreMatrix(rng.standard_normal((12, len(ids))), [f"q{i}" for i in range(12)], ids)
             ranked = rank(scores)
-            report = evaluate_ranking(
-                ranked, labels, gallery_labels, ranks=(1, 2, 3, 5, 40), skip_unmatchable=skip_unmatchable
-            )
+            report = evaluate_ranking(ranked, labels, gallery_labels, skip_unmatchable=skip_unmatchable)
             kept = [i for i, lab in enumerate(labels) if lab != "ghost"]
             kept_ranked, kept_labels = [ranked[i] for i in kept], [labels[i] for i in kept]
+            assert tuple(report.rank_k) == DEFAULT_RANKS
             for k, value in report.rank_k.items():
                 assert value == _oracle_cmc(kept_ranked, kept_labels, gallery_labels, k)
+            # k = 40 is beyond every gallery here
+            for k in (1, 2, 3, 5, 40):
+                got = cmc(ranked, labels, gallery_labels, k, skip_unmatchable=skip_unmatchable)
+                assert got == _oracle_cmc(kept_ranked, kept_labels, gallery_labels, k)
             assert report.per_query_ap == _oracle_aps(kept_ranked, kept_labels, gallery_labels)
             assert report.map_score == _oracle_map(kept_ranked, kept_labels, gallery_labels)
 

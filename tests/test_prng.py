@@ -4,30 +4,6 @@ import pytest
 from sharc.prng import SplitMix64, box_muller, derive_seed, uniform_rows
 
 
-def test_same_seed_same_stream():
-    a = SplitMix64(123).block_u64(100)
-    b = SplitMix64(123).block_u64(100)
-    assert np.array_equal(a, b)
-
-
-def test_scalar_and_block_paths_agree():
-    rng = SplitMix64(7)
-    scalars = [rng.next_u64() for _ in range(50)]
-    block = SplitMix64(7).block_u64(50)
-    assert scalars == [int(x) for x in block]
-
-
-def test_block_then_scalar_continues_stream():
-    rng = SplitMix64(99)
-    head = rng.block_u64(10)
-    tail = rng.next_u64()
-    ref = SplitMix64(99)
-    for _ in range(10):
-        ref.next_u64()
-    assert tail == ref.next_u64()
-    assert int(head[-1]) != tail
-
-
 def test_uniforms_range_and_determinism():
     u = SplitMix64(5).uniforms(10000)
     assert u.min() >= 0.0 and u.max() < 1.0
@@ -89,14 +65,14 @@ def _scalar_continuation(seed: int, skip: int) -> list[int]:
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 @pytest.mark.parametrize("n", [0, 1, 105])
 def test_blocks_advance_the_state_as_scalar_draws(seed, n):
-    for draw, consumed in ((SplitMix64.uniforms, n), (SplitMix64.block_u64, n), (SplitMix64.normals, n + n % 2)):
+    for draw, consumed in ((SplitMix64.uniforms, n), (SplitMix64.normals, n + n % 2)):
         rng = SplitMix64(seed)
         draw(rng, n)
         assert [rng.next_u64() for _ in range(3)] == _scalar_continuation(seed, consumed), draw.__name__
 
 
 def test_different_seeds_differ():
-    assert not np.array_equal(SplitMix64(1).block_u64(8), SplitMix64(2).block_u64(8))
+    assert not np.array_equal(SplitMix64(1).uniforms(8), SplitMix64(2).uniforms(8))
 
 
 def test_derive_seed_order_sensitive():

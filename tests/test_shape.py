@@ -109,6 +109,16 @@ class TestShapeEmbedding:
             masks, rgb, _, skeleton = _inputs([0])
             _model().embed(masks, rgb, _inputs([0, 1])[2], skeleton)
 
+    def test_body_width_other_than_silhouette_width_rejected(self):
+        model = ShapeModel.build(
+            sil_encoder=EncoderParams.initialize((4, 6, 8), seed=21),
+            smpl_encoder=EncoderParams.initialize((85, 12, 7), seed=22),
+            skeleton_encoder=EncoderParams.initialize((51, 10, 8), seed=23),
+            bins=2,
+        )
+        with pytest.raises(DimMismatch, match="pose feature shapes differ"):
+            model.embed(*_inputs([0, 1]))
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             _model().embed(*(a[:0] for a in _inputs([0])))

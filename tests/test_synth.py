@@ -24,11 +24,11 @@ from sharc.synth import (
     _SWING_SIGN,
     SIGNATURE_DIM,
     DatasetSpec,
+    _profile_rows,
     _silhouette_profile,
     _texture_basis,
     generate_dataset,
     generate_tracklet,
-    identity_profile,
     iter_dataset,
     load_dataset,
     read_tracklet_frames,
@@ -112,10 +112,10 @@ class TestGeneration:
 
     def test_identity_profiles_differ_between_subjects(self):
         spec = _spec()
-        p0, p1 = identity_profile(spec, 0), identity_profile(spec, 1)
-        assert p0.subject_id != p1.subject_id
-        assert not np.array_equal(p0.latent_shape, p1.latent_shape)
-        assert not np.array_equal(p0.appearance_signature, p1.appearance_signature)
+        (latent0, _, signature0), (latent1, _, signature1) = _profile_rows(spec, [0]), _profile_rows(spec, [1])
+        assert subject_label(0) != subject_label(1)
+        assert not np.array_equal(latent0, latent1)
+        assert not np.array_equal(signature0, signature1)
 
     def test_clothing_assignment_cycles_over_variants(self):
         spec = _spec(tracklets_per_id=4, clothing_variants=2, frames_per_tracklet=2)
@@ -238,9 +238,8 @@ def test_tracklets_are_byte_equal_to_the_per_frame_reference(seed, frames, flip,
                  height=5, width=7)
     for s, t in itertools.product(range(spec.num_ids), range(spec.tracklets_per_id)):
         profile, arrays = _reference_tracklet(spec, s, t)
-        got = identity_profile(spec, s)
-        for want, have in zip(profile, (got.latent_shape, got.gait_phase_params, got.appearance_signature)):
-            assert _same_bytes(want, have)
+        for want, have in zip(profile, _profile_rows(spec, [s])):
+            assert _same_bytes(want, have[0])
         rec = generate_tracklet(spec, s, t)
         for name, want in zip(("masks", "appearance", "body", "skeleton"), arrays):
             assert _same_bytes(getattr(rec, name), want), (s, t, name)
