@@ -1,8 +1,8 @@
 """Run configuration: flat key=value files with section headers.
 
 Each section of a file is one frozen dataclass, listed in `SECTIONS`, and each
-key is declared once, as a field made by `exceptions.setting`: its default
-gives the key's type and default value, and its check the key's range. The
+key is declared once, as a field made by `setting` below: its default gives
+the key's type and default value, and its check the key's range. The
 `[dataset]` section is `DatasetSpec`, which `synth` generates from, so a
 config and a spec built in code obey the same rules. Every key has a
 default, so an empty file is a valid config; unknown sections or keys are
@@ -19,18 +19,46 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .appearance import TA_TARGETS, AttentionParams
 from .core import HPP_MODES
-from .exceptions import ConfigError, InvalidInput, at_least, finite_nonneg, setting, within
+from .exceptions import ConfigError, InvalidInput
 
 if TYPE_CHECKING:
     from .gallery import AppearanceModel
     from .shape import ShapeModel
+
+
+def _no_check(value) -> None:
+    return None
+
+
+def setting(default, check=_no_check):
+    """A dataclass field declaring one config key.
+
+    `default` gives the key's type and its value when a config leaves it out.
+    `check` maps a value to what is wrong with it, worded to follow the key's
+    name ("must be >= 1"), or to None when the value is fine.
+    """
+    return field(default=default, metadata={"check": check})
+
+
+def at_least(low):
+    return lambda v: None if v >= low else f"must be >= {low!r}"
+
+
+def within(low, high, why=""):
+    return lambda v: None if low <= v <= high else f"must be in [{low!r}, {high!r}]{why}"
+
+
+def finite_nonneg(v) -> str | None:
+    return None if math.isfinite(v) and v >= 0 else "must be finite and >= 0"
+
 
 _POSITIVE = at_least(1)
 _UNIT = within(0, 1)
@@ -300,9 +328,10 @@ def _check_runnable(cfg: RunConfig) -> None:
 # the builders import the models when called, so a command that builds none
 # (evaluate, train-toy) does not load them
 def build_shape_model(cfg: RunConfig) -> ShapeModel:
-    from .encoders import SKELETON_INPUT_DIM, SMPL_DIM, EncoderParams
+    from .encoders import EncoderParams
     from .prng import derive_seed
     from .shape import ShapeModel
+    from .synth import SKELETON_INPUT_DIM, SMPL_DIM
 
     m = cfg.model
     sil = EncoderParams.initialize(_grid_widths(m)["silhouette"], derive_seed(m.encoder_seed, 101))

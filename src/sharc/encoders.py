@@ -9,7 +9,8 @@ channels first inside, on (C, T*H*W) pixel columns, and return (T, H', W', C)
 grids; vector encoders return (T, C) rows. Frames are encoded independently, so the models feed the grid encoders
 a tracklet in the slices of `frame_chunks`: at most CHUNK_ROWS pixels per 2-D
 product, whatever the tracklet's length. The arrays are validated once,
-where a `TrackletRecord` is built, not here. Weights are drawn from
+where a `synth.TrackletRecord` is built, not here; `synth` also declares
+the 85 and 51 widths of the vector inputs. Weights are drawn from
 SplitMix64, uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], so a (seed, widths)
 pair reproduces the same parameters on any platform.
 
@@ -31,12 +32,6 @@ from .exceptions import CorruptFile, DimMismatch, EmptyInput, InvalidInput
 from .prng import SplitMix64
 
 ENCODER_MAGIC = b"SHRCENC1"
-
-SMPL_DIM = 3 + 10 + 72  # body vector: camera, shape, joint rotations
-
-SKELETON_JOINTS = 17
-# skeleton vector: x, y of each joint, then the joints' confidences
-SKELETON_INPUT_DIM = SKELETON_JOINTS * 3
 
 # pixels per 2-D product when a tracklet is encoded in frame chunks: 8
 # frames of 32x32, a 512 KB layer-1 product at 8 hidden channels. A product

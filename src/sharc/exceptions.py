@@ -1,8 +1,4 @@
-"""Error types raised across the pipeline, and the checked dataclass field
-that declares a config key."""
-
-import math
-from dataclasses import field
+"""Error types raised across the pipeline."""
 
 
 class SharcError(Exception):
@@ -71,29 +67,3 @@ class ConfigError(SharcError, ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-def _no_check(value) -> None:
-    return None
-
-
-def setting(default, check=_no_check):
-    """A dataclass field declaring one config key.
-
-    `default` gives the key's type and its value when a config leaves it out.
-    `check` maps a value to what is wrong with it, worded to follow the key's
-    name ("must be >= 1"), or to None when the value is fine.
-    """
-    return field(default=default, metadata={"check": check})
-
-
-def at_least(low):
-    return lambda v: None if v >= low else f"must be >= {low!r}"
-
-
-def within(low, high, why=""):
-    return lambda v: None if low <= v <= high else f"must be in [{low!r}, {high!r}]{why}"
-
-
-def finite_nonneg(v) -> str | None:
-    return None if math.isfinite(v) and v >= 0 else "must be finite and >= 0"

@@ -1,8 +1,8 @@
-"""Tracklet ingestion, frame grouping, centroid registration, index files.
+"""Frame grouping, tracklet embedding, centroid registration, index files.
 
-A `TrackletRecord` holds each modality of a tracklet as one array with the
-frames on its first axis, and validates the four arrays once, when it is
-built; no per-frame object exists on the load or embed path.
+The tracklets embedded here are `synth.TrackletRecord`s, checked once where
+they are built; this module only reads their arrays and ids, and no
+per-frame object exists on the embed path.
 
 The appearance branch consumes groups of 2**pyramid_levels frames: short
 tracklets are cyclically resampled up to one group, long ones are cut into
@@ -38,78 +38,20 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .appearance import AttentionParams, average_aggregate, flatten_feature, mean_embedding, pyramid_aggregate
 from .core import l2_normalize
-from .encoders import (
-    SKELETON_INPUT_DIM,
-    SKELETON_JOINTS,
-    SMPL_DIM,
-    EncoderParams,
-    encode_appearance,
-    frame_chunks,
-)
+from .encoders import EncoderParams, encode_appearance, frame_chunks
 from .exceptions import CorruptIndex, EmptyInput, InvalidInput
 from .shape import ShapeModel
 
+if TYPE_CHECKING:
+    from .synth import TrackletRecord
+
 INDEX_MAGIC = b"SHRCIDX2"
-
-
-@dataclass(frozen=True)
-class TrackletRecord:
-    """One person, one camera pass: one array per modality over its T frames.
-
-    The skeleton row is the encoder's input order: x, y of each of the 17
-    joints, then the 17 confidences. Every array is checked here, once for the
-    whole tracklet; the encoders trust what a record holds.
-    """
-
-    tracklet_id: str
-    subject_id: str
-    clothing_id: str
-    masks: np.ndarray  # (T, H, W), entries 0 or 1
-    appearance: np.ndarray  # (T, H, W, 3) RGB in [0, 1]
-    body: np.ndarray  # (T, 85): camera, shape, joint rotations
-    skeleton: np.ndarray  # (T, 51)
-
-    def __post_init__(self):
-        if not self.tracklet_id or not self.subject_id or not self.clothing_id:
-            raise InvalidInput("tracklet, subject and clothing ids must be non-empty")
-        arrays = {
-            name: np.asarray(getattr(self, name), dtype=np.float64)
-            for name in ("masks", "appearance", "body", "skeleton")
-        }
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, arr)
-        masks, app, body, skel = arrays.values()
-        if masks.ndim != 3:
-            raise InvalidInput(f"tracklet {self.tracklet_id}: masks must be (T, H, W), got shape {masks.shape}")
-        t = masks.shape[0]
-        if t == 0:
-            raise EmptyInput(f"tracklet {self.tracklet_id} has no frames")
-        want = {"appearance": masks.shape + (3,), "body": (t, SMPL_DIM), "skeleton": (t, SKELETON_INPUT_DIM)}
-        for name, shape in want.items():
-            if arrays[name].shape != shape:
-                raise InvalidInput(
-                    f"tracklet {self.tracklet_id}: {name} must be {shape} to match {t} masks of "
-                    f"{masks.shape[1]}x{masks.shape[2]}, got {arrays[name].shape}"
-                )
-        if not np.all((masks == 0.0) | (masks == 1.0)):
-            raise InvalidInput(f"tracklet {self.tracklet_id}: mask entries must be 0 or 1")
-        if not np.all(np.isfinite(app)) or app.min() < 0.0 or app.max() > 1.0:
-            raise InvalidInput(f"tracklet {self.tracklet_id}: appearance entries must be finite and in [0, 1]")
-        if not np.all(np.isfinite(body)):
-            raise InvalidInput(f"tracklet {self.tracklet_id}: body parameters contain non-finite entries")
-        if not np.all(np.isfinite(skel)):
-            raise InvalidInput(f"tracklet {self.tracklet_id}: skeleton contains non-finite entries")
-        conf = skel[:, 2 * SKELETON_JOINTS :]
-        if conf.min() < 0.0 or conf.max() > 1.0:
-            raise InvalidInput(f"tracklet {self.tracklet_id}: skeleton confidences must be in [0, 1]")
-
-    def __len__(self) -> int:
-        return self.masks.shape[0]
 
 
 def chunk_frames(n_frames: int, group_size: int) -> list[list[int]]:

@@ -60,4 +60,6 @@ def read_manifest(path) -> list[ManifestRow]:
                 rows.append(row)
     except UnicodeDecodeError:
         raise InvalidInput(f"{path}: manifest is not UTF-8 text") from None
+    except csv.Error as err:  # a field longer than csv.field_size_limit()
+        raise InvalidInput(f"{path}: line {reader.line_num}: {err}") from None
     return rows

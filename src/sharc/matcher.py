@@ -96,6 +96,8 @@ class ScoreMatrix:
                 if cells[0] != "query_id":
                     raise InvalidInput(f"{path}: expected query_id header")
                 gallery_ids = cells[1:]
+                if not gallery_ids:
+                    raise InvalidInput(f"{path}: line {lineno}: header names no gallery id")
                 repeated = [g for g, n in Counter(gallery_ids).items() if n > 1]
                 if repeated:
                     raise InvalidInput(f"{path}: line {lineno}: gallery id {repeated[0]!r} appears twice")

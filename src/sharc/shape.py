@@ -146,7 +146,7 @@ class ShapeModel:
     def embed(
         self, masks: np.ndarray, appearance: np.ndarray, body: np.ndarray, skeleton: np.ndarray
     ) -> ShapeEmbedding:
-        """Full shape-branch embedding for one tracklet's arrays (see TrackletRecord).
+        """Full shape-branch embedding for one tracklet's arrays (see synth.TrackletRecord).
 
         Zero the dropped inputs; encode the silhouettes and body vectors and
         fuse them, one frame chunk at a time; pool the fused sequence with

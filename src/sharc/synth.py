@@ -1,4 +1,7 @@
-"""Seeded synthetic dataset generator.
+"""Seeded synthetic dataset generator, and the tracklet record's whole format:
+`TrackletRecord`, its body and skeleton widths, the shapes of its four arrays
+(one function of (T, H, W), which the record's checks and the container reader
+share) and the SHRCDAT3 container. It imports neither `gallery` nor `shape`.
 
 Each subject gets a latent body shape, gait parameters, and an appearance
 signature, all derived from (dataset seed, subject index). Frames for a
@@ -29,10 +32,9 @@ computed over a leading tracklet axis and all T frames at once, as (N, T,
 h, w) masks, (N, T, h, w, 3) appearance, (N, T, 85) body vectors and (N, T,
 51) skeletons. A tracklet's bytes do not depend on its block. The block's
 records are yielded one at a time, so `write_dataset` holds one block in
-memory. The SHRCDAT3 frame container stores
-each of the four arrays as one section: the masks (as u8), never the masked
-RGB, which the silhouette encoder derives from the masks and the appearance
-frames.
+memory. The SHRCDAT3 frame container stores each of the four arrays as one
+section: the masks (as u8), never the masked RGB, which the silhouette
+encoder derives from the masks and the appearance frames.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ import math
 import os
 import struct
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DatasetSpec
-from .encoders import SKELETON_INPUT_DIM, SKELETON_JOINTS, SMPL_DIM, frame_chunks
-from .exceptions import CorruptFile, InvalidInput, ProtocolError
-from .gallery import TrackletRecord
+from .encoders import frame_chunks
+from .exceptions import CorruptFile, EmptyInput, InvalidInput, ProtocolError
 from .manifest import ManifestRow, read_manifest, write_manifest
 from .prng import SplitMix64, box_muller, derive_seed, normal_uniform_count, uniform_rows
 
@@ -57,9 +59,71 @@ _OLD_DATA_MAGICS = (b"SHRCDAT1", b"SHRCDAT2")
 
 SIGNATURE_DIM = 6
 
+SMPL_DIM = 3 + 10 + 72  # body vector: camera, shape, joint rotations
+
+SKELETON_JOINTS = 17
+# skeleton vector: x, y of each joint, then the joints' confidences
+SKELETON_INPUT_DIM = SKELETON_JOINTS * 3
+
 # (tag, record field, on-disk dtype) of the sections of a SHRCDAT3 container,
 # in on-disk order
 _SECTIONS = ((1, "masks", "u1"), (2, "body", "<f4"), (3, "skeleton", "<f4"), (4, "appearance", "<f4"))
+
+
+def _record_shapes(t: int, h: int, w: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each of a record's four arrays, for T frames of H x W."""
+    return {"masks": (t, h, w), "appearance": (t, h, w, 3), "body": (t, SMPL_DIM), "skeleton": (t, SKELETON_INPUT_DIM)}
+
+
+@dataclass(frozen=True)
+class TrackletRecord:
+    """One person, one camera pass: one array per modality over its T frames.
+
+    The skeleton row is the encoder's input order: x, y of each of the 17
+    joints, then the 17 confidences. Every array is checked here, once for the
+    whole tracklet; the encoders trust what a record holds.
+    """
+
+    tracklet_id: str
+    subject_id: str
+    clothing_id: str
+    masks: np.ndarray  # (T, H, W), entries 0 or 1
+    appearance: np.ndarray  # (T, H, W, 3) RGB in [0, 1]
+    body: np.ndarray  # (T, 85): camera, shape, joint rotations
+    skeleton: np.ndarray  # (T, 51)
+
+    def __post_init__(self):
+        if not self.tracklet_id or not self.subject_id or not self.clothing_id:
+            raise InvalidInput("tracklet, subject and clothing ids must be non-empty")
+        for name in ("masks", "appearance", "body", "skeleton"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        masks, app, body, skel = self.masks, self.appearance, self.body, self.skeleton
+        if masks.ndim != 3:
+            raise InvalidInput(f"tracklet {self.tracklet_id}: masks must be (T, H, W), got shape {masks.shape}")
+        t = masks.shape[0]
+        if t == 0:
+            raise EmptyInput(f"tracklet {self.tracklet_id} has no frames")
+        for name, shape in _record_shapes(*masks.shape).items():
+            if getattr(self, name).shape != shape:
+                raise InvalidInput(
+                    f"tracklet {self.tracklet_id}: {name} must be {shape} to match {t} masks of "
+                    f"{masks.shape[1]}x{masks.shape[2]}, got {getattr(self, name).shape}"
+                )
+        if not np.all((masks == 0.0) | (masks == 1.0)):
+            raise InvalidInput(f"tracklet {self.tracklet_id}: mask entries must be 0 or 1")
+        if not np.all(np.isfinite(app)) or app.min() < 0.0 or app.max() > 1.0:
+            raise InvalidInput(f"tracklet {self.tracklet_id}: appearance entries must be finite and in [0, 1]")
+        if not np.all(np.isfinite(body)):
+            raise InvalidInput(f"tracklet {self.tracklet_id}: body parameters contain non-finite entries")
+        if not np.all(np.isfinite(skel)):
+            raise InvalidInput(f"tracklet {self.tracklet_id}: skeleton contains non-finite entries")
+        conf = skel[:, 2 * SKELETON_JOINTS :]
+        if conf.min() < 0.0 or conf.max() > 1.0:
+            raise InvalidInput(f"tracklet {self.tracklet_id}: skeleton confidences must be in [0, 1]")
+
+    def __len__(self) -> int:
+        return self.masks.shape[0]
+
 
 # canonical 17-joint layout (x, y), y up, unit height torso
 _BASE_JOINTS = np.array(
@@ -357,12 +421,7 @@ def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: s
         raise CorruptFile(f"{path}: frame container holds no frames")
     if h == 0 or w == 0:
         raise CorruptFile(f"{path}: frames are {h}x{w}, need at least one pixel")
-    shapes = {
-        "masks": (n_frames, h, w),
-        "body": (n_frames, SMPL_DIM),
-        "skeleton": (n_frames, SKELETON_INPUT_DIM),
-        "appearance": (n_frames, h, w, 3),
-    }
+    shapes = _record_shapes(n_frames, h, w)
     arrays = {}
     for expected_tag, name, dtype in _SECTIONS:
         expected_count = math.prod(shapes[name])

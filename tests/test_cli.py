@@ -212,6 +212,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert "gallery.csv: manifest is not UTF-8" in err
 
+    def test_manifest_field_over_the_csv_limit_is_2(self, workspace, capsys):
+        # csv refuses a field over 131,072 characters; its csv.Error used to
+        # escape as a traceback
+        cfg_path, data_dir, tmp = workspace
+        out = tmp / "run"
+        assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
+        lines = (data_dir / "gallery.csv").read_text().splitlines()
+        (data_dir / "gallery.csv").write_text("\n".join(lines + ["t" * 200_000 + ",s000,c0,frames/x.dat"]) + "\n")
+        capsys.readouterr()
+        assert _run(["enroll", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert f"gallery.csv: line {len(lines) + 1}: field larger than field limit" in err
+        assert not (out / "index.shrc").exists()
+
     def test_frames_path_naming_a_directory_is_2(self, workspace, capsys):
         cfg_path, data_dir, tmp = workspace
         out = tmp / "run"
@@ -533,6 +548,7 @@ def test_score_files_are_utf8_whatever_the_locale(workspace):
         ("evaluate", ["sharc.gallery", "sharc.shape", "sharc.synth", "sharc.encoders", "sharc.losses"]),
         ("train-toy", ["sharc.gallery", "sharc.shape", "sharc.synth", "sharc.matcher", "sharc.metrics",
                        "sharc.manifest"]),
+        ("synth", ["sharc.gallery", "sharc.shape", "sharc.matcher", "sharc.metrics", "sharc.losses"]),
     ],
 )
 def test_each_command_imports_only_what_it_runs(workspace, command, absent):

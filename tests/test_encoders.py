@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sharc.encoders import (
     ENCODER_MAGIC,
-    SKELETON_INPUT_DIM,
     EncoderParams,
     _grid_forward,
     encode_appearance,
@@ -19,7 +18,7 @@ from sharc.encoders import (
     save_encoder,
 )
 from sharc.exceptions import CorruptFile, DimMismatch, EmptyInput, InvalidInput
-from sharc.gallery import TrackletRecord
+from sharc.synth import SKELETON_INPUT_DIM, TrackletRecord
 
 
 def _sil(h=8, w=8):

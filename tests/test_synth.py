@@ -15,15 +15,16 @@ import sharc
 import sharc.synth
 from sharc.config import MAX_KEYPOINT_JITTER
 from sharc.exceptions import CorruptFile, InvalidInput, ProtocolError
-from sharc.encoders import CHUNK_ROWS, SKELETON_JOINTS
-from sharc.gallery import TrackletRecord
+from sharc.encoders import CHUNK_ROWS
 from sharc.prng import SplitMix64, derive_seed
 from sharc.synth import (
     _BASE_JOINTS,
     _SWING_JOINTS,
     _SWING_SIGN,
     SIGNATURE_DIM,
+    SKELETON_JOINTS,
     DatasetSpec,
+    TrackletRecord,
     _profile_rows,
     _silhouette_profile,
     _texture_basis,
