@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
+from .config import TA_TARGETS
 from .exceptions import DimMismatch, EmptyInput, InvalidFrameCount, InvalidGamma, InvalidInput
 from .prng import SplitMix64
-
-TA_TARGETS = ("later", "earlier", "both")
 
 
 @dataclass(frozen=True)

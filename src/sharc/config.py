@@ -25,8 +25,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .appearance import TA_TARGETS, AttentionParams
-from .core import HPP_MODES
 from .exceptions import ConfigError, InvalidInput
 
 if TYPE_CHECKING:
@@ -77,6 +75,14 @@ def _open_unit(v):
 
 def _one_of(options):
     return lambda v: None if v in options else f"must be one of {', '.join(options)}"
+
+
+# the vocabularies of the string keys, declared here so that parsing a config
+# loads none of the modules that use them: the pair of frames a temporal
+# attention step weights (`appearance`), and the strip statistics
+# horizontal pyramid pooling keeps (`core`)
+TA_TARGETS = ("later", "earlier", "both")
+HPP_MODES = ("max+mean", "max", "mean")
 
 
 @dataclass(frozen=True)
@@ -353,6 +359,7 @@ def build_shape_model(cfg: RunConfig) -> ShapeModel:
 
 
 def build_appearance_model(cfg: RunConfig) -> AppearanceModel:
+    from .appearance import AttentionParams
     from .encoders import EncoderParams
     from .gallery import AppearanceModel
     from .prng import derive_seed

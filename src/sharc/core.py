@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import HPP_MODES
 from .exceptions import DimMismatch, InvalidBinning, InvalidInput
 
 # Norms below this are left untouched by l2_normalize instead of being scaled.
 NORM_FLOOR = 1e-12
-
-HPP_MODES = ("max+mean", "max", "mean")
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:

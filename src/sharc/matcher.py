@@ -51,6 +51,10 @@ class ScoreMatrix:
                 f"scores shape {s.shape} does not match {len(self.query_ids)} queries x "
                 f"{len(self.gallery_ids)} gallery ids"
             )
+        # a score file's header names its columns: with none, it would read
+        # back as one column named ""
+        if not self.gallery_ids:
+            raise EmptyInput("a score table needs at least one gallery column")
         if not np.all(np.isfinite(s)):
             raise InvalidInput("scores contain non-finite entries")
         self.scores = s

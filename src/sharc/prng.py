@@ -8,8 +8,8 @@ them, are the same bits on any platform; normals (through `log`, `cos` and
 and BLAS kernels. SplitMix64 advances its 64-bit state by a fixed odd
 constant and scrambles it with two xor-multiply rounds; because the state is
 a plain counter, whole blocks of draws, for one stream or for many streams
-side by side (`uniform_rows`), are produced with vectorized uint64
-arithmetic.
+side by side and from any offset into them (`uniform_rows`), are produced
+with vectorized uint64 arithmetic.
 """
 
 from __future__ import annotations
@@ -31,13 +31,15 @@ def _mix_int(state: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_rows(states: np.ndarray, n: int) -> np.ndarray:
-    """(len(states), n) raw outputs: row i is the n draws that follow states[i].
+def _mix_rows(states: np.ndarray, n: int, offset: int) -> np.ndarray:
+    """(len(states), n) raw outputs: row i is the n draws that follow the
+    first `offset` draws after states[i].
 
-    The three mixing rounds run in place on one scratch array; uint64
-    arithmetic wraps, so every step is exact.
+    The state is a counter, so draw k of a stream mixes state + k * gamma and
+    no earlier draw is computed. The three mixing rounds run in place on one
+    scratch array; uint64 arithmetic wraps, so every step is exact.
     """
-    z = np.arange(1, n + 1, dtype=np.uint64)
+    z = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
     z = states[:, None] + z
     t = np.empty_like(z)
@@ -50,12 +52,12 @@ def _mix_rows(states: np.ndarray, n: int) -> np.ndarray:
     return z
 
 
-def uniform_rows(seeds, n: int) -> np.ndarray:
+def uniform_rows(seeds, n: int, offset: int = 0) -> np.ndarray:
     """(len(seeds), n) doubles uniform in [0, 1); row i is bit-identical to
-    SplitMix64(seeds[i]).uniforms(n)."""
-    if n < 0:
-        raise ValueError(f"block size must be nonnegative, got {n}")
-    z = _mix_rows(np.array([int(s) & _MASK for s in seeds], dtype=np.uint64), n)
+    SplitMix64(seeds[i]).uniforms(offset + n)[offset:]."""
+    if n < 0 or offset < 0:
+        raise ValueError(f"block size and offset must be nonnegative, got {n} and {offset}")
+    z = _mix_rows(np.array([int(s) & _MASK for s in seeds], dtype=np.uint64), n, offset)
     z >>= np.uint64(11)
     # the top 53 bits convert exactly, so the float64 result can take z's place
     return np.multiply(z, _DOUBLE_UNIT, out=z.view(np.float64))

@@ -22,19 +22,24 @@ Tracklet i of a subject wears clothing variant i mod clothing_variants, so
 with tracklets_per_id <= clothing_variants no two tracklets of a subject
 share an outfit and any gallery/query split is a clothes-change protocol.
 
-A tracklet's stream is drawn as one row of uniforms of its exact total,
-sliced in stream order (the yaw, then frame by frame the draws that
-`_frame_draws` lists). `iter_dataset` generates consecutive tracklets as one
-block of at most `encoders.CHUNK_ROWS` pixel rows (T*h*w per tracklet; a
-tracklet at or above the budget is a block of its own): every stream of the
-block is mixed in one pass (`prng.uniform_rows`), and every modality is
-computed over a leading tracklet axis and all T frames at once, as (N, T,
-h, w) masks, (N, T, h, w, 3) appearance, (N, T, 85) body vectors and (N, T,
-51) skeletons. A tracklet's bytes do not depend on its block. The block's
-records are yielded one at a time, so `write_dataset` holds one block in
-memory. The SHRCDAT3 frame container stores each of the four arrays as one
-section: the masks (as u8), never the masked RGB, which the silhouette
-encoder derives from the masks and the appearance frames.
+A tracklet's stream holds the viewpoint yaw, then frame by frame the draws
+that `_frame_draws` lists: the per-pixel ones, then the per-frame vectors.
+`iter_dataset` generates consecutive tracklets as one block of at most
+`encoders.CHUNK_ROWS` pixel rows (T*h*w per tracklet; a tracklet at or above
+the budget is a block of its own). The per-frame vectors, (N, T, 85) body
+vectors and (N, T, 51) skeletons, are computed over a leading tracklet axis
+and all T frames at once. The (N, T, h, w) masks and (N, T, h, w, 3)
+appearance are filled in passes of at most CHUNK_ROWS pixel rows, the
+budget the encoders read them in: a block of short tracklets is one pass, a
+48-frame 32x32 tracklet six passes of 8 frames. A pass mixes the stream
+range of its frames, for every tracklet of the block, in one SplitMix64 call
+(`prng.uniform_rows` from an offset), so the pixel temporaries beside the
+records span one pass, whatever T is. A tracklet's bytes depend on neither
+its block nor its passes. The block's records are yielded one at a time, so
+`write_dataset` holds one block in memory. The SHRCDAT3 frame container
+stores each of the four arrays as one section: the masks (as u8), never the
+masked RGB, which the silhouette encoder derives from the masks and the
+appearance frames.
 """
 
 from __future__ import annotations
@@ -200,35 +205,59 @@ def _silhouette_profile(h: int, latent: np.ndarray) -> np.ndarray:
     return width * scale
 
 
-def _frame_draws(spec: DatasetSpec) -> tuple[tuple[str, int, bool], ...]:
-    """(name, value count, normal) of each per-frame draw, in stream order.
+# draws of a frame's stream, each (name, value count, normal)
+_Draws = tuple[tuple[str, int, bool], ...]
+
+
+def _frame_draws(spec: DatasetSpec) -> tuple[_Draws, _Draws]:
+    """(per-pixel draws, per-frame vector draws) of one frame, each in stream
+    order; a frame's stream holds its per-pixel draws, then its vector draws.
 
     A normal draw of n values takes `normal_uniform_count(n)` uniforms, the
     u1 half then the u2 half; the flips take one uniform per pixel. The flips
     and the appearance noise are drawn only when their knob is above 0.
     """
     hw = spec.height * spec.width
-    draws = []
+    pixel = []
     if spec.sil_flip_rate > 0.0:
-        draws.append(("flips", hw, False))
+        pixel.append(("flips", hw, False))
     if spec.appearance_shift > 0.0:
-        draws.append(("appearance", 3 * hw, True))
-    draws += [("shape", 10, True), ("rotation", 72, True), ("joints", 2 * SKELETON_JOINTS, True)]
-    return tuple(draws)
+        pixel.append(("appearance", 3 * hw, True))
+    return tuple(pixel), (("shape", 10, True), ("rotation", 72, True), ("joints", 2 * SKELETON_JOINTS, True))
+
+
+def _uniform_count(draws: _Draws) -> int:
+    return sum(normal_uniform_count(k) if normal else k for _, k, normal in draws)
+
+
+def _take_draws(u: np.ndarray, draws: _Draws) -> dict[str, np.ndarray]:
+    """name -> values of each draw, read in order off the last axis of u.
+    `box_muller` runs on contiguous copies, so a value does not depend on
+    the shape of u."""
+    drawn, col = {}, 0
+    for name, k, normal in draws:
+        width = normal_uniform_count(k) if normal else k
+        drawn[name] = box_muller(u[..., col : col + width], k) if normal else u[..., col : col + width]
+        col += width
+    return drawn
 
 
 def _generate_block(spec: DatasetSpec, pairs: list[tuple[int, int]]) -> list[TrackletRecord]:
     """The records of consecutive (subject index, tracklet index) pairs, built
     as one block.
 
-    Each tracklet's stream is one row of uniforms of its exact total: the
-    viewpoint yaw, then frame by frame the draws `_frame_draws` lists. Every
-    modality is computed over a leading tracklet axis and all T frames at
-    once: (N, T, h, w) masks, (N, T, h, w, 3) appearance, (N, T, 85) body
-    vectors and (N, T, 51) skeletons. `box_muller` runs on contiguous copies,
-    so a tracklet's values do not depend on its place in the block. The
-    texture product is a BLAS call and stays one per tracklet, whose rounding
-    a batched product need not share.
+    Each tracklet's stream is the viewpoint yaw, then frame by frame the
+    draws `_frame_draws` lists. The per-frame vectors (gait, body, skeleton)
+    are computed once over a leading tracklet axis and all T frames. The
+    per-pixel arrays, the (N, T, h, w) masks and (N, T, h, w, 3) appearance,
+    are filled in passes: one frame range of the block at a time, at most
+    CHUNK_ROWS pixel rows (`frame_chunks` of T over N*h*w pixels, so a block
+    of short tracklets is one pass). A pass draws its frames' uniforms from
+    the stream offset of its first frame and keeps their vector draws for
+    the end, so its temporaries do not grow with T. `box_muller` runs on
+    contiguous copies, so a tracklet's values depend on neither its block
+    nor its passes. The texture product is a BLAS call and stays one per
+    tracklet, whose rounding a batched product need not share.
     """
     n = len(pairs)
     t_count, h, w = spec.frames_per_tracklet, spec.height, spec.width
@@ -237,44 +266,65 @@ def _generate_block(spec: DatasetSpec, pairs: list[tuple[int, int]]) -> list[Tra
     latent, gait_params, signature = _profile_rows(spec, subjects)
     thickness, clothing_offset = _outfit_rows(spec, list(zip(subjects, variants)))
 
-    draws = _frame_draws(spec)
-    widths = [normal_uniform_count(k) if normal else k for _, k, normal in draws]
-    u = uniform_rows([derive_seed(spec.seed, 3, s, t) for s, t in pairs], 1 + t_count * sum(widths))
-    yaw = spec.keypoint_jitter * (u[:, 0] - 0.5)
-    per_frame = u[:, 1:].reshape(n, t_count, -1)
-    drawn, col = {}, 0
-    for (name, k, normal), width in zip(draws, widths):
-        block = per_frame[:, :, col : col + width]
-        drawn[name] = box_muller(block, k) if normal else block
-        col += width
+    seeds = [derive_seed(spec.seed, 3, s, t) for s, t in pairs]
+    pixel_draws, vector_draws = _frame_draws(spec)
+    pixel_width = _uniform_count(pixel_draws)
+    frame_width = pixel_width + _uniform_count(vector_draws)
+    yaw = spec.keypoint_jitter * (uniform_rows(seeds, 1)[:, 0] - 0.5)
 
-    half_width = _silhouette_profile(h, latent) * thickness[:, None]
     phase0, freq, amp = np.split(gait_params, 3, axis=1)
     width_mult = 1.0 - 0.2 * np.abs(np.sin(yaw))
     gait = 2.0 * np.pi * (freq * np.arange(t_count) / max(t_count, 2) + phase0)
     swing = amp * np.sin(gait)
-
-    # silhouette: column-symmetric body with gait sway, then pixel flips
     rows = np.arange(h) / h
-    center = 0.5 * w + swing[..., None] * w * 0.5 * (1.0 - rows)
-    widths = half_width * w * width_mult[:, None]
-    offset = np.arange(w) - center[..., None]
-    inside = np.abs(offset, out=offset) <= widths[:, None, :, None]
-    if "flips" in drawn:
-        inside ^= drawn["flips"].reshape(n, t_count, h, w) < spec.sil_flip_rate
-    masks = inside.astype(np.float64)
-
-    # appearance: signature texture + clothing offset, squashed into (0, 1).
-    # Left out of place: with fewer large temporaries glibc's heap-trim
-    # threshold stays lower, and a 48-frame 32x32 tracklet's pages were
-    # returned and faulted in again for every tracklet (4x the faults)
+    center = (0.5 * w + swing[..., None] * w * 0.5 * (1.0 - rows))[..., None]
+    half_widths = (_silhouette_profile(h, latent) * thickness[:, None] * w * width_mult[:, None])[:, None, :, None]
     coeff = signature + spec.appearance_shift * clothing_offset
     basis = _texture_basis(h, w)
     pattern = np.stack([np.tensordot(c, basis, axes=1) for c in coeff])[:, None]
-    if "appearance" in drawn:
-        pattern = pattern + 0.1 * spec.appearance_shift * drawn["appearance"].reshape(n, t_count, h, w, 3)
-    modulation = 1.0 + 0.1 * np.sin(gait)
-    appearance = 0.5 + 0.5 * np.tanh(pattern * modulation[..., None, None, None])
+    modulation = (1.0 + 0.1 * np.sin(gait))[..., None, None, None]
+
+    vector_u = np.empty((n, t_count, frame_width - pixel_width))
+    for frames in frame_chunks(t_count, n * h * w):
+        count = frames.stop - frames.start
+        u = uniform_rows(seeds, count * frame_width, 1 + frames.start * frame_width)
+        u = u.reshape(n, count, frame_width)
+        vector_u[:, frames] = u[..., pixel_width:]
+        drawn = _take_draws(u[..., :pixel_width], pixel_draws)
+        if frames.start == 0:
+            # The masks and the appearance outlive the block, so they are
+            # allocated after the largest temporaries, the first pass's
+            # uniforms and normals, and as one array. glibc returns the free
+            # top of its heap to the system once it exceeds twice the largest
+            # block it has unmapped. Allocated before the draws, they left
+            # the temporaries on top, to be returned and faulted in again for
+            # each block: 13.7k page faults against 9.2k in a `synth` of 600
+            # 4-frame 16x16 tracklets. As two arrays they kept that threshold
+            # low: 23.2k against 7.7k for 64 48-frame 32x32 tracklets.
+            pixels = n * t_count * h * w
+            store = np.empty(4 * pixels)
+            masks = store[:pixels].reshape(n, t_count, h, w)
+            appearance = store[pixels:].reshape(n, t_count, h, w, 3)
+
+        # silhouette: column-symmetric body with gait sway, then pixel flips
+        offset = np.arange(w) - center[:, frames]
+        inside = np.abs(offset, out=offset) <= half_widths
+        if "flips" in drawn:
+            inside ^= drawn["flips"].reshape(n, count, h, w) < spec.sil_flip_rate
+        masks[:, frames] = inside
+
+        # appearance: signature texture + clothing offset, squashed into (0, 1)
+        app = appearance[:, frames]
+        if "appearance" in drawn:
+            np.multiply(drawn["appearance"].reshape(app.shape), 0.1 * spec.appearance_shift, out=app)
+            app += pattern
+        else:
+            app[...] = pattern
+        app *= modulation[:, frames]
+        np.tanh(app, out=app)
+        app *= 0.5
+        app += 0.5
+    drawn = _take_draws(vector_u, vector_draws)
 
     # body model: latent shape plus gait-driven joint rotations
     cam = np.broadcast_to(np.stack([yaw, np.zeros(n), np.ones(n)], axis=1)[:, None], (n, t_count, 3))
@@ -325,7 +375,9 @@ def iter_dataset(spec: DatasetSpec) -> Iterator[TrackletRecord]:
     Consecutive tracklets are generated as one block of at most CHUNK_ROWS
     pixel rows, T*h*w per tracklet (`frame_chunks` packs them; a tracklet at
     or above the budget is a block of its own). A block is generated only
-    when its first record is asked for, so one block is in memory at a time.
+    when its first record is asked for, so one block is in memory at a time,
+    and its pixel arrays are filled in passes of at most CHUNK_ROWS pixel
+    rows, so a long tracklet's pixel temporaries span one pass.
     """
     pairs = [(s, t) for s in range(spec.num_ids) for t in range(spec.tracklets_per_id)]
     for block in frame_chunks(len(pairs), spec.frames_per_tracklet * spec.height * spec.width):
@@ -389,7 +441,7 @@ def write_tracklet_frames(record: TrackletRecord, path) -> None:
         for tag, name, dtype in _SECTIONS:
             flat = getattr(record, name).astype(dtype).reshape(-1)
             f.write(struct.pack("<II", tag, flat.size))
-            f.write(flat.tobytes())
+            f.write(flat)
 
 
 def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: str) -> TrackletRecord:

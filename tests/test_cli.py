@@ -545,9 +545,10 @@ def test_score_files_are_utf8_whatever_the_locale(workspace):
 @pytest.mark.parametrize(
     "command, absent",
     [
-        ("evaluate", ["sharc.gallery", "sharc.shape", "sharc.synth", "sharc.encoders", "sharc.losses"]),
+        ("evaluate", ["sharc.gallery", "sharc.shape", "sharc.synth", "sharc.encoders", "sharc.losses",
+                      "sharc.appearance", "sharc.core", "sharc.prng"]),
         ("train-toy", ["sharc.gallery", "sharc.shape", "sharc.synth", "sharc.matcher", "sharc.metrics",
-                       "sharc.manifest"]),
+                       "sharc.manifest", "sharc.appearance"]),
         ("synth", ["sharc.gallery", "sharc.shape", "sharc.matcher", "sharc.metrics", "sharc.losses"]),
     ],
 )

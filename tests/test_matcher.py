@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import sharc
 from sharc.core import cosine_similarity, euclidean_distance
-from sharc.exceptions import AlignmentError, DimMismatch, InvalidInput
+from sharc.exceptions import AlignmentError, DimMismatch, EmptyInput, InvalidInput
 from sharc.gallery import GalleryIndex, IndexEntry
 from sharc.matcher import (
     ScoreMatrix,
@@ -41,6 +41,11 @@ class TestScoreMatrix:
             ScoreMatrix(np.zeros((2, 3)), ["q0"], ["a", "b", "c"])
         with pytest.raises(InvalidInput):
             ScoreMatrix(np.array([[np.nan]]), ["q0"], ["a"])
+
+    def test_a_table_with_no_gallery_column_is_refused(self):
+        # its header would be "query_id,", which reads back as one gallery id ""
+        with pytest.raises(EmptyInput, match="at least one gallery column"):
+            ScoreMatrix(np.zeros((1, 0)), ["q0"], [])
 
     def test_csv_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -55,6 +55,14 @@ def test_uniform_rows_equal_one_stream_each(n):
         assert row.tolist() == [(scalar.next_u64() >> 11) * 2.0**-53 for _ in range(n)]
 
 
+@pytest.mark.parametrize("offset", [0, 1, 106, 4213])
+def test_uniform_rows_from_an_offset_continue_each_stream(offset):
+    seeds = [0, 7, 2**64 - 1]
+    rows = uniform_rows(seeds, 105, offset)
+    for seed, row in zip(seeds, rows):
+        assert row.tobytes() == SplitMix64(seed).uniforms(offset + 105)[offset:].tobytes()
+
+
 def _scalar_continuation(seed: int, skip: int) -> list[int]:
     rng = SplitMix64(seed)
     for _ in range(skip):

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections.abc import Iterator
 
@@ -249,11 +250,15 @@ def test_tracklets_are_byte_equal_to_the_per_frame_reference(seed, frames, flip,
 # (frames, height, width, subjects x tracklets, expected block sizes) under
 # CHUNK_ROWS = 8192 pixel rows: three 2x32x40 tracklets (7,680 rows) fill a
 # block, so eight end in a partial block of two; 9x32x32 tracklets (9,216
-# rows) are each above the budget; T = 1; and 5x7 frames hold 105 RGB values,
-# an odd count of appearance normals, five tracklets of 40 frames to a block
+# rows) are each above the budget, and fill their arrays in passes of 8 and 1
+# frames, 20x24x40 ones in passes of 8, 8 and 4 and 17x32x32 ones in 8, 8
+# and 1; T = 1; and 5x7 frames hold 105 RGB values, an odd count of
+# appearance normals, five tracklets of 40 frames to a block
 _BLOCK_CASES = {
     "partial last block": (2, 32, 40, (4, 2), [3, 3, 2]),
     "each above the budget": (9, 32, 32, (2, 2), [1, 1, 1, 1]),
+    "passes of 8, 8 and 4": (20, 24, 40, (2, 2), [1, 1, 1, 1]),
+    "passes of 8, 8 and 1": (17, 32, 32, (2, 1), [1, 1]),
     "one frame": (1, 16, 16, (3, 3), [9]),
     "odd normal count": (40, 5, 7, (4, 3), [5, 5, 2]),
 }
@@ -282,6 +287,26 @@ def test_blocks_are_byte_equal_to_the_per_frame_reference(case, monkeypatch):
         _, arrays = _reference_tracklet(spec, s, t)
         for name, want in zip(("masks", "appearance", "body", "skeleton"), arrays):
             assert _same_bytes(getattr(rec, name), want), (s, t, name)
+
+
+def test_a_long_tracklet_is_generated_in_a_bounded_working_set():
+    # the pixel arrays are filled one pass of at most CHUNK_ROWS pixel rows at
+    # a time, so beyond the record's own bytes the memory a tracklet needs
+    # stops growing with its length; only the per-frame vectors (116
+    # uniforms a frame) and the record's checks scale with T
+    extra = {}
+    for frames in (48, 96):
+        spec = _spec(num_ids=1, frames_per_tracklet=frames, height=32, width=32, sil_flip_rate=0.05,
+                     keypoint_jitter=0.05, appearance_shift=0.3, seed=1)
+        generate_tracklet(spec, 0, 0)  # the texture basis is cached on first use
+        tracemalloc.start()
+        try:
+            rec = generate_tracklet(spec, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra[frames] = peak - sum(getattr(rec, name).nbytes for name in ("masks", "appearance", "body", "skeleton"))
+    assert abs(extra[96] - extra[48]) <= 128 * 1024, extra
 
 
 def test_iter_dataset_generates_at_most_one_block_ahead(monkeypatch):
