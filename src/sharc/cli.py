@@ -54,7 +54,7 @@ def _embed_manifest(name: str, cfg: RunConfig, embed) -> tuple[list[ManifestRow]
     from .manifest import read_manifest
     from .synth import load_dataset
 
-    path = os.path.join(cfg.data_dir, name)
+    path = os.path.join(cfg.paths.data_dir, name)
     rows = read_manifest(path)
     if not rows:
         raise EmptyInput(f"{path}: names no tracklets")
@@ -169,7 +169,7 @@ def cmd_evaluate(cfg: RunConfig, out: str) -> int:
     from .matcher import ScoreMatrix
 
     fused_path = os.path.join(out, "scores_fused.csv")
-    query_path = os.path.join(cfg.data_dir, "query.csv")
+    query_path = os.path.join(cfg.paths.data_dir, "query.csv")
     fused = ScoreMatrix.read_csv(fused_path)
     subject_of = {r.tracklet_id: r.subject_id for r in read_manifest(query_path)}
     unknown = [q for q in fused.query_ids if q not in subject_of]
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        out = args.out if args.out is not None else cfg.data_dir
+        out = args.out if args.out is not None else cfg.paths.data_dir
         os.makedirs(out, exist_ok=True)
         return args.fn(cfg, out)
     except FileNotFoundError as exc:

@@ -1,6 +1,6 @@
 """Run configuration: flat key=value files with section headers.
 
-Each section of a file is one frozen dataclass, listed in `SECTIONS`, and each
+Each section of a file is one frozen dataclass, a field of `RunConfig`, and each
 key is declared once, as a field made by `setting` below: its default gives
 the key's type and default value, and its check the key's range. The
 `[dataset]` section is `DatasetSpec`, which `synth` generates from, so a
@@ -20,14 +20,14 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import typing
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exceptions import ConfigError, InvalidInput
 
-if TYPE_CHECKING:
+if typing.TYPE_CHECKING:
     from .gallery import AppearanceModel
     from .shape import ShapeModel
 
@@ -168,20 +168,6 @@ class TrainConfig:
     embed_dim: int = setting(16, _POSITIVE)
 
 
-# config file section -> the dataclass declaring its keys
-SECTIONS = {
-    "dataset": DatasetSpec,
-    "model": ModelConfig,
-    "protocol": ProtocolConfig,
-    "ablation": AblationConfig,
-    "paths": PathsConfig,
-    "train": TrainConfig,
-}
-
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     dataset: DatasetSpec
@@ -190,10 +176,6 @@ class RunConfig:
     ablation: AblationConfig
     paths: PathsConfig
     train: TrainConfig
-
-    @property
-    def data_dir(self) -> str:
-        return self.paths.data_dir
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """(section.key, value-as-text) pairs, sorted, defaults included.
@@ -228,6 +210,9 @@ class RunConfig:
         )
 
 
+# config file section -> the dataclass declaring its keys, in RunConfig's order
+SECTIONS = typing.get_type_hints(RunConfig)
+
 _SCORING_ONLY_KEYS = ("model.alpha", "model.rescale_appearance")
 
 
@@ -238,10 +223,10 @@ def _digest(items: list[tuple[str, str]]) -> str:
 
 def _coerce(name: str, text: str, typ):
     if typ is bool:
-        word = text.strip().lower()
-        if word not in _BOOL_WORDS:
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(text.strip().lower())
+        if value is None:
             raise ConfigError(name, f"expected a boolean, got {text!r}")
-        return _BOOL_WORDS[word]
+        return value
     if typ is str:
         return text.strip()
     try:
@@ -345,7 +330,7 @@ def build_shape_model(cfg: RunConfig) -> ShapeModel:
     skel = EncoderParams.initialize(
         (SKELETON_INPUT_DIM, _VEC_HIDDEN, m.motion_channels), derive_seed(m.encoder_seed, 103)
     )
-    return ShapeModel.build(
+    return ShapeModel(
         sil_encoder=sil,
         smpl_encoder=smpl,
         skeleton_encoder=skel,

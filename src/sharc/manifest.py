@@ -22,6 +22,12 @@ class ManifestRow:
 
 
 def write_manifest(rows: list[ManifestRow], path, header_comment: str | None = None) -> None:
+    """Write the rows; a repeated tracklet id raises InvalidInput before the file is opened."""
+    seen: set[str] = set()
+    for r in rows:
+        if r.tracklet_id in seen:
+            raise InvalidInput(f"{path}: tracklet {r.tracklet_id!r} appears twice")
+        seen.add(r.tracklet_id)
     with open(path, "w", newline="", encoding="utf-8") as f:
         if header_comment is not None:
             f.write(f"# {header_comment}\n")

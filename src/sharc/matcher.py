@@ -63,13 +63,17 @@ class ScoreMatrix:
         """Comma-separated UTF-8 export: gallery ids as header, one row per query.
 
         An id that read_csv would not give back (one holding a comma or a line
-        break, or a query id that starts a `#` comment line) raises
-        InvalidInput before the file is opened.
+        break, or a query id that starts a `#` comment line) or would refuse
+        (a repeated one) raises InvalidInput before the file is opened.
         """
         for kind, ids in (("query", self.query_ids), ("gallery", self.gallery_ids)):
+            seen: set[str] = set()
             for i in ids:
                 if any(c in i for c in ",\r\n") or (kind == "query" and i.startswith("#")):
                     raise InvalidInput(f"{path}: {kind} id {i!r} cannot be written to a score file")
+                if i in seen:
+                    raise InvalidInput(f"{path}: {kind} id {i!r} appears twice")
+                seen.add(i)
         with open(path, "w", newline="", encoding="utf-8") as f:
             if header_comment is not None:
                 f.write(f"# {header_comment}\n")

@@ -9,9 +9,10 @@ as a broadcast view over that frame's (h, w) silhouette grid, which
 multiplies elementwise to the bits a materialised copy gives.
 
 The output of the branch is a (B + 1) x C matrix: B strip-pooled bins from the
-fused pose feature plus a final bin carrying the skeleton-motion feature
-(projected to C channels when the motion encoder emits a different width).
-Matching flattens the matrix to a single vector; the bin layout is kept on the
+fused pose feature plus a final bin carrying the skeleton-motion feature, which
+the model projects to C channels, with a matrix it draws itself from
+`projection_seed`, when the motion encoder emits a different width. Matching
+flattens the matrix to a single vector; the bin layout is kept on the
 embedding for ablations.
 
 The `[ablation]` drops zero the dropped input inside `ShapeModel.embed`, not
@@ -22,7 +23,7 @@ runs; an all-zero mask also hides the RGB beneath it from the silhouette encoder
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,37 +104,21 @@ class ShapeModel:
     smpl_encoder: EncoderParams
     skeleton_encoder: EncoderParams
     bins: int
-    motion_projection: np.ndarray | None = None  # (C, C_m); None when C_m == C
+    projection_seed: int = 7
     hpp_mode: str = "max+mean"
     drop_silhouette: bool = False
     drop_smpl: bool = False
     drop_skeleton: bool = False
+    # (C, C_m), drawn from projection_seed as the model is built; None when C_m == C
+    motion_projection: np.ndarray | None = field(init=False)
 
-    @classmethod
-    def build(
-        cls,
-        sil_encoder: EncoderParams,
-        smpl_encoder: EncoderParams,
-        skeleton_encoder: EncoderParams,
-        bins: int,
-        projection_seed: int = 7,
-        **kwargs,
-    ) -> "ShapeModel":
-        """Create the model, drawing the C_m -> C motion projection if needed."""
-        c = sil_encoder.output_dim
-        c_m = skeleton_encoder.output_dim
+    def __post_init__(self):
+        c, c_m = self.sil_encoder.output_dim, self.skeleton_encoder.output_dim
         projection = None
         if c_m != c:
             bound = 1.0 / np.sqrt(c_m)
-            projection = SplitMix64(projection_seed).uniform_array(-bound, bound, (c, c_m))
-        return cls(
-            sil_encoder=sil_encoder,
-            smpl_encoder=smpl_encoder,
-            skeleton_encoder=skeleton_encoder,
-            bins=bins,
-            motion_projection=projection,
-            **kwargs,
-        )
+            projection = SplitMix64(self.projection_seed).uniform_array(-bound, bound, (c, c_m))
+        object.__setattr__(self, "motion_projection", projection)
 
     def motion_bin(self, skeleton: np.ndarray) -> np.ndarray:
         """Pooled motion feature of a (T, 51) skeleton sequence, projected to
@@ -177,9 +162,4 @@ class ShapeModel:
             pooled = chunk_max if pooled is None else np.maximum(pooled, chunk_max, out=pooled)
         pose_bins = core.strip_pool(pooled, self.bins, self.hpp_mode)
 
-        motion = self.motion_bin(skeleton)
-        if motion.shape[0] != pose_bins.shape[1]:
-            raise DimMismatch(
-                f"motion bin has {motion.shape[0]} channels, pose bins have {pose_bins.shape[1]}"
-            )
-        return ShapeEmbedding(bins=np.vstack([pose_bins, motion[None, :]]))
+        return ShapeEmbedding(bins=np.vstack([pose_bins, self.motion_bin(skeleton)[None, :]]))

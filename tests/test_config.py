@@ -23,7 +23,7 @@ class TestParsing:
         assert cfg.model.gamma == 0.0
         assert cfg.protocol.gallery_ratio == 0.5
         assert cfg.ablation.centroid is True
-        assert cfg.data_dir == "out"
+        assert cfg.paths.data_dir == "out"
         assert cfg.train.objective == "shape"
 
     def test_values_override_defaults(self, tmp_path):
@@ -63,6 +63,23 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(_write(tmp_path, "[model]\nta_target = sideways\n"))
         assert err.value.field == "model.ta_target"
+
+    @pytest.mark.parametrize(
+        "word, value",
+        [("true", True), ("yes", True), ("on", True), ("1", True),
+         ("false", False), ("no", False), ("off", False), ("0", False)],
+    )
+    @pytest.mark.parametrize("spell", [str.lower, str.upper, str.title], ids=["lower", "upper", "title"])
+    def test_boolean_words_in_any_case_and_spacing(self, tmp_path, word, value, spell):
+        cfg = parse_config(_write(tmp_path, f"[ablation]\ncentroid =  {spell(word)}  \t\ndrop_smpl={spell(word)}\n"))
+        assert cfg.ablation.centroid is value
+        assert cfg.ablation.drop_smpl is value
+
+    @pytest.mark.parametrize("text", ["maybe", "2", "y", "t", "enabled"])
+    def test_other_boolean_words_name_the_field(self, tmp_path, text):
+        with pytest.raises(ConfigError, match=f"^ablation.use_attn: expected a boolean, got '{text}'$") as err:
+            parse_config(_write(tmp_path, f"[ablation]\nuse_attn = {text}\n"))
+        assert err.value.field == "ablation.use_attn"
 
     @pytest.mark.parametrize("value", ["1e200", "4e37", "inf", "nan"])
     def test_keypoint_jitter_that_could_overflow_float32_names_the_field(self, tmp_path, value):

@@ -89,7 +89,7 @@ def _dataset(num_ids=3, tpi=2, frames=9, seed=77):
 
 
 def _models(c=16, c_m=12):
-    shape_model = ShapeModel.build(
+    shape_model = ShapeModel(
         sil_encoder=EncoderParams.initialize((4, 8, c), seed=1),
         smpl_encoder=EncoderParams.initialize((85, 32, c), seed=2),
         skeleton_encoder=EncoderParams.initialize((51, 32, c_m), seed=3),
@@ -360,16 +360,28 @@ class TestManifest:
             read_manifest(p)
 
     def test_rejects_a_repeated_tracklet(self, tmp_path):
-        rows = [
-            ManifestRow("s000_t00", "s000", "c0", "frames/s000_t00.dat"),
-            ManifestRow("s000_t01", "s000", "c0", "frames/s000_t01.dat"),
-            ManifestRow("s000_t00", "s000", "c0", "frames/s000_t00.dat"),
-        ]
         p = tmp_path / "m.csv"
-        write_manifest(rows, p, header_comment="c")
+        p.write_text(
+            "# c\ntracklet_id,subject_id,clothing_id,frames_path\n"
+            "s000_t00,s000,c0,frames/s000_t00.dat\n"
+            "s000_t01,s000,c0,frames/s000_t01.dat\n"
+            "s000_t00,s000,c0,frames/s000_t00.dat\n"
+        )
         # the comment is line 1 and the header line 2
         with pytest.raises(InvalidInput, match="m.csv: line 5 repeats tracklet 's000_t00' of line 3"):
             read_manifest(p)
+
+    def test_write_refuses_a_repeated_tracklet(self, tmp_path):
+        # read_manifest would refuse the file, so it is not written
+        rows = [
+            ManifestRow("t0", "s000", "c0", "frames/t0.dat"),
+            ManifestRow("t1", "s000", "c0", "frames/t1.dat"),
+            ManifestRow("t0", "s001", "c1", "frames/t0b.dat"),
+        ]
+        p = tmp_path / "m.csv"
+        with pytest.raises(InvalidInput, match="m.csv: tracklet 't0' appears twice"):
+            write_manifest(rows, p)
+        assert not p.exists()
 
     def test_rejects_text_that_is_not_utf8(self, tmp_path):
         p = tmp_path / "m.csv"

@@ -66,8 +66,11 @@ class TestScoreMatrix:
             (["q0"], ["a,b"], "gallery id 'a,b'"),
             (["q\n0"], ["a"], "query id 'q\\n0'"),
             (["q0"], ["a\r"], "gallery id 'a\\r'"),
+            (["q0"], ["g", "h", "g"], "gallery id 'g' appears twice"),
+            (["q0", "q1", "q0"], ["a"], "query id 'q0' appears twice"),
         ],
-        ids=["hash_query", "comma_query", "comma_gallery", "newline_query", "return_gallery"],
+        ids=["hash_query", "comma_query", "comma_gallery", "newline_query", "return_gallery",
+             "repeated_gallery", "repeated_query"],
     )
     def test_write_refuses_ids_that_cannot_round_trip(self, tmp_path, query_ids, gallery_ids, bad):
         p = tmp_path / "s.csv"

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sharc.encoders import EncoderParams
 from sharc.exceptions import DimMismatch, EmptyInput
+from sharc.prng import SplitMix64
 from sharc.shape import ShapeModel, fuse_pose, pool_motion, temporal_pool_pose
 
 
@@ -31,7 +34,7 @@ def _inputs(frames):
 
 
 def _model(bins=2):
-    return ShapeModel.build(
+    return ShapeModel(
         sil_encoder=EncoderParams.initialize((4, 6, 8), seed=21),
         smpl_encoder=EncoderParams.initialize((85, 12, 8), seed=22),
         skeleton_encoder=EncoderParams.initialize((51, 10, 6), seed=23),
@@ -110,7 +113,7 @@ class TestShapeEmbedding:
             _model().embed(masks, rgb, _inputs([0, 1])[2], skeleton)
 
     def test_body_width_other_than_silhouette_width_rejected(self):
-        model = ShapeModel.build(
+        model = ShapeModel(
             sil_encoder=EncoderParams.initialize((4, 6, 8), seed=21),
             smpl_encoder=EncoderParams.initialize((85, 12, 7), seed=22),
             skeleton_encoder=EncoderParams.initialize((51, 10, 8), seed=23),
@@ -132,8 +135,36 @@ def test_motion_projection_maps_channel_widths():
     assert motion.shape == (8,)
 
 
+@pytest.mark.parametrize("seed", [7, 12])
+def test_constructor_draws_the_motion_projection(seed):
+    # C_m = 6 motion channels against C = 8 pose channels
+    model = ShapeModel(
+        sil_encoder=EncoderParams.initialize((4, 6, 8), seed=21),
+        smpl_encoder=EncoderParams.initialize((85, 12, 8), seed=22),
+        skeleton_encoder=EncoderParams.initialize((51, 10, 6), seed=23),
+        bins=2,
+        projection_seed=seed,
+    )
+    bound = 1.0 / np.sqrt(6)
+    expected = SplitMix64(seed).uniform_array(-bound, bound, (8, 6))
+    assert model.motion_projection.tobytes() == expected.tobytes()
+    assert model.embed(*_inputs(range(3))).bins.shape == (3, 8)
+
+
+def test_replace_redraws_the_projection_for_new_encoders():
+    model = _model()
+    same_width = replace(model, skeleton_encoder=EncoderParams.initialize((51, 10, 8), seed=23))
+    assert same_width.motion_projection is None
+    assert same_width.embed(*_inputs(range(3))).bins.shape == (3, 8)
+    wider = replace(model, skeleton_encoder=EncoderParams.initialize((51, 10, 5), seed=23))
+    bound = 1.0 / np.sqrt(5)
+    expected = SplitMix64(7).uniform_array(-bound, bound, (8, 5))
+    assert wider.motion_projection.tobytes() == expected.tobytes()
+    assert wider.embed(*_inputs(range(3))).bins.shape == (3, 8)
+
+
 def test_no_projection_when_widths_match():
-    model = ShapeModel.build(
+    model = ShapeModel(
         sil_encoder=EncoderParams.initialize((4, 6, 8), seed=21),
         smpl_encoder=EncoderParams.initialize((85, 12, 8), seed=22),
         skeleton_encoder=EncoderParams.initialize((51, 10, 8), seed=23),
