@@ -16,7 +16,9 @@ The commands only orchestrate: the models that `config` builds apply every
 `[ablation]` key, and both sweeps run one loop, `_sweep`. At module level
 this file imports only `config` and `exceptions`; each command imports what
 it runs in its own body, so `evaluate` loads no model and `train-toy` no
-dataset, gallery or scoring module.
+dataset, gallery or scoring module. `evaluate` imports no numpy either: it
+reads the fused scores as lists (`scorefile`) and counts each query's rank
+over them (`metrics`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ if TYPE_CHECKING:
     from .gallery import AppearanceModel, GalleryIndex
     from .manifest import ManifestRow
     from .matcher import ScoreMatrix
-    from .metrics import EvalReport
 
 GAMMA_SWEEP = (1.0, 0.2, 0.1, 0.0)
 ALPHA_SWEEP = (0.05, 0.1, 0.2, 0.3, 0.4)
@@ -104,14 +105,6 @@ def _sweep(cfg: RunConfig, app_model: AppearanceModel, gallery: tuple, queries: 
             yield gamma, alpha, index, fuse_scores(s_shape, s_app, alpha)
 
 
-def _evaluate(fused: ScoreMatrix, subject_of: dict[str, str]) -> EvalReport:
-    """Evaluate each query of the fused scores against its subject, from the
-    rank of its subject's column."""
-    from .metrics import evaluate_scores
-
-    return evaluate_scores(fused.scores, fused.gallery_ids, [subject_of[q] for q in fused.query_ids])
-
-
 def _write_table(path: str, comment: str, header: str, rows: list[str]) -> None:
     with open(path, "w") as f:
         f.write(f"# {comment}\n{header}\n")
@@ -166,16 +159,17 @@ def cmd_query(cfg: RunConfig, out: str) -> int:
 
 def cmd_evaluate(cfg: RunConfig, out: str) -> int:
     from .manifest import read_manifest
-    from .matcher import ScoreMatrix
+    from .metrics import evaluate_scores
+    from .scorefile import read_scores
 
     fused_path = os.path.join(out, "scores_fused.csv")
     query_path = os.path.join(cfg.paths.data_dir, "query.csv")
-    fused = ScoreMatrix.read_csv(fused_path)
+    query_ids, gallery_ids, rows = read_scores(fused_path)
     subject_of = {r.tracklet_id: r.subject_id for r in read_manifest(query_path)}
-    unknown = [q for q in fused.query_ids if q not in subject_of]
+    unknown = [q for q in query_ids if q not in subject_of]
     if unknown:
         raise InvalidInput(f"{fused_path}: query id {unknown[0]!r} is not in {query_path}")
-    report = _evaluate(fused, subject_of)
+    report = evaluate_scores(rows, gallery_ids, [subject_of[q] for q in query_ids])
     lines = report.lines()
     _write_table(os.path.join(out, "report.txt"), _comment(cfg), lines[0], lines[1:])
     table = report.csv_rows()
@@ -189,14 +183,17 @@ def _write_sweep(cfg: RunConfig, out: str, key: str, gammas, alphas) -> int:
     """Write `ablate_<key>.csv`: rank-1 of every (gamma, alpha) setting, keyed
     by the swept one of the two, `key`."""
     from .gallery import tracklet_features
+    from .metrics import evaluate_scores
 
     shape_model, app_model = build_shape_model(cfg), build_appearance_model(cfg)
     gallery = _embed_manifest("gallery.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
     queries = _embed_manifest("query.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
-    subject_of = {r.tracklet_id: r.subject_id for r in queries[0]}
+    # _sweep scores the queries in manifest row order
+    labels = [r.subject_id for r in queries[0]]
     header = f"{key},rank1"
     rows = [
-        f"{(gamma if key == 'gamma' else alpha)!r},{_evaluate(fused, subject_of).rank_k[1]!r}"
+        f"{(gamma if key == 'gamma' else alpha)!r},"
+        f"{evaluate_scores(fused.scores.tolist(), fused.gallery_ids, labels).rank_k[1]!r}"
         for gamma, alpha, _, fused in _sweep(cfg, app_model, gallery, queries, gammas, alphas)
     ]
     _write_table(os.path.join(out, f"ablate_{key}.csv"), _comment(cfg), header, rows)

@@ -23,8 +23,6 @@ import math
 import typing
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .exceptions import ConfigError, InvalidInput
 
 if typing.TYPE_CHECKING:
@@ -65,8 +63,9 @@ _UNIT = within(0, 1)
 # (Box-Muller from 53-bit uniforms), and the jitter scales every noise term of
 # the body vector and the skeleton, so a generated value is at most about
 # keypoint_jitter * 8.6. Below this bound none of them overflows float32 in a
-# frame container.
-MAX_KEYPOINT_JITTER = float(np.finfo(np.float32).max) / 8.6
+# frame container. The hex literal is the largest finite float32,
+# np.finfo(np.float32).max, so that parsing a config needs no numpy.
+MAX_KEYPOINT_JITTER = float.fromhex("0x1.fffffep+127") / 8.6
 
 
 def _open_unit(v):

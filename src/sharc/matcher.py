@@ -18,17 +18,22 @@ compute the same cells one pair at a time; the two agree to within 1e-12.
 
 `rank` orders a whole score matrix at once: one stable argsort of the negated
 scores along each row, over the columns put in id order first.
+
+`ScoreMatrix.write_csv` writes the score files that `query` leaves behind.
+They are parsed in one place, the numpy-free `scorefile.read_scores`:
+`ScoreMatrix.read_csv` is a matrix over its rows, and `evaluate` uses its
+lists directly, so it never imports this module.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exceptions import AlignmentError, DimMismatch, EmptyInput, InvalidInput
+from .scorefile import read_scores
 
 if TYPE_CHECKING:
     from .gallery import GalleryIndex
@@ -85,47 +90,9 @@ class ScoreMatrix:
 
     @classmethod
     def read_csv(cls, path) -> "ScoreMatrix":
-        """Inverse of write_csv; a malformed row or a repeated id raises
-        InvalidInput naming its line, and a file with no query row one naming it."""
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                lines = f.readlines()
-        except UnicodeDecodeError:
-            raise InvalidInput(f"{path}: not a text file") from None
-        query_ids, rows = [], []
-        seen: set[str] = set()
-        gallery_ids = None
-        for lineno, line in enumerate(lines, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if gallery_ids is None:
-                if cells[0] != "query_id":
-                    raise InvalidInput(f"{path}: expected query_id header")
-                gallery_ids = cells[1:]
-                if not gallery_ids:
-                    raise InvalidInput(f"{path}: line {lineno}: header names no gallery id")
-                repeated = [g for g, n in Counter(gallery_ids).items() if n > 1]
-                if repeated:
-                    raise InvalidInput(f"{path}: line {lineno}: gallery id {repeated[0]!r} appears twice")
-                continue
-            if len(cells) != len(gallery_ids) + 1:
-                raise InvalidInput(
-                    f"{path}: line {lineno}: expected {len(gallery_ids) + 1} cells, got {len(cells)}"
-                )
-            try:
-                rows.append(list(map(float, cells[1:])))
-            except ValueError:
-                raise InvalidInput(f"{path}: line {lineno}: non-numeric score") from None
-            if cells[0] in seen:
-                raise InvalidInput(f"{path}: line {lineno}: query id {cells[0]!r} appears twice")
-            seen.add(cells[0])
-            query_ids.append(cells[0])
-        if gallery_ids is None:
-            raise InvalidInput(f"{path}: empty score file")
-        if not query_ids:
-            raise InvalidInput(f"{path}: holds no query rows")
+        """Inverse of write_csv: the table `scorefile.read_scores` reads, as a
+        matrix, refused with the same InvalidInput messages."""
+        query_ids, gallery_ids, rows = read_scores(path)
         return cls(scores=np.array(rows, dtype=np.float64), query_ids=query_ids, gallery_ids=gallery_ids)
 
 

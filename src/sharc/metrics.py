@@ -10,20 +10,52 @@ The inputs are validated once and each ranked list is walked once, to the
 read from those positions. A list that holds none of its query's correct ids
 (one shorter than the gallery, say) is a miss at every k and has no AP.
 
-`evaluate_scores` gives the same report straight from a score matrix whose
+`evaluate_scores` gives the same report straight from a score table whose
 columns are unique subject ids, as the CLI's are: each query has one correct
-column, so its rank is a count and nothing is sorted.
+column, so its rank is a count and nothing is sorted. It takes any sequence
+of rows of floats, a numpy matrix or the lists `scorefile.read_scores`
+gives.
+
+The module imports no numpy, so `evaluate` runs without it. Every mAP is
+`_mean`, which sums in numpy's pairwise order and so has the bits of
+`float(np.mean(...))`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from .exceptions import InvalidInput, UnmatchableQuery
 
 DEFAULT_RANKS = (1, 5, 10, 20)
+
+
+def _pairwise_sum(xs: list[float]) -> float:
+    """The sum of `xs` in the order of numpy's float64 `add.reduce`.
+
+    Under 8 values: left to right from 0.0. Up to 128: 8 running sums, the
+    k-th over every 8th value from xs[k], combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the values past
+    the last full 8 left to right. Above 128: the sums of two halves, split
+    at a multiple of 8.
+    """
+    n = len(xs)
+    if n < 8:
+        return reduce(add, xs, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [reduce(add, xs[k:end:8]) for k in range(8)]
+        return reduce(add, xs[end:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+def _mean(xs: list[float]) -> float:
+    """`float(np.mean(xs))`, bit for bit; nan for no values."""
+    return _pairwise_sum(xs) / len(xs) if xs else math.nan
 
 
 def _correct_positions(ranked: list[str], label: str, gallery_labels: dict[str, str]) -> list[int]:
@@ -86,7 +118,7 @@ def mean_average_precision(
     skip_unmatchable: bool = False,
 ) -> float:
     matched = _matched(ranked_lists, query_labels, gallery_labels, skip_unmatchable)
-    return float(np.mean([_ap(*m) for m in matched]))
+    return _mean([_ap(*m) for m in matched])
 
 
 @dataclass
@@ -120,12 +152,13 @@ def evaluate_ranking(
     matched = _matched(ranked_lists, query_labels, gallery_labels, skip_unmatchable)
     rank_k = {k: _hit_rate(matched, k) for k in DEFAULT_RANKS}
     aps = [_ap(*m) for m in matched]
-    return EvalReport(rank_k=rank_k, map_score=float(np.mean(aps)), per_query_ap=aps)
+    return EvalReport(rank_k=rank_k, map_score=_mean(aps), per_query_ap=aps)
 
 
-def evaluate_scores(scores: np.ndarray, gallery_ids: list[str], query_labels: list[str]) -> EvalReport:
+def evaluate_scores(scores, gallery_ids: list[str], query_labels: list[str]) -> EvalReport:
     """`evaluate_ranking(rank(...), query_labels, {g: g for g in gallery_ids})`
-    for a finite (Q, G) score matrix whose G columns are unique subject ids.
+    for finite (Q, G) scores whose G columns are unique subject ids: Q rows
+    of G floats, as a numpy matrix or as lists.
 
     A query's 0-based rank is the number of columns that beat its correct
     column under `rank`'s rule: a higher score, or an equal score and a
@@ -134,27 +167,32 @@ def evaluate_scores(scores: np.ndarray, gallery_ids: list[str], query_labels: li
     column = {g: j for j, g in enumerate(gallery_ids)}
     if len(column) != len(gallery_ids):
         raise InvalidInput("gallery ids must be unique")
-    s = np.asarray(scores, dtype=np.float64)
-    if s.shape != (len(query_labels), len(gallery_ids)):
+    widths = sorted({len(row) for row in scores})
+    if len(scores) != len(query_labels) or widths not in ([], [len(gallery_ids)]):
         raise InvalidInput(
-            f"scores shape {s.shape} does not match {len(query_labels)} queries x {len(gallery_ids)} ids"
+            f"a table of {len(scores)} score rows of widths {widths} does not match "
+            f"{len(query_labels)} queries x {len(gallery_ids)} ids"
         )
-    if not np.all(np.isfinite(s)):
+    if not all(all(map(math.isfinite, row)) for row in scores):
         raise InvalidInput("scores contain non-finite entries")
     missing = [i for i, lab in enumerate(query_labels) if lab not in column]
     if missing:
         raise UnmatchableQuery(f"queries with no correct gallery entry: indices {missing}")
     if not query_labels:
         raise InvalidInput("no matchable queries")
-    id_order = np.empty(len(gallery_ids), dtype=np.int64)
-    id_order[sorted(range(len(gallery_ids)), key=gallery_ids.__getitem__)] = np.arange(len(gallery_ids))
-    correct = np.array([column[lab] for lab in query_labels])
-    target = s[np.arange(len(correct)), correct][:, None]
-    ahead = (s > target) | ((s == target) & (id_order < id_order[correct][:, None]))
-    positions = np.count_nonzero(ahead, axis=1)
-    aps = (1.0 / (positions + 1)).tolist()
+    positions = []
+    for row, label in zip(scores, query_labels):
+        target = row[column[label]]
+        # the correct column and every column that may beat it: one pass
+        # over the row, then list methods over the few it keeps
+        at_least = [x for x in row if x >= target]
+        ahead = len(at_least) - at_least.count(target)
+        if len(at_least) - ahead > 1:
+            ahead += sum(1 for x, g in zip(row, gallery_ids) if x == target and g < label)
+        positions.append(ahead)
+    aps = [1.0 / (p + 1) for p in positions]
     return EvalReport(
-        rank_k={k: int(np.count_nonzero(positions < k)) / len(aps) for k in DEFAULT_RANKS},
-        map_score=float(np.mean(aps)),
+        rank_k={k: sum(p < k for p in positions) / len(aps) for k in DEFAULT_RANKS},
+        map_score=_mean(aps),
         per_query_ap=aps,
     )

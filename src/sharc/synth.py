@@ -498,14 +498,21 @@ def write_dataset(records: Iterable[TrackletRecord], out_dir, header_comment: st
 
     Each record's container is written as the record arrives, so an iterator
     such as `iter_dataset` keeps one block of tracklets in memory at a time.
+    A container is named by its tracklet id, so a repeated id raises
+    InvalidInput before the repeat can overwrite the first one's container.
 
     frames_path entries are relative to the manifest's directory; the
     manifest starts with `header_comment`, if given, as a `#` line.
     """
     frames_dir = os.path.join(out_dir, "frames")
     os.makedirs(frames_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, "manifest.csv")
     rows = []
+    seen: set[str] = set()
     for rec in records:
+        if rec.tracklet_id in seen:
+            raise InvalidInput(f"{manifest_path}: tracklet {rec.tracklet_id!r} appears twice")
+        seen.add(rec.tracklet_id)
         rel = os.path.join("frames", f"{rec.tracklet_id}.dat")
         write_tracklet_frames(rec, os.path.join(out_dir, rel))
         rows.append(
@@ -516,7 +523,6 @@ def write_dataset(records: Iterable[TrackletRecord], out_dir, header_comment: st
                 frames_path=rel,
             )
         )
-    manifest_path = os.path.join(out_dir, "manifest.csv")
     write_manifest(rows, manifest_path, header_comment)
     return manifest_path
 

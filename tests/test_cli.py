@@ -546,7 +546,7 @@ def test_score_files_are_utf8_whatever_the_locale(workspace):
     "command, absent",
     [
         ("evaluate", ["sharc.gallery", "sharc.shape", "sharc.synth", "sharc.encoders", "sharc.losses",
-                      "sharc.appearance", "sharc.core", "sharc.prng"]),
+                      "sharc.appearance", "sharc.core", "sharc.prng", "sharc.matcher"]),
         ("train-toy", ["sharc.gallery", "sharc.shape", "sharc.synth", "sharc.matcher", "sharc.metrics",
                        "sharc.manifest", "sharc.appearance"]),
         ("synth", ["sharc.gallery", "sharc.shape", "sharc.matcher", "sharc.metrics", "sharc.losses"]),
@@ -563,6 +563,64 @@ def test_each_command_imports_only_what_it_runs(workspace, command, absent):
     loaded = done.stdout.decode().splitlines()[-1].split()
     assert "sharc.cli" in loaded and "sharc.config" in loaded
     assert [m for m in absent if m in loaded] == []
+
+
+def test_evaluate_runs_without_numpy(workspace):
+    # evaluate reads the fused scores as lists and counts ranks over them
+    cfg_path, data_dir, tmp = workspace
+    for command in ("synth", "enroll", "query", "evaluate"):
+        assert _run([command, "--config", cfg_path]) == 0
+    out = tmp / "numpy_free"
+    out.mkdir()
+    (out / "scores_fused.csv").write_bytes((data_dir / "scores_fused.csv").read_bytes())
+    script = (
+        "import sys; sys.modules['numpy'] = None; from sharc.cli import main; code = main(sys.argv[1:]); "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith(('numpy.', 'sharc.'))))); "
+        "sys.exit(code)"
+    )
+    done = _child(script, ["evaluate", "--config", cfg_path, "--out", out])
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    loaded = done.stdout.decode().splitlines()[-1].split()
+    assert "sharc.metrics" in loaded and "sharc.scorefile" in loaded and "sharc.matcher" not in loaded
+    assert [m for m in loaded if m.startswith("numpy.")] == []
+    for name in ("report.txt", "report.csv"):
+        assert (out / name).read_bytes() == (data_dir / name).read_bytes(), name
+
+
+def _replace_last_cell(line, cell):
+    return line.rsplit(",", 1)[0] + "," + cell
+
+
+@pytest.mark.parametrize(
+    "damage_scores, damage_queries, message",
+    [
+        # a non-numeric cell (line 3) and an unknown query id (line 4)
+        (lambda lines: lines[:2] + [_replace_last_cell(lines[2], "abc"), "nobody," + lines[3].split(",", 1)[1]]
+         + lines[4:], lambda lines: lines, "{fused}: line 3: non-numeric score"),
+        # a nan cell and a header whose gallery column no query's subject has
+        (lambda lines: [lines[0], lines[1].replace(",s001", ",x001"), _replace_last_cell(lines[2], "nan")]
+         + lines[3:], lambda lines: lines, "scores contain non-finite entries"),
+        # a short row and a query manifest with a header and no rows
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], lambda lines: lines[:2],
+         "{fused}: line 3: expected 4 cells, got 3"),
+    ],
+    ids=["non_numeric_and_unknown_query", "nan_and_unmatchable_column", "short_row_and_empty_query_manifest"],
+)
+def test_the_first_of_two_faults_is_reported(workspace, capsys, damage_scores, damage_queries, message):
+    # evaluate reads the score file whole, then the query manifest, then
+    # matches ids, then counts ranks: the first fault in that order is the one
+    cfg_path, data_dir, tmp = workspace
+    for command in ("synth", "enroll", "query"):
+        assert _run([command, "--config", cfg_path]) == 0
+    fused, query = data_dir / "scores_fused.csv", data_dir / "query.csv"
+    for path, damage, header in ((fused, damage_scores, "query_id,"), (query, damage_queries, "tracklet_id,")):
+        lines = damage(path.read_text().splitlines())
+        assert lines[1].startswith(header)
+        path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert _run(["evaluate", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(fused=fused)}\n"
+    assert not (data_dir / "report.txt").exists()
 
 
 def test_a_query_whose_subject_is_no_column_is_2_in_one_line(workspace, capsys):

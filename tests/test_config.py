@@ -2,9 +2,10 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sharc.config import SECTIONS, build_appearance_model, build_shape_model, parse_config
+from sharc.config import MAX_KEYPOINT_JITTER, SECTIONS, build_appearance_model, build_shape_model, parse_config
 from sharc.exceptions import ConfigError, InvalidInput
 from sharc.synth import DatasetSpec
 
@@ -265,3 +266,8 @@ def test_readme_key_table_lists_every_key_with_its_default():
         listed = re.findall(r"`(\w+)` \(([^)]+)\)", rows[section])
         declared = [(f.name, _readme_default(f.default)) for f in fields(cls)]
         assert listed == declared, section
+
+
+def test_max_keypoint_jitter_is_the_float32_bound_without_numpy():
+    # config spells the largest float32 as a hex literal so that parsing needs no numpy
+    assert MAX_KEYPOINT_JITTER == float(np.finfo(np.float32).max) / 8.6

@@ -1,5 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharc.exceptions import InvalidInput, UnmatchableQuery
 from sharc.matcher import ScoreMatrix, rank
@@ -10,6 +15,7 @@ from sharc.metrics import (
     cmc,
     evaluate_ranking,
     evaluate_scores,
+    _mean,
     mean_average_precision,
 )
 
@@ -182,6 +188,9 @@ class TestEvaluateScores:
     """`evaluate_scores` counts each query's rank; `evaluate_ranking(rank(...))`
     sorts. Both must give the same report, float for float."""
 
+    # the form in which the (Q, G) scores are passed: here the numpy matrix
+    form = staticmethod(lambda scores: scores)
+
     @staticmethod
     def _case(rng, n_query, n_gallery, grid):
         # ids whose string order is not their column order: "s10" < "s2"
@@ -198,7 +207,7 @@ class TestEvaluateScores:
         rng = np.random.default_rng(n_query * 1000 + n_gallery)
         for _ in range(5):
             scores, gallery_ids, labels = self._case(rng, n_query, n_gallery, grid)
-            got = evaluate_scores(scores, gallery_ids, labels)
+            got = evaluate_scores(self.form(scores), gallery_ids, labels)
             want = _ranked_report(scores, gallery_ids, labels)
             assert got.rank_k == want.rank_k
             assert got.per_query_ap == want.per_query_ap
@@ -210,7 +219,8 @@ class TestEvaluateScores:
         scores, gallery_ids, labels = self._case(rng, 9, 30, None)
         scores[3] = 0.25
         scores[5] = -0.0
-        got, want = evaluate_scores(scores, gallery_ids, labels), _ranked_report(scores, gallery_ids, labels)
+        got = evaluate_scores(self.form(scores), gallery_ids, labels)
+        want = _ranked_report(scores, gallery_ids, labels)
         assert got == want
         # a tied row ranks its subject by id: as many columns ahead as smaller ids
         assert got.per_query_ap[3] == 1 / (1 + sorted(gallery_ids).index(labels[3]))
@@ -221,12 +231,13 @@ class TestEvaluateScores:
         scores = rng.choice(np.array([0.0, -0.0, 0.5, -0.5]), size=(50, 16))
         labels = [gallery_ids[j] for j in rng.integers(16, size=50)]
         assert np.any(np.signbit(scores) & (scores == 0.0))
-        assert evaluate_scores(scores, gallery_ids, labels) == _ranked_report(scores, gallery_ids, labels)
+        got = evaluate_scores(self.form(scores), gallery_ids, labels)
+        assert got == _ranked_report(scores, gallery_ids, labels)
 
     def test_a_query_whose_subject_is_no_column(self):
         scores, gallery_ids = np.zeros((3, 2)), ["a", "b"]
         with pytest.raises(UnmatchableQuery) as counted:
-            evaluate_scores(scores, gallery_ids, ["a", "ghost", "x"])
+            evaluate_scores(self.form(scores), gallery_ids, ["a", "ghost", "x"])
         with pytest.raises(UnmatchableQuery) as ranked:
             _ranked_report(scores, gallery_ids, ["a", "ghost", "x"])
         assert str(counted.value) == str(ranked.value) == "queries with no correct gallery entry: indices [1, 2]"
@@ -243,4 +254,27 @@ class TestEvaluateScores:
     )
     def test_refuses_what_it_cannot_rank(self, scores, gallery_ids, labels, message):
         with pytest.raises(InvalidInput, match=message):
-            evaluate_scores(scores, gallery_ids, labels)
+            evaluate_scores(self.form(scores), gallery_ids, labels)
+
+
+class TestEvaluateScoresOnLists(TestEvaluateScores):
+    """The same cases with the scores as `tolist()` rows of Python floats,
+    as `evaluate` reads them from a score file and the sweeps pass them."""
+
+    form = staticmethod(lambda scores: scores.tolist())
+
+
+# under 8, the 8 running sums, the first splits above 128, and past numpy's
+# 8192-element buffer
+_MEAN_LENGTHS = st.sampled_from([0, 1, 7, 8, 9, 127, 128, 129, 1000, 8191, 8192, 8193, 20000])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=_MEAN_LENGTHS | st.integers(0, 300), normal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_mean_has_the_bits_of_numpy_mean(n, normal, seed):
+    xs = np.random.default_rng(seed).standard_normal(n).tolist() if normal else [1 / (k + 1) for k in range(n)]
+    if n == 0:
+        with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning):
+            assert math.isnan(_mean(xs)) and math.isnan(float(np.mean(xs)))
+    else:
+        assert struct.pack("<d", _mean(xs)) == struct.pack("<d", float(np.mean(xs)))

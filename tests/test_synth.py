@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 from collections.abc import Iterator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -607,6 +608,21 @@ class TestDatasetIo:
 
         write_dataset(records(), tmp_path / "data")
         assert written_before_next == [True] * (spec.num_ids * spec.tracklets_per_id - 1)
+
+    def test_a_repeated_tracklet_id_is_refused_before_its_container_is_written(self, tmp_path):
+        # containers are named by tracklet id: the repeat would overwrite the first one's
+        recs = generate_dataset(_spec(num_ids=2, tracklets_per_id=2, frames_per_tracklet=2))
+        write_dataset(recs, tmp_path / "clean")
+        first = recs[0].tracklet_id
+        assert recs[2].tracklet_id != first
+        repeated = recs[:2] + [replace(recs[2], tracklet_id=first)] + recs[3:]
+        with pytest.raises(InvalidInput, match=f"tracklet '{first}' appears twice"):
+            write_dataset(repeated, tmp_path / "data")
+        frames = tmp_path / "data" / "frames"
+        clean = tmp_path / "clean" / "frames" / f"{first}.dat"
+        assert (frames / f"{first}.dat").read_bytes() == clean.read_bytes()
+        assert sorted(p.name for p in frames.iterdir()) == [f"{r.tracklet_id}.dat" for r in recs[:2]]
+        assert not (tmp_path / "data" / "manifest.csv").exists()
 
     def test_streamed_records_equal_the_generated_list(self, tmp_path):
         spec = _spec(num_ids=2, tracklets_per_id=3, frames_per_tracklet=3)
