@@ -218,23 +218,43 @@ def register(
     return build_index(tracklets, embeddings, centroid=centroid)
 
 
-def _write_text(f, text: str) -> None:
+def _text(text: str) -> bytes:
     raw = text.encode("utf-8")
-    f.write(struct.pack("<I", len(raw)))
-    f.write(raw)
+    return struct.pack("<I", len(raw)) + raw
 
 
 def save_index(index: GalleryIndex, path) -> None:
+    """Write `index` to `path` (layout in the module docstring).
+
+    Every index that `load_index` would refuse raises InvalidInput before
+    `path` is opened: no entries, an empty subject id, a vector that is not
+    one axis, is empty or is not finite once cast to f32, widths that differ
+    between entries, or a source count below 1.
+    """
+    if not index.entries:
+        raise InvalidInput(f"{path}: index has no entries")
+    parts = [INDEX_MAGIC, _text(index.model_hash), struct.pack("<I", len(index.entries))]
+    for i, e in enumerate(index.entries):
+        if not e.subject_id:
+            raise InvalidInput(f"{path}: entry {i} has an empty subject id")
+        parts.append(_text(e.subject_id))
+        for name in ("shape", "appearance"):
+            # a value beyond the f32 range becomes inf here, refused below
+            with np.errstate(over="ignore"):
+                vec = np.asarray(getattr(e, name)).astype("<f4")
+            if vec.ndim != 1:
+                raise InvalidInput(f"{path}: entry {i} {name} vector has shape {vec.shape}, need one axis")
+            if vec.size == 0 or not np.all(np.isfinite(vec)):
+                raise InvalidInput(f"{path}: entry {i} has an empty or non-finite {name} vector")
+            width = len(getattr(index.entries[0], name))
+            if len(vec) != width:
+                raise InvalidInput(f"{path}: entry {i} {name} width {len(vec)} differs from entry 0's {width}")
+            parts += [struct.pack("<I", len(vec)), vec.tobytes()]
+        if e.source_count < 1:
+            raise InvalidInput(f"{path}: entry {i} has a source count of {e.source_count}")
+        parts.append(struct.pack("<I", e.source_count))
     with open(path, "wb") as f:
-        f.write(INDEX_MAGIC)
-        _write_text(f, index.model_hash)
-        f.write(struct.pack("<I", len(index.entries)))
-        for e in index.entries:
-            _write_text(f, e.subject_id)
-            for vec in (e.shape, e.appearance):
-                f.write(struct.pack("<I", vec.shape[0]))
-                f.write(vec.astype("<f4").tobytes())
-            f.write(struct.pack("<I", e.source_count))
+        f.writelines(parts)
 
 
 def load_index(path) -> GalleryIndex:

@@ -1,7 +1,7 @@
 """Seeded synthetic dataset generator, and the tracklet record's whole format:
 `TrackletRecord`, its body and skeleton widths, the shapes of its four arrays
 (one function of (T, H, W), which the record's checks and the container reader
-share) and the SHRCDAT3 container. It imports neither `gallery` nor `shape`.
+share) and the SHRCDAT4 container. It imports neither `gallery` nor `shape`.
 
 Each subject gets a latent body shape, gait parameters, and an appearance
 signature, all derived from (dataset seed, subject index). Frames for a
@@ -36,10 +36,10 @@ range of its frames, for every tracklet of the block, in one SplitMix64 call
 (`prng.uniform_rows` from an offset), so the pixel temporaries beside the
 records span one pass, whatever T is. A tracklet's bytes depend on neither
 its block nor its passes. The block's records are yielded one at a time, so
-`write_dataset` holds one block in memory. The SHRCDAT3 frame container
-stores each of the four arrays as one section: the masks (as u8), never the
-masked RGB, which the silhouette encoder derives from the masks and the
-appearance frames.
+`write_dataset` holds one block in memory. The SHRCDAT4 frame container
+stores each of the four arrays as one section: the masks as one bit per
+pixel, never the masked RGB, which the silhouette encoder derives from the
+masks and the appearance frames.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ from .exceptions import CorruptFile, EmptyInput, InvalidInput, ProtocolError
 from .manifest import ManifestRow, read_manifest, write_manifest
 from .prng import SplitMix64, box_muller, derive_seed, normal_uniform_count, uniform_rows
 
-DATA_MAGIC = b"SHRCDAT3"
-_OLD_DATA_MAGICS = (b"SHRCDAT1", b"SHRCDAT2")
+DATA_MAGIC = b"SHRCDAT4"
+_OLD_DATA_MAGICS = (b"SHRCDAT1", b"SHRCDAT2", b"SHRCDAT3")
 
 SIGNATURE_DIM = 6
 
@@ -70,9 +70,9 @@ SKELETON_JOINTS = 17
 # skeleton vector: x, y of each joint, then the joints' confidences
 SKELETON_INPUT_DIM = SKELETON_JOINTS * 3
 
-# (tag, record field, on-disk dtype) of the sections of a SHRCDAT3 container,
-# in on-disk order
-_SECTIONS = ((1, "masks", "u1"), (2, "body", "<f4"), (3, "skeleton", "<f4"), (4, "appearance", "<f4"))
+# (tag, record field, on-disk dtype) of the sections of a SHRCDAT4 container,
+# in on-disk order; the masks' None is one bit per value (np.packbits)
+_SECTIONS = ((1, "masks", None), (2, "body", "<f4"), (3, "skeleton", "<f4"), (4, "appearance", "<f4"))
 
 
 def _record_shapes(t: int, h: int, w: int) -> dict[str, tuple[int, ...]]:
@@ -420,7 +420,7 @@ def split_protocol(records: list, ratio: float, seed: int) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# SHRCDAT3 container
+# SHRCDAT4 container
 # ---------------------------------------------------------------------------
 
 
@@ -429,27 +429,37 @@ def write_tracklet_frames(record: TrackletRecord, path) -> None:
 
     Layout: magic, u32 frame count, u32 height, u32 width, then four tagged
     sections for the whole tracklet, each a u32 tag, u32 value count, payload:
-    the masks as u8 (tag 1), then as f32 the body vectors (2), the skeletons
-    (3) and the appearance frames (4), frames in order within each. The
-    masked RGB is not stored: it is the appearance frames times the masks,
-    and the silhouette encoder derives it.
+    the masks as bits (tag 1: `np.packbits`, most significant bit first,
+    ceil(T*H*W / 8) bytes, the padding bits of the last byte zero), then as
+    f32 the body vectors (2), the skeletons (3) and the appearance frames (4),
+    frames in order within each. The masked RGB is not stored: it is the
+    appearance frames times the masks, and the silhouette encoder derives it.
+    A record with a value that is not finite as f32 raises InvalidInput
+    before `path` is opened.
     """
     t, h, w = record.masks.shape
+    parts = [DATA_MAGIC, struct.pack("<III", t, h, w)]
+    for tag, name, dtype in _SECTIONS:
+        values = getattr(record, name).reshape(-1)
+        if dtype is None:
+            payload = np.packbits(values.astype(np.uint8))
+        else:
+            with np.errstate(over="ignore"):
+                payload = values.astype(dtype)
+            if not np.all(np.isfinite(payload)):
+                raise InvalidInput(f"tracklet {record.tracklet_id}: {name} entries are not finite as f32")
+        parts += [struct.pack("<II", tag, values.size), payload]
     with open(path, "wb") as f:
-        f.write(DATA_MAGIC)
-        f.write(struct.pack("<III", t, h, w))
-        for tag, name, dtype in _SECTIONS:
-            flat = getattr(record, name).astype(dtype).reshape(-1)
-            f.write(struct.pack("<II", tag, flat.size))
-            f.write(flat)
+        f.writelines(parts)
 
 
 def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: str) -> TrackletRecord:
-    """Parse a SHRCDAT3 container back into a tracklet record.
+    """Parse a SHRCDAT4 container back into a tracklet record.
 
-    Any malformed container raises CorruptFile naming the path (a SHRCDAT1 or
-    SHRCDAT2 one with a hint to re-run synth); values the record refuses
-    raise InvalidInput.
+    Any malformed container raises CorruptFile naming the path (a SHRCDAT1,
+    SHRCDAT2 or SHRCDAT3 one with a hint to re-run synth), and so does a set
+    padding bit in the mask section, so every container read here is written
+    back byte for byte; values the record refuses raise InvalidInput.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -483,7 +493,14 @@ def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: s
                 f"{path}: expected section {expected_tag} with {expected_count} values, "
                 f"got tag {tag} with {count}"
             )
-        values = np.frombuffer(take(np.dtype(dtype).itemsize * count), dtype=dtype)
+        if dtype is None:
+            packed = np.frombuffer(take(-(-count // 8)), dtype=np.uint8)
+            # the last byte's low 8 - count % 8 bits are padding (none when 8 divides count)
+            if packed[-1] & (0xFF >> (count % 8 or 8)):
+                raise CorruptFile(f"{path}: mask section sets a padding bit")
+            values = np.unpackbits(packed, count=count)
+        else:
+            values = np.frombuffer(take(np.dtype(dtype).itemsize * count), dtype=dtype)
         # a corrupt payload can hold a signalling NaN; the record refuses it as
         # non-finite, so its cast to float64 must not also print a warning
         with np.errstate(invalid="ignore"):

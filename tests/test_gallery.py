@@ -203,6 +203,35 @@ def _entry(subject="s0", shape=(1.0, 2.0, 3.0), appearance=(0.5, 0.25), count=1)
     return IndexEntry(subject, np.array(shape, dtype=float), np.array(appearance, dtype=float), count)
 
 
+def _raw_index(entries, model_hash="0123456789ab") -> bytes:
+    """The SHRCIDX2 bytes of `entries` as given, with none of save_index's checks."""
+
+    def text(value: str) -> bytes:
+        return struct.pack("<I", len(value.encode())) + value.encode()
+
+    parts = [b"SHRCIDX2", text(model_hash), struct.pack("<I", len(entries))]
+    for e in entries:
+        parts.append(text(e.subject_id))
+        for vec in (e.shape, e.appearance):
+            parts += [struct.pack("<I", len(vec)), np.asarray(vec, dtype="<f4").tobytes()]
+        parts.append(struct.pack("<I", e.source_count))
+    return b"".join(parts)
+
+
+# indexes that load_index refuses, and the message it refuses each with
+_UNLOADABLE = [
+    ([], "index has no entries"),
+    ([_entry(shape=())], "entry 0 has an empty or non-finite shape vector"),
+    ([_entry(appearance=(0.5, np.nan))], "entry 0 has an empty or non-finite appearance vector"),
+    ([_entry(), _entry("s1", shape=(np.inf, 1.0, 2.0))], "entry 1 has an empty or non-finite shape vector"),
+    ([_entry(), _entry("s1", shape=(1.0, 2.0))], "entry 1 shape width 2 differs from entry 0's 3"),
+    ([_entry(), _entry("s1", appearance=(1.0,))], "entry 1 appearance width 1 differs from entry 0's 2"),
+    ([_entry(count=0)], "entry 0 has a source count of 0"),
+    ([_entry(), _entry("")], "entry 1 has an empty subject id"),
+]
+_UNLOADABLE_IDS = ["no-entries", "zero-width", "nan", "inf", "shape-widths", "appearance-widths", "count-0", "empty-id"]
+
+
 class TestIndexFile:
     def test_roundtrip(self, tmp_path):
         recs = _dataset(num_ids=2, tpi=2)
@@ -263,25 +292,29 @@ class TestIndexFile:
         with pytest.raises(CorruptIndex):
             load_index(p)
 
-    @pytest.mark.parametrize(
-        "entries, message",
-        [
-            ([], "index has no entries"),
-            ([_entry(shape=())], "entry 0 has an empty or non-finite shape vector"),
-            ([_entry(appearance=(0.5, np.nan))], "entry 0 has an empty or non-finite appearance vector"),
-            ([_entry(), _entry("s1", shape=(np.inf, 1.0, 2.0))], "entry 1 has an empty or non-finite shape vector"),
-            ([_entry(), _entry("s1", shape=(1.0, 2.0))], "entry 1 shape width 2 differs from entry 0's 3"),
-            ([_entry(), _entry("s1", appearance=(1.0,))], "entry 1 appearance width 1 differs from entry 0's 2"),
-            ([_entry(count=0)], "entry 0 has a source count of 0"),
-            ([_entry(), _entry("")], "entry 1 has an empty subject id"),
-        ],
-        ids=["no-entries", "zero-width", "nan", "inf", "shape-widths", "appearance-widths", "count-0", "empty-id"],
-    )
+    @pytest.mark.parametrize("entries, message", _UNLOADABLE, ids=_UNLOADABLE_IDS)
     def test_refuses_what_save_index_never_writes(self, tmp_path, entries, message):
         p = tmp_path / "bad.shrc"
-        save_index(GalleryIndex(entries=entries, model_hash="0123456789ab"), p)
+        p.write_bytes(_raw_index(entries))
         with pytest.raises(CorruptIndex, match=f"bad.shrc: {message}"):
             load_index(p)
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize(
+        "entries, message",
+        _UNLOADABLE
+        + [
+            ([_entry(shape=(1.0, 1e39, 2.0))], "entry 0 has an empty or non-finite shape vector"),
+            ([_entry(), _entry("s1", appearance=(-1e39, 0.5))], "entry 1 has an empty or non-finite appearance"),
+            ([_entry(shape=((1.0, 2.0, 3.0),))], r"entry 0 shape vector has shape \(1, 3\), need one axis"),
+        ],
+        ids=_UNLOADABLE_IDS + ["f32-overflow", "f32-negative-overflow", "two-axes"],
+    )
+    def test_save_index_refuses_what_load_index_refuses(self, tmp_path, entries, message):
+        p = tmp_path / "bad.shrc"
+        with pytest.raises(InvalidInput, match=f"bad.shrc: {message}"):
+            save_index(GalleryIndex(entries=entries, model_hash="0123456789ab"), p)
+        assert not p.exists()
 
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test

@@ -400,7 +400,7 @@ class TestFrameContainer:
         back = read_tracklet_frames(p, rec.tracklet_id, rec.subject_id, rec.clothing_id)
         assert back.tracklet_id == rec.tracklet_id
         assert len(back) == len(rec)
-        np.testing.assert_array_equal(back.masks, rec.masks)  # 0/1 survives u8
+        np.testing.assert_array_equal(back.masks, rec.masks)  # 0/1 survives one bit
         for name in ("appearance", "body", "skeleton"):
             np.testing.assert_array_equal(
                 getattr(back, name), getattr(rec, name).astype(np.float32).astype(np.float64)
@@ -443,7 +443,7 @@ class TestFrameContainer:
         # a well-formed header with frame count 0: the parser, not the
         # record it would build, must reject it
         p = tmp_path / "t.dat"
-        p.write_bytes(b"SHRCDAT3" + struct.pack("<III", 0, 12, 10))
+        p.write_bytes(b"SHRCDAT4" + struct.pack("<III", 0, 12, 10))
         with pytest.raises(CorruptFile, match="t.dat: frame container holds no frames"):
             read_tracklet_frames(p, "t", "s", "c")
 
@@ -465,21 +465,27 @@ class TestFrameContainer:
         p = tmp_path / "t.dat"
         write_tracklet_frames(rec, p)
         raw = p.read_bytes()
-        assert raw[:8] == b"SHRCDAT3"
+        assert raw[:8] == b"SHRCDAT4"
         t = len(rec)
         assert struct.unpack_from("<III", raw, 8) == (t, spec.height, spec.width)
         hw = spec.height * spec.width
-        # (tag, value count, bytes per value) for the whole tracklet: u8
-        # masks, f32 body vectors, f32 skeletons, f32 appearance frames
-        sections = [(1, t * hw, 1), (2, t * 85, 4), (3, t * 51, 4), (4, t * hw * 3, 4)]
+        mask_bytes = -(-t * hw // 8)
+        # (tag, value count, payload bytes) for the whole tracklet: masks as
+        # bits, f32 body vectors, f32 skeletons, f32 appearance frames
+        sections = [
+            (1, t * hw, mask_bytes), (2, t * 85, t * 85 * 4), (3, t * 51, t * 51 * 4), (4, t * hw * 3, t * hw * 12)
+        ]
         off = 20
         for tag, count, size in sections:
             assert struct.unpack_from("<II", raw, off) == (tag, count)
-            off += 8 + count * size
+            off += 8 + size
         assert off == len(raw)
-        masks = np.frombuffer(raw, dtype="u1", count=t * hw, offset=28)
-        np.testing.assert_array_equal(masks.reshape(t, spec.height, spec.width), rec.masks)
-        skeleton = np.frombuffer(raw, dtype="<f4", count=t * 51, offset=28 + t * hw + 8 + t * 85 * 4 + 8)
+        # one bit per pixel, the first pixel in the most significant bit
+        packed = np.frombuffer(raw, dtype="u1", count=mask_bytes, offset=28)
+        bits = [(int(byte) >> (7 - k)) & 1 for byte in packed for k in range(8)]
+        np.testing.assert_array_equal(np.array(bits[: t * hw]).reshape(t, spec.height, spec.width), rec.masks)
+        assert not any(bits[t * hw :])
+        skeleton = np.frombuffer(raw, dtype="<f4", count=t * 51, offset=28 + mask_bytes + 8 + t * 85 * 4 + 8)
         np.testing.assert_array_equal(skeleton.reshape(t, 51), rec.skeleton.astype(np.float32))
 
     @pytest.mark.parametrize("h, w", [(0, 10), (12, 0), (0, 0)])
@@ -488,7 +494,7 @@ class TestFrameContainer:
         p = tmp_path / "t.dat"
         body = struct.pack("<II", 1, 0) + struct.pack("<II", 2, 85) + bytes(4 * 85)
         body += struct.pack("<II", 3, 51) + bytes(4 * 51) + struct.pack("<II", 4, 0)
-        p.write_bytes(b"SHRCDAT3" + struct.pack("<III", 1, h, w) + body)
+        p.write_bytes(b"SHRCDAT4" + struct.pack("<III", 1, h, w) + body)
         with pytest.raises(CorruptFile, match=f"t.dat: frames are {h}x{w}"):
             read_tracklet_frames(p, "t", "s", "c")
 
@@ -522,13 +528,64 @@ class TestFrameContainer:
         with pytest.raises(CorruptFile, match="old.dat: SHRCDAT2 .*re-run synth"):
             read_tracklet_frames(p, "t", "s", "c")
 
+    def test_shrcdat3_is_rejected_with_a_hint(self, tmp_path):
+        # a well-formed container of the byte-per-pixel layout: the same four
+        # sections for the whole tracklet, the masks as u8
+        rec = generate_tracklet(_spec(), 0, 0)
+        h, w = rec.masks.shape[1:]
+        parts = [b"SHRCDAT3", struct.pack("<III", len(rec), h, w)]
+        for tag, (values, dtype) in enumerate(
+            zip((rec.masks, rec.body, rec.skeleton, rec.appearance), ("u1", "<f4", "<f4", "<f4")), start=1
+        ):
+            flat = np.asarray(values, dtype=dtype).reshape(-1)
+            parts.append(struct.pack("<II", tag, flat.size) + flat.tobytes())
+        p = tmp_path / "old.dat"
+        p.write_bytes(b"".join(parts))
+        with pytest.raises(CorruptFile, match="old.dat: SHRCDAT3 .*re-run synth"):
+            read_tracklet_frames(p, "t", "s", "c")
+
+    def test_an_odd_size_mask_section_pads_with_zero_bits(self, tmp_path):
+        # 1 frame of 3x3: 9 mask bits in 2 bytes, the last 7 bits padding
+        masks = np.array([[[1, 0, 1], [1, 1, 0], [0, 0, 1]]], dtype=float)
+        rec = TrackletRecord(
+            "t", "s", "c", masks=masks, appearance=np.full((1, 3, 3, 3), 0.5),
+            body=np.zeros((1, 85)), skeleton=np.zeros((1, 51)),
+        )
+        p = tmp_path / "odd.dat"
+        write_tracklet_frames(rec, p)
+        raw = p.read_bytes()
+        assert struct.unpack_from("<II", raw, 20) == (1, 9)
+        assert raw[28:30] == bytes([0b10111000, 0b10000000])
+        assert struct.unpack_from("<II", raw, 30) == (2, 85)
+        back = read_tracklet_frames(p, "t", "s", "c")
+        assert _same_bytes(back.masks, masks)
+        write_tracklet_frames(back, tmp_path / "again.dat")
+        assert (tmp_path / "again.dat").read_bytes() == raw
+        for bit in range(7):
+            bad = bytearray(raw)
+            bad[29] |= 1 << bit
+            p.write_bytes(bytes(bad))
+            with pytest.raises(CorruptFile, match="odd.dat: mask section sets a padding bit"):
+                read_tracklet_frames(p, "t", "s", "c")
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize("name", ["body", "skeleton"])
+    def test_a_record_beyond_f32_is_refused_before_its_container_is_opened(self, tmp_path, name):
+        rec = generate_tracklet(_spec(frames_per_tracklet=2), 0, 0)
+        values = getattr(rec, name).copy()
+        values[1, 3] = 1e39
+        p = tmp_path / "t.dat"
+        with pytest.raises(InvalidInput, match=f"{name} entries are not finite as f32"):
+            write_tracklet_frames(replace(rec, **{name: values}), p)
+        assert not p.exists()
+
 
 def _small_container(tmp_path) -> bytes:
     spec = _spec(frames_per_tracklet=2, height=4, width=4)
     p = tmp_path / "small.dat"
     write_tracklet_frames(generate_tracklet(spec, 0, 0), p)
     raw = p.read_bytes()
-    assert raw[:8] == b"SHRCDAT3"
+    assert raw[:8] == b"SHRCDAT4"
     return raw
 
 
@@ -551,9 +608,9 @@ class TestContainerFuzz:
 
     def test_signalling_nan_is_refused_without_a_warning(self, tmp_path):
         raw = bytearray(_small_container(tmp_path))
-        # header, then two frames of 4x4 masks (u8), body vectors and
-        # skeletons, then the first appearance value
-        first_app = 20 + 8 + 2 * 16 + 8 + 2 * 4 * 85 + 8 + 2 * 4 * 51 + 8
+        # header, then two frames of 4x4 masks (4 bytes of bits), body
+        # vectors and skeletons, then the first appearance value
+        first_app = 20 + 8 + 2 * 16 // 8 + 8 + 2 * 4 * 85 + 8 + 2 * 4 * 51 + 8
         raw[first_app : first_app + 4] = struct.pack("<I", 0x7F800001)
         p = tmp_path / "snan.dat"
         p.write_bytes(bytes(raw))
