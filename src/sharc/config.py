@@ -68,6 +68,19 @@ _UNIT = within(0, 1)
 MAX_KEYPOINT_JITTER = float.fromhex("0x1.fffffep+127") / 8.6
 
 
+# A group holds 2 ** pyramid_levels frames, however short the tracklet (it is
+# resampled up to one group), and the appearance branch encodes and attends
+# over all of them, so each level doubles a tracklet's embedding time and
+# memory. At 12 levels (4096 frames a group), registering the 16 default
+# tracklets took 0.8 s and 67 MB peak on a 2-vCPU Xeon, against 0.2 s and
+# 43 MB at 10 levels.
+MAX_PYRAMID_LEVELS = 12
+
+
+def _nonempty(v):
+    return None if v else "must not be empty"
+
+
 def _open_unit(v):
     return None if 0.0 < v < 1.0 else "must be in (0, 1)"
 
@@ -121,7 +134,9 @@ class ModelConfig:
     motion_channels: int = setting(12, _POSITIVE)
     gamma: float = setting(0.0, _UNIT)
     alpha: float = setting(0.1, _UNIT)
-    pyramid_levels: int = setting(3, _POSITIVE)
+    pyramid_levels: int = setting(
+        3, within(1, MAX_PYRAMID_LEVELS, ", since a group holds 2 ** pyramid_levels frames")
+    )
     hpp_mode: str = setting("max+mean", _one_of(HPP_MODES))
     ta_target: str = setting("later", _one_of(TA_TARGETS))
     encoder_seed: int = setting(5)
@@ -149,7 +164,7 @@ class AblationConfig:
 
 @dataclass(frozen=True)
 class PathsConfig:
-    data_dir: str = setting("out")
+    data_dir: str = setting("out", _nonempty)
 
 
 @dataclass(frozen=True)
@@ -236,7 +251,9 @@ def _coerce(name: str, text: str, typ):
 
 def parse_config(path) -> RunConfig:
     """Read and validate a config file; every field falls back to a default."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the "" default section, so a [DEFAULT] header is an
+    # ordinary section, refused below as unknown
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str
     with open(path, "r", encoding="utf-8") as f:
         try:

@@ -14,21 +14,21 @@ the 85 and 51 widths of the vector inputs. Weights are drawn from
 SplitMix64, uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], so a (seed, widths)
 pair reproduces the same parameters on any platform.
 
-Parameter files ("SHRCENC1"): little-endian; 8-byte magic, then per layer
-u32 rows, u32 cols, rows*cols f32 weights in row-major order, rows f32 biases.
-Layers are read until end of file. A layer with no rows or columns, one whose
-input width is not the previous layer's output width, and non-finite weights
-or biases make the file corrupt.
+Parameter files ("SHRCENC1", in the conventions of `binfile`): magic, then per
+layer u32 rows, u32 cols, rows*cols f32 weights in row-major order, rows f32
+biases. Layers are read until end of file. A layer with no rows or columns,
+one whose input width is not the previous layer's output width, and
+non-finite weights or biases make the file corrupt.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CorruptFile, DimMismatch, EmptyInput, InvalidInput
+from .binfile import Reader, f32, u32
+from .exceptions import DimMismatch, EmptyInput, InvalidInput
 from .prng import SplitMix64
 
 ENCODER_MAGIC = b"SHRCENC1"
@@ -187,49 +187,27 @@ def encode_appearance(frames: np.ndarray, params: EncoderParams) -> np.ndarray:
 def save_encoder(params: EncoderParams, path) -> None:
     """Write a SHRCENC1 file; weights that float32 cannot hold are refused
     before the file is opened, since `load_encoder` would refuse the file."""
-    # out-of-range values cast to inf, which the check below reports
-    with np.errstate(over="ignore"):
-        layers = [(w.astype("<f4"), b.astype("<f4")) for w, b in params.layers]
-    for i, (w, b) in enumerate(layers):
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise InvalidInput(f"{path}: layer {i} has weights or biases that are not finite in float32")
+    parts = [ENCODER_MAGIC]
+    for i, (w, b) in enumerate(params.layers):
+        message = f"{path}: layer {i} has weights or biases that are not finite in float32"
+        parts += [u32(*w.shape), f32(w, message).tobytes(), f32(b, message).tobytes()]
     with open(path, "wb") as f:
-        f.write(ENCODER_MAGIC)
-        for w, b in layers:
-            rows, cols = w.shape
-            f.write(struct.pack("<II", rows, cols))
-            f.write(w.tobytes(order="C"))
-            f.write(b.tobytes())
+        f.writelines(parts)
 
 
 def load_encoder(path) -> EncoderParams:
     with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < len(ENCODER_MAGIC) or data[: len(ENCODER_MAGIC)] != ENCODER_MAGIC:
-        raise CorruptFile(f"{path}: bad encoder magic")
-    off = len(ENCODER_MAGIC)
+        reader = Reader(f.read(), path, ENCODER_MAGIC)
     layers = []
-    while off < len(data):
-        if off + 8 > len(data):
-            raise CorruptFile(f"{path}: truncated layer header")
-        rows, cols = struct.unpack_from("<II", data, off)
-        off += 8
+    while reader.offset < len(reader.data):
         i = len(layers)
+        rows, cols = reader.u32(2)
         if rows == 0 or cols == 0:
-            raise CorruptFile(f"{path}: layer {i} is {rows}x{cols}")
+            raise reader.corrupt(f"layer {i} is {rows}x{cols}")
         if layers and cols != layers[-1][0].shape[0]:
-            raise CorruptFile(f"{path}: layer {i} takes {cols} inputs, layer {i - 1} emits {layers[-1][0].shape[0]}")
-        need = 4 * (rows * cols + rows)
-        if off + need > len(data):
-            raise CorruptFile(f"{path}: truncated layer payload")
-        w = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=off)
-        off += 4 * rows * cols
-        b = np.frombuffer(data, dtype="<f4", count=rows, offset=off)
-        off += 4 * rows
-        # before the cast to float64, which warns on a signalling NaN
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise CorruptFile(f"{path}: layer {i} has non-finite weights or biases")
-        layers.append((w.astype(np.float64).reshape(rows, cols), b.astype(np.float64)))
+            raise reader.corrupt(f"layer {i} takes {cols} inputs, layer {i - 1} emits {layers[-1][0].shape[0]}")
+        message = f"layer {i} has non-finite weights or biases"
+        layers.append((reader.f32(rows * cols, message).reshape(rows, cols), reader.f32(rows, message)))
     if not layers:
-        raise CorruptFile(f"{path}: no layers")
+        raise reader.corrupt("no layers")
     return EncoderParams(layers=tuple(layers))

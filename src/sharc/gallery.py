@@ -23,26 +23,26 @@ sweep runs the first stage once per tracklet and the second once per gamma.
 `register` (embedding, then `build_index`) is the library's one-call path;
 the CLI embeds each tracklet as it reads it and calls `build_index`.
 
-Index files ("SHRCIDX2"): little-endian; 8-byte magic, u32 byte length + ASCII
-model hash (the hash of the config keys that change the stored vectors, empty
-when unknown), u32 entry count, then per entry a u32 byte length + UTF-8
-subject id, u32 dim + f32 shape centroid, u32 dim + f32 appearance centroid,
-u32 source tracklet count. Centroids are stored in 32-bit, so save -> load ->
-save is byte-stable after the first quantization. "SHRCIDX1" files, which
-carry no model hash, are rejected, and so is any file that `register` and
+Index files ("SHRCIDX2", in the conventions of `binfile`): magic, the model
+hash as text (the hash of the config keys that change the stored vectors,
+empty when unknown), u32 entry count, then per entry the subject id as text,
+u32 dim + f32 shape centroid, u32 dim + f32 appearance centroid, u32 source
+tracklet count. Centroids are stored in 32-bit, so save -> load -> save is
+byte-stable after the first quantization. "SHRCIDX1" files, which carry no
+model hash, are rejected, and so is any file that `register` and
 `save_index` cannot produce: no entries, an empty subject id, an empty or
 non-finite vector, widths that differ between entries, or a source count of 0.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .appearance import AttentionParams, average_aggregate, flatten_feature, mean_embedding, pyramid_aggregate
+from .binfile import Reader, f32, text, u32
 from .core import l2_normalize
 from .encoders import EncoderParams, encode_appearance, frame_chunks
 from .exceptions import CorruptIndex, EmptyInput, InvalidInput
@@ -52,6 +52,7 @@ if TYPE_CHECKING:
     from .synth import TrackletRecord
 
 INDEX_MAGIC = b"SHRCIDX2"
+_RETIRED_MAGICS = {b"SHRCIDX1": "index has no model hash; re-run enroll to rebuild it"}
 
 
 def chunk_frames(n_frames: int, group_size: int) -> list[list[int]]:
@@ -218,94 +219,61 @@ def register(
     return build_index(tracklets, embeddings, centroid=centroid)
 
 
-def _text(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
 def save_index(index: GalleryIndex, path) -> None:
-    """Write `index` to `path` (layout in the module docstring).
-
-    Every index that `load_index` would refuse raises InvalidInput before
-    `path` is opened: no entries, an empty subject id, a vector that is not
-    one axis, is empty or is not finite once cast to f32, widths that differ
-    between entries, or a source count below 1.
-    """
-    if not index.entries:
-        raise InvalidInput(f"{path}: index has no entries")
-    parts = [INDEX_MAGIC, _text(index.model_hash), struct.pack("<I", len(index.entries))]
+    """Write `index` to `path` (layout in the module docstring). Before `path`
+    is opened, the bytes are parsed as `load_index` parses them, and what it
+    would refuse raises InvalidInput; so do the two faults that cannot reach
+    the bytes, a vector that is not one axis and a source count outside u32."""
+    parts = [INDEX_MAGIC, text(index.model_hash), u32(len(index.entries))]
     for i, e in enumerate(index.entries):
-        if not e.subject_id:
-            raise InvalidInput(f"{path}: entry {i} has an empty subject id")
-        parts.append(_text(e.subject_id))
+        parts.append(text(e.subject_id))
         for name in ("shape", "appearance"):
-            # a value beyond the f32 range becomes inf here, refused below
-            with np.errstate(over="ignore"):
-                vec = np.asarray(getattr(e, name)).astype("<f4")
+            # a value beyond the f32 range becomes inf here, which the parser refuses
+            vec = f32(getattr(e, name))
             if vec.ndim != 1:
                 raise InvalidInput(f"{path}: entry {i} {name} vector has shape {vec.shape}, need one axis")
-            if vec.size == 0 or not np.all(np.isfinite(vec)):
-                raise InvalidInput(f"{path}: entry {i} has an empty or non-finite {name} vector")
-            width = len(getattr(index.entries[0], name))
-            if len(vec) != width:
-                raise InvalidInput(f"{path}: entry {i} {name} width {len(vec)} differs from entry 0's {width}")
-            parts += [struct.pack("<I", len(vec)), vec.tobytes()]
-        if e.source_count < 1:
+            parts += [u32(len(vec)), vec.tobytes()]
+        if not 0 <= e.source_count < 2**32:
             raise InvalidInput(f"{path}: entry {i} has a source count of {e.source_count}")
-        parts.append(struct.pack("<I", e.source_count))
+        parts.append(u32(e.source_count))
+    data = b"".join(parts)
+    try:
+        _parse_index(data, path)
+    except CorruptIndex as exc:
+        raise InvalidInput(str(exc)) from None
     with open(path, "wb") as f:
-        f.writelines(parts)
+        f.write(data)
 
 
 def load_index(path) -> GalleryIndex:
     with open(path, "rb") as f:
-        data = f.read()
-    magic = data[: len(INDEX_MAGIC)]
-    if magic == b"SHRCIDX1":
-        raise CorruptIndex(f"{path}: SHRCIDX1 index has no model hash; re-run enroll to rebuild it")
-    if magic != INDEX_MAGIC:
-        raise CorruptIndex(f"{path}: bad index magic")
-    off = len(INDEX_MAGIC)
+        return _parse_index(f.read(), path)
 
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise CorruptIndex(f"{path}: truncated index")
-        chunk = data[off : off + n]
-        off += n
-        return chunk
 
-    def text() -> str:
-        (n,) = struct.unpack("<I", take(4))
-        try:
-            return take(n).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorruptIndex(f"{path}: text field is not UTF-8") from None
-
-    model_hash = text()
-    (count,) = struct.unpack("<I", take(4))
+def _parse_index(data: bytes, path) -> GalleryIndex:
+    reader = Reader(data, path, INDEX_MAGIC, CorruptIndex, _RETIRED_MAGICS)
+    model_hash = reader.text()
+    (count,) = reader.u32()
     if count == 0:
-        raise CorruptIndex(f"{path}: index has no entries")
+        raise reader.corrupt("index has no entries")
     entries = []
     for i in range(count):
-        subject = text()
+        subject = reader.text()
         if not subject:
-            raise CorruptIndex(f"{path}: entry {i} has an empty subject id")
+            raise reader.corrupt(f"entry {i} has an empty subject id")
         vecs = []
         for name in ("shape", "appearance"):
-            (dim,) = struct.unpack("<I", take(4))
-            raw = np.frombuffer(take(4 * dim), dtype="<f4")
-            # before the cast to float64, which warns on a signalling NaN
-            if dim == 0 or not np.all(np.isfinite(raw)):
-                raise CorruptIndex(f"{path}: entry {i} has an empty or non-finite {name} vector")
+            (dim,) = reader.u32()
+            message = f"entry {i} has an empty or non-finite {name} vector"
+            vecs.append(reader.f32(dim, message))
+            if dim == 0:
+                raise reader.corrupt(message)
             width = len(getattr(entries[0], name)) if entries else dim
             if dim != width:
-                raise CorruptIndex(f"{path}: entry {i} {name} width {dim} differs from entry 0's {width}")
-            vecs.append(raw.astype(np.float64))
-        (k,) = struct.unpack("<I", take(4))
+                raise reader.corrupt(f"entry {i} {name} width {dim} differs from entry 0's {width}")
+        (k,) = reader.u32()
         if k == 0:
-            raise CorruptIndex(f"{path}: entry {i} has a source count of 0")
+            raise reader.corrupt(f"entry {i} has a source count of 0")
         entries.append(IndexEntry(subject, shape=vecs[0], appearance=vecs[1], source_count=k))
-    if off != len(data):
-        raise CorruptIndex(f"{path}: {len(data) - off} trailing bytes")
+    reader.finish()
     return GalleryIndex(entries=entries, model_hash=model_hash)

@@ -47,12 +47,12 @@ from __future__ import annotations
 import functools
 import math
 import os
-import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .binfile import Reader, f32, u32
 from .config import DatasetSpec
 from .encoders import frame_chunks
 from .exceptions import CorruptFile, EmptyInput, InvalidInput, ProtocolError
@@ -60,7 +60,9 @@ from .manifest import ManifestRow, read_manifest, write_manifest
 from .prng import SplitMix64, box_muller, derive_seed, normal_uniform_count, uniform_rows
 
 DATA_MAGIC = b"SHRCDAT4"
-_OLD_DATA_MAGICS = (b"SHRCDAT1", b"SHRCDAT2", b"SHRCDAT3")
+_RETIRED_MAGICS = dict.fromkeys(
+    (b"SHRCDAT1", b"SHRCDAT2", b"SHRCDAT3"), "frame containers are no longer read; re-run synth"
+)
 
 SIGNATURE_DIM = 6
 
@@ -425,7 +427,7 @@ def split_protocol(records: list, ratio: float, seed: int) -> tuple[list, list]:
 
 
 def write_tracklet_frames(record: TrackletRecord, path) -> None:
-    """Serialize one tracklet's frames, little-endian.
+    """Serialize one tracklet's frames, in the conventions of `binfile`.
 
     Layout: magic, u32 frame count, u32 height, u32 width, then four tagged
     sections for the whole tracklet, each a u32 tag, u32 value count, payload:
@@ -437,76 +439,52 @@ def write_tracklet_frames(record: TrackletRecord, path) -> None:
     A record with a value that is not finite as f32 raises InvalidInput
     before `path` is opened.
     """
-    t, h, w = record.masks.shape
-    parts = [DATA_MAGIC, struct.pack("<III", t, h, w)]
+    parts = [DATA_MAGIC, u32(*record.masks.shape)]
     for tag, name, dtype in _SECTIONS:
         values = getattr(record, name).reshape(-1)
         if dtype is None:
             payload = np.packbits(values.astype(np.uint8))
         else:
-            with np.errstate(over="ignore"):
-                payload = values.astype(dtype)
-            if not np.all(np.isfinite(payload)):
-                raise InvalidInput(f"tracklet {record.tracklet_id}: {name} entries are not finite as f32")
-        parts += [struct.pack("<II", tag, values.size), payload]
+            payload = f32(values, f"tracklet {record.tracklet_id}: {name} entries are not finite as f32")
+        parts += [u32(tag, values.size), payload]
     with open(path, "wb") as f:
         f.writelines(parts)
 
 
 def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: str) -> TrackletRecord:
-    """Parse a SHRCDAT4 container back into a tracklet record.
-
-    Any malformed container raises CorruptFile naming the path (a SHRCDAT1,
-    SHRCDAT2 or SHRCDAT3 one with a hint to re-run synth), and so does a set
-    padding bit in the mask section, so every container read here is written
-    back byte for byte; values the record refuses raise InvalidInput.
-    """
+    """Parse a SHRCDAT4 container back into a tracklet record. A malformed
+    container raises CorruptFile, and so does a set padding bit in the mask
+    section, so every container read here is written back byte for byte;
+    values the record refuses raise InvalidInput."""
     with open(path, "rb") as f:
-        raw = f.read()
-    magic = raw[: len(DATA_MAGIC)]
-    if magic in _OLD_DATA_MAGICS:
-        raise CorruptFile(f"{path}: {magic.decode()} frame containers are no longer read; re-run synth")
-    if magic != DATA_MAGIC:
-        raise CorruptFile(f"{path}: bad magic, not a frame container")
-    off = len(DATA_MAGIC)
-
-    def take(count: int) -> bytes:
-        nonlocal off
-        if off + count > len(raw):
-            raise CorruptFile(f"{path}: truncated at byte {off}")
-        chunk = raw[off : off + count]
-        off += count
-        return chunk
-
-    n_frames, h, w = struct.unpack("<III", take(12))
+        reader = Reader(f.read(), path, DATA_MAGIC, retired=_RETIRED_MAGICS)
+    n_frames, h, w = reader.u32(3)
     if n_frames == 0:
-        raise CorruptFile(f"{path}: frame container holds no frames")
+        raise reader.corrupt("frame container holds no frames")
     if h == 0 or w == 0:
-        raise CorruptFile(f"{path}: frames are {h}x{w}, need at least one pixel")
+        raise reader.corrupt(f"frames are {h}x{w}, need at least one pixel")
     shapes = _record_shapes(n_frames, h, w)
     arrays = {}
     for expected_tag, name, dtype in _SECTIONS:
         expected_count = math.prod(shapes[name])
-        tag, count = struct.unpack("<II", take(8))
+        tag, count = reader.u32(2)
         if tag != expected_tag or count != expected_count:
-            raise CorruptFile(
-                f"{path}: expected section {expected_tag} with {expected_count} values, "
-                f"got tag {tag} with {count}"
+            raise reader.corrupt(
+                f"expected section {expected_tag} with {expected_count} values, got tag {tag} with {count}"
             )
         if dtype is None:
-            packed = np.frombuffer(take(-(-count // 8)), dtype=np.uint8)
+            packed = reader.array(np.uint8, -(-count // 8))
             # the last byte's low 8 - count % 8 bits are padding (none when 8 divides count)
             if packed[-1] & (0xFF >> (count % 8 or 8)):
-                raise CorruptFile(f"{path}: mask section sets a padding bit")
+                raise reader.corrupt("mask section sets a padding bit")
             values = np.unpackbits(packed, count=count)
         else:
-            values = np.frombuffer(take(np.dtype(dtype).itemsize * count), dtype=dtype)
+            values = reader.array(dtype, count)
         # a corrupt payload can hold a signalling NaN; the record refuses it as
         # non-finite, so its cast to float64 must not also print a warning
         with np.errstate(invalid="ignore"):
             arrays[name] = values.astype(np.float64).reshape(shapes[name])
-    if off != len(raw):
-        raise CorruptFile(f"{path}: {len(raw) - off} trailing bytes")
+    reader.finish()
     return TrackletRecord(tracklet_id=tracklet_id, subject_id=subject_id, clothing_id=clothing_id, **arrays)
 
 

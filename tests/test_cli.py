@@ -96,6 +96,24 @@ class TestExitCodes:
         assert _run(["synth", "--config", tmp / config, "--out", tmp / out]) == 2
         assert capsys.readouterr().err == f"error: {tmp / bad}: {os.strerror(code)}\n"
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            # configparser's default section would feed num_ids to every section
+            ("[DEFAULT]\nnum_ids = 3\n", "DEFAULT"),
+            ("[paths]\ndata_dir =\n", "paths.data_dir"),
+            # a group of 2 ** 40 frames, which enroll could never embed
+            ("[model]\npyramid_levels = 40\n", "model.pyramid_levels"),
+        ],
+        ids=["default_section", "empty_data_dir", "pyramid_levels_40"],
+    )
+    def test_config_that_cannot_run_is_3_naming_the_field(self, tmp_path, capsys, text, field):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert _run(["synth", "--config", bad, "--out", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: invalid config: {field}: ")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[model]\nwhatever = 1\n")

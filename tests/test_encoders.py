@@ -243,6 +243,15 @@ class TestSerialization:
         with pytest.raises(CorruptFile):
             load_encoder(path)
 
+    def test_truncation_names_the_path_and_the_offset(self, tmp_path):
+        path = tmp_path / "enc.bin"
+        save_encoder(EncoderParams.initialize((4, 6), seed=9), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-2])
+        # the cut falls in the last field, the 6 f32 biases
+        with pytest.raises(CorruptFile, match=f"enc.bin: truncated at byte {len(raw) - 24}$"):
+            load_encoder(path)
+
     def test_signalling_nan_is_refused_without_a_warning(self, tmp_path):
         path = tmp_path / "enc.bin"
         save_encoder(EncoderParams.initialize((4, 6), seed=9), path)

@@ -292,6 +292,15 @@ class TestIndexFile:
         with pytest.raises(CorruptIndex):
             load_index(p)
 
+    def test_truncation_names_the_path_and_the_offset(self, tmp_path):
+        p = tmp_path / "x.shrc"
+        save_index(GalleryIndex(entries=[_entry()], model_hash="0123456789ab"), p)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:-2])
+        # the cut falls in the last field, the u32 source count
+        with pytest.raises(CorruptIndex, match=f"x.shrc: truncated at byte {len(raw) - 4}$"):
+            load_index(p)
+
     @pytest.mark.parametrize("entries, message", _UNLOADABLE, ids=_UNLOADABLE_IDS)
     def test_refuses_what_save_index_never_writes(self, tmp_path, entries, message):
         p = tmp_path / "bad.shrc"
@@ -314,6 +323,13 @@ class TestIndexFile:
         p = tmp_path / "bad.shrc"
         with pytest.raises(InvalidInput, match=f"bad.shrc: {message}"):
             save_index(GalleryIndex(entries=entries, model_hash="0123456789ab"), p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("count", [-1, 2**32])
+    def test_save_index_refuses_a_source_count_u32_cannot_hold(self, tmp_path, count):
+        p = tmp_path / "bad.shrc"
+        with pytest.raises(InvalidInput, match=f"bad.shrc: entry 0 has a source count of {count}$"):
+            save_index(GalleryIndex(entries=[_entry(count=count)]), p)
         assert not p.exists()
 
 

@@ -439,6 +439,16 @@ class TestFrameContainer:
         with pytest.raises(CorruptFile):
             read_tracklet_frames(p, "t", "s", "c")
 
+    def test_truncation_names_the_path_and_the_offset(self, tmp_path):
+        rec = generate_tracklet(_spec(frames_per_tracklet=2, height=4, width=4), 0, 0)
+        p = tmp_path / "t.dat"
+        write_tracklet_frames(rec, p)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:-2])
+        # the cut falls in the last field, the 2 * 4 * 4 * 3 f32 appearance values
+        with pytest.raises(CorruptFile, match=f"t.dat: truncated at byte {len(raw) - 4 * 96}$"):
+            read_tracklet_frames(p, "t", "s", "c")
+
     def test_zero_frames_is_corrupt(self, tmp_path):
         # a well-formed header with frame count 0: the parser, not the
         # record it would build, must reject it
