@@ -17,8 +17,9 @@ The commands only orchestrate: the models that `config` builds apply every
 this file imports only `config` and `exceptions`; each command imports what
 it runs in its own body, so `evaluate` loads no model and `train-toy` no
 dataset, gallery or scoring module. `evaluate` imports no numpy either: it
-reads the fused scores as lists (`scorefile`) and counts each query's rank
-over them (`metrics`).
+reads the fused scores as lists (`tables`) and counts each query's rank
+over them (`metrics`). Every table a command reads or writes goes through
+`tables`.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .gallery import AppearanceModel, GalleryIndex
-    from .manifest import ManifestRow
     from .matcher import ScoreMatrix
+    from .tables import ManifestRow
 
 GAMMA_SWEEP = (1.0, 0.2, 0.1, 0.0)
 ALPHA_SWEEP = (0.05, 0.1, 0.2, 0.3, 0.4)
@@ -50,16 +51,17 @@ def _comment(cfg: RunConfig) -> str:
 
 def _embed_manifest(name: str, cfg: RunConfig, embed) -> tuple[list[ManifestRow], list]:
     """The rows of manifest `name` in data_dir and `embed` of each of its
-    tracklets, in row order; each tracklet is read and embedded before the
-    next is read. A manifest naming no tracklet is refused."""
-    from .manifest import read_manifest
+    tracklets, in row order; the manifest is read once, and each tracklet is
+    read and embedded before the next is read. A manifest naming no tracklet
+    is refused."""
     from .synth import load_dataset
+    from .tables import read_manifest
 
     path = os.path.join(cfg.paths.data_dir, name)
     rows = read_manifest(path)
     if not rows:
         raise EmptyInput(f"{path}: names no tracklets")
-    return rows, [embed(record) for record in load_dataset(path)]
+    return rows, [embed(record) for record in load_dataset(path, rows)]
 
 
 def _score_embedded(
@@ -105,18 +107,11 @@ def _sweep(cfg: RunConfig, app_model: AppearanceModel, gallery: tuple, queries: 
             yield gamma, alpha, index, fuse_scores(s_shape, s_app, alpha)
 
 
-def _write_table(path: str, comment: str, header: str, rows: list[str]) -> None:
-    with open(path, "w") as f:
-        f.write(f"# {comment}\n{header}\n")
-        for row in rows:
-            f.write(row + "\n")
-
-
 def cmd_synth(cfg: RunConfig, out: str) -> int:
-    from .manifest import read_manifest, write_manifest
     from .synth import iter_dataset, split_protocol, write_dataset
+    from .tables import write_manifest
 
-    rows = read_manifest(write_dataset(iter_dataset(cfg.dataset), out, _comment(cfg)))
+    rows = write_dataset(iter_dataset(cfg.dataset), out, _comment(cfg))
     gallery, query = split_protocol(rows, cfg.protocol.gallery_ratio, cfg.protocol.split_seed)
     write_manifest(gallery, os.path.join(out, "gallery.csv"), _comment(cfg))
     write_manifest(query, os.path.join(out, "query.csv"), _comment(cfg))
@@ -158,9 +153,8 @@ def cmd_query(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, out: str) -> int:
-    from .manifest import read_manifest
     from .metrics import evaluate_scores
-    from .scorefile import read_scores
+    from .tables import read_manifest, read_scores, write_table
 
     fused_path = os.path.join(out, "scores_fused.csv")
     query_path = os.path.join(cfg.paths.data_dir, "query.csv")
@@ -171,9 +165,9 @@ def cmd_evaluate(cfg: RunConfig, out: str) -> int:
         raise InvalidInput(f"{fused_path}: query id {unknown[0]!r} is not in {query_path}")
     report = evaluate_scores(rows, gallery_ids, [subject_of[q] for q in query_ids])
     lines = report.lines()
-    _write_table(os.path.join(out, "report.txt"), _comment(cfg), lines[0], lines[1:])
-    table = report.csv_rows()
-    _write_table(os.path.join(out, "report.csv"), _comment(cfg), table[0], table[1:])
+    write_table(os.path.join(out, "report.txt"), _comment(cfg), lines[:1], [[line] for line in lines[1:]])
+    header, values = report.csv_rows()
+    write_table(os.path.join(out, "report.csv"), _comment(cfg), header.split(","), [values.split(",")])
     for line in lines:
         print(line)
     return 0
@@ -184,20 +178,21 @@ def _write_sweep(cfg: RunConfig, out: str, key: str, gammas, alphas) -> int:
     by the swept one of the two, `key`."""
     from .gallery import tracklet_features
     from .metrics import evaluate_scores
+    from .tables import write_table
 
     shape_model, app_model = build_shape_model(cfg), build_appearance_model(cfg)
     gallery = _embed_manifest("gallery.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
     queries = _embed_manifest("query.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
     # _sweep scores the queries in manifest row order
     labels = [r.subject_id for r in queries[0]]
-    header = f"{key},rank1"
+    header = [key, "rank1"]
     rows = [
-        f"{(gamma if key == 'gamma' else alpha)!r},"
-        f"{evaluate_scores(fused.scores.tolist(), fused.gallery_ids, labels).rank_k[1]!r}"
+        [repr(gamma if key == "gamma" else alpha),
+         repr(evaluate_scores(fused.scores.tolist(), fused.gallery_ids, labels).rank_k[1])]
         for gamma, alpha, _, fused in _sweep(cfg, app_model, gallery, queries, gammas, alphas)
     ]
-    _write_table(os.path.join(out, f"ablate_{key}.csv"), _comment(cfg), header, rows)
-    print("\n".join([header] + rows))
+    write_table(os.path.join(out, f"ablate_{key}.csv"), _comment(cfg), header, rows)
+    print("\n".join(",".join(cells) for cells in [header] + rows))
     return 0
 
 
@@ -213,6 +208,7 @@ def cmd_train_toy(cfg: RunConfig, out: str) -> int:
     from .encoders import EncoderParams, save_encoder
     from .losses import make_toy_dataset, train_toy
     from .prng import derive_seed
+    from .tables import write_table
 
     t = cfg.train
     dataset = make_toy_dataset(t.num_ids, t.samples_per_id, t.input_dim, t.noise, t.data_seed)
@@ -222,11 +218,11 @@ def cmd_train_toy(cfg: RunConfig, out: str) -> int:
     result = train_toy(params, dataset, t.objective, t.steps, t.lr, derive_seed(t.seed, 2))
     # first, so that weights float32 cannot hold leave no loss trace behind either
     save_encoder(result.params, os.path.join(out, "trained_encoder.shrcenc"))
-    _write_table(
+    write_table(
         os.path.join(out, "loss_trace.csv"),
         _comment(cfg),
-        "step,loss",
-        [f"{i},{loss!r}" for i, loss in enumerate(result.trace)],
+        ["step", "loss"],
+        [[str(i), repr(loss)] for i, loss in enumerate(result.trace)],
     )
     print(f"objective={t.objective} initial={result.trace[0]!r} final={result.trace[-1]!r}")
     return 0

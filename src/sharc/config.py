@@ -259,7 +259,9 @@ def parse_config(path) -> RunConfig:
         try:
             parser.read_file(f, source=str(path))
         except configparser.Error as exc:
-            raise ConfigError("(file)", f"unparseable config: {exc}") from None
+            # configparser spreads its message, line number included, over lines
+            message = " ".join(line.strip() for line in str(exc).splitlines())
+            raise ConfigError("(file)", f"unparseable config: {message}") from None
         except UnicodeDecodeError:
             raise ConfigError("(file)", "config is not UTF-8 text") from None
 

@@ -19,10 +19,10 @@ compute the same cells one pair at a time; the two agree to within 1e-12.
 `rank` orders a whole score matrix at once: one stable argsort of the negated
 scores along each row, over the columns put in id order first.
 
-`ScoreMatrix.write_csv` writes the score files that `query` leaves behind.
-They are parsed in one place, the numpy-free `scorefile.read_scores`:
-`ScoreMatrix.read_csv` is a matrix over its rows, and `evaluate` uses its
-lists directly, so it never imports this module.
+`ScoreMatrix.write_csv` writes the score files that `query` leaves behind,
+through `tables.write_table`. They are parsed in one place, the numpy-free
+`tables.read_scores`: `ScoreMatrix.read_csv` is a matrix over its rows, and
+`evaluate` uses its lists directly, so it never imports this module.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exceptions import AlignmentError, DimMismatch, EmptyInput, InvalidInput
-from .scorefile import read_scores
+from .tables import read_scores, write_table
 
 if TYPE_CHECKING:
     from .gallery import GalleryIndex
@@ -65,32 +65,17 @@ class ScoreMatrix:
         self.scores = s
 
     def write_csv(self, path, header_comment: str | None = None) -> None:
-        """Comma-separated UTF-8 export: gallery ids as header, one row per query.
-
-        An id that read_csv would not give back (one holding a comma or a line
-        break, or a query id that starts a `#` comment line) or would refuse
-        (a repeated one) raises InvalidInput before the file is opened.
-        """
-        for kind, ids in (("query", self.query_ids), ("gallery", self.gallery_ids)):
-            seen: set[str] = set()
-            for i in ids:
-                if any(c in i for c in ",\r\n") or (kind == "query" and i.startswith("#")):
-                    raise InvalidInput(f"{path}: {kind} id {i!r} cannot be written to a score file")
-                if i in seen:
-                    raise InvalidInput(f"{path}: {kind} id {i!r} appears twice")
-                seen.add(i)
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            if header_comment is not None:
-                f.write(f"# {header_comment}\n")
-            f.write("query_id," + ",".join(self.gallery_ids) + "\n")
-            for qid, row in zip(self.query_ids, self.scores):
-                # repr of a python float round-trips exactly; numpy scalars do
-                # not, and tolist() gives python floats
-                f.write(qid + "," + ",".join(map(repr, row.tolist())) + "\n")
+        """Comma-separated UTF-8 export: gallery ids as header, one row per
+        query, refused as `tables.write_table` refuses."""
+        # repr of a python float round-trips exactly; numpy scalars do not,
+        # and tolist() gives python floats
+        rows = ([qid, *map(repr, row)] for qid, row in zip(self.query_ids, self.scores.tolist()))
+        header = ["query_id", *self.gallery_ids]
+        write_table(path, header_comment, header, rows, key="query id", column="gallery id")
 
     @classmethod
     def read_csv(cls, path) -> "ScoreMatrix":
-        """Inverse of write_csv: the table `scorefile.read_scores` reads, as a
+        """Inverse of write_csv: the table `tables.read_scores` reads, as a
         matrix, refused with the same InvalidInput messages."""
         query_ids, gallery_ids, rows = read_scores(path)
         return cls(scores=np.array(rows, dtype=np.float64), query_ids=query_ids, gallery_ids=gallery_ids)

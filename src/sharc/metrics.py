@@ -13,7 +13,7 @@ read from those positions. A list that holds none of its query's correct ids
 `evaluate_scores` gives the same report straight from a score table whose
 columns are unique subject ids, as the CLI's are: each query has one correct
 column, so its rank is a count and nothing is sorted. It takes any sequence
-of rows of floats, a numpy matrix or the lists `scorefile.read_scores`
+of rows of floats, a numpy matrix or the lists `tables.read_scores`
 gives.
 
 The module imports no numpy, so `evaluate` runs without it. Every mAP is

@@ -56,8 +56,8 @@ from .binfile import Reader, f32, u32
 from .config import DatasetSpec
 from .encoders import frame_chunks
 from .exceptions import CorruptFile, EmptyInput, InvalidInput, ProtocolError
-from .manifest import ManifestRow, read_manifest, write_manifest
 from .prng import SplitMix64, box_muller, derive_seed, normal_uniform_count, uniform_rows
+from .tables import ManifestRow, read_manifest, write_manifest
 
 DATA_MAGIC = b"SHRCDAT4"
 _RETIRED_MAGICS = dict.fromkeys(
@@ -488,8 +488,11 @@ def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: s
     return TrackletRecord(tracklet_id=tracklet_id, subject_id=subject_id, clothing_id=clothing_id, **arrays)
 
 
-def write_dataset(records: Iterable[TrackletRecord], out_dir, header_comment: str | None = None) -> str:
-    """Write frame containers plus the manifest; returns the manifest path.
+def write_dataset(
+    records: Iterable[TrackletRecord], out_dir, header_comment: str | None = None
+) -> list[ManifestRow]:
+    """Write frame containers plus the manifest `manifest.csv`; returns the
+    manifest's rows.
 
     Each record's container is written as the record arrives, so an iterator
     such as `iter_dataset` keeps one block of tracklets in memory at a time.
@@ -519,13 +522,15 @@ def write_dataset(records: Iterable[TrackletRecord], out_dir, header_comment: st
             )
         )
     write_manifest(rows, manifest_path, header_comment)
-    return manifest_path
+    return rows
 
 
-def load_dataset(manifest_path) -> Iterator[TrackletRecord]:
-    """Yield each tracklet named by a manifest, read when asked for; paths resolve against it."""
+def load_dataset(manifest_path, rows: list[ManifestRow] | None = None) -> Iterator[TrackletRecord]:
+    """Yield each tracklet named by a manifest, read when asked for; paths
+    resolve against it. `rows` are the manifest's rows, if the caller has
+    read them already."""
     base = os.path.dirname(os.path.abspath(manifest_path))
-    for row in read_manifest(manifest_path):
+    for row in read_manifest(manifest_path) if rows is None else rows:
         path = os.path.join(base, row.frames_path)
         if not os.path.exists(path):
             raise CorruptFile(f"{manifest_path}: missing frame container {row.frames_path}")

@@ -13,11 +13,12 @@ import pytest
 import sharc.gallery
 import sharc.losses
 import sharc.synth
+import sharc.tables
 from sharc.cli import main
 from sharc.config import build_appearance_model, build_shape_model, parse_config
 from sharc.gallery import register, save_index
-from sharc.manifest import read_manifest
 from sharc.synth import load_dataset
+from sharc.tables import read_manifest
 
 SMALL_CFG = """
 [dataset]
@@ -82,6 +83,26 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[]\nx = 1\n", "line: 1"),
+            ("[dataset]\n  num_ids\n", "[line  2]"),
+            ("[model]\n[model]\n", "[line  2]"),
+            ("[model]\nalpha = 0.5\nalpha = 0.6\n", "[line  3]"),
+        ],
+        ids=["bad_section_header", "indented_key_with_no_value", "repeated_section", "repeated_key"],
+    )
+    def test_unparseable_config_is_3_in_one_line(self, tmp_path, capsys, text, line):
+        # configparser's messages span up to three lines
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert _run(["synth", "--config", bad, "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: (file): unparseable config: ") and err.count("\n") == 1
+        assert line in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "config, out, bad, code",
         [
             ("run.cfg", "blocker", "blocker", errno.EEXIST),
@@ -142,21 +163,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and "query.csv" in err
         assert "Traceback" not in err
 
-    def test_query_id_starting_a_comment_is_2_with_no_scores(self, workspace, capsys):
-        # read_csv would skip that row as a comment and evaluate fewer queries
+    def test_a_query_row_starting_with_hash_is_a_comment(self, workspace):
+        # every table skips `#` lines wherever they stand, so no query id
+        # that a score file would read as a comment reaches the scores
         cfg_path, data_dir, tmp = workspace
         out = tmp / "run"
         assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
         assert _run(["enroll", "--config", cfg_path, "--out", out]) == 0
         lines = (data_dir / "query.csv").read_text().splitlines()
+        commented = lines[2].split(",")[0]
         lines[2] = "#" + lines[2]
         (data_dir / "query.csv").write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert _run(["query", "--config", cfg_path, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"query id '{lines[2].split(',')[0]}'" in err and "Traceback" not in err
-        assert not list(out.glob("scores_*.csv"))
+        assert _run(["query", "--config", cfg_path, "--out", out]) == 0
+        for name in ("scores_shape.csv", "scores_appearance.csv", "scores_fused.csv"):
+            ids = [row.split(",")[0] for row in (out / name).read_text().splitlines()[2:]]
+            assert ids == [row.split(",")[0] for row in lines[3:]], name
+            assert commented not in ids and "#" + commented not in ids
 
     @pytest.mark.parametrize(
         "command, manifest",
@@ -230,19 +252,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert "gallery.csv: manifest is not UTF-8" in err
 
-    def test_manifest_field_over_the_csv_limit_is_2(self, workspace, capsys):
-        # csv refuses a field over 131,072 characters; its csv.Error used to
-        # escape as a traceback
+    def test_manifest_field_over_the_old_csv_limit_reads(self, workspace, capsys):
+        # csv refused a field over 131,072 characters; the table reader has
+        # no field limit, so the row reads and its missing container is named
         cfg_path, data_dir, tmp = workspace
         out = tmp / "run"
         assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
         lines = (data_dir / "gallery.csv").read_text().splitlines()
-        (data_dir / "gallery.csv").write_text("\n".join(lines + ["t" * 200_000 + ",s000,c0,frames/x.dat"]) + "\n")
+        frames_path = "frames/" + "x" * 200_000 + ".dat"
+        (data_dir / "gallery.csv").write_text("\n".join(lines + [f"t,s000,c0,{frames_path}"]) + "\n")
         capsys.readouterr()
         assert _run(["enroll", "--config", cfg_path, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-        assert f"gallery.csv: line {len(lines) + 1}: field larger than field limit" in err
+        assert err.endswith(f"gallery.csv: missing frame container {frames_path}\n")
         assert not (out / "index.shrc").exists()
 
     def test_frames_path_naming_a_directory_is_2(self, workspace, capsys):
@@ -296,8 +319,8 @@ class TestExitCodes:
              "line 3: non-numeric score"),
             (lambda lines: lines[:2] + ["nobody," + lines[2].split(",", 1)[1]] + lines[3:],
              "query id 'nobody' is not in"),
-            (lambda lines: lines + ["\udcff\udcfe"], "not a text file"),
-            (lambda lines: lines[:3] + [lines[2]] + lines[3:], "line 4: query id 's00"),
+            (lambda lines: lines + ["\udcff\udcfe"], "score file is not UTF-8 text"),
+            (lambda lines: lines[:3] + [lines[2]] + lines[3:], "line 4 repeats query id 's00"),
             (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + "," + lines[1].split(",")[1]] + lines[2:],
              "line 2: gallery id 's000' appears twice"),
             (lambda lines: lines[:2], "holds no query rows"),
@@ -511,6 +534,48 @@ def test_each_tracklet_is_embedded_before_the_next_is_read(workspace, monkeypatc
     assert events == [(kind, tracklet) for tracklet in ids for kind in ("read", "embed")]
 
 
+def test_each_table_is_written_with_lf_endings(workspace):
+    cfg_path, data_dir, tmp = workspace
+    for command in ("synth", "enroll", "query", "evaluate", "ablate-gamma", "ablate-alpha", "train-toy"):
+        assert _run([command, "--config", cfg_path]) == 0
+    tables = sorted(p.name for p in data_dir.iterdir() if p.suffix in (".csv", ".txt"))
+    assert tables == sorted(
+        ["manifest.csv", "gallery.csv", "query.csv", "scores_shape.csv", "scores_appearance.csv",
+         "scores_fused.csv", "report.txt", "report.csv", "ablate_gamma.csv", "ablate_alpha.csv", "loss_trace.csv"]
+    )
+    for name in tables:
+        raw = (data_dir / name).read_bytes()
+        assert raw.startswith(_expected_comment(cfg_path).encode() + b"\n") and raw.endswith(b"\n"), name
+        assert b"\r" not in raw, name
+
+
+@pytest.mark.parametrize(
+    "setup, command, reads",
+    [
+        ([], "synth", {}),
+        (["synth"], "enroll", {"gallery.csv": 1}),
+        (["synth", "enroll"], "query", {"query.csv": 1}),
+        (["synth", "enroll", "query"], "evaluate", {"scores_fused.csv": 1, "query.csv": 1}),
+        (["synth"], "ablate-gamma", {"gallery.csv": 1, "query.csv": 1}),
+    ],
+    ids=["synth", "enroll", "query", "evaluate", "ablate-gamma"],
+)
+def test_each_command_reads_each_table_once(workspace, monkeypatch, setup, command, reads):
+    # the manifest rows a command has written or read are passed on, not read again
+    cfg_path, data_dir, tmp = workspace
+    for name in setup:
+        assert _run([name, "--config", cfg_path]) == 0
+    read_table, names = sharc.tables.read_table, []
+
+    def counted(path, *args):
+        names.append(os.path.basename(path))
+        return read_table(path, *args)
+
+    monkeypatch.setattr(sharc.tables, "read_table", counted)
+    assert _run([command, "--config", cfg_path]) == 0
+    assert {name: names.count(name) for name in names} == reads
+
+
 @pytest.mark.parametrize("levels", [2, 4])
 def test_pipeline_runs_at_other_pyramid_depths(workspace, capsys, levels):
     # the appearance groups hold 2 ** levels frames: 4 frames split the
@@ -565,8 +630,9 @@ def test_score_files_are_utf8_whatever_the_locale(workspace):
     [
         ("evaluate", ["sharc.gallery", "sharc.shape", "sharc.synth", "sharc.encoders", "sharc.losses",
                       "sharc.appearance", "sharc.core", "sharc.prng", "sharc.matcher"]),
+        # train-toy writes its loss table through sharc.tables
         ("train-toy", ["sharc.gallery", "sharc.shape", "sharc.synth", "sharc.matcher", "sharc.metrics",
-                       "sharc.manifest", "sharc.appearance"]),
+                       "sharc.appearance"]),
         ("synth", ["sharc.gallery", "sharc.shape", "sharc.matcher", "sharc.metrics", "sharc.losses"]),
     ],
 )
@@ -599,7 +665,7 @@ def test_evaluate_runs_without_numpy(workspace):
     done = _child(script, ["evaluate", "--config", cfg_path, "--out", out])
     assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
     loaded = done.stdout.decode().splitlines()[-1].split()
-    assert "sharc.metrics" in loaded and "sharc.scorefile" in loaded and "sharc.matcher" not in loaded
+    assert "sharc.metrics" in loaded and "sharc.tables" in loaded and "sharc.matcher" not in loaded
     assert [m for m in loaded if m.startswith("numpy.")] == []
     for name in ("report.txt", "report.csv"):
         assert (out / name).read_bytes() == (data_dir / name).read_bytes(), name

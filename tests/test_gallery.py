@@ -21,9 +21,9 @@ from sharc.gallery import (
     tracklet_embeddings,
     tracklet_features,
 )
-from sharc.manifest import ManifestRow, read_manifest, write_manifest
 from sharc.shape import ShapeModel
 from sharc.synth import DatasetSpec, TrackletRecord, generate_dataset
+from sharc.tables import ManifestRow, read_manifest, write_manifest
 
 
 class TestChunking:
@@ -437,51 +437,3 @@ class TestManifest:
         p.write_bytes(b"tracklet_id,subject_id,clothing_id,frames_path\ns\xff,s,c,f.dat\n")
         with pytest.raises(InvalidInput, match="m.csv: manifest is not UTF-8"):
             read_manifest(p)
-
-
-class TestManifestFuzz:
-    """Any damaged manifest is refused as `InvalidInput`, or it reads as rows
-    that `write_manifest` and then `read_manifest` give back equal. Not byte
-    for byte: the writer ends its rows with \\r\\n, and quotes a field only
-    when it must."""
-
-    @staticmethod
-    def _saved(tmp_path):
-        path = tmp_path / "manifest.csv"
-        rows = [
-            ManifestRow("s000_t00", "s000", "c0", "frames/s000_t00.dat"),
-            ManifestRow("s001_t01", "s001", "c1", "frames/a,b.dat"),  # written quoted
-        ]
-        write_manifest(rows, path, header_comment="sharc 0.1.0 config=0123456789ab")
-        return path.read_bytes()
-
-    @staticmethod
-    def _refused_or_stable(tmp_path, raw):
-        path = tmp_path / "damaged.csv"
-        path.write_bytes(raw)
-        try:
-            rows = read_manifest(path)
-        except InvalidInput:
-            return False
-        again = tmp_path / "again.csv"
-        write_manifest(rows, again)
-        assert read_manifest(again) == rows
-        return True
-
-    def test_every_truncation_is_refused_or_stable(self, tmp_path):
-        # every cut point, not a sample; a cut at or after the header reads,
-        # as fewer rows or a shorter last frames path
-        raw = self._saved(tmp_path)
-        assert len(raw) == 155
-        read = [n for n in range(len(raw)) if self._refused_or_stable(tmp_path, raw[:n])]
-        assert read[0] == raw.index(b"\r\ns000_t00") and read[-1] == len(raw) - 1
-
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_single_byte_mutation_is_refused_or_stable(self, tmp_path, data):
-        raw = bytearray(self._saved(tmp_path))
-        pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
-        # bytes that split, comment out or quote a field, plus any byte
-        values = st.sampled_from(list(b',\n\r#" ')) | st.integers(0, 255)
-        raw[pos] = data.draw(values.filter(lambda v: v != raw[pos]), label="value")
-        self._refused_or_stable(tmp_path, bytes(raw))

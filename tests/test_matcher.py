@@ -6,8 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import sharc
 from sharc.core import cosine_similarity, euclidean_distance
@@ -99,53 +97,6 @@ class TestScoreMatrix:
         p.write_text("query_id\nq0\n")
         with pytest.raises(InvalidInput, match="s.csv: line 1: header names no gallery id"):
             ScoreMatrix.read_csv(p)
-
-
-class TestScoreFileFuzz:
-    """Any damaged score file is refused as `InvalidInput`, or it reads as a
-    table that `write_csv` and then `read_csv` give back with equal ids and
-    bit-equal scores. Not byte for byte: `float` also reads spellings that
-    `repr` never writes, such as `1_0` and ` 1.0`."""
-
-    @staticmethod
-    def _saved(tmp_path):
-        path = tmp_path / "scores.csv"
-        m = ScoreMatrix(np.array([[0.5, -1.25e-7], [3.0, -0.0]]), ["q0", "q1"], ["s000", "s001"])
-        m.write_csv(path, header_comment="sharc 0.1.0 config=0123456789ab")
-        return path.read_bytes()
-
-    @staticmethod
-    def _refused_or_stable(tmp_path, raw):
-        path = tmp_path / "damaged.csv"
-        path.write_bytes(raw)
-        try:
-            table = ScoreMatrix.read_csv(path)
-        except InvalidInput:
-            return False
-        again = tmp_path / "again.csv"
-        table.write_csv(again)
-        back = ScoreMatrix.read_csv(again)
-        assert back.query_ids == table.query_ids and back.gallery_ids == table.gallery_ids
-        assert back.scores.shape == table.scores.shape and back.scores.tobytes() == table.scores.tobytes()
-        return True
-
-    def test_every_truncation_is_refused_or_stable(self, tmp_path):
-        # every cut point, not a sample; a cut inside or after the first
-        # row's last score reads, as a shorter table or shorter numbers
-        raw = self._saved(tmp_path)
-        assert len(raw) == 82
-        read = [n for n in range(len(raw)) if self._refused_or_stable(tmp_path, raw[:n])]
-        assert read[0] == raw.index(b",-1.25e-07") + 3 and read[-1] == len(raw) - 1
-
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_single_byte_mutation_is_refused_or_stable(self, tmp_path, data):
-        raw = bytearray(self._saved(tmp_path))
-        pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
-        # bytes that split, comment out or re-spell a cell, plus any byte
-        values = st.sampled_from(list(b",\n\r# _e-.0")) | st.integers(0, 255)
-        raw[pos] = data.draw(values.filter(lambda v: v != raw[pos]), label="value")
-        self._refused_or_stable(tmp_path, bytes(raw))
 
 
 class TestShapeScores:

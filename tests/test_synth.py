@@ -40,6 +40,7 @@ from sharc.synth import (
     write_dataset,
     write_tracklet_frames,
 )
+from sharc.tables import read_manifest
 
 
 def _spec(**kw):
@@ -653,7 +654,9 @@ class TestContainerFuzz:
 class TestDatasetIo:
     def test_write_then_load(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=2, tracklets_per_id=2, frames_per_tracklet=3))
-        manifest = write_dataset(recs, tmp_path / "data")
+        rows = write_dataset(recs, tmp_path / "data")
+        manifest = tmp_path / "data" / "manifest.csv"
+        assert rows == read_manifest(manifest)
         loaded = list(load_dataset(manifest))
         assert [r.tracklet_id for r in loaded] == [r.tracklet_id for r in recs]
         assert [r.clothing_id for r in loaded] == [r.clothing_id for r in recs]
@@ -710,14 +713,16 @@ class TestDatasetIo:
 
     def test_manifest_carries_the_header_comment(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
-        manifest = write_dataset(recs, tmp_path / "data", "sharc test")
+        write_dataset(recs, tmp_path / "data", "sharc test")
+        manifest = tmp_path / "data" / "manifest.csv"
         with open(manifest) as f:
             assert f.read().startswith("# sharc test\ntracklet_id,")
         assert [r.tracklet_id for r in load_dataset(manifest)] == [r.tracklet_id for r in recs]
 
     def test_load_dataset_reads_each_container_when_its_record_is_asked_for(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
-        manifest = write_dataset(recs, tmp_path / "data")
+        write_dataset(recs, tmp_path / "data")
+        manifest = tmp_path / "data" / "manifest.csv"
         (tmp_path / "data" / "frames" / f"{recs[1].tracklet_id}.dat").unlink()
         loaded = load_dataset(manifest)
         assert isinstance(loaded, Iterator) and not isinstance(loaded, list)
@@ -727,14 +732,16 @@ class TestDatasetIo:
 
     def test_missing_container_reported(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
-        manifest = write_dataset(recs, tmp_path / "data")
+        write_dataset(recs, tmp_path / "data")
+        manifest = tmp_path / "data" / "manifest.csv"
         (tmp_path / "data" / "frames" / f"{recs[0].tracklet_id}.dat").unlink()
         with pytest.raises(CorruptFile):
             list(load_dataset(manifest))
 
     def test_container_path_naming_a_directory_is_corrupt(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
-        manifest = write_dataset(recs, tmp_path / "data")
+        write_dataset(recs, tmp_path / "data")
+        manifest = tmp_path / "data" / "manifest.csv"
         container = tmp_path / "data" / "frames" / f"{recs[1].tracklet_id}.dat"
         container.unlink()
         container.mkdir()
