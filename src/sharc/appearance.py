@@ -152,7 +152,8 @@ def pyramid_aggregate(
             ta = np.stack([ta_fn(a, b, level) for a, b in zip(x, y)])
         current = sa[0::2] + sa[1::2]
         current += ta
-    return current[0].mean(axis=(-3, -2))
+    final = current[0]
+    return np.add.reduce(final, (-3, -2)) / (final.shape[-3] * final.shape[-2])
 
 
 def average_aggregate(frames: np.ndarray) -> np.ndarray:
@@ -161,7 +162,8 @@ def average_aggregate(frames: np.ndarray) -> np.ndarray:
     grids = core.as_grids(frames, "frames") if len(frames) else np.empty((0, 0, 0, 0))
     if grids.shape[-4] == 0:
         raise EmptyInput("no frames to average")
-    return grids.mean(axis=-4).mean(axis=(-3, -2))
+    frame_mean = np.add.reduce(grids, -4) / grids.shape[-4]
+    return np.add.reduce(frame_mean, (-3, -2)) / (grids.shape[-3] * grids.shape[-2])
 
 
 def flatten_feature(v: np.ndarray, gamma: float) -> np.ndarray:
@@ -174,7 +176,7 @@ def flatten_feature(v: np.ndarray, gamma: float) -> np.ndarray:
     if not (0.0 <= gamma <= 1.0):
         raise InvalidGamma(f"gamma must be in [0, 1], got {gamma}")
     arr = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput("features to flatten contain non-finite entries")
     if gamma == 1.0:
         return arr.copy()
@@ -187,4 +189,4 @@ def mean_embedding(groups: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, n
     attn, avg = groups
     if len(attn) == 0:
         raise EmptyInput("no group embeddings to average")
-    return attn.mean(axis=0), avg.mean(axis=0)
+    return np.add.reduce(attn, 0) / len(attn), np.add.reduce(avg, 0) / len(avg)

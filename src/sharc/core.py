@@ -23,7 +23,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
         raise InvalidInput(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
         raise InvalidInput(f"{name} must have at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return arr
 
@@ -33,7 +33,7 @@ def as_grid(g, name: str = "grid") -> np.ndarray:
     arr = np.asarray(g, dtype=np.float64)
     if arr.ndim != 3:
         raise InvalidInput(f"{name} must be (H, W, C), got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return arr
 
@@ -46,7 +46,7 @@ def as_grids(g, name: str = "grids") -> np.ndarray:
         raise DimMismatch(f"{name} differ in shape") from None
     if arr.ndim < 4:
         raise InvalidInput(f"{name} must be (..., N, H, W, C), got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} contain non-finite entries")
     return arr
 
@@ -54,7 +54,9 @@ def as_grids(g, name: str = "grids") -> np.ndarray:
 def l2_normalize(v) -> np.ndarray:
     """Scale to unit Euclidean norm; vectors with norm <= NORM_FLOOR pass through."""
     arr = as_vector(v)
-    norm = float(np.linalg.norm(arr))
+    # np.linalg.norm's own route for a 1-D float vector, without its wrapper
+    flat = arr.ravel(order="K")
+    norm = float(np.sqrt(flat.dot(flat)))
     if norm <= NORM_FLOOR:
         return arr.copy()
     return arr / norm
@@ -90,9 +92,10 @@ def euclidean_distance(a, b) -> float:
 
 def softmax_grid(logits: np.ndarray) -> np.ndarray:
     """Softmax over the spatial positions of (..., H, W, C) grids, per grid and channel."""
-    e = logits - logits.max(axis=(-3, -2), keepdims=True)
+    # the ufunc reductions that ndarray.max and .sum call, without their wrappers
+    e = logits - np.maximum.reduce(logits, (-3, -2), keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=(-3, -2), keepdims=True)
+    e /= np.add.reduce(e, (-3, -2), keepdims=True)
     return e
 
 
@@ -112,8 +115,9 @@ def strip_pool(grid, strips: int, mode: str = "max+mean") -> np.ndarray:
     if mode not in HPP_MODES:
         raise InvalidInput(f"unknown strip statistic {mode!r}, expected one of {HPP_MODES}")
     bands = g.reshape(strips, h // strips, g.shape[1], g.shape[2])
-    mx = bands.max(axis=(1, 2))
-    mn = bands.mean(axis=(1, 2))
+    mx = np.maximum.reduce(bands, (1, 2))
+    # numpy's mean without its wrapper: the sum over the band, then one division
+    mn = np.add.reduce(bands, (1, 2)) / (bands.shape[1] * bands.shape[2])
     if mode == "max":
         return mx
     if mode == "mean":

@@ -91,7 +91,8 @@ class AppearanceModel:
         of the G pyramid-sized groups, all groups in one call each."""
         members = np.array(chunk_frames(len(frames), self.attention.group_size))
         chunks = frame_chunks(len(frames), frames.shape[1] * frames.shape[2])
-        groups = np.concatenate([encode_appearance(frames[c], self.encoder) for c in chunks])[members]
+        encoded = [encode_appearance(frames[c], self.encoder) for c in chunks]
+        groups = (encoded[0] if len(encoded) == 1 else np.concatenate(encoded))[members]
         return pyramid_aggregate(groups, self.attention, ta_target=self.ta_target), average_aggregate(groups)
 
     def finish(self, groups: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +142,7 @@ def _shape_vector(tracklet: TrackletRecord, shape_model: ShapeModel) -> np.ndarr
     """The shape vector of one tracklet, refused when it is all zeros: cosine
     scoring is undefined for it, so an index holding it could not be queried."""
     vec = shape_model.embed(tracklet.masks, tracklet.appearance, tracklet.body, tracklet.skeleton).flatten()
-    if not np.any(vec):
+    if not vec.any():
         raise InvalidInput(
             f"tracklet {tracklet.tracklet_id}: shape vector is all zeros, and cosine similarity is "
             "undefined for a zero vector"

@@ -61,7 +61,7 @@ def temporal_pool_pose(frames: np.ndarray) -> np.ndarray:
         raise EmptyInput("no pose frames to pool")
     if x.ndim != 4:
         raise DimMismatch(f"pose frames must be (T, h, w, C), got shape {x.shape}")
-    return x.max(axis=0)
+    return np.maximum.reduce(x, 0)
 
 
 def pool_motion(motion: np.ndarray) -> np.ndarray:
@@ -74,7 +74,7 @@ def pool_motion(motion: np.ndarray) -> np.ndarray:
     m = np.asarray(motion, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] == 0:
         raise EmptyInput(f"motion matrix must be (T, C_m) with T >= 1, got shape {m.shape}")
-    return np.array([math.fsum(col) for col in m.T]) / m.shape[0]
+    return np.array([math.fsum(col) for col in m.T.tolist()]) / m.shape[0]
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class ShapeEmbedding:
         b = np.asarray(self.bins, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] < 2:
             raise InvalidInput(f"bins must be (B + 1, C) with B >= 1, got shape {b.shape}")
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise InvalidInput("bins contain non-finite entries")
         object.__setattr__(self, "bins", b)
 

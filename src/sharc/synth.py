@@ -57,7 +57,7 @@ from .config import DatasetSpec
 from .encoders import frame_chunks
 from .exceptions import CorruptFile, EmptyInput, InvalidInput, ProtocolError
 from .prng import SplitMix64, box_muller, derive_seed, normal_uniform_count, uniform_rows
-from .tables import ManifestRow, read_manifest, write_manifest
+from .tables import ManifestRow, check_manifest_row, read_manifest, write_manifest
 
 DATA_MAGIC = b"SHRCDAT4"
 _RETIRED_MAGICS = dict.fromkeys(
@@ -116,13 +116,13 @@ class TrackletRecord:
                     f"tracklet {self.tracklet_id}: {name} must be {shape} to match {t} masks of "
                     f"{masks.shape[1]}x{masks.shape[2]}, got {getattr(self, name).shape}"
                 )
-        if not np.all((masks == 0.0) | (masks == 1.0)):
+        if not ((masks == 0.0) | (masks == 1.0)).all():
             raise InvalidInput(f"tracklet {self.tracklet_id}: mask entries must be 0 or 1")
-        if not np.all(np.isfinite(app)) or app.min() < 0.0 or app.max() > 1.0:
+        if not np.isfinite(app).all() or np.minimum.reduce(app, None) < 0.0 or np.maximum.reduce(app, None) > 1.0:
             raise InvalidInput(f"tracklet {self.tracklet_id}: appearance entries must be finite and in [0, 1]")
-        if not np.all(np.isfinite(body)):
+        if not np.isfinite(body).all():
             raise InvalidInput(f"tracklet {self.tracklet_id}: body parameters contain non-finite entries")
-        if not np.all(np.isfinite(skel)):
+        if not np.isfinite(skel).all():
             raise InvalidInput(f"tracklet {self.tracklet_id}: skeleton contains non-finite entries")
         conf = skel[:, 2 * SKELETON_JOINTS :]
         if conf.min() < 0.0 or conf.max() > 1.0:
@@ -265,7 +265,10 @@ def _generate_block(spec: DatasetSpec, pairs: list[tuple[int, int]]) -> list[Tra
     t_count, h, w = spec.frames_per_tracklet, spec.height, spec.width
     subjects = [s for s, _ in pairs]
     variants = [t % spec.clothing_variants for _, t in pairs]
-    latent, gait_params, signature = _profile_rows(spec, subjects)
+    # one profile row per distinct subject of the block, gathered per tracklet
+    row_of = {s: i for i, s in enumerate(dict.fromkeys(subjects))}
+    index = [row_of[s] for s in subjects]
+    latent, gait_params, signature = (a[index] for a in _profile_rows(spec, list(row_of)))
     thickness, clothing_offset = _outfit_rows(spec, list(zip(subjects, variants)))
 
     seeds = [derive_seed(spec.seed, 3, s, t) for s, t in pairs]
@@ -465,24 +468,24 @@ def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: s
         raise reader.corrupt(f"frames are {h}x{w}, need at least one pixel")
     shapes = _record_shapes(n_frames, h, w)
     arrays = {}
-    for expected_tag, name, dtype in _SECTIONS:
-        expected_count = math.prod(shapes[name])
-        tag, count = reader.u32(2)
-        if tag != expected_tag or count != expected_count:
-            raise reader.corrupt(
-                f"expected section {expected_tag} with {expected_count} values, got tag {tag} with {count}"
-            )
-        if dtype is None:
-            packed = reader.array(np.uint8, -(-count // 8))
-            # the last byte's low 8 - count % 8 bits are padding (none when 8 divides count)
-            if packed[-1] & (0xFF >> (count % 8 or 8)):
-                raise reader.corrupt("mask section sets a padding bit")
-            values = np.unpackbits(packed, count=count)
-        else:
-            values = reader.array(dtype, count)
-        # a corrupt payload can hold a signalling NaN; the record refuses it as
-        # non-finite, so its cast to float64 must not also print a warning
-        with np.errstate(invalid="ignore"):
+    # a corrupt payload can hold a signalling NaN; the record refuses it as
+    # non-finite, so its cast to float64 must not also print a warning
+    with np.errstate(invalid="ignore"):
+        for expected_tag, name, dtype in _SECTIONS:
+            expected_count = math.prod(shapes[name])
+            tag, count = reader.u32(2)
+            if tag != expected_tag or count != expected_count:
+                raise reader.corrupt(
+                    f"expected section {expected_tag} with {expected_count} values, got tag {tag} with {count}"
+                )
+            if dtype is None:
+                packed = reader.array(np.uint8, -(-count // 8))
+                # the last byte's low 8 - count % 8 bits are padding (none when 8 divides count)
+                if packed[-1] & (0xFF >> (count % 8 or 8)):
+                    raise reader.corrupt("mask section sets a padding bit")
+                values = np.unpackbits(packed, count=count)
+            else:
+                values = reader.array(dtype, count)
             arrays[name] = values.astype(np.float64).reshape(shapes[name])
     reader.finish()
     return TrackletRecord(tracklet_id=tracklet_id, subject_id=subject_id, clothing_id=clothing_id, **arrays)
@@ -497,7 +500,9 @@ def write_dataset(
     Each record's container is written as the record arrives, so an iterator
     such as `iter_dataset` keeps one block of tracklets in memory at a time.
     A container is named by its tracklet id, so a repeated id raises
-    InvalidInput before the repeat can overwrite the first one's container.
+    InvalidInput before the repeat can overwrite the first one's container;
+    so does a row the manifest would refuse (a cell holding a comma, CR or
+    LF, an id starting with `#`), before its container is written.
 
     frames_path entries are relative to the manifest's directory; the
     manifest starts with `header_comment`, if given, as a `#` line.
@@ -512,15 +517,15 @@ def write_dataset(
             raise InvalidInput(f"{manifest_path}: tracklet {rec.tracklet_id!r} appears twice")
         seen.add(rec.tracklet_id)
         rel = os.path.join("frames", f"{rec.tracklet_id}.dat")
-        write_tracklet_frames(rec, os.path.join(out_dir, rel))
-        rows.append(
-            ManifestRow(
-                tracklet_id=rec.tracklet_id,
-                subject_id=rec.subject_id,
-                clothing_id=rec.clothing_id,
-                frames_path=rel,
-            )
+        row = ManifestRow(
+            tracklet_id=rec.tracklet_id,
+            subject_id=rec.subject_id,
+            clothing_id=rec.clothing_id,
+            frames_path=rel,
         )
+        check_manifest_row(row, manifest_path)
+        write_tracklet_frames(rec, os.path.join(out_dir, rel))
+        rows.append(row)
     write_manifest(rows, manifest_path, header_comment)
     return rows
 

@@ -113,10 +113,19 @@ class ManifestRow:
     frames_path: str
 
 
+def _manifest_cells(row: ManifestRow) -> list[str]:
+    return [row.tracklet_id, row.subject_id, row.clothing_id, row.frames_path]
+
+
+def check_manifest_row(row: ManifestRow, path) -> None:
+    """Refuse `row` with the InvalidInput `write_manifest` would raise for its
+    line in `path`; a repeated tracklet is left to the caller."""
+    _line(path, _manifest_cells(row), len(MANIFEST_HEADER), ["tracklet", *MANIFEST_HEADER[1:]])
+
+
 def write_manifest(rows: list[ManifestRow], path, header_comment: str | None = None) -> None:
     """Write one line per tracklet, refused as `write_table` refuses."""
-    cells = ([r.tracklet_id, r.subject_id, r.clothing_id, r.frames_path] for r in rows)
-    write_table(path, header_comment, MANIFEST_HEADER, cells, key="tracklet")
+    write_table(path, header_comment, MANIFEST_HEADER, map(_manifest_cells, rows), key="tracklet")
 
 
 def _manifest_header(cells: list[str]) -> None:

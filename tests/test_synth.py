@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -289,6 +290,27 @@ def test_blocks_are_byte_equal_to_the_per_frame_reference(case, monkeypatch):
         _, arrays = _reference_tracklet(spec, s, t)
         for name, want in zip(("masks", "appearance", "body", "skeleton"), arrays):
             assert _same_bytes(getattr(rec, name), want), (s, t, name)
+
+
+def test_a_block_draws_each_subject_profile_once(monkeypatch):
+    # a subject's tracklets share its profile row: the block derives the
+    # subject's stream once and gathers the row for each tracklet
+    spec = _spec(num_ids=3, tracklets_per_id=3, frames_per_tracklet=2, height=4, width=4)
+    drawn = []
+    profile_rows = sharc.synth._profile_rows
+
+    def logged(spec, subjects):
+        drawn.append(list(subjects))
+        return profile_rows(spec, subjects)
+
+    monkeypatch.setattr(sharc.synth, "_profile_rows", logged)
+    records = generate_dataset(spec)
+    assert drawn == [[0, 1, 2]]
+    for rec in records:
+        s = int(rec.subject_id[1:])
+        alone = generate_tracklet(spec, s, int(rec.tracklet_id[-2:]))
+        for name in ("masks", "appearance", "body", "skeleton"):
+            assert _same_bytes(getattr(rec, name), getattr(alone, name)), (rec.tracklet_id, name)
 
 
 def test_a_long_tracklet_is_generated_in_a_bounded_working_set():
@@ -630,6 +652,24 @@ class TestContainerFuzz:
             with pytest.raises(InvalidInput, match="finite"):
                 read_tracklet_frames(p, "t", "s", "c")
 
+    @pytest.mark.parametrize("section", ["body", "skeleton", "appearance"])
+    def test_a_signalling_nan_in_any_f32_section_is_refused_without_a_warning(self, tmp_path, section):
+        raw = bytearray(_small_container(tmp_path))
+        # header, the masks' tag and count and 4 bytes of bits, then each f32
+        # section's tag and count and 2 frames of values
+        offsets = {"body": 20 + 8 + 4 + 8}
+        offsets["skeleton"] = offsets["body"] + 2 * 4 * 85 + 8
+        offsets["appearance"] = offsets["skeleton"] + 2 * 4 * 51 + 8
+        # the last value of the section's first frame
+        first = offsets[section] + 4 * {"body": 84, "skeleton": 50, "appearance": 47}[section]
+        raw[first : first + 4] = struct.pack("<I", 0x7FA00000)
+        p = tmp_path / "snan.dat"
+        p.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="finite"):
+                read_tracklet_frames(p, "t", "s", "c")
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_single_byte_mutation_is_refused_or_valid(self, tmp_path, data):
@@ -692,6 +732,19 @@ class TestDatasetIo:
         clean = tmp_path / "clean" / "frames" / f"{first}.dat"
         assert (frames / f"{first}.dat").read_bytes() == clean.read_bytes()
         assert sorted(p.name for p in frames.iterdir()) == [f"{r.tracklet_id}.dat" for r in recs[:2]]
+        assert not (tmp_path / "data" / "manifest.csv").exists()
+
+    @pytest.mark.parametrize("bad_id", ["s000,t01", "s000\rt01", "s000\nt01", "#s000_t01"])
+    def test_a_tracklet_id_the_manifest_refuses_is_refused_before_its_container_is_written(
+        self, tmp_path, bad_id
+    ):
+        recs = generate_dataset(_spec(num_ids=2, tracklets_per_id=2, frames_per_tracklet=2))
+        renamed = [recs[0], replace(recs[1], tracklet_id=bad_id)] + recs[2:]
+        reason = "would start a comment line" if bad_id[0] == "#" else "holds a comma, CR or LF"
+        with pytest.raises(InvalidInput, match=re.escape(f"manifest.csv: tracklet {bad_id!r} {reason}")):
+            write_dataset(renamed, tmp_path / "data")
+        frames = tmp_path / "data" / "frames"
+        assert sorted(p.name for p in frames.iterdir()) == [f"{recs[0].tracklet_id}.dat"]
         assert not (tmp_path / "data" / "manifest.csv").exists()
 
     def test_streamed_records_equal_the_generated_list(self, tmp_path):
