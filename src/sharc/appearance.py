@@ -138,7 +138,9 @@ def pyramid_aggregate(
         raise InvalidFrameCount(f"pyramid needs exactly {expected} frames, got {group.shape[-4]}")
     if group.shape[-1] != params.channels:
         raise DimMismatch(f"frames have {group.shape[-1]} channels, attention expects {params.channels}")
-    current = np.moveaxis(group, -4, 0)
+    # the frame axis first, as np.moveaxis(group, -4, 0) orders the axes
+    lead = group.ndim - 4
+    current = group.transpose(lead, *range(lead), lead + 1, lead + 2, lead + 3)
 
     for level in range(params.levels):
         x, y = current[0::2], current[1::2]
@@ -176,7 +178,7 @@ def flatten_feature(v: np.ndarray, gamma: float) -> np.ndarray:
     if not (0.0 <= gamma <= 1.0):
         raise InvalidGamma(f"gamma must be in [0, 1], got {gamma}")
     arr = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), None):
         raise InvalidInput("features to flatten contain non-finite entries")
     if gamma == 1.0:
         return arr.copy()

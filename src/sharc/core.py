@@ -23,7 +23,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
         raise InvalidInput(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
         raise InvalidInput(f"{name} must have at least one entry")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), None):
         raise InvalidInput(f"{name} contains non-finite entries")
     return arr
 
@@ -33,7 +33,7 @@ def as_grid(g, name: str = "grid") -> np.ndarray:
     arr = np.asarray(g, dtype=np.float64)
     if arr.ndim != 3:
         raise InvalidInput(f"{name} must be (H, W, C), got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), None):
         raise InvalidInput(f"{name} contains non-finite entries")
     return arr
 
@@ -46,7 +46,7 @@ def as_grids(g, name: str = "grids") -> np.ndarray:
         raise DimMismatch(f"{name} differ in shape") from None
     if arr.ndim < 4:
         raise InvalidInput(f"{name} must be (..., N, H, W, C), got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), None):
         raise InvalidInput(f"{name} contain non-finite entries")
     return arr
 

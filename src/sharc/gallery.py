@@ -23,6 +23,15 @@ sweep runs the first stage once per tracklet and the second once per gamma.
 `register` (embedding, then `build_index`) is the library's one-call path;
 the CLI embeds each tracklet as it reads it and calls `build_index`.
 
+A centroid is `np.mean(vectors, axis=0)` of its subject's float64 vectors in
+the canonical (subject id, tracklet id) order, bit for bit, whatever order
+the caller passes the tracklets in. `build_index` stacks the vectors of all
+subjects with the same tracklet count k into one (S, k, D) block and takes
+`np.add.reduce(block, 1) / k`: the sum over k that `np.mean` runs, in the
+same order, then its one division. (`np.add.reduceat` over one stacked
+column would not do: inside a segment it sums pairwise, and at 3 or more
+tracklets it differs from `np.mean` in the last bit.)
+
 Index files ("SHRCIDX2", in the conventions of `binfile`): magic, the model
 hash as text (the hash of the config keys that change the stored vectors,
 empty when unknown), u32 entry count, then per entry the subject id as text,
@@ -32,10 +41,21 @@ byte-stable after the first quantization. "SHRCIDX1" files, which carry no
 model hash, are rejected, and so is any file that `register` and
 `save_index` cannot produce: no entries, an empty subject id, an empty or
 non-finite vector, widths that differ between entries, or a source count of 0.
+
+The parser runs in two passes. It walks the headers (ids, widths, counts)
+field by field, passing over each vector's bytes, until the end or the first
+fault; then it gathers every vector it passed, checks them all for finiteness
+and casts them to float64 in one call each. A vector is checked right after
+the walk passes it in a field-by-field parse, so a non-finite vector reported
+by the second pass comes before the fault the walk stopped at: the fault
+raised is always the first in file order. `save_index` casts each stacked
+column of vectors to f32 once, and refuses what this parser refuses.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -52,6 +72,8 @@ if TYPE_CHECKING:
     from .synth import TrackletRecord
 
 INDEX_MAGIC = b"SHRCIDX2"
+# an entry's vectors, in file order
+_VECTORS = ("shape", "appearance")
 _RETIRED_MAGICS = {b"SHRCIDX1": "index has no model hash; re-run enroll to rebuild it"}
 
 
@@ -142,7 +164,7 @@ def _shape_vector(tracklet: TrackletRecord, shape_model: ShapeModel) -> np.ndarr
     """The shape vector of one tracklet, refused when it is all zeros: cosine
     scoring is undefined for it, so an index holding it could not be queried."""
     vec = shape_model.embed(tracklet.masks, tracklet.appearance, tracklet.body, tracklet.skeleton).flatten()
-    if not vec.any():
+    if not np.logical_or.reduce(vec, None):
         raise InvalidInput(
             f"tracklet {tracklet.tracklet_id}: shape vector is all zeros, and cosine similarity is "
             "undefined for a zero vector"
@@ -176,9 +198,10 @@ def build_index(
     """Gallery index from each tracklet's (shape, appearance) vectors; records
     and manifest rows both serve as tracklets.
 
-    Centroid mode averages each subject's tracklet embeddings into one entry;
-    otherwise every tracklet becomes its own entry and matching later takes
-    the best score per subject.
+    Centroid mode averages each subject's tracklet embeddings into one entry,
+    with `np.mean`'s bits (see the module docstring); otherwise every
+    tracklet becomes its own entry and matching later takes the best score
+    per subject.
     """
     if len(tracklets) == 0:
         raise EmptyInput("no tracklets to register")
@@ -196,16 +219,28 @@ def build_index(
         ]
         return GalleryIndex(entries=entries)
 
-    by_subject: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+    by_subject: dict[str, list[int]] = {}
     for i in order:
-        by_subject.setdefault(tracklets[i].subject_id, []).append(embeddings[i])
-    entries = []
-    for subject, pairs in by_subject.items():
-        shape_c = np.mean([p[0] for p in pairs], axis=0)
-        app_c = np.mean([p[1] for p in pairs], axis=0)
-        entries.append(
-            IndexEntry(subject, shape=shape_c, appearance=app_c, source_count=len(pairs))
-        )
+        by_subject.setdefault(tracklets[i].subject_id, []).append(i)
+    # subjects with one tracklet count k (and one vector shape) are averaged
+    # as one (S, k, ...) block
+    blocks: dict[tuple, list[str]] = {}
+    for subject, members in by_subject.items():
+        shape_vec, app_vec = embeddings[members[0]]
+        blocks.setdefault((len(members), np.shape(shape_vec), np.shape(app_vec)), []).append(subject)
+    centroids = {}
+    for (k, *_), subjects in blocks.items():
+        rows = [embeddings[i] for subject in subjects for i in by_subject[subject]]
+        means = []
+        for column in (0, 1):
+            block = np.array([row[column] for row in rows], dtype=np.float64)
+            # np.mean's own sum over k, then its one division
+            means.append(np.add.reduce(block.reshape((len(subjects), k) + block.shape[1:]), 1) / k)
+        centroids.update(zip(subjects, zip(*means)))
+    entries = [
+        IndexEntry(subject, *centroids[subject], source_count=len(members))
+        for subject, members in by_subject.items()
+    ]
     return GalleryIndex(entries=entries)
 
 
@@ -220,17 +255,28 @@ def register(
     return build_index(tracklets, embeddings, centroid=centroid)
 
 
+def _f32_rows(vectors: list) -> list:
+    """Each vector as little-endian f32: one cast of the stacked column when
+    the vectors stack (every index `register` builds), one cast each when
+    their shapes differ."""
+    try:
+        return list(f32(vectors))
+    except ValueError:
+        return [f32(v) for v in vectors]
+
+
 def save_index(index: GalleryIndex, path) -> None:
     """Write `index` to `path` (layout in the module docstring). Before `path`
     is opened, the bytes are parsed as `load_index` parses them, and what it
     would refuse raises InvalidInput; so do the two faults that cannot reach
     the bytes, a vector that is not one axis and a source count outside u32."""
-    parts = [INDEX_MAGIC, text(index.model_hash), u32(len(index.entries))]
-    for i, e in enumerate(index.entries):
+    entries = index.entries
+    # a value beyond the f32 range becomes inf here, which the parser refuses
+    columns = [_f32_rows([getattr(e, name) for e in entries]) for name in _VECTORS]
+    parts = [INDEX_MAGIC, text(index.model_hash), u32(len(entries))]
+    for i, (e, *vecs) in enumerate(zip(entries, *columns)):
         parts.append(text(e.subject_id))
-        for name in ("shape", "appearance"):
-            # a value beyond the f32 range becomes inf here, which the parser refuses
-            vec = f32(getattr(e, name))
+        for name, vec in zip(_VECTORS, vecs):
             if vec.ndim != 1:
                 raise InvalidInput(f"{path}: entry {i} {name} vector has shape {vec.shape}, need one axis")
             parts += [u32(len(vec)), vec.tobytes()]
@@ -252,29 +298,52 @@ def load_index(path) -> GalleryIndex:
 
 
 def _parse_index(data: bytes, path) -> GalleryIndex:
+    """The index in `data`, in two passes (see the module docstring): the
+    headers, then every vector passed at once."""
     reader = Reader(data, path, INDEX_MAGIC, CorruptIndex, _RETIRED_MAGICS)
     model_hash = reader.text()
     (count,) = reader.u32()
     if count == 0:
         raise reader.corrupt("index has no entries")
-    entries = []
-    for i in range(count):
-        subject = reader.text()
-        if not subject:
-            raise reader.corrupt(f"entry {i} has an empty subject id")
-        vecs = []
-        for name in ("shape", "appearance"):
-            (dim,) = reader.u32()
-            message = f"entry {i} has an empty or non-finite {name} vector"
-            vecs.append(reader.f32(dim, message))
-            if dim == 0:
-                raise reader.corrupt(message)
-            width = len(getattr(entries[0], name)) if entries else dim
-            if dim != width:
-                raise reader.corrupt(f"entry {i} {name} width {dim} differs from entry 0's {width}")
-        (k,) = reader.u32()
-        if k == 0:
-            raise reader.corrupt(f"entry {i} has a source count of 0")
-        entries.append(IndexEntry(subject, shape=vecs[0], appearance=vecs[1], source_count=k))
-    reader.finish()
+    subjects, counts = [], []
+    # (offset, width) of every vector the walk passed, in file order: entry
+    # i's shape vector is slot 2i, its appearance vector slot 2i + 1
+    slots: list[tuple[int, int]] = []
+    fault = None
+    try:
+        for i in range(count):
+            subject = reader.text()
+            if not subject:
+                raise reader.corrupt(f"entry {i} has an empty subject id")
+            for column, name in enumerate(_VECTORS):
+                (dim,) = reader.u32()
+                slots.append((reader.take(4 * dim), dim))
+                if dim == 0:
+                    raise reader.corrupt(f"entry {i} has an empty or non-finite {name} vector")
+                width = slots[column][1]
+                if dim != width:
+                    raise reader.corrupt(f"entry {i} {name} width {dim} differs from entry 0's {width}")
+            (k,) = reader.u32()
+            if k == 0:
+                raise reader.corrupt(f"entry {i} has a source count of 0")
+            subjects.append(subject)
+            counts.append(k)
+        reader.finish()
+    except CorruptIndex as exc:
+        fault = exc
+    # each vector's check comes right after the walk passes it, so a
+    # non-finite vector comes before the fault the walk stopped at, if any
+    view = memoryview(data)
+    raw = np.frombuffer(b"".join([view[start : start + 4 * dim] for start, dim in slots]), "<f4")
+    finite = np.isfinite(raw)
+    if not np.logical_and.reduce(finite, None):
+        # the slot holding the first non-finite value
+        j = bisect.bisect_right(list(itertools.accumulate(dim for _, dim in slots)), int(np.argmin(finite)))
+        raise reader.corrupt(f"entry {j // 2} has an empty or non-finite {_VECTORS[j % 2]} vector")
+    if fault is not None:
+        raise fault
+    # checked before the cast, which warns on a signalling NaN
+    rows = raw.astype(np.float64).reshape(count, -1)
+    shapes, appearances = rows[:, : slots[0][1]], rows[:, slots[0][1] :]
+    entries = list(map(IndexEntry, subjects, shapes, appearances, counts))
     return GalleryIndex(entries=entries, model_hash=model_hash)

@@ -87,7 +87,7 @@ class ShapeEmbedding:
         b = np.asarray(self.bins, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] < 2:
             raise InvalidInput(f"bins must be (B + 1, C) with B >= 1, got shape {b.shape}")
-        if not np.isfinite(b).all():
+        if not np.logical_and.reduce(np.isfinite(b), None):
             raise InvalidInput("bins contain non-finite entries")
         object.__setattr__(self, "bins", b)
 
@@ -156,10 +156,14 @@ class ShapeModel:
         for chunk in frame_chunks(n, masks.shape[1] * masks.shape[2]):
             sil = encode_silhouette(masks[chunk], appearance[chunk], self.sil_encoder)
             rows = encode_smpl(body[chunk], self.smpl_encoder)
-            # each frame's body vector over every cell of its silhouette grid
-            fused = fuse_pose(sil, np.broadcast_to(rows[:, None, None, :], sil.shape[:3] + rows.shape[1:]))
+            # each frame's body vector over every cell of its silhouette grid:
+            # a view of the fresh (T, C) rows with zero strides over (h, w),
+            # the view np.broadcast_to makes, without its Python wrapper
+            grid_shape = sil.shape[:3] + rows.shape[1:]
+            grid = np.ndarray(grid_shape, rows.dtype, rows, 0, (rows.strides[0], 0, 0, rows.strides[1]))
+            fused = fuse_pose(sil, grid)
             chunk_max = temporal_pool_pose(fused)
             pooled = chunk_max if pooled is None else np.maximum(pooled, chunk_max, out=pooled)
         pose_bins = core.strip_pool(pooled, self.bins, self.hpp_mode)
 
-        return ShapeEmbedding(bins=np.vstack([pose_bins, self.motion_bin(skeleton)[None, :]]))
+        return ShapeEmbedding(bins=np.concatenate((pose_bins, self.motion_bin(skeleton)[None, :])))

@@ -47,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import stat
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -116,16 +117,19 @@ class TrackletRecord:
                     f"tracklet {self.tracklet_id}: {name} must be {shape} to match {t} masks of "
                     f"{masks.shape[1]}x{masks.shape[2]}, got {getattr(self, name).shape}"
                 )
-        if not ((masks == 0.0) | (masks == 1.0)).all():
+        if not np.logical_and.reduce((masks == 0.0) | (masks == 1.0), None):
             raise InvalidInput(f"tracklet {self.tracklet_id}: mask entries must be 0 or 1")
-        if not np.isfinite(app).all() or np.minimum.reduce(app, None) < 0.0 or np.maximum.reduce(app, None) > 1.0:
+        # the range check is the finiteness check too: the minimum and the
+        # maximum carry a NaN, which fails both comparisons, and an infinity
+        # fails one of them
+        if not (np.minimum.reduce(app, None) >= 0.0 and np.maximum.reduce(app, None) <= 1.0):
             raise InvalidInput(f"tracklet {self.tracklet_id}: appearance entries must be finite and in [0, 1]")
-        if not np.isfinite(body).all():
+        if not np.logical_and.reduce(np.isfinite(body), None):
             raise InvalidInput(f"tracklet {self.tracklet_id}: body parameters contain non-finite entries")
-        if not np.isfinite(skel).all():
+        if not np.logical_and.reduce(np.isfinite(skel), None):
             raise InvalidInput(f"tracklet {self.tracklet_id}: skeleton contains non-finite entries")
         conf = skel[:, 2 * SKELETON_JOINTS :]
-        if conf.min() < 0.0 or conf.max() > 1.0:
+        if np.minimum.reduce(conf, None) < 0.0 or np.maximum.reduce(conf, None) > 1.0:
             raise InvalidInput(f"tracklet {self.tracklet_id}: skeleton confidences must be in [0, 1]")
 
     def __len__(self) -> int:
@@ -537,8 +541,11 @@ def load_dataset(manifest_path, rows: list[ManifestRow] | None = None) -> Iterat
     base = os.path.dirname(os.path.abspath(manifest_path))
     for row in read_manifest(manifest_path) if rows is None else rows:
         path = os.path.join(base, row.frames_path)
-        if not os.path.exists(path):
-            raise CorruptFile(f"{manifest_path}: missing frame container {row.frames_path}")
-        if not os.path.isfile(path):
+        # one stat for both checks, the one os.path.exists and isfile each make
+        try:
+            mode = os.stat(path).st_mode
+        except (OSError, ValueError):
+            raise CorruptFile(f"{manifest_path}: missing frame container {row.frames_path}") from None
+        if not stat.S_ISREG(mode):
             raise CorruptFile(f"{manifest_path}: frame container {row.frames_path} is not a file")
         yield read_tracklet_frames(path, row.tracklet_id, row.subject_id, row.clothing_id)

@@ -166,6 +166,92 @@ class TestRegister:
             build_index(recs, [tracklet_embeddings(recs[0], sm, am)])
 
 
+def _bits(a) -> bytes:
+    a = np.asarray(a)
+    return str(a.dtype).encode() + str(a.shape).encode() + a.tobytes()
+
+
+@st.composite
+def _signed_vectors(draw, count, width):
+    """(count, width) float64 values: signed, of magnitude 1e-8 to 1e8, with
+    some exact 0.0 and -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.choice([-1.0, 1.0], size=(count, width)) * 10.0 ** rng.uniform(-8, 8, size=(count, width))
+    zeros = rng.random((count, width)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    values[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    return values
+
+
+class TestCentroidBits:
+    """A centroid is np.mean(..., axis=0) of its subject's vectors in the
+    canonical (subject, tracklet) order, bit for bit: a summation in another
+    order (np.add.reduceat sums pairwise inside a segment) differs in the
+    last bit at 3 or more tracklets, which the f32 index file would hide."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_build_index_centroids_are_np_mean_in_canonical_order(self, data):
+        counts = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=6), label="tracklets per subject")
+        d_shape, d_app = data.draw(st.integers(1, 112), label="shape width"), data.draw(st.integers(1, 112))
+        n = sum(counts)
+        shapes = data.draw(_signed_vectors(n, d_shape), label="shape vectors")
+        apps = data.draw(_signed_vectors(n, d_app), label="appearance vectors")
+        rows, embeddings = [], []
+        for s, k in enumerate(counts):
+            # tracklet ids whose sorted order is not the order they were drawn in
+            ids = data.draw(st.lists(st.integers(0, 999), min_size=k, max_size=k, unique=True), label=f"ids {s}")
+            for t in ids:
+                rows.append(ManifestRow(f"s{s:02d}_t{t:03d}", f"s{s:02d}", "c0", "f.dat"))
+                embeddings.append((shapes[len(rows) - 1], apps[len(rows) - 1]))
+        order = data.draw(st.permutations(range(n)), label="input order")
+        given_rows, given_embeddings = [rows[i] for i in order], [embeddings[i] for i in order]
+        canonical = sorted(range(n), key=lambda i: (rows[i].subject_id, rows[i].tracklet_id))
+
+        index = build_index(given_rows, given_embeddings, centroid=True)
+        assert [e.subject_id for e in index.entries] == [f"s{s:02d}" for s in range(len(counts))]
+        for s, entry in enumerate(index.entries):
+            own = [i for i in canonical if rows[i].subject_id == f"s{s:02d}"]
+            assert entry.source_count == counts[s] == len(own)
+            assert _bits(entry.shape) == _bits(np.mean([embeddings[i][0] for i in own], axis=0))
+            assert _bits(entry.appearance) == _bits(np.mean([embeddings[i][1] for i in own], axis=0))
+
+        per_tracklet = build_index(given_rows, given_embeddings, centroid=False)
+        assert [e.subject_id for e in per_tracklet.entries] == [rows[i].subject_id for i in canonical]
+        for entry, i in zip(per_tracklet.entries, canonical):
+            assert entry.source_count == 1
+            assert _bits(entry.shape) == _bits(embeddings[i][0])
+            assert _bits(entry.appearance) == _bits(embeddings[i][1])
+
+    @pytest.mark.parametrize("k", [3, 8, 9, 17])
+    def test_many_tracklets_of_one_width_one_sum(self, k):
+        # the same values in every subject, at k tracklets where numpy's
+        # pairwise and unrolled sums differ from a running sum
+        rng = np.random.default_rng(k)
+        vectors = rng.standard_normal((k, 1)) * 10.0 ** rng.uniform(-8, 8, size=(k, 1))
+        rows = [ManifestRow(f"s{s}_t{t:02d}", f"s{s}", "c0", "f.dat") for s in range(3) for t in range(k)]
+        index = build_index(rows, [(v, v) for _ in range(3) for v in vectors])
+        for entry in index.entries:
+            assert _bits(entry.shape) == _bits(np.mean(vectors, axis=0))
+
+    @pytest.mark.parametrize("centroid", [True, False])
+    def test_register_centroids_are_np_mean_of_the_embeddings(self, centroid):
+        recs = _dataset(num_ids=2, tpi=5, frames=3)
+        sm, am = _models()
+        shuffled = [recs[i] for i in (7, 2, 9, 0, 4, 5, 1, 8, 3, 6)]
+        index = register(shuffled, sm, am, centroid=centroid)
+        embedded = {r.tracklet_id: tracklet_embeddings(r, sm, am) for r in recs}
+        ids = sorted(embedded)
+        if centroid:
+            groups = [[i for i in ids if i.startswith(subject)] for subject in ("s000", "s001")]
+        else:
+            groups = [[i] for i in ids]
+        assert len(index.entries) == len(groups)
+        for entry, group in zip(index.entries, groups):
+            assert entry.source_count == len(group)
+            assert _bits(entry.shape) == _bits(np.mean([embedded[i][0] for i in group], axis=0))
+            assert _bits(entry.appearance) == _bits(np.mean([embedded[i][1] for i in group], axis=0))
+
+
 class TestTwoStageEmbedding:
     def test_embed_tracklet_is_finish_of_group_features(self):
         rec = _dataset(num_ids=1, tpi=1, frames=11)[0]
@@ -230,6 +316,78 @@ _UNLOADABLE = [
     ([_entry(), _entry("")], "entry 1 has an empty subject id"),
 ]
 _UNLOADABLE_IDS = ["no-entries", "zero-width", "nan", "inf", "shape-widths", "appearance-widths", "count-0", "empty-id"]
+
+
+# indexes with two faults, and the message of the one that comes first in
+# file order: the parser walks the headers before it decodes any vector, and
+# must still report a vector fault that lies before a header fault
+_NAN_SHAPE = _entry(shape=(1.0, np.nan, 3.0))
+_TWO_FAULTS = [
+    ([_NAN_SHAPE, _entry("")], "entry 0 has an empty or non-finite shape vector"),
+    ([_NAN_SHAPE, _entry("s1", count=0)], "entry 0 has an empty or non-finite shape vector"),
+    ([_entry(shape=(np.inf, 1.0, 2.0), count=0)], "entry 0 has an empty or non-finite shape vector"),
+    ([_NAN_SHAPE, _entry("s1", shape=(1.0, 2.0))], "entry 0 has an empty or non-finite shape vector"),
+    ([_entry(), _entry("s1", appearance=(-np.inf, 0.5)), _entry("s2", shape=(1.0,))],
+     "entry 1 has an empty or non-finite appearance vector"),
+    ([_entry(), _entry("s1", shape=(1.0, 2.0)), _entry("s2", shape=(np.nan, 1.0, 2.0))],
+     "entry 1 shape width 2 differs from entry 0's 3"),
+    ([_entry(), _entry("s1", shape=(1.0, 2.0), appearance=(np.nan, 0.5))],
+     "entry 1 shape width 2 differs from entry 0's 3"),
+    # the width-mismatched vector is checked for finiteness before its width
+    ([_entry(), _entry("s1", shape=(np.nan, 2.0))], "entry 1 has an empty or non-finite shape vector"),
+    ([_entry(), _entry(""), _entry("s2", appearance=(np.nan, 0.5))], "entry 1 has an empty subject id"),
+    ([_entry(), _entry("s1", shape=()), _entry("s2", shape=(np.nan, 1.0, 2.0))],
+     "entry 1 has an empty or non-finite shape vector"),
+    ([_entry(count=0), _entry("s1", appearance=(0.5, np.nan))], "entry 0 has a source count of 0"),
+    ([_entry(), _entry("s1", appearance=(1.0,)), _entry("s2", appearance=(np.inf, 0.5))],
+     "entry 1 appearance width 1 differs from entry 0's 2"),
+]
+_TWO_FAULTS_IDS = [
+    "nan-then-empty-id", "nan-then-count-0", "inf-then-own-count-0", "nan-then-width", "inf-then-width",
+    "width-then-nan", "width-then-own-nan", "nan-in-the-mismatched-vector", "empty-id-then-nan",
+    "zero-width-then-nan", "count-0-then-nan", "appearance-width-then-inf",
+]
+
+
+class TestIndexFaultOrder:
+    @pytest.mark.parametrize("entries, message", _TWO_FAULTS, ids=_TWO_FAULTS_IDS)
+    def test_load_index_reports_the_first_fault_in_file_order(self, tmp_path, entries, message):
+        p = tmp_path / "two.shrc"
+        p.write_bytes(_raw_index(entries))
+        with pytest.raises(CorruptIndex, match=f"two.shrc: {message}$"):
+            load_index(p)
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize("entries, message", _TWO_FAULTS, ids=_TWO_FAULTS_IDS)
+    def test_save_index_refuses_with_the_same_text(self, tmp_path, entries, message):
+        p = tmp_path / "two.shrc"
+        with pytest.raises(InvalidInput, match=f"two.shrc: {message}$"):
+            save_index(GalleryIndex(entries=entries, model_hash="0123456789ab"), p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("cut", [1, 4, 9, 20])
+    def test_a_non_finite_vector_comes_before_a_later_truncation(self, tmp_path, cut):
+        # entry 0's shape vector holds a NaN; the cut falls in entry 2
+        raw = _raw_index([_NAN_SHAPE, _entry("s1"), _entry("s2")])
+        p = tmp_path / "cut.shrc"
+        p.write_bytes(raw[:-cut])
+        with pytest.raises(CorruptIndex, match="cut.shrc: entry 0 has an empty or non-finite shape vector$"):
+            load_index(p)
+
+    def test_a_truncation_comes_before_a_later_non_finite_vector(self, tmp_path):
+        # entry 1's id is cut short; entry 0 is sound and nothing after is read
+        raw = _raw_index([_entry(), _entry("s1", appearance=(np.nan, 0.5))])
+        p = tmp_path / "cut.shrc"
+        cut = 8 + 4 + 12 + 4 + 38 + 4 + 1
+        p.write_bytes(raw[:cut])
+        with pytest.raises(CorruptIndex, match=f"cut.shrc: truncated at byte {cut - 1}$"):
+            load_index(p)
+
+    def test_a_non_finite_vector_comes_before_trailing_bytes(self, tmp_path):
+        p = tmp_path / "tail.shrc"
+        p.write_bytes(_raw_index([_entry(), _entry("s1", appearance=(0.5, np.inf))]) + b"\x00")
+        with pytest.raises(CorruptIndex, match="tail.shrc: entry 1 has an empty or non-finite appearance vector$"):
+            load_index(p)
 
 
 class TestIndexFile:

@@ -1,9 +1,12 @@
-"""The embed path's reductions call numpy's ufunc reductions directly
-(`np.maximum.reduce`, `np.add.reduce(x, axis) / n`, `isfinite(x).all()`,
-`sqrt(dot)`), not the Python wrappers behind `ndarray.max`, `.sum`, `.mean`,
-`np.all` and `np.linalg.norm`. Each is pinned here, bit for bit, to the
-method form it replaced, on random, tie-heavy, non-contiguous and
-one-channel grids, and on one-frame and one-group inputs.
+"""The embed path calls numpy's C entry points directly, not the Python
+wrappers behind them: `np.maximum.reduce`, `np.add.reduce(x, axis) / n`,
+`np.logical_and.reduce(x, None)`, `np.logical_or.reduce(x, None)` and
+`sqrt(dot)` for `ndarray.max`, `.sum`, `.mean`, `.all`, `.any`, `np.all` and
+`np.linalg.norm`; `ndarray.transpose` for `np.moveaxis`; `np.concatenate`
+for `np.vstack`; a zero-stride `np.ndarray` view for `np.broadcast_to`. Each
+is pinned here, bit for bit, to the form it replaced, on random, tie-heavy,
+non-contiguous and one-channel grids, and on one-frame and one-group inputs;
+each check refuses exactly what its old form refused.
 """
 
 import math
@@ -23,8 +26,9 @@ from sharc.appearance import (
     temporal_attention,
 )
 from sharc.core import as_grid, as_grids, as_vector, l2_normalize, softmax_grid, strip_pool
+from sharc.encoders import EncoderParams, encode_silhouette, encode_smpl, frame_chunks
 from sharc.exceptions import InvalidInput
-from sharc.shape import ShapeEmbedding, pool_motion, temporal_pool_pose
+from sharc.shape import ShapeEmbedding, ShapeModel, fuse_pose, pool_motion, temporal_pool_pose
 from sharc.synth import TrackletRecord
 
 # a tie-heavy draw repeats these values, so maxima tie and sums cancel
@@ -216,3 +220,147 @@ def test_one_position_grids_equal_the_method_form(shape):
     assert _same_bits(softmax_grid(x), want)
     if len(shape) == 4:
         assert _same_bits(average_aggregate(x), x.mean(axis=-4).mean(axis=(-3, -2)))
+
+
+class TestAxisOrder:
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 2)])
+    def test_pyramid_members_come_in_moveaxis_order(self, lead):
+        # the identity SA stub sees each member of level 0 in the order of
+        # the frame axis moved first; the transpose must give that very view
+        frames = np.arange(np.prod(lead + (4, 2, 3, 2)), dtype=np.float64).reshape(lead + (4, 2, 3, 2))
+        params = AttentionParams.initialize(2, levels=2, seed=3)
+        seen = []
+
+        def sa(grids, level):
+            if level == 0:
+                seen.append(grids)
+            return grids
+
+        pyramid_aggregate(frames, params, sa_fn=sa, ta_fn=lambda x, y, level: np.zeros_like(x))
+        want = np.moveaxis(frames, -4, 0)
+        assert len(seen) == len(want)
+        for have, member in zip(seen, want):
+            assert _same_bits(have, member) and have.strides == member.strides
+
+
+def _embed_with_the_wrapper_forms(model: ShapeModel, masks, appearance, body, skeleton) -> np.ndarray:
+    """`ShapeModel.embed`'s bins as it computed them with np.broadcast_to,
+    ndarray.max and np.vstack."""
+    pooled = None
+    for chunk in frame_chunks(len(masks), masks.shape[1] * masks.shape[2]):
+        sil = encode_silhouette(masks[chunk], appearance[chunk], model.sil_encoder)
+        rows = encode_smpl(body[chunk], model.smpl_encoder)
+        fused = fuse_pose(sil, np.broadcast_to(rows[:, None, None, :], sil.shape[:3] + rows.shape[1:]))
+        chunk_max = fused.max(axis=0)
+        pooled = chunk_max if pooled is None else np.maximum(pooled, chunk_max)
+    pose_bins = strip_pool(pooled, model.bins, model.hpp_mode)
+    return np.vstack([pose_bins, model.motion_bin(skeleton)[None, :]])
+
+
+class TestShapeEmbedForms:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_embed_equals_the_broadcast_to_and_vstack_form(self, data):
+        # 8x8 tracklets fit in one frame chunk; 32x32 and 24x40 take chunks of 8
+        t, h, w = data.draw(st.sampled_from([(1, 8, 8), (3, 8, 8), (9, 24, 40), (20, 32, 32)]), label="frames")
+        c = data.draw(st.sampled_from([1, 3, 8]), label="channels")
+        model = ShapeModel(
+            sil_encoder=EncoderParams.initialize((4, 6, c), seed=21),
+            smpl_encoder=EncoderParams.initialize((85, 12, c), seed=22),
+            skeleton_encoder=EncoderParams.initialize((51, 10, data.draw(st.sampled_from([c, 5]))), seed=23),
+            bins=2,
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        masks = (rng.random((t, h, w)) < 0.5).astype(np.float64)
+        appearance, body, skeleton = rng.random((t, h, w, 3)), rng.standard_normal((t, 85)), rng.random((t, 51))
+        want = _embed_with_the_wrapper_forms(model, masks, appearance, body, skeleton)
+        assert _same_bits(model.embed(masks, appearance, body, skeleton).bins, want)
+
+    def test_the_zero_stride_view_is_the_broadcast_to_view(self):
+        rows = np.random.default_rng(5).standard_normal((3, 4))
+        view = np.ndarray((3, 2, 5, 4), rows.dtype, rows, 0, (rows.strides[0], 0, 0, rows.strides[1]))
+        want = np.broadcast_to(rows[:, None, None, :], (3, 2, 5, 4))
+        assert _same_bits(view, want) and view.strides == want.strides
+
+
+@st.composite
+def _bool_arrays(draw):
+    """A bool array of 0 to 3 axes, possibly empty, in C order or strided, with
+    True in a drawn share of its entries."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    if x.ndim and draw(st.booleans()):
+        x = np.repeat(x, 2, axis=0)[::2]
+    return x
+
+
+class TestCheckForms:
+    @settings(max_examples=300, deadline=None)
+    @given(x=_bool_arrays())
+    def test_logical_and_reduce_is_all(self, x):
+        have, want = np.logical_and.reduce(x, None), x.all()
+        assert type(have) is type(want) and have == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_logical_or_reduce_is_any_on_float_vectors(self, data):
+        v = data.draw(_arrays((data.draw(st.integers(1, 9)),)), label="v")
+        for i in data.draw(st.lists(st.integers(0, len(v) - 1), max_size=3), label="specials"):
+            v[i] = data.draw(st.sampled_from([0.0, -0.0, np.nan, 5e-324]))
+        have, want = np.logical_or.reduce(v, None), v.any()
+        assert type(have) is type(want) and have == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_ufunc_min_and_max_are_the_methods(self, data):
+        conf = data.draw(_arrays((data.draw(st.integers(1, 4)), 17)), label="confidences")
+        for _ in range(data.draw(st.integers(0, 3), label="specials")):
+            index = (data.draw(st.integers(0, len(conf) - 1)), data.draw(st.integers(0, 16)))
+            conf[index] = data.draw(st.sampled_from([0.0, -0.0, 1.0, np.nan]))
+        assert _same_bits(np.minimum.reduce(conf, None), conf.min())
+        assert _same_bits(np.maximum.reduce(conf, None), conf.max())
+
+
+# the values at the edges of [0, 1] and past them
+_EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 0.5, np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), -1e300, 1e300]
+
+
+def _record(masks=None, appearance=None, skeleton=None):
+    t, h, w = 2, 2, 3
+    return TrackletRecord(
+        "t", "s", "c",
+        masks=np.ones((t, h, w)) if masks is None else masks,
+        appearance=np.full((t, h, w, 3), 0.25) if appearance is None else appearance,
+        body=np.zeros((t, 85)),
+        skeleton=np.full((t, 51), 0.5) if skeleton is None else skeleton,
+    )
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("value", _EDGES)
+    @pytest.mark.parametrize("where", [(0, 0, 0, 0), (1, 1, 2, 2), (0, 1, 1, 0)])
+    def test_the_folded_appearance_check_refuses_what_the_two_checks_refused(self, value, where):
+        app = np.full((2, 2, 3, 3), 0.25)
+        app[where] = value
+        refused = bool(not np.all(np.isfinite(app)) or app.min() < 0.0 or app.max() > 1.0)
+        assert _refused(lambda: _record(appearance=app)) is refused
+        # and a record of nothing but that value
+        app = np.full((2, 2, 3, 3), value)
+        refused = bool(not np.all(np.isfinite(app)) or app.min() < 0.0 or app.max() > 1.0)
+        assert _refused(lambda: _record(appearance=app)) is refused
+
+    @pytest.mark.parametrize("value", _EDGES)
+    def test_the_confidence_check_refuses_what_the_methods_refused(self, value):
+        skeleton = np.full((2, 51), 0.5)
+        skeleton[1, 40] = value
+        conf = skeleton[:, 34:]
+        refused = bool(not np.all(np.isfinite(skeleton)) or conf.min() < 0.0 or conf.max() > 1.0)
+        assert _refused(lambda: _record(skeleton=skeleton)) is refused
+
+    @pytest.mark.parametrize("value", _EDGES)
+    def test_the_mask_check_refuses_what_all_refused(self, value):
+        masks = np.ones((2, 2, 3))
+        masks[0, 1, 2] = value
+        refused = bool(not ((masks == 0.0) | (masks == 1.0)).all())
+        assert _refused(lambda: _record(masks=masks)) is refused
