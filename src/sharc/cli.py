@@ -13,13 +13,17 @@ cannot read or write, reported as `error: <path>: <reason>`), 3 invalid
 configuration (a config file that is not UTF-8 text included).
 
 The commands only orchestrate: the models that `config` builds apply every
-`[ablation]` key, and both sweeps run one loop, `_sweep`. At module level
-this file imports only `config` and `exceptions`; each command imports what
-it runs in its own body, so `evaluate` loads no model and `train-toy` no
-dataset, gallery or scoring module. `evaluate` imports no numpy either: it
-reads the fused scores as lists (`tables`) and counts each query's rank
-over them (`metrics`). Every table a command reads or writes goes through
-`tables`.
+`[ablation]` key, and both sweeps run one loop, `_sweep`. `enroll`, `query`
+and both sweeps read their tracklets a window at a time (`_embed_manifest`):
+each window of short tracklets goes through the encoders and the pyramid
+once (`gallery.encode_window`), then each of its tracklets is finished by
+`gallery.tracklet_embeddings` or `tracklet_features`, in manifest order.
+At module level this file imports only `config` and `exceptions`; each
+command imports what it runs in its own body, so `evaluate` loads no model
+and `train-toy` no dataset, gallery or scoring module. `evaluate` imports
+no numpy either: it reads the fused scores as lists (`tables`) and counts
+each query's rank over them (`metrics`). Every table a command reads or
+writes goes through `tables`.
 """
 
 from __future__ import annotations
@@ -49,11 +53,15 @@ def _comment(cfg: RunConfig) -> str:
     return f"sharc {__version__} config={cfg.hash()}"
 
 
-def _embed_manifest(name: str, cfg: RunConfig, embed) -> tuple[list[ManifestRow], list]:
-    """The rows of manifest `name` in data_dir and `embed` of each of its
-    tracklets, in row order; the manifest is read once, and each tracklet is
-    read and embedded before the next is read. A manifest naming no tracklet
-    is refused."""
+def _embed_manifest(name: str, cfg: RunConfig, embed, models: tuple) -> tuple[list[ManifestRow], list]:
+    """The rows of manifest `name` in data_dir and `embed(record, *models,
+    encoding)` of each of its tracklets, in row order. The manifest is read
+    once; its tracklets are read a window at a time
+    (`gallery.tracklet_windows`), and each window is encoded and each of its
+    tracklets finished before the next window is read; only ids and vectors
+    outlive the window after that. A manifest naming no tracklet is
+    refused."""
+    from .gallery import encode_window, tracklet_windows
     from .synth import load_dataset
     from .tables import read_manifest
 
@@ -61,7 +69,13 @@ def _embed_manifest(name: str, cfg: RunConfig, embed) -> tuple[list[ManifestRow]
     rows = read_manifest(path)
     if not rows:
         raise EmptyInput(f"{path}: names no tracklets")
-    return rows, [embed(record) for record in load_dataset(path, rows)]
+    embedded = []
+    # `window` holds the last window's records until the next one is read:
+    # dropped first, their pages could be trimmed from the heap and faulted
+    # in again for the next read
+    for window in tracklet_windows(load_dataset(path, rows)):
+        embedded += [embed(r, *models, e) for r, e in zip(window, encode_window(window, *models))]
+    return rows, embedded
 
 
 def _score_embedded(
@@ -123,7 +137,7 @@ def cmd_enroll(cfg: RunConfig, out: str) -> int:
     from .gallery import build_index, save_index, tracklet_embeddings
 
     models = build_shape_model(cfg), build_appearance_model(cfg)
-    rows, embeddings = _embed_manifest("gallery.csv", cfg, lambda r: tracklet_embeddings(r, *models))
+    rows, embeddings = _embed_manifest("gallery.csv", cfg, tracklet_embeddings, models)
     index = build_index(rows, embeddings, centroid=cfg.ablation.centroid)
     save_index(replace(index, model_hash=cfg.model_hash()), os.path.join(out, "index.shrc"))
     print(f"registered {len(rows)} tracklets into {len(index)} entries")
@@ -142,7 +156,7 @@ def cmd_query(cfg: RunConfig, out: str) -> int:
             f"{cfg.model_hash()}; query with the enrolling config or re-run enroll"
         )
     models = build_shape_model(cfg), build_appearance_model(cfg)
-    rows, embeddings = _embed_manifest("query.csv", cfg, lambda r: tracklet_embeddings(r, *models))
+    rows, embeddings = _embed_manifest("query.csv", cfg, tracklet_embeddings, models)
     s_shape, s_app = _score_embedded(rows, embeddings, index, cfg)
     fused = fuse_scores(s_shape, s_app, cfg.model.alpha)
     s_shape.write_csv(os.path.join(out, "scores_shape.csv"), _comment(cfg))
@@ -180,16 +194,16 @@ def _write_sweep(cfg: RunConfig, out: str, key: str, gammas, alphas) -> int:
     from .metrics import evaluate_scores
     from .tables import write_table
 
-    shape_model, app_model = build_shape_model(cfg), build_appearance_model(cfg)
-    gallery = _embed_manifest("gallery.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
-    queries = _embed_manifest("query.csv", cfg, lambda r: tracklet_features(r, shape_model, app_model))
+    models = build_shape_model(cfg), build_appearance_model(cfg)
+    gallery = _embed_manifest("gallery.csv", cfg, tracklet_features, models)
+    queries = _embed_manifest("query.csv", cfg, tracklet_features, models)
     # _sweep scores the queries in manifest row order
     labels = [r.subject_id for r in queries[0]]
     header = [key, "rank1"]
     rows = [
         [repr(gamma if key == "gamma" else alpha),
          repr(evaluate_scores(fused.scores.tolist(), fused.gallery_ids, labels).rank_k[1])]
-        for gamma, alpha, _, fused in _sweep(cfg, app_model, gallery, queries, gammas, alphas)
+        for gamma, alpha, _, fused in _sweep(cfg, models[1], gallery, queries, gammas, alphas)
     ]
     write_table(os.path.join(out, f"ablate_{key}.csv"), _comment(cfg), header, rows)
     print("\n".join(",".join(cells) for cells in [header] + rows))

@@ -6,9 +6,12 @@ block. Every encoder takes one modality of any run of frames as a single
 array, with frames on the first axis: (T, H, W) masks and (T, H, W, 3) RGB
 frames, the (T, 85) body vectors or the (T, 51) skeletons. Grid encoders work
 channels first inside, on (C, T*H*W) pixel columns, and return (T, H', W', C)
-grids; vector encoders return (T, C) rows. Frames are encoded independently, so the models feed the grid encoders
-a tracklet in the slices of `frame_chunks`: at most CHUNK_ROWS pixels per 2-D
-product, whatever the tracklet's length. The arrays are validated once,
+grids; vector encoders return (T, C) rows. Frames are encoded
+independently, so the models feed the grid encoders a window of tracklets
+(short ones packed up to CHUNK_ROWS pixel rows, a long one alone; see
+`gallery`) in the slices of `frame_chunks`: at most CHUNK_ROWS pixels per
+2-D product, whatever the tracklets' lengths, and a slice may hold frames
+of several tracklets. The arrays are validated once,
 where a `synth.TrackletRecord` is built, not here; `synth` also declares
 the 85 and 51 widths of the vector inputs. Weights are drawn from
 SplitMix64, uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], so a (seed, widths)
@@ -33,10 +36,12 @@ from .prng import SplitMix64
 
 ENCODER_MAGIC = b"SHRCENC1"
 
-# pixels per 2-D product when a tracklet is encoded in frame chunks: 8
-# frames of 32x32, a 512 KB layer-1 product at 8 hidden channels. A product
-# over a whole 48-frame tracklet is 3.1 MB, and its fresh pages fault in again
-# for every tracklet.
+# pixels per 2-D product when a window of tracklets is encoded in frame
+# chunks: 8 frames of 32x32, a 512 KB layer-1 product at 8 hidden channels. A
+# product over a whole 48-frame tracklet is 3.1 MB, and its fresh pages fault
+# in again for every tracklet. It is also the budget of a window: consecutive
+# tracklets of one frame size are packed until their pixels reach it (eight
+# 4-frame 16x16 tracklets), so each encoder and pyramid call serves them all.
 CHUNK_ROWS = 8192
 
 

@@ -10,18 +10,33 @@ consecutive groups with the final partial group resampled from its own
 members. The shape branch pools over arbitrary lengths, so it always sees the
 full sequence.
 
-The appearance branch runs in two stages. `AppearanceModel.group_features`
-encodes the frames of a tracklet chunk by chunk (`encoders.frame_chunks`),
-joins the small encoded grids, gathers its G groups into one
-(G, 2**pyramid_levels, h, w, C) array and reduces them to (G, C) pyramid
-aggregates and (G, C) spatial averages; nothing in it depends on gamma.
-`AppearanceModel.finish` flattens the averages with gamma and then averages
-over the groups (flattening is nonlinear, so it comes before the mean), to
-the (attn, avg) pair of C-vectors that `AppearanceModel.vector` turns into
-the scoring vector. `embed_tracklet` is the two stages in a row; the gamma
-sweep runs the first stage once per tracklet and the second once per gamma.
-`register` (embedding, then `build_index`) is the library's one-call path;
-the CLI embeds each tracklet as it reads it and calls `build_index`.
+Tracklets are embedded a window at a time. `tracklet_windows` cuts a
+stream of tracklets into windows: consecutive whole tracklets of one frame
+size, each window closed as soon as its pixel rows (frames times frame
+pixels) reach `encoders.CHUNK_ROWS`, so a tracklet at or above that budget
+is a window of its own. `encode_window` runs one window through one code
+path: the shape model's encoders over the window's joined frames
+(`ShapeModel.encode_window`), and the appearance encoder over them in the
+same frame chunks, with every tracklet's pyramid-sized groups gathered at
+its frame offset and reduced by one pyramid call and one averaging call
+(`AppearanceModel.window_features`). Each tracklet's `WindowEncoding` is
+then finished on its own by `tracklet_embeddings` (strip pool, motion bin,
+the zero-vector refusal, flattening and the group mean, the scoring
+vectors) or by `tracklet_features` (the shape vector and the gamma-free
+(G, C) group features). A tracklet embedded without an encoding is
+encoded as a window of its own, so the one-tracklet APIs (`ShapeModel.embed`,
+`AppearanceModel.group_features` and `embed_tracklet`, `register`) run the
+same code, and every output bit is the same whatever window a tracklet
+was encoded in.
+
+`AppearanceModel.finish` flattens a tracklet's (G, C) averages with gamma
+and then averages over the groups (flattening is nonlinear, so it comes
+before the mean), to the (attn, avg) pair of C-vectors that
+`AppearanceModel.vector` turns into the scoring vector; nothing before it
+depends on gamma, so the gamma sweep encodes each tracklet once and
+finishes it once per gamma. The CLI embeds each window as it reads it and
+calls `build_index`; `register` (embedding, then `build_index`) is the
+library's one-call path.
 
 A centroid is `np.mean(vectors, axis=0)` of its subject's float64 vectors in
 the canonical (subject id, tracklet id) order, bit for bit, whatever order
@@ -56,6 +71,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -64,7 +80,7 @@ import numpy as np
 from .appearance import AttentionParams, average_aggregate, flatten_feature, mean_embedding, pyramid_aggregate
 from .binfile import Reader, f32, text, u32
 from .core import l2_normalize
-from .encoders import EncoderParams, encode_appearance, frame_chunks
+from .encoders import CHUNK_ROWS, EncoderParams, encode_appearance, frame_chunks
 from .exceptions import CorruptIndex, EmptyInput, InvalidInput
 from .shape import ShapeModel
 
@@ -107,15 +123,30 @@ class AppearanceModel:
     use_attn: bool = True
     use_avg: bool = True
 
-    def group_features(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gamma-free stage: encode the (T, H, W, 3) frames one frame chunk at
-        a time, then the (G, C) pyramid aggregates and (G, C) spatial averages
-        of the G pyramid-sized groups, all groups in one call each."""
-        members = np.array(chunk_frames(len(frames), self.attention.group_size))
+    def window_features(self, frames: np.ndarray, lengths: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Gamma-free stage over a window of consecutive tracklets' (T, H, W, 3)
+        frames, joined on the first axis, `lengths` frames each: encode the
+        window one frame chunk at a time, gather every tracklet's
+        pyramid-sized groups at its frame offset, and reduce all of them to
+        (pyramid aggregate, spatial average) C-vectors in one call each. Per
+        tracklet, its (G, C) pyramid aggregates and (G, C) spatial averages."""
+        if sum(lengths) != len(frames):
+            raise InvalidInput(f"tracklet lengths {lengths} do not split a window of {len(frames)} frames")
+        members, bounds = [], [0]
+        for start, n in zip(itertools.accumulate([0] + lengths), lengths):
+            members += [[start + i for i in group] for group in chunk_frames(n, self.attention.group_size)]
+            bounds.append(len(members))
         chunks = frame_chunks(len(frames), frames.shape[1] * frames.shape[2])
         encoded = [encode_appearance(frames[c], self.encoder) for c in chunks]
-        groups = (encoded[0] if len(encoded) == 1 else np.concatenate(encoded))[members]
-        return pyramid_aggregate(groups, self.attention, ta_target=self.ta_target), average_aggregate(groups)
+        groups = (encoded[0] if len(encoded) == 1 else np.concatenate(encoded))[np.array(members)]
+        attn = pyramid_aggregate(groups, self.attention, ta_target=self.ta_target)
+        avg = average_aggregate(groups)
+        return [(attn[a:b], avg[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def group_features(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`window_features` of one tracklet's (T, H, W, 3) frames: its (G, C)
+        pyramid aggregates and (G, C) spatial averages."""
+        return self.window_features(frames, [len(frames)])[0]
 
     def finish(self, groups: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Flatten every group's average with this model's gamma, then average
@@ -160,10 +191,66 @@ class GalleryIndex:
         return len(self.entries)
 
 
-def _shape_vector(tracklet: TrackletRecord, shape_model: ShapeModel) -> np.ndarray:
-    """The shape vector of one tracklet, refused when it is all zeros: cosine
-    scoring is undefined for it, so an index holding it could not be queried."""
-    vec = shape_model.embed(tracklet.masks, tracklet.appearance, tracklet.body, tracklet.skeleton).flatten()
+def tracklet_windows(tracklets: Iterable[TrackletRecord]) -> Iterator[list[TrackletRecord]]:
+    """Cut `tracklets` into windows of consecutive whole tracklets of one
+    frame size: a window is yielded as soon as its pixel rows reach
+    `CHUNK_ROWS`, before a tracklet of another frame size, and at the end.
+    Only where the frame size changes is a tracklet read before the window
+    it follows is yielded."""
+    window: list[TrackletRecord] = []
+    rows = 0
+    for tracklet in tracklets:
+        if window and tracklet.masks.shape[1:] != window[0].masks.shape[1:]:
+            yield window
+            window, rows = [], 0
+        window.append(tracklet)
+        rows += tracklet.masks.size
+        if rows >= CHUNK_ROWS:
+            yield window
+            window, rows = [], 0
+    if window:
+        yield window
+
+
+@dataclass(frozen=True)
+class WindowEncoding:
+    """One tracklet's share of its window's encoder passes (`encode_window`)."""
+
+    pose: np.ndarray  # (h, w, C) max of its fused pose grids
+    motion: np.ndarray  # (T, C_m) encoded skeleton rows
+    groups: tuple[np.ndarray, np.ndarray]  # (G, C) pyramid aggregates and spatial averages
+
+
+def encode_window(
+    tracklets: list[TrackletRecord], shape_model: ShapeModel, appearance_model: AppearanceModel
+) -> list[WindowEncoding]:
+    """The encoder and pyramid passes of both branches over a window of
+    consecutive tracklets of one frame size, their frames joined on the
+    first axis (a window of one is not copied): one `WindowEncoding` per
+    tracklet, in order."""
+    if not tracklets:
+        raise EmptyInput("no tracklets to encode")
+    size = tracklets[0].masks.shape[1:]
+    for t in tracklets:
+        if t.masks.shape[1:] != size:
+            raise InvalidInput(f"tracklet {t.tracklet_id}: frames of {t.masks.shape[1:]} in a window of {size}")
+    lengths = [len(t) for t in tracklets]
+
+    def joined(name):
+        arrays = [getattr(t, name) for t in tracklets]
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    masks, appearance, body, skeleton = map(joined, ("masks", "appearance", "body", "skeleton"))
+    shapes = shape_model.encode_window(masks, appearance, body, skeleton, lengths)
+    groups = appearance_model.window_features(appearance, lengths)
+    return [WindowEncoding(pose, motion, g) for (pose, motion), g in zip(shapes, groups)]
+
+
+def _shape_vector(tracklet: TrackletRecord, shape_model: ShapeModel, encoding: WindowEncoding) -> np.ndarray:
+    """The shape vector of one tracklet, finished from its encoding, refused
+    when it is all zeros: cosine scoring is undefined for it, so an index
+    holding it could not be queried."""
+    vec = shape_model.finish(encoding.pose, encoding.motion).flatten()
     if not np.logical_or.reduce(vec, None):
         raise InvalidInput(
             f"tracklet {tracklet.tracklet_id}: shape vector is all zeros, and cosine similarity is "
@@ -173,21 +260,32 @@ def _shape_vector(tracklet: TrackletRecord, shape_model: ShapeModel) -> np.ndarr
 
 
 def tracklet_embeddings(
-    tracklet: TrackletRecord, shape_model: ShapeModel, appearance_model: AppearanceModel
+    tracklet: TrackletRecord,
+    shape_model: ShapeModel,
+    appearance_model: AppearanceModel,
+    encoding: WindowEncoding | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(shape vector, appearance vector) for one tracklet."""
-    shape_vec = _shape_vector(tracklet, shape_model)
-    app_vec = appearance_model.vector(appearance_model.embed_tracklet(tracklet.appearance))
-    return shape_vec, app_vec
+    """(shape vector, appearance vector) for one tracklet, finished from its
+    window's `encoding`; without one, the tracklet is encoded alone."""
+    if encoding is None:
+        (encoding,) = encode_window([tracklet], shape_model, appearance_model)
+    shape_vec = _shape_vector(tracklet, shape_model, encoding)
+    return shape_vec, appearance_model.vector(appearance_model.finish(encoding.groups))
 
 
 def tracklet_features(
-    tracklet: TrackletRecord, shape_model: ShapeModel, appearance_model: AppearanceModel
+    tracklet: TrackletRecord,
+    shape_model: ShapeModel,
+    appearance_model: AppearanceModel,
+    encoding: WindowEncoding | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The gamma-free work on one tracklet: (shape vector, its (G, C)
-    appearance group features before flattening). A model's
+    appearance group features before flattening), finished from its window's
+    `encoding`; without one, the tracklet is encoded alone. A model's
     `vector(finish(groups))` turns the groups into its appearance vector."""
-    return _shape_vector(tracklet, shape_model), appearance_model.group_features(tracklet.appearance)
+    if encoding is None:
+        (encoding,) = encode_window([tracklet], shape_model, appearance_model)
+    return _shape_vector(tracklet, shape_model, encoding), encoding.groups
 
 
 def build_index(

@@ -1,9 +1,18 @@
 """Shape branch: fuse each frame's silhouette and body-model features, pool
 the sequence, strip-pool into bins, and append the pooled motion feature as
 one extra bin. Every stage takes frames as one array, frames on the first
-axis. `ShapeModel.embed` runs the pose stages over a tracklet in the frame
-chunks of `encoders.frame_chunks` and folds each chunk's max into a running
-max, which is exact, so no per-frame pose array spans the whole tracklet.
+axis. The model embeds in two steps. `ShapeModel.encode_window` runs the
+encoders over a window of consecutive tracklets of one frame size, their
+frames joined on the first axis, in the frame chunks of
+`encoders.frame_chunks` (a chunk may hold frames of several tracklets):
+each tracklet's pose max is the max over its own frames of each chunk
+(`temporal_pool_pose` of the chunk's rows from the tracklet's offset),
+folded across the chunks, which is exact, so no per-frame pose array spans
+a tracklet or a window. (`np.maximum.reduceat` gives the same segmented max
+in one call, but over a 32-frame chunk of eight 4-frame tracklets it takes
+about twice as long as the eight per-tracklet reductions.)
+`ShapeModel.finish` strip-pools one tracklet's max and appends its motion
+bin. `ShapeModel.embed` is the two steps over a window of one tracklet.
 The body-model encoder gives one (C,) vector per frame; the fusion sees it
 as a broadcast view over that frame's (h, w) silhouette grid, which
 multiplies elementwise to the bits a materialised copy gives.
@@ -15,13 +24,15 @@ the model projects to C channels, with a matrix it draws itself from
 flattens the matrix to a single vector; the bin layout is kept on the
 embedding for ablations.
 
-The `[ablation]` drops zero the dropped input inside `ShapeModel.embed`, not
+The `[ablation]` drops zero the dropped input inside `encode_window`, not
 its encoder, so the topology and the embedding width never change between
 runs; an all-zero mask also hides the RGB beneath it from the silhouette encoder.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -120,23 +131,26 @@ class ShapeModel:
             projection = SplitMix64(self.projection_seed).uniform_array(-bound, bound, (c, c_m))
         object.__setattr__(self, "motion_projection", projection)
 
-    def motion_bin(self, skeleton: np.ndarray) -> np.ndarray:
-        """Pooled motion feature of a (T, 51) skeleton sequence, projected to
-        the pose channel width."""
-        pooled = pool_motion(encode_skeleton_sequence(skeleton, self.skeleton_encoder))
+    def motion_bin(self, motion: np.ndarray) -> np.ndarray:
+        """Pooled motion feature of one tracklet's (T, C_m) encoded skeleton
+        rows, projected to the pose channel width."""
+        pooled = pool_motion(motion)
         if self.motion_projection is None:
             return pooled
         return self.motion_projection @ pooled
 
-    def embed(
-        self, masks: np.ndarray, appearance: np.ndarray, body: np.ndarray, skeleton: np.ndarray
-    ) -> ShapeEmbedding:
-        """Full shape-branch embedding for one tracklet's arrays (see synth.TrackletRecord).
+    def encode_window(
+        self, masks: np.ndarray, appearance: np.ndarray, body: np.ndarray, skeleton: np.ndarray, lengths: list[int]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The encoder passes over a window of consecutive tracklets: their
+        arrays (see synth.TrackletRecord) joined on the frame axis, `lengths`
+        frames each. Per tracklet, the (h, w, C) elementwise max of its fused
+        pose grids and its (T, C_m) encoded skeleton rows.
 
         Zero the dropped inputs; encode the silhouettes and body vectors and
-        fuse them, one frame chunk at a time; pool the fused sequence with
-        elementwise max, chunk by chunk; strip-pool into `bins` bands; append
-        the pooled (and projected) motion feature as the extra bin.
+        fuse them one frame chunk at a time; take each tracklet's max over its
+        frames in the chunk and fold it into the tracklet's running max.
+        Encode the skeletons of the whole window in one call.
         """
         n = len(masks)
         if n == 0:
@@ -146,13 +160,17 @@ class ShapeModel:
                 f"modalities disagree on length: {n} masks, {len(appearance)} RGB frames, "
                 f"{len(body)} body vectors, {len(skeleton)} skeletons"
             )
+        if sum(lengths) != n or min(lengths) < 1:
+            raise InvalidInput(f"tracklet lengths {lengths} do not split a window of {n} frames")
         if self.drop_silhouette:
             masks = np.zeros_like(masks)
         if self.drop_smpl:
             body = np.zeros_like(body)
         if self.drop_skeleton:
             skeleton = np.zeros_like(skeleton)
-        pooled = None
+        ends = list(itertools.accumulate(lengths))
+        starts = [0] + ends[:-1]
+        pooled: list = [None] * len(lengths)
         for chunk in frame_chunks(n, masks.shape[1] * masks.shape[2]):
             sil = encode_silhouette(masks[chunk], appearance[chunk], self.sil_encoder)
             rows = encode_smpl(body[chunk], self.smpl_encoder)
@@ -162,8 +180,26 @@ class ShapeModel:
             grid_shape = sil.shape[:3] + rows.shape[1:]
             grid = np.ndarray(grid_shape, rows.dtype, rows, 0, (rows.strides[0], 0, 0, rows.strides[1]))
             fused = fuse_pose(sil, grid)
-            chunk_max = temporal_pool_pose(fused)
-            pooled = chunk_max if pooled is None else np.maximum(pooled, chunk_max, out=pooled)
-        pose_bins = core.strip_pool(pooled, self.bins, self.hpp_mode)
+            # each tracklet with frames in this chunk: the max over them
+            for i in range(bisect.bisect_right(ends, chunk.start), bisect.bisect_left(starts, chunk.stop)):
+                own = slice(max(starts[i], chunk.start) - chunk.start, min(ends[i], chunk.stop) - chunk.start)
+                chunk_max = temporal_pool_pose(fused[own])
+                pooled[i] = chunk_max if pooled[i] is None else np.maximum(pooled[i], chunk_max, out=pooled[i])
+        # the skeleton rows are narrow: one pass over the window
+        motion = encode_skeleton_sequence(skeleton, self.skeleton_encoder)
+        return [(pose, motion[start:end]) for pose, start, end in zip(pooled, starts, ends)]
 
-        return ShapeEmbedding(bins=np.concatenate((pose_bins, self.motion_bin(skeleton)[None, :])))
+    def finish(self, pose: np.ndarray, motion: np.ndarray) -> ShapeEmbedding:
+        """One tracklet's embedding from its `encode_window` pair: strip-pool
+        the pose max into `bins` bands and append the motion bin."""
+        pose_bins = core.strip_pool(pose, self.bins, self.hpp_mode)
+        return ShapeEmbedding(bins=np.concatenate((pose_bins, self.motion_bin(motion)[None, :])))
+
+    def embed(
+        self, masks: np.ndarray, appearance: np.ndarray, body: np.ndarray, skeleton: np.ndarray
+    ) -> ShapeEmbedding:
+        """Full shape-branch embedding for one tracklet's arrays (see
+        synth.TrackletRecord): `encode_window` over a window of this one
+        tracklet, then `finish`."""
+        ((pose, motion),) = self.encode_window(masks, appearance, body, skeleton, [len(masks)])
+        return self.finish(pose, motion)

@@ -111,6 +111,10 @@ class TrackletRecord:
         t = masks.shape[0]
         if t == 0:
             raise EmptyInput(f"tracklet {self.tracklet_id} has no frames")
+        if masks.size == 0:
+            raise InvalidInput(
+                f"tracklet {self.tracklet_id}: frames must have at least one pixel, got {masks.shape[1]}x{masks.shape[2]}"
+            )
         for name, shape in _record_shapes(*masks.shape).items():
             if getattr(self, name).shape != shape:
                 raise InvalidInput(

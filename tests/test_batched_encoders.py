@@ -9,9 +9,11 @@ the encoders in the frame chunks of `frame_chunks` (at most CHUNK_ROWS pixel
 rows per product); one whole-tracklet call of each encoder is the oracle of
 `ShapeModel.embed` and `AppearanceModel.group_features`.
 `group_features` runs all of a tracklet's frame groups through one pyramid
-and one averaging call; calling both once per group is its oracle. The
-batched outputs must equal their oracles to the bit, at frame counts that
-split unevenly, and must not depend on the BLAS thread count.
+and one averaging call; calling both once per group is its oracle. A window
+of several tracklets runs through the same encoder and pyramid passes;
+embedding each tracklet alone is its oracle. The batched outputs must equal
+their oracles to the bit, at frame counts that split unevenly, and must not
+depend on the BLAS thread count.
 """
 
 import os
@@ -36,9 +38,17 @@ from sharc.encoders import (
     encode_smpl,
     frame_chunks,
 )
-from sharc.exceptions import DimMismatch, InvalidInput
-from sharc.gallery import chunk_frames
+from sharc.exceptions import DimMismatch, EmptyInput, InvalidInput
+from sharc.gallery import (
+    build_index,
+    chunk_frames,
+    encode_window,
+    tracklet_embeddings,
+    tracklet_features,
+    tracklet_windows,
+)
 from sharc.shape import fuse_pose, temporal_pool_pose
+from sharc.synth import TrackletRecord
 
 
 def _pool_frame(grid):
@@ -195,7 +205,8 @@ def _whole_shape_bins(model, masks, appearance, body, skeleton):
     rows = encode_smpl(body, model.smpl_encoder)
     fused = fuse_pose(sil, np.tile(rows[:, None, None, :], (1,) + sil.shape[1:3] + (1,)))
     pose_bins = core.strip_pool(temporal_pool_pose(fused), model.bins, model.hpp_mode)
-    return np.vstack([pose_bins, model.motion_bin(skeleton)[None, :]])
+    motion = encode_skeleton_sequence(skeleton, model.skeleton_encoder)
+    return np.vstack([pose_bins, model.motion_bin(motion)[None, :]])
 
 
 def _whole_group_features(app_model, frames):
@@ -234,6 +245,72 @@ def test_chunked_models_equal_the_whole_tracklet_composition(tmp_path, t, size, 
     assert np.array_equal(shape_model.embed(*inputs).bins, _whole_shape_bins(shape_model, *inputs))
     got, want = app_model.group_features(inputs[1]), _whole_group_features(app_model, inputs[1])
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# frames per tracklet, all 16x16 (256 pixel rows a frame) but the one 8x8
+# tracklet of 6 frames: exactly the budget (32 frames), then 1, fewer than a
+# group, a group + 1 and the budget again, which close a window of 47 frames
+# whose second frame chunk starts inside the last tracklet; then 3 and over
+# the budget (40), and a run cut short by the change of frame size
+WINDOW_LENGTHS = [32, 1, 5, 9, 32, 3, 40, 9, 1, ("8x8", 6), 5, 2]
+
+
+def _window_records():
+    records = []
+    for i, length in enumerate(WINDOW_LENGTHS):
+        size = 16
+        if isinstance(length, tuple):
+            size, length = 8, length[1]
+        masks, appearance, body, skeleton = _inputs(length, size, seed=100 + i)
+        records.append(TrackletRecord(f"t{i:02d}", f"s{i % 3}", "c0", masks, appearance, body, skeleton))
+    return records
+
+
+@pytest.mark.parametrize(
+    "ablation", ["", "drop_silhouette = true", "drop_smpl = true", "drop_skeleton = true", "centroid = false"]
+)
+def test_windowed_embeddings_equal_one_tracklet_at_a_time(tmp_path, ablation):
+    cfg_path = tmp_path / "run.cfg"
+    # 2 bins strip both the 4 rows of 16x16 frames and the 2 rows of 8x8 ones
+    cfg_path.write_text(f"[model]\nbins = 2\n[ablation]\n{ablation}\n")
+    cfg = parse_config(cfg_path)
+    models = build_shape_model(cfg), build_appearance_model(cfg)
+    records = _window_records()
+    windows = list(tracklet_windows(iter(records)))
+    assert [[len(r) for r in w] for w in windows] == [[32], [1, 5, 9, 32], [3, 40], [9, 1], [6], [5, 2]]
+
+    windowed, features = [], []
+    for window in windows:
+        encodings = encode_window(window, *models)
+        windowed += [tracklet_embeddings(r, *models, e) for r, e in zip(window, encodings)]
+        features += [tracklet_features(r, *models, e) for r, e in zip(window, encodings)]
+    for record, (shape, app), (feature_shape, groups) in zip(records, windowed, features):
+        want_shape, want_app = tracklet_embeddings(record, *models)
+        want_groups = models[1].group_features(record.appearance)
+        alone = models[0].embed(record.masks, record.appearance, record.body, record.skeleton).flatten()
+        assert shape.tobytes() == feature_shape.tobytes() == want_shape.tobytes() == alone.tobytes(), record.tracklet_id
+        assert app.tobytes() == want_app.tobytes(), record.tracklet_id
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(groups, want_groups)), record.tracklet_id
+
+    one_at_a_time = [tracklet_embeddings(r, *models) for r in records]
+    got = build_index(records, windowed, centroid=cfg.ablation.centroid)
+    want = build_index(records, one_at_a_time, centroid=cfg.ablation.centroid)
+    assert [(e.subject_id, e.source_count) for e in got.entries] == [
+        (e.subject_id, e.source_count) for e in want.entries
+    ]
+    for g, w in zip(got.entries, want.entries):
+        assert g.shape.tobytes() == w.shape.tobytes() and g.appearance.tobytes() == w.appearance.tobytes()
+
+
+def test_a_window_holds_tracklets_of_one_frame_size(tmp_path):
+    models = _models(tmp_path)
+    records = _window_records()
+    with pytest.raises(InvalidInput, match="t09"):
+        encode_window([records[8], records[9]], *models)
+    with pytest.raises(EmptyInput):
+        encode_window([], *models)
+    with pytest.raises(InvalidInput):
+        models[0].encode_window(*(getattr(records[1], a) for a in ("masks", "appearance", "body", "skeleton")), [2])
 
 
 _HASH_SCRIPT = """

@@ -16,6 +16,7 @@ import sharc.synth
 import sharc.tables
 from sharc.cli import main
 from sharc.config import build_appearance_model, build_shape_model, parse_config
+from sharc.encoders import CHUNK_ROWS
 from sharc.gallery import register, save_index
 from sharc.synth import load_dataset
 from sharc.tables import read_manifest
@@ -501,6 +502,14 @@ class TestPipeline:
         assert filecmp.cmp(out1 / "index.shrc", out2 / "index.shrc", shallow=False)
 
 
+# frames per tracklet and frame side of each dataset: 6 frames of 8x8 (384
+# pixel rows) put a whole manifest in one window; 12 of 16x16 (3,072) close
+# a window at 3 tracklets, 9,216 rows, in frame chunks of 32 and 4 frames;
+# 8 of 32x32 are the whole budget, a window each
+WINDOW_DATASETS = {"one_window": (6, 8), "three_a_window": (12, 16), "budget": (8, 32)}
+
+
+@pytest.mark.parametrize("dataset", list(WINDOW_DATASETS))
 @pytest.mark.parametrize(
     "command, embed, manifests",
     [
@@ -510,18 +519,27 @@ class TestPipeline:
         ("ablate-alpha", "tracklet_features", ["gallery.csv", "query.csv"]),
     ],
 )
-def test_each_tracklet_is_embedded_before_the_next_is_read(workspace, monkeypatch, command, embed, manifests):
-    # only ids and vectors outlive a tracklet: no command holds every record
+def test_each_window_is_embedded_before_the_next_is_read(workspace, monkeypatch, command, embed, manifests, dataset):
+    # only ids and vectors outlive a window: no command holds every record
     cfg_path, data_dir, tmp = workspace
+    frames, side = WINDOW_DATASETS[dataset]
+    cfg_path.write_text(
+        cfg_path.read_text().replace(
+            "tracklets_per_id = 2\nframes_per_tracklet = 6\nheight = 8\nwidth = 8\n",
+            f"tracklets_per_id = 4\nframes_per_tracklet = {frames}\nheight = {side}\nwidth = {side}\n",
+        )
+    )
     out = tmp / "run"
     assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
     assert _run(["enroll", "--config", cfg_path, "--out", out]) == 0
-    events = []
+    events, rows = [], {}
     read, embedded = sharc.synth.read_tracklet_frames, getattr(sharc.gallery, embed)
 
     def logged_read(path, tracklet_id, *args):
         events.append(("read", tracklet_id))
-        return read(path, tracklet_id, *args)
+        record = read(path, tracklet_id, *args)
+        rows[tracklet_id] = record.masks.size
+        return record
 
     def logged_embed(record, *args):
         events.append(("embed", record.tracklet_id))
@@ -530,8 +548,30 @@ def test_each_tracklet_is_embedded_before_the_next_is_read(workspace, monkeypatc
     monkeypatch.setattr(sharc.synth, "read_tracklet_frames", logged_read)
     monkeypatch.setattr(sharc.gallery, embed, logged_embed)
     assert _run([command, "--config", cfg_path, "--out", out]) == 0
-    ids = [row.tracklet_id for name in manifests for row in read_manifest(data_dir / name)]
-    assert events == [(kind, tracklet) for tracklet in ids for kind in ("read", "embed")]
+
+    # a window is a run of reads and the run of embeds after it
+    windows = []
+    for kind, tracklet in events:
+        if kind == "read" and (not windows or windows[-1][1]):
+            windows.append(([], []))
+        windows[-1][kind == "embed"].append(tracklet)
+    per_manifest = [[row.tracklet_id for row in read_manifest(data_dir / name)] for name in manifests]
+    ids = [tracklet for part in per_manifest for tracklet in part]
+    # every tracklet is read once and embedded once, in manifest order, and
+    # a window's reads all come before its embeds
+    assert [tracklet for reads, _ in windows for tracklet in reads] == ids
+    assert all(reads == embeds for reads, embeds in windows)
+    # a window stops reading once it reaches the budget, and only the last
+    # window of a manifest ends below it
+    lasts = {part[-1] for part in per_manifest}
+    for reads, _ in windows:
+        assert sum(rows[t] for t in reads[:-1]) < CHUNK_ROWS
+        assert sum(rows[t] for t in reads) >= CHUNK_ROWS or reads[-1] in lasts
+        assert any(reads[0] in part and reads[-1] in part for part in per_manifest)
+    if dataset == "budget":
+        assert events == [(kind, tracklet) for tracklet in ids for kind in ("read", "embed")]
+    else:
+        assert len(windows) < len(ids)
 
 
 def test_each_table_is_written_with_lf_endings(workspace):

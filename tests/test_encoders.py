@@ -122,6 +122,12 @@ class TestInputTypes:
             _record(masks=np.ones((0, 4, 4)), appearance=np.ones((0, 4, 4, 3)),
                     body=np.zeros((0, 85)), skeleton=np.zeros((0, 51)))
 
+    @pytest.mark.parametrize("h, w", [(0, 3), (3, 0), (0, 0)])
+    def test_frames_without_pixels_rejected(self, h, w):
+        # InvalidInput naming the tracklet, not numpy's zero-size reduction error
+        with pytest.raises(InvalidInput, match=rf"^tracklet t: frames must have at least one pixel, got {h}x{w}$"):
+            _record(masks=np.ones((1, h, w)), appearance=np.ones((1, h, w, 3)))
+
 
 class TestParams:
     def test_initialize_is_deterministic(self):

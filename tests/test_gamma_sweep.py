@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 import sharc.gallery
+import sharc.shape
 from sharc import cli
 from sharc.config import build_appearance_model, build_shape_model, parse_config
 from sharc.gallery import register, tracklet_embeddings, tracklet_features
 from sharc.matcher import fuse_scores
-from sharc.shape import ShapeModel
 from sharc.synth import generate_dataset, split_protocol
 
 CONFIGS = {
@@ -124,22 +124,29 @@ def test_ablate_gamma_embeds_each_tracklet_once(tmp_path, monkeypatch):
     assert cli.main(["synth", "--config", str(path)]) == 0
 
     calls = {}
-    encode, embed = sharc.gallery.encode_appearance, ShapeModel.embed
+    encoders = {"appearance": (sharc.gallery, "encode_appearance"), "silhouette": (sharc.shape, "encode_silhouette")}
+    features = sharc.gallery.tracklet_features
 
-    def counting_encode(*args, **kwargs):
-        calls["frames"] += len(args[0])
-        return encode(*args, **kwargs)
+    def counting(name, encode):
+        def counted(*args, **kwargs):
+            calls[name] += len(args[0])
+            return encode(*args, **kwargs)
 
-    def counting_embed(self, *args, **kwargs):
+        return counted
+
+    def counting_features(*args, **kwargs):
         calls["tracklets"] += 1
-        return embed(self, *args, **kwargs)
+        return features(*args, **kwargs)
 
-    monkeypatch.setattr(sharc.gallery, "encode_appearance", counting_encode)
-    monkeypatch.setattr(ShapeModel, "embed", counting_embed)
+    for name, (module, attr) in encoders.items():
+        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+    monkeypatch.setattr(sharc.gallery, "tracklet_features", counting_features)
     for key, sweep in (("gamma", cli.GAMMA_SWEEP), ("alpha", cli.ALPHA_SWEEP)):
-        calls.update(frames=0, tracklets=0)
+        calls.update(appearance=0, silhouette=0, tracklets=0)
         assert cli.main([f"ablate-{key}", "--config", str(path)]) == 0
 
-        # 6 tracklets of 10 frames, split between gallery and query
-        assert calls == {"frames": 60, "tracklets": 6}
+        # 6 tracklets of 10 frames, split between gallery and query: each
+        # frame goes through each grid encoder once, and each tracklet is
+        # finished once
+        assert calls == {"appearance": 60, "silhouette": 60, "tracklets": 6}
         assert len((data_dir / f"ablate_{key}.csv").read_text().splitlines()) == 2 + len(sweep)

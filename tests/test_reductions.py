@@ -26,7 +26,7 @@ from sharc.appearance import (
     temporal_attention,
 )
 from sharc.core import as_grid, as_grids, as_vector, l2_normalize, softmax_grid, strip_pool
-from sharc.encoders import EncoderParams, encode_silhouette, encode_smpl, frame_chunks
+from sharc.encoders import EncoderParams, encode_silhouette, encode_skeleton_sequence, encode_smpl, frame_chunks
 from sharc.exceptions import InvalidInput
 from sharc.shape import ShapeEmbedding, ShapeModel, fuse_pose, pool_motion, temporal_pool_pose
 from sharc.synth import TrackletRecord
@@ -254,7 +254,8 @@ def _embed_with_the_wrapper_forms(model: ShapeModel, masks, appearance, body, sk
         chunk_max = fused.max(axis=0)
         pooled = chunk_max if pooled is None else np.maximum(pooled, chunk_max)
     pose_bins = strip_pool(pooled, model.bins, model.hpp_mode)
-    return np.vstack([pose_bins, model.motion_bin(skeleton)[None, :]])
+    motion = encode_skeleton_sequence(skeleton, model.skeleton_encoder)
+    return np.vstack([pose_bins, model.motion_bin(motion)[None, :]])
 
 
 class TestShapeEmbedForms:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sharc.encoders import EncoderParams
+from sharc.encoders import EncoderParams, encode_skeleton_sequence
 from sharc.exceptions import DimMismatch, EmptyInput
 from sharc.prng import SplitMix64
 from sharc.shape import ShapeModel, fuse_pose, pool_motion, temporal_pool_pose
@@ -131,7 +131,7 @@ def test_motion_projection_maps_channel_widths():
     model = _model()
     assert model.motion_projection is not None
     assert model.motion_projection.shape == (8, 6)
-    motion = model.motion_bin(_inputs(range(3))[3])
+    motion = model.motion_bin(encode_skeleton_sequence(_inputs(range(3))[3], model.skeleton_encoder))
     assert motion.shape == (8,)
 
 
