@@ -14,10 +14,11 @@ configuration (a config file that is not UTF-8 text included).
 
 The commands only orchestrate: the models that `config` builds apply every
 `[ablation]` key, and both sweeps run one loop, `_sweep`. `enroll`, `query`
-and both sweeps read their tracklets a window at a time (`_embed_manifest`):
-each window of short tracklets goes through the encoders and the pyramid
-once (`gallery.encode_window`), then each of its tracklets is finished by
-`gallery.tracklet_embeddings` or `tracklet_features`, in manifest order.
+and both sweeps embed their tracklets with `gallery.embed_windows`, the loop
+`gallery.register` runs too (`_embed_manifest`): each window of short
+tracklets goes through the encoders and the pyramid once, then each of its
+tracklets is finished by `gallery.tracklet_embeddings` or
+`tracklet_features`, in manifest order.
 At module level this file imports only `config` and `exceptions`; each
 command imports what it runs in its own body, so `evaluate` loads no model
 and `train-toy` no dataset, gallery or scoring module. `evaluate` imports
@@ -56,12 +57,10 @@ def _comment(cfg: RunConfig) -> str:
 def _embed_manifest(name: str, cfg: RunConfig, embed, models: tuple) -> tuple[list[ManifestRow], list]:
     """The rows of manifest `name` in data_dir and `embed(record, *models,
     encoding)` of each of its tracklets, in row order. The manifest is read
-    once; its tracklets are read a window at a time
-    (`gallery.tracklet_windows`), and each window is encoded and each of its
-    tracklets finished before the next window is read; only ids and vectors
-    outlive the window after that. A manifest naming no tracklet is
-    refused."""
-    from .gallery import encode_window, tracklet_windows
+    once; its tracklets are read, encoded and finished a window at a time
+    (`gallery.embed_windows`), so only ids and vectors outlive a window. A
+    manifest naming no tracklet is refused."""
+    from .gallery import embed_windows
     from .synth import load_dataset
     from .tables import read_manifest
 
@@ -69,13 +68,7 @@ def _embed_manifest(name: str, cfg: RunConfig, embed, models: tuple) -> tuple[li
     rows = read_manifest(path)
     if not rows:
         raise EmptyInput(f"{path}: names no tracklets")
-    embedded = []
-    # `window` holds the last window's records until the next one is read:
-    # dropped first, their pages could be trimmed from the heap and faulted
-    # in again for the next read
-    for window in tracklet_windows(load_dataset(path, rows)):
-        embedded += [embed(r, *models, e) for r, e in zip(window, encode_window(window, *models))]
-    return rows, embedded
+    return rows, list(embed_windows(load_dataset(path, rows), *models, embed))
 
 
 def _score_embedded(

@@ -10,33 +10,31 @@ consecutive groups with the final partial group resampled from its own
 members. The shape branch pools over arbitrary lengths, so it always sees the
 full sequence.
 
-Tracklets are embedded a window at a time. `tracklet_windows` cuts a
-stream of tracklets into windows: consecutive whole tracklets of one frame
-size, each window closed as soon as its pixel rows (frames times frame
-pixels) reach `encoders.CHUNK_ROWS`, so a tracklet at or above that budget
-is a window of its own. `encode_window` runs one window through one code
-path: the shape model's encoders over the window's joined frames
-(`ShapeModel.encode_window`), and the appearance encoder over them in the
-same frame chunks, with every tracklet's pyramid-sized groups gathered at
-its frame offset and reduced by one pyramid call and one averaging call
-(`AppearanceModel.window_features`). Each tracklet's `WindowEncoding` is
-then finished on its own by `tracklet_embeddings` (strip pool, motion bin,
-the zero-vector refusal, flattening and the group mean, the scoring
-vectors) or by `tracklet_features` (the shape vector and the gamma-free
-(G, C) group features). A tracklet embedded without an encoding is
-encoded as a window of its own, so the one-tracklet APIs (`ShapeModel.embed`,
-`AppearanceModel.group_features` and `embed_tracklet`, `register`) run the
-same code, and every output bit is the same whatever window a tracklet
-was encoded in.
+Tracklets are embedded a window at a time by one loop, `embed_windows`,
+which `register` and the CLI both run. `tracklet_windows` cuts a stream of
+tracklets into windows: consecutive whole tracklets of one frame size, each
+window closed as soon as its pixel rows (frames times frame pixels) reach
+`encoders.CHUNK_ROWS`, so a tracklet at or above that budget is a window of
+its own. `encode_window` runs a window's joined frames through both
+branches: `ShapeModel.encode_window` gives one `ShapeEmbedding` per
+tracklet, and `AppearanceModel.window_features` runs the appearance encoder
+in the same frame chunks and reduces every tracklet's pyramid-sized groups,
+gathered at its frame offset, in one pyramid call and one averaging call.
+`tracklet_features` finishes one tracklet's (shape embedding, groups) pair:
+the flattened shape vector, refused when all zeros, and the gamma-free
+(G, C) group features; `tracklet_embeddings` adds the group mean and the
+scoring vectors. Without its pair, a tracklet is encoded as a window of its
+own, as the one-tracklet APIs (`ShapeModel.embed`,
+`AppearanceModel.group_features`, `embed_tracklet`) are, and every output
+bit is the same whatever window a tracklet was encoded in.
 
 `AppearanceModel.finish` flattens a tracklet's (G, C) averages with gamma
 and then averages over the groups (flattening is nonlinear, so it comes
 before the mean), to the (attn, avg) pair of C-vectors that
 `AppearanceModel.vector` turns into the scoring vector; nothing before it
 depends on gamma, so the gamma sweep encodes each tracklet once and
-finishes it once per gamma. The CLI embeds each window as it reads it and
-calls `build_index`; `register` (embedding, then `build_index`) is the
-library's one-call path.
+finishes it once per gamma. `register` (`embed_windows`, then
+`build_index`) is the library's one-call path.
 
 A centroid is `np.mean(vectors, axis=0)` of its subject's float64 vectors in
 the canonical (subject id, tracklet id) order, bit for bit, whatever order
@@ -59,12 +57,14 @@ non-finite vector, widths that differ between entries, or a source count of 0.
 
 The parser runs in two passes. It walks the headers (ids, widths, counts)
 field by field, passing over each vector's bytes, until the end or the first
-fault; then it gathers every vector it passed, checks them all for finiteness
-and casts them to float64 in one call each. A vector is checked right after
+fault; then it gathers every vector it passed and checks them all for
+finiteness in one call (`_check_index`). A vector is checked right after
 the walk passes it in a field-by-field parse, so a non-finite vector reported
 by the second pass comes before the fault the walk stopped at: the fault
-raised is always the first in file order. `save_index` casts each stacked
-column of vectors to f32 once, and refuses what this parser refuses.
+raised is always the first in file order. `load_index` then casts the
+vectors to float64 in one call and builds the entries. `save_index` casts
+each stacked column of vectors to f32 once, and refuses what the check
+refuses without building anything.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from .binfile import Reader, f32, text, u32
 from .core import l2_normalize
 from .encoders import CHUNK_ROWS, EncoderParams, encode_appearance, frame_chunks
 from .exceptions import CorruptIndex, EmptyInput, InvalidInput
-from .shape import ShapeModel
+from .shape import ShapeEmbedding, ShapeModel
 
 if TYPE_CHECKING:
     from .synth import TrackletRecord
@@ -212,22 +212,13 @@ def tracklet_windows(tracklets: Iterable[TrackletRecord]) -> Iterator[list[Track
         yield window
 
 
-@dataclass(frozen=True)
-class WindowEncoding:
-    """One tracklet's share of its window's encoder passes (`encode_window`)."""
-
-    pose: np.ndarray  # (h, w, C) max of its fused pose grids
-    motion: np.ndarray  # (T, C_m) encoded skeleton rows
-    groups: tuple[np.ndarray, np.ndarray]  # (G, C) pyramid aggregates and spatial averages
-
-
 def encode_window(
     tracklets: list[TrackletRecord], shape_model: ShapeModel, appearance_model: AppearanceModel
-) -> list[WindowEncoding]:
-    """The encoder and pyramid passes of both branches over a window of
-    consecutive tracklets of one frame size, their frames joined on the
-    first axis (a window of one is not copied): one `WindowEncoding` per
-    tracklet, in order."""
+) -> list[tuple[ShapeEmbedding, tuple[np.ndarray, np.ndarray]]]:
+    """Both branches over a window of consecutive tracklets of one frame
+    size, their frames joined on the first axis (a window of one is not
+    copied): per tracklet, in order, its shape embedding and its (G, C)
+    pyramid aggregates and spatial averages."""
     if not tracklets:
         raise EmptyInput("no tracklets to encode")
     size = tracklets[0].masks.shape[1:]
@@ -242,50 +233,56 @@ def encode_window(
 
     masks, appearance, body, skeleton = map(joined, ("masks", "appearance", "body", "skeleton"))
     shapes = shape_model.encode_window(masks, appearance, body, skeleton, lengths)
-    groups = appearance_model.window_features(appearance, lengths)
-    return [WindowEncoding(pose, motion, g) for (pose, motion), g in zip(shapes, groups)]
+    return list(zip(shapes, appearance_model.window_features(appearance, lengths)))
 
 
-def _shape_vector(tracklet: TrackletRecord, shape_model: ShapeModel, encoding: WindowEncoding) -> np.ndarray:
-    """The shape vector of one tracklet, finished from its encoding, refused
-    when it is all zeros: cosine scoring is undefined for it, so an index
-    holding it could not be queried."""
-    vec = shape_model.finish(encoding.pose, encoding.motion).flatten()
+def embed_windows(
+    tracklets: Iterable[TrackletRecord], shape_model: ShapeModel, appearance_model: AppearanceModel, finish
+) -> Iterator:
+    """`finish(tracklet, shape_model, appearance_model, encoding)` of each of
+    `tracklets` with its `encode_window` pair, in order, read, encoded and
+    finished a window at a time (`tracklet_windows`)."""
+    # `window` holds the last window's records until the next one is read:
+    # dropped first, their pages could be trimmed from the heap and faulted
+    # in again for the next read. Nothing holds them past that read: a
+    # caller looping over (record, encoding) pairs would keep the last
+    # record through the next window's encoding, about 1 MB more peak RSS
+    # on 48-frame 32x32 tracklets
+    for window in tracklet_windows(tracklets):
+        yield from [
+            finish(t, shape_model, appearance_model, e)
+            for t, e in zip(window, encode_window(window, shape_model, appearance_model))
+        ]
+
+
+def tracklet_features(
+    tracklet: TrackletRecord, shape_model: ShapeModel, appearance_model: AppearanceModel, encoding: tuple | None = None
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The gamma-free work on one tracklet: (shape vector, its (G, C)
+    appearance group features before flattening), finished from its
+    `encode_window` pair; without one, the tracklet is encoded alone. A
+    model's `vector(finish(groups))` turns the groups into its appearance
+    vector. An all-zero shape vector is refused: cosine scoring is undefined
+    for it, so an index holding it could not be queried."""
+    if encoding is None:
+        (encoding,) = encode_window([tracklet], shape_model, appearance_model)
+    shape, groups = encoding
+    vec = shape.flatten()
     if not np.logical_or.reduce(vec, None):
         raise InvalidInput(
             f"tracklet {tracklet.tracklet_id}: shape vector is all zeros, and cosine similarity is "
             "undefined for a zero vector"
         )
-    return vec
+    return vec, groups
 
 
 def tracklet_embeddings(
-    tracklet: TrackletRecord,
-    shape_model: ShapeModel,
-    appearance_model: AppearanceModel,
-    encoding: WindowEncoding | None = None,
+    tracklet: TrackletRecord, shape_model: ShapeModel, appearance_model: AppearanceModel, encoding: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(shape vector, appearance vector) for one tracklet, finished from its
-    window's `encoding`; without one, the tracklet is encoded alone."""
-    if encoding is None:
-        (encoding,) = encode_window([tracklet], shape_model, appearance_model)
-    shape_vec = _shape_vector(tracklet, shape_model, encoding)
-    return shape_vec, appearance_model.vector(appearance_model.finish(encoding.groups))
-
-
-def tracklet_features(
-    tracklet: TrackletRecord,
-    shape_model: ShapeModel,
-    appearance_model: AppearanceModel,
-    encoding: WindowEncoding | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The gamma-free work on one tracklet: (shape vector, its (G, C)
-    appearance group features before flattening), finished from its window's
-    `encoding`; without one, the tracklet is encoded alone. A model's
-    `vector(finish(groups))` turns the groups into its appearance vector."""
-    if encoding is None:
-        (encoding,) = encode_window([tracklet], shape_model, appearance_model)
-    return _shape_vector(tracklet, shape_model, encoding), encoding.groups
+    """(shape vector, appearance vector) for one tracklet: `tracklet_features`,
+    then the appearance model's group mean and scoring vector."""
+    shape_vec, groups = tracklet_features(tracklet, shape_model, appearance_model, encoding)
+    return shape_vec, appearance_model.vector(appearance_model.finish(groups))
 
 
 def build_index(
@@ -348,8 +345,9 @@ def register(
     appearance_model: AppearanceModel,
     centroid: bool = True,
 ) -> GalleryIndex:
-    """Embed every tracklet and build the gallery index (see build_index)."""
-    embeddings = [tracklet_embeddings(t, shape_model, appearance_model) for t in tracklets]
+    """Embed every tracklet a window at a time (`embed_windows`) and build
+    the gallery index (see build_index)."""
+    embeddings = list(embed_windows(tracklets, shape_model, appearance_model, tracklet_embeddings))
     return build_index(tracklets, embeddings, centroid=centroid)
 
 
@@ -365,7 +363,7 @@ def _f32_rows(vectors: list) -> list:
 
 def save_index(index: GalleryIndex, path) -> None:
     """Write `index` to `path` (layout in the module docstring). Before `path`
-    is opened, the bytes are parsed as `load_index` parses them, and what it
+    is opened, the bytes are checked as `load_index` checks them, and what it
     would refuse raises InvalidInput; so do the two faults that cannot reach
     the bytes, a vector that is not one axis and a source count outside u32."""
     entries = index.entries
@@ -383,7 +381,7 @@ def save_index(index: GalleryIndex, path) -> None:
         parts.append(u32(e.source_count))
     data = b"".join(parts)
     try:
-        _parse_index(data, path)
+        _check_index(data, path)
     except CorruptIndex as exc:
         raise InvalidInput(str(exc)) from None
     with open(path, "wb") as f:
@@ -392,12 +390,17 @@ def save_index(index: GalleryIndex, path) -> None:
 
 def load_index(path) -> GalleryIndex:
     with open(path, "rb") as f:
-        return _parse_index(f.read(), path)
+        model_hash, subjects, counts, raw, width = _check_index(f.read(), path)
+    # checked before the cast, which warns on a signalling NaN
+    rows = raw.astype(np.float64).reshape(len(subjects), -1)
+    entries = list(map(IndexEntry, subjects, rows[:, :width], rows[:, width:], counts))
+    return GalleryIndex(entries=entries, model_hash=model_hash)
 
 
-def _parse_index(data: bytes, path) -> GalleryIndex:
-    """The index in `data`, in two passes (see the module docstring): the
-    headers, then every vector passed at once."""
+def _check_index(data: bytes, path) -> tuple[str, list[str], list[int], np.ndarray, int]:
+    """The model hash, subject ids, source counts, all vectors as one f32 array
+    in file order, and the shape width of the index in `data`, refused as
+    CorruptIndex at its first fault (two passes, see the module docstring)."""
     reader = Reader(data, path, INDEX_MAGIC, CorruptIndex, _RETIRED_MAGICS)
     model_hash = reader.text()
     (count,) = reader.u32()
@@ -440,8 +443,4 @@ def _parse_index(data: bytes, path) -> GalleryIndex:
         raise reader.corrupt(f"entry {j // 2} has an empty or non-finite {_VECTORS[j % 2]} vector")
     if fault is not None:
         raise fault
-    # checked before the cast, which warns on a signalling NaN
-    rows = raw.astype(np.float64).reshape(count, -1)
-    shapes, appearances = rows[:, : slots[0][1]], rows[:, slots[0][1] :]
-    entries = list(map(IndexEntry, subjects, shapes, appearances, counts))
-    return GalleryIndex(entries=entries, model_hash=model_hash)
+    return model_hash, subjects, counts, raw, slots[0][1]

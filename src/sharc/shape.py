@@ -1,18 +1,18 @@
 """Shape branch: fuse each frame's silhouette and body-model features, pool
 the sequence, strip-pool into bins, and append the pooled motion feature as
 one extra bin. Every stage takes frames as one array, frames on the first
-axis. The model embeds in two steps. `ShapeModel.encode_window` runs the
-encoders over a window of consecutive tracklets of one frame size, their
-frames joined on the first axis, in the frame chunks of
-`encoders.frame_chunks` (a chunk may hold frames of several tracklets):
-each tracklet's pose max is the max over its own frames of each chunk
-(`temporal_pool_pose` of the chunk's rows from the tracklet's offset),
-folded across the chunks, which is exact, so no per-frame pose array spans
-a tracklet or a window. (`np.maximum.reduceat` gives the same segmented max
-in one call, but over a 32-frame chunk of eight 4-frame tracklets it takes
-about twice as long as the eight per-tracklet reductions.)
-`ShapeModel.finish` strip-pools one tracklet's max and appends its motion
-bin. `ShapeModel.embed` is the two steps over a window of one tracklet.
+axis. `ShapeModel.encode_window` embeds a window of consecutive tracklets
+of one frame size, their frames joined on the first axis. It runs the
+encoders in the frame chunks of `encoders.frame_chunks` (a chunk may hold
+frames of several tracklets): each tracklet's pose max is the max over its
+own frames of each chunk (`temporal_pool_pose` of the chunk's rows from the
+tracklet's offset), folded across the chunks, which is exact, so no
+per-frame pose array spans a tracklet or a window. (`np.maximum.reduceat`
+gives the same segmented max in one call, but over a 32-frame chunk of
+eight 4-frame tracklets it takes about twice as long as the eight
+per-tracklet reductions.) Each tracklet's max is then strip-pooled and its
+motion bin appended, so a window yields one `ShapeEmbedding` per tracklet.
+`ShapeModel.embed` is `encode_window` over a window of one tracklet.
 The body-model encoder gives one (C,) vector per frame; the fusion sees it
 as a broadcast view over that frame's (h, w) silhouette grid, which
 multiplies elementwise to the bits a materialised copy gives.
@@ -141,16 +141,16 @@ class ShapeModel:
 
     def encode_window(
         self, masks: np.ndarray, appearance: np.ndarray, body: np.ndarray, skeleton: np.ndarray, lengths: list[int]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The encoder passes over a window of consecutive tracklets: their
-        arrays (see synth.TrackletRecord) joined on the frame axis, `lengths`
-        frames each. Per tracklet, the (h, w, C) elementwise max of its fused
-        pose grids and its (T, C_m) encoded skeleton rows.
+    ) -> list[ShapeEmbedding]:
+        """The embeddings of a window of consecutive tracklets: their arrays
+        (see synth.TrackletRecord) joined on the frame axis, `lengths` frames
+        each. One `ShapeEmbedding` per tracklet, in order.
 
         Zero the dropped inputs; encode the silhouettes and body vectors and
         fuse them one frame chunk at a time; take each tracklet's max over its
         frames in the chunk and fold it into the tracklet's running max.
-        Encode the skeletons of the whole window in one call.
+        Encode the skeletons of the whole window in one call. Per tracklet,
+        strip-pool its max into `bins` bands and append its motion bin.
         """
         n = len(masks)
         if n == 0:
@@ -187,19 +187,14 @@ class ShapeModel:
                 pooled[i] = chunk_max if pooled[i] is None else np.maximum(pooled[i], chunk_max, out=pooled[i])
         # the skeleton rows are narrow: one pass over the window
         motion = encode_skeleton_sequence(skeleton, self.skeleton_encoder)
-        return [(pose, motion[start:end]) for pose, start, end in zip(pooled, starts, ends)]
-
-    def finish(self, pose: np.ndarray, motion: np.ndarray) -> ShapeEmbedding:
-        """One tracklet's embedding from its `encode_window` pair: strip-pool
-        the pose max into `bins` bands and append the motion bin."""
-        pose_bins = core.strip_pool(pose, self.bins, self.hpp_mode)
-        return ShapeEmbedding(bins=np.concatenate((pose_bins, self.motion_bin(motion)[None, :])))
+        strips = (core.strip_pool(pose, self.bins, self.hpp_mode) for pose in pooled)
+        motions = (self.motion_bin(motion[a:b]) for a, b in zip(starts, ends))
+        return [ShapeEmbedding(np.concatenate((s, m[None]))) for s, m in zip(strips, motions)]
 
     def embed(
         self, masks: np.ndarray, appearance: np.ndarray, body: np.ndarray, skeleton: np.ndarray
     ) -> ShapeEmbedding:
         """Full shape-branch embedding for one tracklet's arrays (see
         synth.TrackletRecord): `encode_window` over a window of this one
-        tracklet, then `finish`."""
-        ((pose, motion),) = self.encode_window(masks, appearance, body, skeleton, [len(masks)])
-        return self.finish(pose, motion)
+        tracklet."""
+        return self.encode_window(masks, appearance, body, skeleton, [len(masks)])[0]

@@ -113,19 +113,24 @@ class ManifestRow:
     frames_path: str
 
 
-def _manifest_cells(row: ManifestRow) -> list[str]:
-    return [row.tracklet_id, row.subject_id, row.clothing_id, row.frames_path]
+def _manifest_cells(row: ManifestRow, path) -> list[str]:
+    """`row`'s cells; an empty one is refused, as `read_manifest` refuses it."""
+    cells = [row.tracklet_id, row.subject_id, row.clothing_id, row.frames_path]
+    if "" in cells:
+        raise InvalidInput(f"{path}: tracklet {row.tracklet_id!r}: empty {MANIFEST_HEADER[cells.index('')]}")
+    return cells
 
 
 def check_manifest_row(row: ManifestRow, path) -> None:
     """Refuse `row` with the InvalidInput `write_manifest` would raise for its
     line in `path`; a repeated tracklet is left to the caller."""
-    _line(path, _manifest_cells(row), len(MANIFEST_HEADER), ["tracklet", *MANIFEST_HEADER[1:]])
+    _line(path, _manifest_cells(row, path), len(MANIFEST_HEADER), ["tracklet", *MANIFEST_HEADER[1:]])
 
 
 def write_manifest(rows: list[ManifestRow], path, header_comment: str | None = None) -> None:
-    """Write one line per tracklet, refused as `write_table` refuses."""
-    write_table(path, header_comment, MANIFEST_HEADER, map(_manifest_cells, rows), key="tracklet")
+    """Write one line per tracklet, refused as `write_table` refuses, or when
+    a cell is empty."""
+    write_table(path, header_comment, MANIFEST_HEADER, (_manifest_cells(r, path) for r in rows), key="tracklet")
 
 
 def _manifest_header(cells: list[str]) -> None:
@@ -133,13 +138,20 @@ def _manifest_header(cells: list[str]) -> None:
         raise ValueError(f"expected header {','.join(MANIFEST_HEADER)}")
 
 
+def _manifest_row(cells: list[str]) -> ManifestRow:
+    if "" in cells:
+        raise ValueError(f"empty {MANIFEST_HEADER[cells.index('')]}")
+    return ManifestRow(*cells)
+
+
 def read_manifest(path) -> list[ManifestRow]:
-    """The rows of a manifest, which must name each tracklet once.
+    """The rows of a manifest, which must name each tracklet once and leave
+    no cell empty.
 
     A repeated tracklet would otherwise be embedded twice: counted twice in
     its subject's centroid, or scored as two rows with one id.
     """
-    return read_table(path, "manifest", "tracklet", _manifest_header, lambda cells: ManifestRow(*cells))[1]
+    return read_table(path, "manifest", "tracklet", _manifest_header, _manifest_row)[1]
 
 
 def _score_header(cells: list[str]) -> None:

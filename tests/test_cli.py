@@ -475,13 +475,30 @@ class TestPipeline:
         for name in ("index.shrc", "scores_fused.csv"):
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
-    @pytest.mark.parametrize("drop", ["drop_silhouette", "drop_smpl", "drop_skeleton"])
-    def test_register_with_config_built_models_writes_the_enrolled_index(self, workspace, drop):
+    # the windowed gallery's 10 tracklets of 5 frames of 16x16 are windows of
+    # 7 and 3, and the 7th straddles a frame chunk
+    @pytest.mark.parametrize(
+        "drop, windowed",
+        [
+            pytest.param(drop, windowed, id=drop + "-windowed" * windowed)
+            for windowed in (False, True)
+            for drop in ("drop_silhouette", "drop_smpl", "drop_skeleton")
+        ],
+    )
+    def test_register_with_config_built_models_writes_the_enrolled_index(self, workspace, drop, windowed):
         # the models that config builds apply the [ablation] drops themselves,
-        # so the library path gives the CLI's index byte for byte
+        # and register packs the windows enroll packs, so the library path
+        # gives the CLI's index byte for byte
         cfg_path, data_dir, tmp = workspace
-        cfg_path.write_text(cfg_path.read_text() + f"\n[ablation]\n{drop} = true\n")
+        text = cfg_path.read_text()
+        if windowed:
+            text = text.replace(
+                "num_ids = 3\ntracklets_per_id = 2\nframes_per_tracklet = 6\nheight = 8\nwidth = 8\n",
+                "num_ids = 10\ntracklets_per_id = 2\nframes_per_tracklet = 5\nheight = 16\nwidth = 16\n",
+            )
+        cfg_path.write_text(text + f"\n[ablation]\n{drop} = true\n")
         cfg = parse_config(cfg_path)
+        assert cfg.dataset.num_ids == (10 if windowed else 3)
         assert _run(["synth", "--config", cfg_path]) == 0
         assert _run(["enroll", "--config", cfg_path]) == 0
         index = register(
@@ -492,6 +509,23 @@ class TestPipeline:
         )
         save_index(replace(index, model_hash=cfg.model_hash()), tmp / "library.shrc")
         assert (tmp / "library.shrc").read_bytes() == (data_dir / "index.shrc").read_bytes()
+
+    @pytest.mark.parametrize("command, manifest", [("enroll", "gallery.csv"), ("evaluate", "query.csv")])
+    def test_an_empty_manifest_cell_is_2_in_one_line_naming_the_file_and_line(
+        self, workspace, capsys, command, manifest
+    ):
+        cfg_path, data_dir, tmp = workspace
+        for step in ("synth", "enroll", "query"):
+            assert _run([step, "--config", cfg_path]) == 0
+        path = data_dir / manifest
+        # line 3, after the comment and the header, is the first row
+        lines = path.read_text().splitlines()
+        tracklet, _, rest = lines[2].split(",", 2)
+        lines[2] = f"{tracklet},,{rest}"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert _run([command, "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 3: empty subject_id\n"
 
     def test_threads_do_not_change_results(self, workspace):
         cfg_path, data_dir, tmp = workspace

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sharc.exceptions import InvalidInput
 from sharc.matcher import ScoreMatrix
-from sharc.tables import ManifestRow, read_manifest, write_manifest, write_table
+from sharc.tables import MANIFEST_HEADER, ManifestRow, check_manifest_row, read_manifest, write_manifest, write_table
 
 _COMMENT = "sharc 0.1.0 config=0123456789ab"
 _ROWS = [
@@ -120,6 +120,24 @@ def test_write_manifest_refuses_a_line_it_would_not_read_back(tmp_path, row, com
     with pytest.raises(InvalidInput, match=re.escape(f"m.csv: {message}")):
         write_manifest([row], path, header_comment=comment)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("column", range(len(MANIFEST_HEADER)), ids=MANIFEST_HEADER)
+def test_a_manifest_row_with_an_empty_cell_is_refused_by_the_reader_and_the_writer(tmp_path, column):
+    cells = ["s000_t00", "s000", "c0", "frames/s000_t00.dat"]
+    cells[column] = ""
+    name = MANIFEST_HEADER[column]
+    read_path, write_path = tmp_path / "read.csv", tmp_path / "write.csv"
+    read_path.write_text(f"# {_COMMENT}\n{','.join(MANIFEST_HEADER)}\n{','.join(cells)}\n")
+    with pytest.raises(InvalidInput, match=re.escape(f"read.csv: line 3: empty {name}")):
+        read_manifest(read_path)
+    row = ManifestRow(*cells)
+    written = f"write.csv: tracklet {cells[0]!r}: empty {name}"
+    with pytest.raises(InvalidInput, match=re.escape(written)):
+        check_manifest_row(row, write_path)
+    with pytest.raises(InvalidInput, match=re.escape(written)):
+        write_manifest(_ROWS + [row], write_path, _COMMENT)
+    assert not write_path.exists()
 
 
 @pytest.mark.parametrize(
