@@ -1,5 +1,5 @@
 """The byte conventions of sharc's three binary formats: SHRCDAT4 frame
-containers (`synth`), SHRCIDX2 gallery indexes (`gallery`) and SHRCENC1
+containers (`synth`), SHRCIDX3 gallery indexes (`gallery`) and SHRCENC1
 encoder parameters (`encoders`). A file is an 8-byte magic, then fields:
 little-endian u32 counts, text as a u32 byte length and UTF-8, little-endian
 f32 payloads. Each format's own rules (tags, widths, counts) stay with it.
@@ -48,7 +48,7 @@ class Reader:
     def corrupt(self, message: str) -> CorruptFile:
         return self.error(f"{self.path}: {message}")
 
-    def take(self, size: int) -> int:
+    def _take(self, size: int) -> int:
         """The offset of the next `size` bytes, which the reader then passes."""
         start = self.offset
         if size > len(self.data) - start:
@@ -57,11 +57,11 @@ class Reader:
         return start
 
     def u32(self, count: int = 1) -> tuple[int, ...]:
-        return struct.unpack_from(f"<{count}I", self.data, self.take(4 * count))
+        return struct.unpack_from(f"<{count}I", self.data, self._take(4 * count))
 
     def text(self) -> str:
         (size,) = self.u32()
-        start = self.take(size)
+        start = self._take(size)
         try:
             return self.data[start : start + size].decode("utf-8")
         except UnicodeDecodeError:
@@ -70,7 +70,7 @@ class Reader:
     def array(self, dtype, count: int) -> np.ndarray:
         """The next `count` values of `dtype`: a read-only view of the bytes."""
         dtype = np.dtype(dtype)
-        return np.frombuffer(self.data, dtype, count, offset=self.take(dtype.itemsize * count))
+        return np.frombuffer(self.data, dtype, count, offset=self._take(dtype.itemsize * count))
 
     def f32(self, count: int, message: str) -> np.ndarray:
         """The next `count` f32 values as float64, refused with `message` unless

@@ -45,31 +45,28 @@ same order, then its one division. (`np.add.reduceat` over one stacked
 column would not do: inside a segment it sums pairwise, and at 3 or more
 tracklets it differs from `np.mean` in the last bit.)
 
-Index files ("SHRCIDX2", in the conventions of `binfile`): magic, the model
-hash as text (the hash of the config keys that change the stored vectors,
-empty when unknown), u32 entry count, then per entry the subject id as text,
-u32 dim + f32 shape centroid, u32 dim + f32 appearance centroid, u32 source
-tracklet count. Centroids are stored in 32-bit, so save -> load -> save is
-byte-stable after the first quantization. "SHRCIDX1" files, which carry no
-model hash, are rejected, and so is any file that `register` and
-`save_index` cannot produce: no entries, an empty subject id, an empty or
-non-finite vector, widths that differ between entries, or a source count of 0.
+Index files ("SHRCIDX3", in the conventions of `binfile`) hold the entries
+as columns: magic, the model hash as text (the hash of the config keys that
+change the stored vectors, empty when unknown), u32 entry count E, u32 shape
+width and u32 appearance width, the E subject ids as text, the E u32 source
+tracklet counts, then the (E, shape width) f32 shape block and the (E,
+appearance width) f32 appearance block, row i entry i's. Centroids are
+stored in 32-bit, so save -> load -> save is byte-stable after the first
+quantization. "SHRCIDX1" files, which carry no model hash, and "SHRCIDX2"
+files, which interleave each entry's fields, are rejected, and so is any
+file that `register` and `save_index` cannot produce: no entries, a width of
+0, an empty subject id, a source count of 0 or a non-finite vector.
 
-The parser runs in two passes. It walks the headers (ids, widths, counts)
-field by field, passing over each vector's bytes, until the end or the first
-fault; then it gathers every vector it passed and checks them all for
-finiteness in one call (`_check_index`). A vector is checked right after
-the walk passes it in a field-by-field parse, so a non-finite vector reported
-by the second pass comes before the fault the walk stopped at: the fault
-raised is always the first in file order. `load_index` then casts the
-vectors to float64 in one call and builds the entries. `save_index` casts
-each stacked column of vectors to f32 once, and refuses what the check
-refuses without building anything.
+`_check_index` reads the sections in file order and checks each one as it
+reads it, a vector block with one `isfinite`, so the fault it raises is the
+first in file order. `load_index` casts each block to float64 in one call.
+`save_index` stacks each column of vectors and casts it to f32 once; vectors
+of differing widths, or of other than one axis, cannot be written and are
+refused before the parser runs over the bytes.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -87,10 +84,13 @@ from .shape import ShapeEmbedding, ShapeModel
 if TYPE_CHECKING:
     from .synth import TrackletRecord
 
-INDEX_MAGIC = b"SHRCIDX2"
-# an entry's vectors, in file order
+INDEX_MAGIC = b"SHRCIDX3"
+# the vector blocks, in file order
 _VECTORS = ("shape", "appearance")
-_RETIRED_MAGICS = {b"SHRCIDX1": "index has no model hash; re-run enroll to rebuild it"}
+_RETIRED_MAGICS = {
+    b"SHRCIDX1": "index has no model hash; re-run enroll to rebuild it",
+    b"SHRCIDX2": "index interleaves its entries' fields; re-run enroll to rebuild it",
+}
 
 
 def chunk_frames(n_frames: int, group_size: int) -> list[list[int]]:
@@ -351,35 +351,41 @@ def register(
     return build_index(tracklets, embeddings, centroid=centroid)
 
 
-def _f32_rows(vectors: list) -> list:
-    """Each vector as little-endian f32: one cast of the stacked column when
-    the vectors stack (every index `register` builds), one cast each when
-    their shapes differ."""
+def _column(entries: list[IndexEntry], name: str, path) -> np.ndarray:
+    """The `name` vectors of `entries` as one (E, D) little-endian f32 block
+    (a value beyond the f32 range becomes inf, which the parser refuses),
+    refused as InvalidInput at the first vector that is not one axis or
+    whose width differs from entry 0's."""
+    vectors = [getattr(e, name) for e in entries]
     try:
-        return list(f32(vectors))
-    except ValueError:
-        return [f32(v) for v in vectors]
+        block = f32(vectors)
+    except ValueError:  # vectors of differing shapes do not stack
+        block = None
+    if block is None or block.ndim != 2:
+        for i, vec in enumerate(vectors):
+            if np.ndim(vec) != 1:
+                raise InvalidInput(f"{path}: entry {i} {name} vector has shape {np.shape(vec)}, need one axis")
+            width = len(vectors[0])
+            if len(vec) != width:
+                raise InvalidInput(f"{path}: entry {i} {name} width {len(vec)} differs from entry 0's {width}")
+    return block
 
 
 def save_index(index: GalleryIndex, path) -> None:
     """Write `index` to `path` (layout in the module docstring). Before `path`
     is opened, the bytes are checked as `load_index` checks them, and what it
-    would refuse raises InvalidInput; so do the two faults that cannot reach
-    the bytes, a vector that is not one axis and a source count outside u32."""
+    would refuse raises InvalidInput; so do the faults that cannot reach the
+    bytes, in file order: a source count outside u32, then a vector that is
+    not one axis or whose width differs from entry 0's."""
     entries = index.entries
-    # a value beyond the f32 range becomes inf here, which the parser refuses
-    columns = [_f32_rows([getattr(e, name) for e in entries]) for name in _VECTORS]
-    parts = [INDEX_MAGIC, text(index.model_hash), u32(len(entries))]
-    for i, (e, *vecs) in enumerate(zip(entries, *columns)):
-        parts.append(text(e.subject_id))
-        for name, vec in zip(_VECTORS, vecs):
-            if vec.ndim != 1:
-                raise InvalidInput(f"{path}: entry {i} {name} vector has shape {vec.shape}, need one axis")
-            parts += [u32(len(vec)), vec.tobytes()]
+    for i, e in enumerate(entries):
         if not 0 <= e.source_count < 2**32:
             raise InvalidInput(f"{path}: entry {i} has a source count of {e.source_count}")
-        parts.append(u32(e.source_count))
-    data = b"".join(parts)
+    blocks = [_column(entries, name, path) for name in _VECTORS]
+    # with no entries each block is empty and one axis: widths 0
+    header = [INDEX_MAGIC, text(index.model_hash), u32(len(entries), *(b.shape[-1] for b in blocks))]
+    ids = [text(e.subject_id) for e in entries]
+    data = b"".join(header + ids + [u32(*(e.source_count for e in entries))] + [b.tobytes() for b in blocks])
     try:
         _check_index(data, path)
     except CorruptIndex as exc:
@@ -390,57 +396,37 @@ def save_index(index: GalleryIndex, path) -> None:
 
 def load_index(path) -> GalleryIndex:
     with open(path, "rb") as f:
-        model_hash, subjects, counts, raw, width = _check_index(f.read(), path)
+        model_hash, subjects, counts, blocks = _check_index(f.read(), path)
     # checked before the cast, which warns on a signalling NaN
-    rows = raw.astype(np.float64).reshape(len(subjects), -1)
-    entries = list(map(IndexEntry, subjects, rows[:, :width], rows[:, width:], counts))
-    return GalleryIndex(entries=entries, model_hash=model_hash)
+    shape, appearance = (block.astype(np.float64) for block in blocks)
+    return GalleryIndex(entries=list(map(IndexEntry, subjects, shape, appearance, counts)), model_hash=model_hash)
 
 
-def _check_index(data: bytes, path) -> tuple[str, list[str], list[int], np.ndarray, int]:
-    """The model hash, subject ids, source counts, all vectors as one f32 array
-    in file order, and the shape width of the index in `data`, refused as
-    CorruptIndex at its first fault (two passes, see the module docstring)."""
+def _check_index(data: bytes, path) -> tuple[str, list[str], tuple[int, ...], list[np.ndarray]]:
+    """The model hash, subject ids, source counts and (E, D) f32 shape and
+    appearance blocks of the index in `data`, each section checked as it is
+    read: the CorruptIndex raised is the first fault in file order."""
     reader = Reader(data, path, INDEX_MAGIC, CorruptIndex, _RETIRED_MAGICS)
     model_hash = reader.text()
-    (count,) = reader.u32()
+    count, *widths = reader.u32(3)
     if count == 0:
         raise reader.corrupt("index has no entries")
-    subjects, counts = [], []
-    # (offset, width) of every vector the walk passed, in file order: entry
-    # i's shape vector is slot 2i, its appearance vector slot 2i + 1
-    slots: list[tuple[int, int]] = []
-    fault = None
-    try:
-        for i in range(count):
-            subject = reader.text()
-            if not subject:
-                raise reader.corrupt(f"entry {i} has an empty subject id")
-            for column, name in enumerate(_VECTORS):
-                (dim,) = reader.u32()
-                slots.append((reader.take(4 * dim), dim))
-                if dim == 0:
-                    raise reader.corrupt(f"entry {i} has an empty or non-finite {name} vector")
-                width = slots[column][1]
-                if dim != width:
-                    raise reader.corrupt(f"entry {i} {name} width {dim} differs from entry 0's {width}")
-            (k,) = reader.u32()
-            if k == 0:
-                raise reader.corrupt(f"entry {i} has a source count of 0")
-            subjects.append(subject)
-            counts.append(k)
-        reader.finish()
-    except CorruptIndex as exc:
-        fault = exc
-    # each vector's check comes right after the walk passes it, so a
-    # non-finite vector comes before the fault the walk stopped at, if any
-    view = memoryview(data)
-    raw = np.frombuffer(b"".join([view[start : start + 4 * dim] for start, dim in slots]), "<f4")
-    finite = np.isfinite(raw)
-    if not np.logical_and.reduce(finite, None):
-        # the slot holding the first non-finite value
-        j = bisect.bisect_right(list(itertools.accumulate(dim for _, dim in slots)), int(np.argmin(finite)))
-        raise reader.corrupt(f"entry {j // 2} has an empty or non-finite {_VECTORS[j % 2]} vector")
-    if fault is not None:
-        raise fault
-    return model_hash, subjects, counts, raw, slots[0][1]
+    if 0 in widths:
+        raise reader.corrupt(f"index has empty {_VECTORS[widths.index(0)]} vectors")
+    subjects = []
+    for i in range(count):
+        subjects.append(reader.text())
+        if not subjects[i]:
+            raise reader.corrupt(f"entry {i} has an empty subject id")
+    counts = reader.u32(count)
+    if 0 in counts:
+        raise reader.corrupt(f"entry {counts.index(0)} has a source count of 0")
+    blocks = []
+    for name, width in zip(_VECTORS, widths):
+        block = reader.array("<f4", count * width)
+        finite = np.isfinite(block)
+        if not np.logical_and.reduce(finite, None):
+            raise reader.corrupt(f"entry {int(np.argmin(finite)) // width} has a non-finite {name} vector")
+        blocks.append(block.reshape(count, width))
+    reader.finish()
+    return model_hash, subjects, counts, blocks

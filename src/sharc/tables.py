@@ -166,9 +166,12 @@ def _score_header(cells: list[str]) -> None:
 
 def _score_row(cells: list[str]) -> tuple[str, list[float]]:
     try:
-        return cells[0], list(map(float, cells[1:]))
+        scores = list(map(float, cells[1:]))
     except ValueError:
         raise ValueError("non-numeric score") from None
+    if not all(map(math.isfinite, scores)):
+        raise ValueError("non-finite score")
+    return cells[0], scores
 
 
 def read_scores(path) -> tuple[list[str], list[str], list[list[float]]]:
@@ -176,12 +179,10 @@ def read_scores(path) -> tuple[list[str], list[str], list[list[float]]]:
     of a score file, whose header is `query_id` and then the gallery ids.
 
     Refused with InvalidInput, in this order: what `read_table` refuses (a
-    header naming no or a repeated gallery id, a non-numeric score, a
-    repeated query id); a file with no query row; a non-finite score.
+    header naming no or a repeated gallery id, a non-numeric or non-finite
+    score, a repeated query id); a file with no query row.
     """
     header, rows = read_table(path, "score file", "query id", _score_header, _score_row)
     if not rows:
         raise InvalidInput(f"{path}: holds no query rows")
-    if not all(all(map(math.isfinite, scores)) for _, scores in rows):
-        raise InvalidInput("scores contain non-finite entries")
     return [query for query, _ in rows], header[1:], [scores for _, scores in rows]

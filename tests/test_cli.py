@@ -404,9 +404,14 @@ class TestExitCodes:
         assert _run(["enroll", "--config", cfg_path, "--out", data_dir]) == 0
         index = data_dir / "index.shrc"
         raw = bytearray(index.read_bytes())
-        # magic, model hash, entry count, entry 0's subject id, shape width
-        off = 8 + 4 + struct.unpack_from("<I", raw, 8)[0] + 4
-        off += 4 + struct.unpack_from("<I", raw, off)[0] + 4
+        # magic, model hash, entry count and widths, the subject ids and the
+        # source counts: then entry 0's shape vector
+        off = 8 + 4 + struct.unpack_from("<I", raw, 8)[0]
+        (count,) = struct.unpack_from("<I", raw, off)
+        off += 12
+        for _ in range(count):
+            off += 4 + struct.unpack_from("<I", raw, off)[0]
+        off += 4 * count
         raw[off : off + 4] = struct.pack("<I", 0x7F800001)
         index.write_bytes(bytes(raw))
         capsys.readouterr()
@@ -414,7 +419,7 @@ class TestExitCodes:
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             assert _run(["query", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {index}: entry 0 has an empty or non-finite shape vector\n"
+        assert err == f"error: {index}: entry 0 has a non-finite shape vector\n"
         assert not (data_dir / "scores_fused.csv").exists()
 
     def test_index_queries_under_another_alpha(self, workspace):
@@ -757,12 +762,16 @@ def _replace_last_cell(line, cell):
          + lines[4:], lambda lines: lines, "{fused}: line 3: non-numeric score"),
         # a nan cell and a header whose gallery column no query's subject has
         (lambda lines: [lines[0], lines[1].replace(",s001", ",x001"), _replace_last_cell(lines[2], "nan")]
-         + lines[3:], lambda lines: lines, "scores contain non-finite entries"),
+         + lines[3:], lambda lines: lines, "{fused}: line 3: non-finite score"),
+        # an inf cell (line 3) and a non-numeric cell (line 4)
+        (lambda lines: lines[:2] + [_replace_last_cell(lines[2], "-inf"), _replace_last_cell(lines[3], "abc")]
+         + lines[4:], lambda lines: lines, "{fused}: line 3: non-finite score"),
         # a short row and a query manifest with a header and no rows
         (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], lambda lines: lines[:2],
          "{fused}: line 3: expected 4 cells, got 3"),
     ],
-    ids=["non_numeric_and_unknown_query", "nan_and_unmatchable_column", "short_row_and_empty_query_manifest"],
+    ids=["non_numeric_and_unknown_query", "nan_and_unmatchable_column", "inf_and_non_numeric",
+         "short_row_and_empty_query_manifest"],
 )
 def test_the_first_of_two_faults_is_reported(workspace, capsys, damage_scores, damage_queries, message):
     # evaluate reads the score file whole, then the query manifest, then

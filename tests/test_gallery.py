@@ -290,62 +290,73 @@ def _entry(subject="s0", shape=(1.0, 2.0, 3.0), appearance=(0.5, 0.25), count=1)
 
 
 def _raw_index(entries, model_hash="0123456789ab") -> bytes:
-    """The SHRCIDX2 bytes of `entries` as given, with none of save_index's checks."""
+    """The SHRCIDX3 bytes of `entries` as given, with none of save_index's
+    checks: the header widths are entry 0's, and each block joins every
+    entry's vector."""
 
     def text(value: str) -> bytes:
         return struct.pack("<I", len(value.encode())) + value.encode()
 
-    parts = [b"SHRCIDX2", text(model_hash), struct.pack("<I", len(entries))]
-    for e in entries:
-        parts.append(text(e.subject_id))
-        for vec in (e.shape, e.appearance):
-            parts += [struct.pack("<I", len(vec)), np.asarray(vec, dtype="<f4").tobytes()]
-        parts.append(struct.pack("<I", e.source_count))
+    widths = (len(entries[0].shape), len(entries[0].appearance)) if entries else (0, 0)
+    parts = [b"SHRCIDX3", text(model_hash), struct.pack("<3I", len(entries), *widths)]
+    parts += [text(e.subject_id) for e in entries]
+    parts += [struct.pack("<I", e.source_count) for e in entries]
+    for name in ("shape", "appearance"):
+        parts += [np.asarray(getattr(e, name), dtype="<f4").tobytes() for e in entries]
     return b"".join(parts)
 
 
 # indexes that load_index refuses, and the message it refuses each with
 _UNLOADABLE = [
     ([], "index has no entries"),
-    ([_entry(shape=())], "entry 0 has an empty or non-finite shape vector"),
-    ([_entry(appearance=(0.5, np.nan))], "entry 0 has an empty or non-finite appearance vector"),
-    ([_entry(), _entry("s1", shape=(np.inf, 1.0, 2.0))], "entry 1 has an empty or non-finite shape vector"),
-    ([_entry(), _entry("s1", shape=(1.0, 2.0))], "entry 1 shape width 2 differs from entry 0's 3"),
-    ([_entry(), _entry("s1", appearance=(1.0,))], "entry 1 appearance width 1 differs from entry 0's 2"),
+    ([_entry(shape=())], "index has empty shape vectors"),
+    ([_entry(appearance=())], "index has empty appearance vectors"),
+    ([_entry(appearance=(0.5, np.nan))], "entry 0 has a non-finite appearance vector"),
+    ([_entry(), _entry("s1", shape=(np.inf, 1.0, 2.0))], "entry 1 has a non-finite shape vector"),
     ([_entry(count=0)], "entry 0 has a source count of 0"),
     ([_entry(), _entry("")], "entry 1 has an empty subject id"),
 ]
-_UNLOADABLE_IDS = ["no-entries", "zero-width", "nan", "inf", "shape-widths", "appearance-widths", "count-0", "empty-id"]
+_UNLOADABLE_IDS = ["no-entries", "zero-shape-width", "zero-appearance-width", "nan", "inf", "count-0", "empty-id"]
+
+# indexes that cannot reach the bytes, which save_index alone refuses
+_UNWRITABLE = [
+    ([_entry(), _entry("s1", shape=(1.0, 2.0))], "entry 1 shape width 2 differs from entry 0's 3"),
+    ([_entry(), _entry("s1", appearance=(1.0,))], "entry 1 appearance width 1 differs from entry 0's 2"),
+    ([_entry(), _entry("s1", shape=())], "entry 1 shape width 0 differs from entry 0's 3"),
+    ([_entry(shape=((1.0, 2.0, 3.0),))], r"entry 0 shape vector has shape \(1, 3\), need one axis"),
+    ([_entry(), _entry("s1", appearance=5.0)], r"entry 1 appearance vector has shape \(\), need one axis"),
+]
+_UNWRITABLE_IDS = ["shape-widths", "appearance-widths", "zero-width-in-one-entry", "two-axes", "no-axis"]
 
 
 # indexes with two faults, and the message of the one that comes first in
-# file order: the parser walks the headers before it decodes any vector, and
-# must still report a vector fault that lies before a header fault
+# file order: header, subject ids, source counts, shape block, appearance
+# block, each section checked as it is read
 _NAN_SHAPE = _entry(shape=(1.0, np.nan, 3.0))
 _TWO_FAULTS = [
-    ([_NAN_SHAPE, _entry("")], "entry 0 has an empty or non-finite shape vector"),
-    ([_NAN_SHAPE, _entry("s1", count=0)], "entry 0 has an empty or non-finite shape vector"),
-    ([_entry(shape=(np.inf, 1.0, 2.0), count=0)], "entry 0 has an empty or non-finite shape vector"),
-    ([_NAN_SHAPE, _entry("s1", shape=(1.0, 2.0))], "entry 0 has an empty or non-finite shape vector"),
-    ([_entry(), _entry("s1", appearance=(-np.inf, 0.5)), _entry("s2", shape=(1.0,))],
-     "entry 1 has an empty or non-finite appearance vector"),
-    ([_entry(), _entry("s1", shape=(1.0, 2.0)), _entry("s2", shape=(np.nan, 1.0, 2.0))],
-     "entry 1 shape width 2 differs from entry 0's 3"),
-    ([_entry(), _entry("s1", shape=(1.0, 2.0), appearance=(np.nan, 0.5))],
-     "entry 1 shape width 2 differs from entry 0's 3"),
-    # the width-mismatched vector is checked for finiteness before its width
-    ([_entry(), _entry("s1", shape=(np.nan, 2.0))], "entry 1 has an empty or non-finite shape vector"),
-    ([_entry(), _entry(""), _entry("s2", appearance=(np.nan, 0.5))], "entry 1 has an empty subject id"),
-    ([_entry(), _entry("s1", shape=()), _entry("s2", shape=(np.nan, 1.0, 2.0))],
-     "entry 1 has an empty or non-finite shape vector"),
-    ([_entry(count=0), _entry("s1", appearance=(0.5, np.nan))], "entry 0 has a source count of 0"),
-    ([_entry(), _entry("s1", appearance=(1.0,)), _entry("s2", appearance=(np.inf, 0.5))],
-     "entry 1 appearance width 1 differs from entry 0's 2"),
+    ([_entry(shape=(), appearance=())], "index has empty shape vectors"),
+    ([_entry(shape=()), _entry("", shape=())], "index has empty shape vectors"),
+    ([_entry(appearance=(), count=0)], "index has empty appearance vectors"),
+    ([_entry(shape=(np.nan, 1.0, 2.0), appearance=())], "index has empty appearance vectors"),
+    ([_entry(count=0), _entry("")], "entry 1 has an empty subject id"),
+    ([_NAN_SHAPE, _entry("")], "entry 1 has an empty subject id"),
+    ([_entry(appearance=(np.nan, 0.5)), _entry("")], "entry 1 has an empty subject id"),
+    ([_entry(), _entry(""), _entry("")], "entry 1 has an empty subject id"),
+    ([_NAN_SHAPE, _entry("s1", count=0)], "entry 1 has a source count of 0"),
+    ([_entry(appearance=(np.inf, 0.5)), _entry("s1", count=0)], "entry 1 has a source count of 0"),
+    ([_entry(), _entry("s1", count=0), _entry("s2", count=0)], "entry 1 has a source count of 0"),
+    ([_entry(appearance=(np.nan, 0.5)), _entry("s1", shape=(np.inf, 1.0, 2.0))],
+     "entry 1 has a non-finite shape vector"),
+    ([_entry(), _entry("s1", shape=(1.0, np.nan, 2.0)), _entry("s2", shape=(np.inf, 1.0, 2.0))],
+     "entry 1 has a non-finite shape vector"),
+    ([_entry(), _entry("s1", appearance=(0.5, -np.inf)), _entry("s2", appearance=(np.nan, 0.5))],
+     "entry 1 has a non-finite appearance vector"),
 ]
 _TWO_FAULTS_IDS = [
-    "nan-then-empty-id", "nan-then-count-0", "inf-then-own-count-0", "nan-then-width", "inf-then-width",
-    "width-then-nan", "width-then-own-nan", "nan-in-the-mismatched-vector", "empty-id-then-nan",
-    "zero-width-then-nan", "count-0-then-nan", "appearance-width-then-inf",
+    "both-widths-0", "width-0-then-empty-id", "width-0-then-count-0", "width-0-then-nan",
+    "empty-id-then-count-0", "empty-id-then-shape-nan", "empty-id-then-appearance-nan", "two-empty-ids",
+    "count-0-then-shape-nan", "count-0-then-appearance-inf", "two-counts-0", "shape-inf-then-appearance-nan",
+    "two-non-finite-shapes", "two-non-finite-appearances",
 ]
 
 
@@ -367,26 +378,37 @@ class TestIndexFaultOrder:
 
     @pytest.mark.parametrize("cut", [1, 4, 9, 20])
     def test_a_non_finite_vector_comes_before_a_later_truncation(self, tmp_path, cut):
-        # entry 0's shape vector holds a NaN; the cut falls in entry 2
+        # entry 0's shape vector holds a NaN; the cut falls in the 24-byte
+        # appearance block
         raw = _raw_index([_NAN_SHAPE, _entry("s1"), _entry("s2")])
         p = tmp_path / "cut.shrc"
         p.write_bytes(raw[:-cut])
-        with pytest.raises(CorruptIndex, match="cut.shrc: entry 0 has an empty or non-finite shape vector$"):
+        with pytest.raises(CorruptIndex, match="cut.shrc: entry 0 has a non-finite shape vector$"):
+            load_index(p)
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-utf8"])
+    def test_an_empty_subject_id_comes_before_a_later_fault_in_the_ids(self, tmp_path, damage):
+        raw = _raw_index([_entry(), _entry(""), _entry("s2")])
+        # entry 2's id bytes, "s2", start at byte 8 + 16 + 12 + 6 + 4 + 4
+        raw = raw[:51] if damage == "truncated" else raw[:50] + b"\xff" + raw[51:]
+        p = tmp_path / "ids.shrc"
+        p.write_bytes(raw)
+        with pytest.raises(CorruptIndex, match="ids.shrc: entry 1 has an empty subject id$"):
             load_index(p)
 
     def test_a_truncation_comes_before_a_later_non_finite_vector(self, tmp_path):
-        # entry 1's id is cut short; entry 0 is sound and nothing after is read
+        # the cut falls in the source counts; the appearance block is not read
         raw = _raw_index([_entry(), _entry("s1", appearance=(np.nan, 0.5))])
         p = tmp_path / "cut.shrc"
-        cut = 8 + 4 + 12 + 4 + 38 + 4 + 1
-        p.write_bytes(raw[:cut])
-        with pytest.raises(CorruptIndex, match=f"cut.shrc: truncated at byte {cut - 1}$"):
+        counts = 8 + 4 + 12 + 12 + 2 * (4 + 2)
+        p.write_bytes(raw[: counts + 5])
+        with pytest.raises(CorruptIndex, match=f"cut.shrc: truncated at byte {counts}$"):
             load_index(p)
 
     def test_a_non_finite_vector_comes_before_trailing_bytes(self, tmp_path):
         p = tmp_path / "tail.shrc"
         p.write_bytes(_raw_index([_entry(), _entry("s1", appearance=(0.5, np.inf))]) + b"\x00")
-        with pytest.raises(CorruptIndex, match="tail.shrc: entry 1 has an empty or non-finite appearance vector$"):
+        with pytest.raises(CorruptIndex, match="tail.shrc: entry 1 has a non-finite appearance vector$"):
             load_index(p)
 
 
@@ -409,6 +431,17 @@ class TestIndexFile:
         save_index(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_save_index_writes_the_columnar_layout(self, tmp_path):
+        entries = [_entry(), _entry("s1", shape=(-4.0, 0.5, 6.0), appearance=(0.125, 3.0), count=2)]
+        path = tmp_path / "g.shrc"
+        save_index(GalleryIndex(entries=entries, model_hash="0123456789ab"), path)
+        raw = path.read_bytes()
+        assert raw == _raw_index(entries)
+        assert raw[24:48] == struct.pack("<3I", 2, 3, 2) + b"\x02\x00\x00\x00s0\x02\x00\x00\x00s1"
+        assert struct.unpack_from("<2I", raw, 48) == (1, 2)
+        np.testing.assert_array_equal(np.frombuffer(raw, "<f4", 6, offset=56), [1.0, 2.0, 3.0, -4.0, 0.5, 6.0])
+        np.testing.assert_array_equal(np.frombuffer(raw, "<f4", offset=80), [0.5, 0.25, 0.125, 3.0])
+
     def test_model_hash_roundtrip(self, tmp_path):
         recs = _dataset(num_ids=1, tpi=2)
         sm, am = _models()
@@ -416,19 +449,32 @@ class TestIndexFile:
         assert index.model_hash == ""
         path = tmp_path / "g.shrc"
         save_index(replace(index, model_hash="0123456789ab"), path)
-        assert path.read_bytes()[:24] == b"SHRCIDX2" + b"\x0c\x00\x00\x00" + b"0123456789ab"
+        assert path.read_bytes()[:24] == b"SHRCIDX3" + b"\x0c\x00\x00\x00" + b"0123456789ab"
         assert load_index(path).model_hash == "0123456789ab"
 
-    def test_version_1_index_asks_for_a_new_enroll(self, tmp_path):
+    @pytest.mark.parametrize(
+        "magic, message",
+        [(b"SHRCIDX1", "index has no model hash"), (b"SHRCIDX2", "index interleaves its entries' fields")],
+    )
+    def test_retired_index_asks_for_a_new_enroll(self, tmp_path, magic, message):
         p = tmp_path / "old.shrc"
-        p.write_bytes(b"SHRCIDX1" + b"\x00" * 4)
-        with pytest.raises(CorruptIndex, match="old.shrc: SHRCIDX1 index has no model hash; re-run enroll"):
+        p.write_bytes(magic + b"\x00" * 4)
+        with pytest.raises(CorruptIndex, match=f"old.shrc: {magic.decode()} {message}; re-run enroll to rebuild it$"):
             load_index(p)
 
-    def test_text_that_is_not_utf8_is_corrupt(self, tmp_path):
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"SHRCIDX3" + b"\x01\x00\x00\x00\xff" + b"\x00" * 4,
+            # entry 0's subject id, in a file cut short after it
+            _raw_index([_entry()])[:40] + b"\xff" + _raw_index([_entry()])[41:-1],
+        ],
+        ids=["model-hash", "subject-id-then-truncation"],
+    )
+    def test_text_that_is_not_utf8_is_corrupt(self, tmp_path, raw):
         p = tmp_path / "x.shrc"
-        p.write_bytes(b"SHRCIDX2" + b"\x01\x00\x00\x00\xff" + b"\x00" * 4)
-        with pytest.raises(CorruptIndex, match="not UTF-8"):
+        p.write_bytes(raw)
+        with pytest.raises(CorruptIndex, match="x.shrc: text field is not UTF-8$"):
             load_index(p)
 
     def test_bad_magic(self, tmp_path):
@@ -455,15 +501,15 @@ class TestIndexFile:
         save_index(GalleryIndex(entries=[_entry()], model_hash="0123456789ab"), p)
         raw = p.read_bytes()
         p.write_bytes(raw[:-2])
-        # the cut falls in the last field, the u32 source count
-        with pytest.raises(CorruptIndex, match=f"x.shrc: truncated at byte {len(raw) - 4}$"):
+        # the cut falls in the last section, the 8-byte appearance block
+        with pytest.raises(CorruptIndex, match=f"x.shrc: truncated at byte {len(raw) - 8}$"):
             load_index(p)
 
     @pytest.mark.parametrize("entries, message", _UNLOADABLE, ids=_UNLOADABLE_IDS)
     def test_refuses_what_save_index_never_writes(self, tmp_path, entries, message):
         p = tmp_path / "bad.shrc"
         p.write_bytes(_raw_index(entries))
-        with pytest.raises(CorruptIndex, match=f"bad.shrc: {message}"):
+        with pytest.raises(CorruptIndex, match=f"bad.shrc: {message}$"):
             load_index(p)
 
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
@@ -471,29 +517,31 @@ class TestIndexFile:
         "entries, message",
         _UNLOADABLE
         + [
-            ([_entry(shape=(1.0, 1e39, 2.0))], "entry 0 has an empty or non-finite shape vector"),
-            ([_entry(), _entry("s1", appearance=(-1e39, 0.5))], "entry 1 has an empty or non-finite appearance"),
-            ([_entry(shape=((1.0, 2.0, 3.0),))], r"entry 0 shape vector has shape \(1, 3\), need one axis"),
-        ],
-        ids=_UNLOADABLE_IDS + ["f32-overflow", "f32-negative-overflow", "two-axes"],
+            ([_entry(shape=(1.0, 1e39, 2.0))], "entry 0 has a non-finite shape vector"),
+            ([_entry(), _entry("s1", appearance=(-1e39, 0.5))], "entry 1 has a non-finite appearance vector"),
+        ]
+        + _UNWRITABLE,
+        ids=_UNLOADABLE_IDS + ["f32-overflow", "f32-negative-overflow"] + _UNWRITABLE_IDS,
     )
     def test_save_index_refuses_what_load_index_refuses(self, tmp_path, entries, message):
         p = tmp_path / "bad.shrc"
-        with pytest.raises(InvalidInput, match=f"bad.shrc: {message}"):
+        with pytest.raises(InvalidInput, match=f"bad.shrc: {message}$"):
             save_index(GalleryIndex(entries=entries, model_hash="0123456789ab"), p)
         assert not p.exists()
 
     @pytest.mark.parametrize("count", [-1, 2**32])
     def test_save_index_refuses_a_source_count_u32_cannot_hold(self, tmp_path, count):
         p = tmp_path / "bad.shrc"
-        with pytest.raises(InvalidInput, match=f"bad.shrc: entry 0 has a source count of {count}$"):
-            save_index(GalleryIndex(entries=[_entry(count=count)]), p)
+        # before the vectors: the counts come first in the file
+        entries = [_entry(), _entry("s1", shape=(1.0,), count=count)]
+        with pytest.raises(InvalidInput, match=f"bad.shrc: entry 1 has a source count of {count}$"):
+            save_index(GalleryIndex(entries=entries), p)
         assert not p.exists()
 
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
 class TestIndexFileFuzz:
-    """Any damaged SHRCIDX2 file is refused as `CorruptIndex`, or it reads as
+    """Any damaged SHRCIDX3 file is refused as `CorruptIndex`, or it reads as
     an index that `save_index` writes back to the same bytes."""
 
     @staticmethod
@@ -517,9 +565,9 @@ class TestIndexFileFuzz:
         assert again.read_bytes() == raw
 
     def test_every_truncation_is_refused_or_stable(self, tmp_path):
-        # every cut point, not a sample: the 2-entry file has 104 of them
+        # every cut point, not a sample: the 2-entry file has 96 of them
         raw = self._saved(tmp_path)
-        assert len(raw) == 104
+        assert len(raw) == 96
         for n in range(len(raw)):
             self._refused_or_stable(tmp_path, raw[:n])
 
@@ -534,18 +582,19 @@ class TestIndexFileFuzz:
         raw[pos] = data.draw(values.filter(lambda v: v != raw[pos]), label="value")
         self._refused_or_stable(tmp_path, bytes(raw))
 
-    @pytest.mark.parametrize("entry, name", [(0, "shape"), (1, "appearance")])
+    @pytest.mark.parametrize(
+        "entry, name", [(0, "shape"), (1, "shape"), (0, "appearance"), (1, "appearance")]
+    )
     def test_signalling_nan_is_refused_without_a_warning(self, tmp_path, entry, name):
         raw = bytearray(self._saved(tmp_path))
-        # magic, model hash and entry count; each entry is a 2-byte subject id,
-        # 3 shape and 2 appearance floats and a count: 38 bytes
-        off = 8 + 4 + 12 + 4 + 38 * entry + 4 + 2 + 4
-        if name == "appearance":
-            off += 12 + 4
+        # magic, model hash, the 3 header words, two 2-byte subject ids and 2
+        # counts: the shape block (2 x 3 floats) starts at byte 56, the
+        # appearance block (2 x 2 floats) at byte 80
+        off = 56 + 12 * entry if name == "shape" else 80 + 8 * entry
         raw[off : off + 4] = struct.pack("<I", 0x7F800001)
         path = tmp_path / "snan.shrc"
         path.write_bytes(bytes(raw))
-        with pytest.raises(CorruptIndex, match=f"snan.shrc: entry {entry} has an empty or non-finite {name} vector"):
+        with pytest.raises(CorruptIndex, match=f"snan.shrc: entry {entry} has a non-finite {name} vector$"):
             load_index(path)
 
 
