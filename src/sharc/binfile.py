@@ -1,4 +1,4 @@
-"""The byte conventions of sharc's three binary formats: SHRCDAT4 frame
+"""The byte conventions of sharc's three binary formats: SHRCDAT5 frame
 containers (`synth`), SHRCIDX3 gallery indexes (`gallery`) and SHRCENC1
 encoder parameters (`encoders`). A file is an 8-byte magic, then fields:
 little-endian u32 counts, text as a u32 byte length and UTF-8, little-endian
@@ -34,8 +34,10 @@ def f32(values, message: str | None = None) -> np.ndarray:
 
 
 class Reader:
-    """One file's fields, taken in order after its magic. A refusal raises
-    `error` naming the path; a magic in `retired` (magic -> hint) gets its hint."""
+    """One file's fields, taken in order after its magic, or with magic b""
+    one byte range's fields. A refusal raises `error` naming `path` (the
+    path, or a label for the range); a magic in `retired` (magic -> hint)
+    gets its hint."""
 
     def __init__(self, data: bytes, path, magic: bytes, error: type[CorruptFile] = CorruptFile, retired=None):
         self.data, self.path, self.error, self.offset = data, path, error, len(magic)

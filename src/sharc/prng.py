@@ -92,6 +92,11 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix_int(self._state)
 
+    def uniform(self) -> float:
+        """One double uniform in [0, 1), the bits of `uniforms(1)[0]` without
+        the array: the top 53 bits of one draw, scaled exactly."""
+        return (self.next_u64() >> 11) * _DOUBLE_UNIT
+
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform in [0, 1)."""
         out = uniform_rows([self._state], n)[0]

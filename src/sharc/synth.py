@@ -1,7 +1,7 @@
 """Seeded synthetic dataset generator, and the tracklet record's whole format:
 `TrackletRecord`, its body and skeleton widths, the shapes of its four arrays
 (one function of (T, H, W), which the record's checks and the container reader
-share) and the SHRCDAT4 container. It imports neither `gallery` nor `shape`.
+share) and the SHRCDAT5 frame container. It imports neither `gallery` nor `shape`.
 
 Each subject gets a latent body shape, gait parameters, and an appearance
 signature, all derived from (dataset seed, subject index). Frames for a
@@ -36,14 +36,16 @@ range of its frames, for every tracklet of the block, in one SplitMix64 call
 (`prng.uniform_rows` from an offset), so the pixel temporaries beside the
 records span one pass, whatever T is. A tracklet's bytes depend on neither
 its block nor its passes. The block's records are yielded one at a time, so
-`write_dataset` holds one block in memory. The SHRCDAT4 frame container
-stores each of the four arrays as one section: the masks as one bit per
+`write_dataset` holds one block in memory. A dataset's records go into
+SHRCDAT5 frame containers of at most about 1 MiB, back to back, then a table
+of contents; a record stores each of its four arrays as one section: the masks as one bit per
 pixel, never the masked RGB, which the silhouette encoder derives from the
 masks and the appearance frames.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -53,17 +55,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binfile import Reader, f32, u32
+from .binfile import Reader, text, u32
 from .config import DatasetSpec
 from .encoders import frame_chunks
 from .exceptions import CorruptFile, EmptyInput, InvalidInput, ProtocolError
 from .prng import SplitMix64, box_muller, derive_seed, normal_uniform_count, uniform_rows
 from .tables import ManifestRow, check_manifest_row, read_manifest, write_manifest
 
-DATA_MAGIC = b"SHRCDAT4"
+DATA_MAGIC = b"SHRCDAT5"
 _RETIRED_MAGICS = dict.fromkeys(
-    (b"SHRCDAT1", b"SHRCDAT2", b"SHRCDAT3"), "frame containers are no longer read; re-run synth"
+    (b"SHRCDAT1", b"SHRCDAT2", b"SHRCDAT3", b"SHRCDAT4"), "frame containers are no longer read; re-run synth"
 )
+# `write_dataset` closes a container before its records would pass this many
+# bytes; a record this size or larger has a container of its own. A reader
+# of a whole file then holds about 1 MiB: `perfbench`'s byte check reads each
+# file whole, and the commands it spawns inherit its peak RSS, so one 39.8 MB
+# container for `embed_heavy` set its `peak_rss_mb` at 83.9 MB, not 41.0.
+# The 600 tracklets of 4 16x16 frames take 9 containers at this size.
+CONTAINER_BYTES = 1 << 20
 
 SIGNATURE_DIM = 6
 
@@ -73,7 +82,7 @@ SKELETON_JOINTS = 17
 # skeleton vector: x, y of each joint, then the joints' confidences
 SKELETON_INPUT_DIM = SKELETON_JOINTS * 3
 
-# (tag, record field, on-disk dtype) of the sections of a SHRCDAT4 container,
+# (tag, record field, on-disk dtype) of the sections of a SHRCDAT5 record,
 # in on-disk order; the masks' None is one bit per value (np.packbits)
 _SECTIONS = ((1, "masks", None), (2, "body", "<f4"), (3, "skeleton", "<f4"), (4, "appearance", "<f4"))
 
@@ -424,7 +433,7 @@ def split_protocol(records: list, ratio: float, seed: int) -> tuple[list, list]:
             raise ProtocolError(f"subject {subject} has {k} tracklet(s), need at least 2 to split")
         rng = SplitMix64(derive_seed(seed, 4, subject))
         for i in range(k - 1, 0, -1):  # Fisher-Yates
-            j = int(rng.uniforms(1)[0] * (i + 1))
+            j = int(rng.uniform() * (i + 1))
             items[i], items[j] = items[j], items[i]
         n_gal = min(max(int(round(ratio * k)), 1), k - 1)
         gallery.extend(items[:n_gal])
@@ -433,45 +442,120 @@ def split_protocol(records: list, ratio: float, seed: int) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# SHRCDAT4 container
+# SHRCDAT5 container
 # ---------------------------------------------------------------------------
 
 
-def write_tracklet_frames(record: TrackletRecord, path) -> None:
-    """Serialize one tracklet's frames, in the conventions of `binfile`.
+def _record_size(t: int, h: int, w: int) -> int:
+    """The bytes of a container record of T frames of H x W."""
+    return 12 + 4 * 8 + -(-t * h * w // 8) + 4 * t * (SMPL_DIM + SKELETON_INPUT_DIM + 3 * h * w)
 
-    Layout: magic, u32 frame count, u32 height, u32 width, then four tagged
-    sections for the whole tracklet, each a u32 tag, u32 value count, payload:
-    the masks as bits (tag 1: `np.packbits`, most significant bit first,
-    ceil(T*H*W / 8) bytes, the padding bits of the last byte zero), then as
-    f32 the body vectors (2), the skeletons (3) and the appearance frames (4),
-    frames in order within each. The masked RGB is not stored: it is the
-    appearance frames times the masks, and the silhouette encoder derives it.
-    A record with a value that is not finite as f32 raises InvalidInput
-    before `path` is opened.
+
+def _record_parts(record: TrackletRecord) -> list:
+    """The parts of `record`'s bytes in a container: u32 frame count, height
+    and width, then the four tagged sections. The three f32 sections are
+    cast and checked under one `np.errstate`; a value that is not finite as
+    f32 raises InvalidInput."""
+    parts = [u32(*record.masks.shape)]
+    with np.errstate(over="ignore"):
+        for tag, name, dtype in _SECTIONS:
+            values = getattr(record, name).reshape(-1)
+            if dtype is None:
+                payload = np.packbits(values.astype(np.uint8))
+            else:
+                payload = values.astype(dtype)
+                if not np.logical_and.reduce(np.isfinite(payload), None):
+                    raise InvalidInput(f"tracklet {record.tracklet_id}: {name} entries are not finite as f32")
+            parts += [u32(tag, values.size), payload]
+    return parts
+
+
+def write_tracklet_frames(records: Iterable[TrackletRecord], path) -> None:
+    """Write `records` as one SHRCDAT5 container, in the conventions of
+    `binfile`, one record at a time as each arrives.
+
+    Layout: magic; the records back to back; a table of contents, each
+    record's tracklet id as text and its u32 byte length, in record order;
+    then an 8-byte trailer, u32 record count and u32 table length. A record
+    is u32 frame count, height and width, then four tagged sections for the
+    whole tracklet, each a u32 tag, u32 value count, payload: the masks as
+    bits (tag 1: `np.packbits`, most significant bit first, ceil(T*H*W / 8)
+    bytes, the padding bits of the last byte zero), then as f32 the body
+    vectors (2), the skeletons (3) and the appearance frames (4), frames in
+    order within each. The masked RGB is not stored: it is the appearance
+    frames times the masks, and the silhouette encoder derives it.
+
+    A repeated tracklet id, a record a u32 length cannot hold and a record
+    with a value that is not finite as f32 raise InvalidInput before that
+    record is written; so does whatever `records` raises. A refused write
+    leaves no file at `path`.
     """
-    parts = [DATA_MAGIC, u32(*record.masks.shape)]
-    for tag, name, dtype in _SECTIONS:
-        values = getattr(record, name).reshape(-1)
-        if dtype is None:
-            payload = np.packbits(values.astype(np.uint8))
-        else:
-            payload = f32(values, f"tracklet {record.tracklet_id}: {name} entries are not finite as f32")
-        parts += [u32(tag, values.size), payload]
-    with open(path, "wb") as f:
-        f.writelines(parts)
+    toc, seen = [], set()
+    f = open(path, "wb")
+    try:
+        with f:
+            f.write(DATA_MAGIC)
+            for record in records:
+                if record.tracklet_id in seen:
+                    raise InvalidInput(f"{path}: tracklet {record.tracklet_id!r} appears twice")
+                seen.add(record.tracklet_id)
+                size = _record_size(*record.masks.shape)
+                if size > 0xFFFFFFFF:
+                    raise InvalidInput(f"tracklet {record.tracklet_id}: a record of {size} bytes exceeds a u32 length")
+                f.writelines(_record_parts(record))
+                toc += [text(record.tracklet_id), u32(size)]
+            table = b"".join(toc)
+            f.write(table + u32(len(seen), len(table)))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
 
 
-def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: str) -> TrackletRecord:
-    """Parse a SHRCDAT4 container back into a tracklet record. A malformed
-    container raises CorruptFile, and so does a set padding bit in the mask
-    section, so every container read here is written back byte for byte;
-    values the record refuses raise InvalidInput."""
-    with open(path, "rb") as f:
-        reader = Reader(f.read(), path, DATA_MAGIC, retired=_RETIRED_MAGICS)
+def _table_of_contents(f, path) -> dict[str, tuple[int, int]]:
+    """tracklet id -> (offset, byte length) of its record, for the container
+    open as `f`. Refuses, as CorruptFile, a bad or retired magic, a trailer
+    and table of contents that do not tile the file exactly with the
+    records, and an empty or repeated id. Reads the magic, the trailer and
+    the table, never a record."""
+    Reader(f.read(len(DATA_MAGIC)), path, DATA_MAGIC, retired=_RETIRED_MAGICS)
+    size = f.seek(0, os.SEEK_END)
+    if size < len(DATA_MAGIC) + 8:
+        raise CorruptFile(f"{path}: truncated at byte {size}, before the trailer")
+    f.seek(size - 8)
+    count, toc_size = Reader(f.read(8), path, b"").u32(2)
+    records_end = size - 8 - toc_size
+    if records_end < len(DATA_MAGIC):
+        raise CorruptFile(f"{path}: a table of contents of {toc_size} bytes does not fit in {size} bytes")
+    f.seek(records_end)
+    toc = Reader(f.read(toc_size), f"{path}: table of contents", b"")
+    entries, offset = {}, len(DATA_MAGIC)
+    for _ in range(count):
+        tracklet_id = toc.text()
+        (length,) = toc.u32()
+        if not tracklet_id or tracklet_id in entries:
+            raise toc.corrupt(f"tracklet {tracklet_id!r} is empty or repeated")
+        entries[tracklet_id] = (offset, length)
+        offset += length
+    toc.finish()
+    if offset != records_end:
+        raise CorruptFile(f"{path}: records end at byte {offset}, the table of contents starts at {records_end}")
+    return entries
+
+
+def _read_record(f, path, entry: tuple[int, int], tracklet_id: str, subject_id: str, clothing_id: str):
+    """Parse the record at `entry` (offset, byte length) of the container
+    open as `f`, reading only its bytes. A record that does not parse to
+    exactly its length raises CorruptFile, and so does a set padding bit in
+    the mask section, so every record read here is written back byte for
+    byte; values the record refuses raise InvalidInput. Byte offsets in a
+    refusal count from the record's first byte."""
+    offset, length = entry
+    f.seek(offset)
+    reader = Reader(f.read(length), f"{path}: record {tracklet_id!r}", b"")
     n_frames, h, w = reader.u32(3)
     if n_frames == 0:
-        raise reader.corrupt("frame container holds no frames")
+        raise reader.corrupt("holds no frames")
     if h == 0 or w == 0:
         raise reader.corrupt(f"frames are {h}x{w}, need at least one pixel")
     shapes = _record_shapes(n_frames, h, w)
@@ -499,57 +583,110 @@ def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: s
     return TrackletRecord(tracklet_id=tracklet_id, subject_id=subject_id, clothing_id=clothing_id, **arrays)
 
 
+def read_tracklet_frames(path, tracklet_id: str, subject_id: str, clothing_id: str) -> TrackletRecord:
+    """The record of `tracklet_id` in the SHRCDAT5 container at `path`,
+    read through its table of contents; an id the container lacks raises
+    CorruptFile. `load_dataset` reads a whole manifest with one open of
+    each container."""
+    with open(path, "rb") as f:
+        entry = _table_of_contents(f, path).get(tracklet_id)
+        if entry is None:
+            raise CorruptFile(f"{path}: holds no tracklet {tracklet_id!r}")
+        return _read_record(f, path, entry, tracklet_id, subject_id, clothing_id)
+
+
 def write_dataset(
     records: Iterable[TrackletRecord], out_dir, header_comment: str | None = None
 ) -> list[ManifestRow]:
-    """Write frame containers plus the manifest `manifest.csv`; returns the
-    manifest's rows.
+    """Write the records into frame containers `frames-0.shrc`,
+    `frames-1.shrc`, ... plus the manifest `manifest.csv`; returns the
+    manifest's rows, each naming its record's container.
 
-    Each record's container is written as the record arrives, so an iterator
-    such as `iter_dataset` keeps one block of tracklets in memory at a time.
-    A container is named by its tracklet id, so a repeated id raises
-    InvalidInput before the repeat can overwrite the first one's container;
-    so does a row the manifest would refuse (a cell holding a comma, CR or
-    LF, an id starting with `#`), before its container is written.
+    Records go into a container in order until the next would take it past
+    CONTAINER_BYTES; a record at or above that size has a container of its
+    own. Each record is written as it arrives, so an iterator such as
+    `iter_dataset` keeps one block of tracklets in memory at a time. A
+    repeated tracklet id, or a row the manifest would refuse (a cell holding
+    a comma, CR or LF, an id starting with `#`), raises InvalidInput before
+    its record is written, and then no container of this call is left.
 
     frames_path entries are relative to the manifest's directory; the
     manifest starts with `header_comment`, if given, as a `#` line.
     """
-    frames_dir = os.path.join(out_dir, "frames")
-    os.makedirs(frames_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.csv")
-    rows = []
-    seen: set[str] = set()
-    for rec in records:
-        if rec.tracklet_id in seen:
-            raise InvalidInput(f"{manifest_path}: tracklet {rec.tracklet_id!r} appears twice")
-        seen.add(rec.tracklet_id)
-        rel = os.path.join("frames", f"{rec.tracklet_id}.dat")
-        row = ManifestRow(
-            tracklet_id=rec.tracklet_id,
-            subject_id=rec.subject_id,
-            clothing_id=rec.clothing_id,
-            frames_path=rel,
-        )
-        check_manifest_row(row, manifest_path)
-        write_tracklet_frames(rec, os.path.join(out_dir, rel))
-        rows.append(row)
+    rows, seen, written = [], set(), []
+    records = iter(records)
+    pending = next(records, None)
+
+    def container(name: str) -> Iterator[TrackletRecord]:
+        """The pending record, then each next one while the container's
+        records stay within CONTAINER_BYTES."""
+        nonlocal pending
+        size = 0
+        while pending is not None:
+            record, record_size = pending, _record_size(*pending.masks.shape)
+            if size and size + record_size > CONTAINER_BYTES:
+                return
+            size += record_size
+            if record.tracklet_id in seen:
+                raise InvalidInput(f"{manifest_path}: tracklet {record.tracklet_id!r} appears twice")
+            seen.add(record.tracklet_id)
+            row = ManifestRow(record.tracklet_id, record.subject_id, record.clothing_id, name)
+            check_manifest_row(row, manifest_path)
+            rows.append(row)
+            yield record
+            pending = next(records, None)
+
+    try:
+        while pending is not None:
+            name = f"frames-{len(written)}.shrc"
+            written.append(os.path.join(out_dir, name))
+            write_tracklet_frames(container(name), written[-1])
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     write_manifest(rows, manifest_path, header_comment)
     return rows
 
 
 def load_dataset(manifest_path, rows: list[ManifestRow] | None = None) -> Iterator[TrackletRecord]:
-    """Yield each tracklet named by a manifest, read when asked for; paths
-    resolve against it. `rows` are the manifest's rows, if the caller has
-    read them already."""
+    """Yield each tracklet named by a manifest, in row order, read when asked
+    for; paths resolve against it. `rows` are the manifest's rows, if the
+    caller has read them already.
+
+    A container is opened, and its table of contents read, when a row names
+    another container than the row before it, so rows in container order
+    open each container once, and one container is open at a time. A record
+    is read alone, by its byte range, so about one record's bytes are held
+    at a time. A row whose tracklet its container lacks raises CorruptFile
+    naming the manifest and the id.
+    """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    for row in read_manifest(manifest_path) if rows is None else rows:
-        path = os.path.join(base, row.frames_path)
-        # one stat for both checks, the one os.path.exists and isfile each make
-        try:
-            mode = os.stat(path).st_mode
-        except (OSError, ValueError):
-            raise CorruptFile(f"{manifest_path}: missing frame container {row.frames_path}") from None
-        if not stat.S_ISREG(mode):
-            raise CorruptFile(f"{manifest_path}: frame container {row.frames_path} is not a file")
-        yield read_tracklet_frames(path, row.tracklet_id, row.subject_id, row.clothing_id)
+    frames_path = f = None  # the open container: its manifest path and file
+    try:
+        for row in read_manifest(manifest_path) if rows is None else rows:
+            if row.frames_path != frames_path:
+                if f is not None:
+                    f.close()
+                path = os.path.join(base, row.frames_path)
+                # one stat for both checks, the one os.path.exists and isfile each make
+                try:
+                    mode = os.stat(path).st_mode
+                except (OSError, ValueError):
+                    raise CorruptFile(f"{manifest_path}: missing frame container {row.frames_path}") from None
+                if not stat.S_ISREG(mode):
+                    raise CorruptFile(f"{manifest_path}: frame container {row.frames_path} is not a file")
+                f = open(path, "rb")
+                frames_path, toc = row.frames_path, _table_of_contents(f, path)
+            entry = toc.get(row.tracklet_id)
+            if entry is None:
+                raise CorruptFile(
+                    f"{manifest_path}: frame container {row.frames_path} holds no tracklet {row.tracklet_id!r}"
+                )
+            yield _read_record(f, path, entry, row.tracklet_id, row.subject_id, row.clothing_id)
+    finally:
+        if f is not None:
+            f.close()

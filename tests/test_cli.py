@@ -204,8 +204,9 @@ class TestExitCodes:
         cfg_path, data_dir, tmp = workspace
         out = tmp / "run"
         assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
-        container = sorted((data_dir / "frames").glob("*.dat"))[0]
-        container.write_bytes(b"SHRCDAT1" + container.read_bytes()[8:])
+        # the one-file-per-tracklet layout's magic over the dataset's container
+        container = data_dir / "frames-0.shrc"
+        container.write_bytes(b"SHRCDAT4" + container.read_bytes()[8:])
         capsys.readouterr()
         assert _run(["ablate-alpha", "--config", cfg_path, "--out", out]) == 2
         err = capsys.readouterr().err
@@ -572,19 +573,20 @@ def test_each_window_is_embedded_before_the_next_is_read(workspace, monkeypatch,
     assert _run(["synth", "--config", cfg_path, "--out", data_dir]) == 0
     assert _run(["enroll", "--config", cfg_path, "--out", out]) == 0
     events, rows = [], {}
-    read, embedded = sharc.synth.read_tracklet_frames, getattr(sharc.gallery, embed)
+    load, embedded = sharc.synth.load_dataset, getattr(sharc.gallery, embed)
 
-    def logged_read(path, tracklet_id, *args):
-        events.append(("read", tracklet_id))
-        record = read(path, tracklet_id, *args)
-        rows[tracklet_id] = record.masks.size
-        return record
+    def logged_load(*args):
+        # load_dataset reads each record when it is asked for
+        for record in load(*args):
+            events.append(("read", record.tracklet_id))
+            rows[record.tracklet_id] = record.masks.size
+            yield record
 
     def logged_embed(record, *args):
         events.append(("embed", record.tracklet_id))
         return embedded(record, *args)
 
-    monkeypatch.setattr(sharc.synth, "read_tracklet_frames", logged_read)
+    monkeypatch.setattr(sharc.synth, "load_dataset", logged_load)
     monkeypatch.setattr(sharc.gallery, embed, logged_embed)
     assert _run([command, "--config", cfg_path, "--out", out]) == 0
 

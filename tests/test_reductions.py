@@ -6,7 +6,10 @@ wrappers behind them: `np.maximum.reduce`, `np.add.reduce(x, axis) / n`,
 for `np.vstack`; a zero-stride `np.ndarray` view for `np.broadcast_to`. Each
 is pinned here, bit for bit, to the form it replaced, on random, tie-heavy,
 non-contiguous and one-channel grids, and on one-frame and one-group inputs;
-each check refuses exactly what its old form refused.
+each check refuses exactly what its old form refused. So are synth's two
+per-tracklet forms: `SplitMix64.uniform` for `uniforms(1)[0]` in the split's
+shuffle, and the container writer's one-`errstate` f32 cast and check for
+`binfile.f32` per section.
 """
 
 import math
@@ -26,10 +29,14 @@ from sharc.appearance import (
     temporal_attention,
 )
 from sharc.core import as_grid, as_grids, as_vector, l2_normalize, softmax_grid, strip_pool
+from sharc import synth
+from sharc.binfile import f32, u32
 from sharc.encoders import EncoderParams, encode_silhouette, encode_skeleton_sequence, encode_smpl, frame_chunks
 from sharc.exceptions import InvalidInput
+from sharc.prng import SplitMix64
 from sharc.shape import ShapeEmbedding, ShapeModel, fuse_pose, pool_motion, temporal_pool_pose
-from sharc.synth import TrackletRecord
+from sharc.synth import TrackletRecord, split_protocol
+from sharc.tables import ManifestRow
 
 # a tie-heavy draw repeats these values, so maxima tie and sums cancel
 _TIES = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
@@ -365,3 +372,78 @@ class TestRecordChecks:
         masks[0, 1, 2] = value
         refused = bool(not ((masks == 0.0) | (masks == 1.0)).all())
         assert _refused(lambda: _record(masks=masks)) is refused
+
+
+# the largest finite f32, the largest double that rounds to it and the
+# smallest that rounds to inf, then values far past and well inside the range
+_F32_EDGES = [
+    float.fromhex("0x1.fffffep+127"), float.fromhex("0x1.fffffefffffffp+127"), float.fromhex("0x1.ffffffp+127"),
+    1e39, 1e300, 1e-46, 0.0, -0.0, 0.5,
+]
+
+
+def _parts_with_f32(record: TrackletRecord) -> list:
+    """The record's parts as the writer built them with `binfile.f32`, one
+    cast and one `np.all` check per section."""
+    parts = [u32(*record.masks.shape)]
+    for tag, name, dtype in synth._SECTIONS:
+        values = getattr(record, name).reshape(-1)
+        if dtype is None:
+            payload = np.packbits(values.astype(np.uint8))
+        else:
+            payload = f32(values, f"tracklet {record.tracklet_id}: {name} entries are not finite as f32")
+        parts += [u32(tag, values.size), payload]
+    return parts
+
+
+def _parts_or_refusal(make):
+    try:
+        return make()
+    except InvalidInput as exc:
+        return str(exc)
+
+
+class TestSynthForms:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_uniform_is_the_first_of_uniforms(self, seed):
+        one, block = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(3):
+            have, want = one.uniform(), block.uniforms(1)[0]
+            assert type(have) is float and _same_bits(np.float64(have), want)
+        assert one.next_u64() == block.next_u64()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), counts=st.lists(st.integers(2, 9), min_size=1, max_size=4))
+    def test_the_split_shuffles_as_it_did_with_uniforms(self, seed, counts):
+        rows = [ManifestRow(f"s{s}_t{t}", f"s{s}", "c0", "f") for s, k in enumerate(counts) for t in range(k)]
+        have = split_protocol(rows, 0.5, seed)
+        original = SplitMix64.uniform
+        SplitMix64.uniform = lambda self: self.uniforms(1)[0]
+        try:
+            want = split_protocol(rows, 0.5, seed)
+        finally:
+            SplitMix64.uniform = original
+        assert have == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_the_writer_casts_and_refuses_as_binfile_f32_did(self, data):
+        t = data.draw(st.integers(1, 3), label="frames")
+        body = data.draw(_arrays((t, 85)), label="body")
+        skeleton = np.full((t, 51), 0.5)
+        skeleton[:, :34] = data.draw(_arrays((t, 34)), label="joints")
+        for values in (body, skeleton[:, :34]):
+            for _ in range(data.draw(st.integers(0, 2), label="edges")):
+                index = tuple(data.draw(st.integers(0, k - 1)) for k in values.shape)
+                values[index] = data.draw(st.sampled_from(_F32_EDGES)) * data.draw(st.sampled_from([1.0, -1.0]))
+        record = TrackletRecord(
+            "t", "s", "c", masks=np.ones((t, 2, 3)), appearance=np.full((t, 2, 3, 3), 0.25), body=body, skeleton=skeleton
+        )
+        have = _parts_or_refusal(lambda: synth._record_parts(record))
+        want = _parts_or_refusal(lambda: _parts_with_f32(record))
+        if isinstance(want, str):
+            assert have == want
+        else:
+            assert b"".join(have) == b"".join(want)
+            assert synth._record_size(t, 2, 3) == len(b"".join(want))

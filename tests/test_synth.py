@@ -41,7 +41,7 @@ from sharc.synth import (
     write_dataset,
     write_tracklet_frames,
 )
-from sharc.tables import read_manifest
+from sharc.tables import ManifestRow, read_manifest
 
 
 def _spec(**kw):
@@ -372,11 +372,11 @@ def test_frames_do_not_depend_on_the_simd_level(tmp_path):
         out = tmp_path / f"disabled-{len(outs)}"
         subprocess.run([sys.executable, "-c", _SYNTH_SCRIPT, "synth", "--config", str(cfg), "--out", str(out)],
                        env=env, capture_output=True, text=True, timeout=120, check=True)
-        outs.append(out / "frames")
-    names = sorted(p.name for p in outs[0].iterdir())
-    assert len(names) == 12 and names == sorted(p.name for p in outs[1].iterdir())
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        outs.append(out / "frames-0.shrc")
+    raw = outs[0].read_bytes()
+    # the trailer's record count: one container holds all twelve tracklets
+    assert struct.unpack_from("<I", raw, len(raw) - 8) == (12,)
+    assert raw == outs[1].read_bytes()
 
 
 class TestSplitProtocol:
@@ -415,11 +415,30 @@ class TestSplitProtocol:
             split_protocol(recs, 1.0, seed=1)
 
 
+def _record_bytes(rec: TrackletRecord, tmp_path) -> bytes:
+    """The bytes of `rec`'s record: a one-record container less its magic,
+    table of contents and trailer."""
+    p = tmp_path / "one.shrc"
+    write_tracklet_frames([rec], p)
+    raw = p.read_bytes()
+    (toc_size,) = struct.unpack_from("<I", raw, len(raw) - 4)
+    return raw[8 : len(raw) - 8 - toc_size]
+
+
+def _container(*records: tuple[str | bytes, bytes], lengths: list[int] | None = None) -> bytes:
+    """A container of (tracklet id, record bytes) pairs, laid out by hand;
+    `lengths`, if given, are the record lengths its table of contents lists."""
+    ids = [i if isinstance(i, bytes) else i.encode() for i, _ in records]
+    lengths = [len(r) for _, r in records] if lengths is None else lengths
+    toc = b"".join(struct.pack("<I", len(i)) + i + struct.pack("<I", n) for i, n in zip(ids, lengths))
+    return b"SHRCDAT5" + b"".join(r for _, r in records) + toc + struct.pack("<II", len(records), len(toc))
+
+
 class TestFrameContainer:
     def test_roundtrip_preserves_data_at_storage_precision(self, tmp_path):
         rec = generate_tracklet(_spec(), 1, 0)
-        p = tmp_path / "t.dat"
-        write_tracklet_frames(rec, p)
+        p = tmp_path / "t.shrc"
+        write_tracklet_frames([rec], p)
         back = read_tracklet_frames(p, rec.tracklet_id, rec.subject_id, rec.clothing_id)
         assert back.tracklet_id == rec.tracklet_id
         assert len(back) == len(rec)
@@ -430,61 +449,53 @@ class TestFrameContainer:
             )
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        rec = generate_tracklet(_spec(), 0, 1)
-        p1, p2 = tmp_path / "a.dat", tmp_path / "b.dat"
-        write_tracklet_frames(rec, p1)
-        back = read_tracklet_frames(p1, rec.tracklet_id, rec.subject_id, rec.clothing_id)
+        recs = generate_dataset(_spec(num_ids=2))
+        p1, p2 = tmp_path / "a.shrc", tmp_path / "b.shrc"
+        write_tracklet_frames(recs, p1)
+        back = [read_tracklet_frames(p1, r.tracklet_id, r.subject_id, r.clothing_id) for r in recs]
         write_tracklet_frames(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_corruption_detected(self, tmp_path):
         rec = generate_tracklet(_spec(), 0, 0)
-        p = tmp_path / "t.dat"
-        write_tracklet_frames(rec, p)
+        p = tmp_path / "t.shrc"
+        write_tracklet_frames([rec], p)
         raw = p.read_bytes()
+        for bad, message in [
+            (b"NOTMAGIC" + raw[8:], "bad magic, not a SHRCDAT5 file"),
+            (raw[:-3], None),
+            (raw + b"\x00\x00", None),
+            # the first section tag of the record
+            (raw[:20] + b"\x09" + raw[21:], "expected section 1 with 600 values, got tag 9"),
+        ]:
+            p.write_bytes(bad)
+            with pytest.raises(CorruptFile, match=message and re.escape(message)):
+                read_tracklet_frames(p, rec.tracklet_id, "s", "c")
 
-        p.write_bytes(b"NOTMAGIC" + raw[8:])
-        with pytest.raises(CorruptFile):
+    def test_a_short_record_names_the_container_the_record_and_the_offset(self, tmp_path):
+        record = _record_bytes(generate_tracklet(_spec(frames_per_tracklet=2, height=4, width=4), 0, 0), tmp_path)
+        p = tmp_path / "t.shrc"
+        # the table of contents agrees with the cut record, which ends 2 bytes
+        # into its last field, the 2 * 4 * 4 * 3 f32 appearance values
+        p.write_bytes(_container(("t", record[:-2])))
+        with pytest.raises(CorruptFile, match=f"t.shrc: record 't': truncated at byte {len(record) - 4 * 96}$"):
             read_tracklet_frames(p, "t", "s", "c")
-
-        p.write_bytes(raw[:-3])
-        with pytest.raises(CorruptFile):
-            read_tracklet_frames(p, "t", "s", "c")
-
-        p.write_bytes(raw + b"\x00\x00")
-        with pytest.raises(CorruptFile):
-            read_tracklet_frames(p, "t", "s", "c")
-
-        # flip the first section tag
-        bad = bytearray(raw)
-        bad[20] = 9
-        p.write_bytes(bytes(bad))
-        with pytest.raises(CorruptFile):
-            read_tracklet_frames(p, "t", "s", "c")
-
-    def test_truncation_names_the_path_and_the_offset(self, tmp_path):
-        rec = generate_tracklet(_spec(frames_per_tracklet=2, height=4, width=4), 0, 0)
-        p = tmp_path / "t.dat"
-        write_tracklet_frames(rec, p)
-        raw = p.read_bytes()
-        p.write_bytes(raw[:-2])
-        # the cut falls in the last field, the 2 * 4 * 4 * 3 f32 appearance values
-        with pytest.raises(CorruptFile, match=f"t.dat: truncated at byte {len(raw) - 4 * 96}$"):
+        p.write_bytes(_container(("t", record + b"\x00\x00")))
+        with pytest.raises(CorruptFile, match="t.shrc: record 't': 2 trailing bytes$"):
             read_tracklet_frames(p, "t", "s", "c")
 
     def test_zero_frames_is_corrupt(self, tmp_path):
-        # a well-formed header with frame count 0: the parser, not the
+        # a well-formed record header with frame count 0: the parser, not the
         # record it would build, must reject it
-        p = tmp_path / "t.dat"
-        p.write_bytes(b"SHRCDAT4" + struct.pack("<III", 0, 12, 10))
-        with pytest.raises(CorruptFile, match="t.dat: frame container holds no frames"):
+        p = tmp_path / "t.shrc"
+        p.write_bytes(_container(("t", struct.pack("<III", 0, 12, 10))))
+        with pytest.raises(CorruptFile, match="t.shrc: record 't': holds no frames"):
             read_tracklet_frames(p, "t", "s", "c")
-
 
     def test_record_holds_one_array_per_modality(self, tmp_path):
         rec = generate_tracklet(_spec(), 1, 1)
-        p = tmp_path / "t.dat"
-        write_tracklet_frames(rec, p)
+        p = tmp_path / "t.shrc"
+        write_tracklet_frames([rec], p)
         back = read_tracklet_frames(p, rec.tracklet_id, rec.subject_id, rec.clothing_id)
         t, h, w = len(rec), rec.masks.shape[1], rec.masks.shape[2]
         for r in (rec, back):
@@ -495,10 +506,10 @@ class TestFrameContainer:
     def test_layout_has_no_masked_rgb_section(self, tmp_path):
         spec = _spec()
         rec = generate_tracklet(spec, 0, 0)
-        p = tmp_path / "t.dat"
-        write_tracklet_frames(rec, p)
+        p = tmp_path / "t.shrc"
+        write_tracklet_frames([rec], p)
         raw = p.read_bytes()
-        assert raw[:8] == b"SHRCDAT4"
+        assert raw[:8] == b"SHRCDAT5"
         t = len(rec)
         assert struct.unpack_from("<III", raw, 8) == (t, spec.height, spec.width)
         hw = spec.height * spec.width
@@ -512,7 +523,9 @@ class TestFrameContainer:
         for tag, count, size in sections:
             assert struct.unpack_from("<II", raw, off) == (tag, count)
             off += 8 + size
-        assert off == len(raw)
+        # then the table of contents, one id and one length, and the trailer
+        toc = struct.pack("<I", 8) + b"s000_t00" + struct.pack("<I", off - 8)
+        assert raw[off:] == toc + struct.pack("<II", 1, len(toc))
         # one bit per pixel, the first pixel in the most significant bit
         packed = np.frombuffer(raw, dtype="u1", count=mask_bytes, offset=28)
         bits = [(int(byte) >> (7 - k)) & 1 for byte in packed for k in range(8)]
@@ -521,14 +534,30 @@ class TestFrameContainer:
         skeleton = np.frombuffer(raw, dtype="<f4", count=t * 51, offset=28 + mask_bytes + 8 + t * 85 * 4 + 8)
         np.testing.assert_array_equal(skeleton.reshape(t, 51), rec.skeleton.astype(np.float32))
 
+    def test_records_come_back_to_back_then_the_table_then_the_trailer(self, tmp_path):
+        recs = generate_dataset(_spec(num_ids=2))
+        records = [_record_bytes(r, tmp_path) for r in recs]
+        p = tmp_path / "t.shrc"
+        write_tracklet_frames(recs, p)
+        # each record is the bytes it has alone; the table lists them in order
+        assert p.read_bytes() == _container(*((r.tracklet_id, b) for r, b in zip(recs, records)))
+        assert len(records) == 4 and len(set(records)) == 4
+
+    def test_an_empty_container_is_a_magic_and_a_trailer(self, tmp_path):
+        p = tmp_path / "t.shrc"
+        write_tracklet_frames([], p)
+        assert p.read_bytes() == b"SHRCDAT5" + bytes(8)
+        with pytest.raises(CorruptFile, match="t.shrc: holds no tracklet 't'$"):
+            read_tracklet_frames(p, "t", "s", "c")
+
     @pytest.mark.parametrize("h, w", [(0, 10), (12, 0), (0, 0)])
     def test_zero_size_frames_are_corrupt(self, tmp_path, h, w):
         # a header and sections that agree with each other, but no pixels
-        p = tmp_path / "t.dat"
+        p = tmp_path / "t.shrc"
         body = struct.pack("<II", 1, 0) + struct.pack("<II", 2, 85) + bytes(4 * 85)
         body += struct.pack("<II", 3, 51) + bytes(4 * 51) + struct.pack("<II", 4, 0)
-        p.write_bytes(b"SHRCDAT4" + struct.pack("<III", 1, h, w) + body)
-        with pytest.raises(CorruptFile, match=f"t.dat: frames are {h}x{w}"):
+        p.write_bytes(_container(("t", struct.pack("<III", 1, h, w) + body)))
+        with pytest.raises(CorruptFile, match=f"t.shrc: record 't': frames are {h}x{w}"):
             read_tracklet_frames(p, "t", "s", "c")
 
     def test_shrcdat1_is_rejected_with_a_hint(self, tmp_path):
@@ -577,6 +606,14 @@ class TestFrameContainer:
         with pytest.raises(CorruptFile, match="old.dat: SHRCDAT3 .*re-run synth"):
             read_tracklet_frames(p, "t", "s", "c")
 
+    def test_shrcdat4_is_rejected_with_a_hint(self, tmp_path):
+        # a well-formed container of the one-file-per-tracklet layout: the
+        # magic, then one record as this layout stores it, and no table
+        p = tmp_path / "old.dat"
+        p.write_bytes(b"SHRCDAT4" + _record_bytes(generate_tracklet(_spec(), 0, 0), tmp_path))
+        with pytest.raises(CorruptFile, match="old.dat: SHRCDAT4 frame containers are no longer read; re-run synth$"):
+            read_tracklet_frames(p, "s000_t00", "s", "c")
+
     def test_an_odd_size_mask_section_pads_with_zero_bits(self, tmp_path):
         # 1 frame of 3x3: 9 mask bits in 2 bytes, the last 7 bits padding
         masks = np.array([[[1, 0, 1], [1, 1, 0], [0, 0, 1]]], dtype=float)
@@ -584,103 +621,172 @@ class TestFrameContainer:
             "t", "s", "c", masks=masks, appearance=np.full((1, 3, 3, 3), 0.5),
             body=np.zeros((1, 85)), skeleton=np.zeros((1, 51)),
         )
-        p = tmp_path / "odd.dat"
-        write_tracklet_frames(rec, p)
+        p = tmp_path / "odd.shrc"
+        write_tracklet_frames([rec], p)
         raw = p.read_bytes()
         assert struct.unpack_from("<II", raw, 20) == (1, 9)
         assert raw[28:30] == bytes([0b10111000, 0b10000000])
         assert struct.unpack_from("<II", raw, 30) == (2, 85)
         back = read_tracklet_frames(p, "t", "s", "c")
         assert _same_bytes(back.masks, masks)
-        write_tracklet_frames(back, tmp_path / "again.dat")
-        assert (tmp_path / "again.dat").read_bytes() == raw
+        write_tracklet_frames([back], tmp_path / "again.shrc")
+        assert (tmp_path / "again.shrc").read_bytes() == raw
         for bit in range(7):
             bad = bytearray(raw)
             bad[29] |= 1 << bit
             p.write_bytes(bytes(bad))
-            with pytest.raises(CorruptFile, match="odd.dat: mask section sets a padding bit"):
+            with pytest.raises(CorruptFile, match="odd.shrc: record 't': mask section sets a padding bit"):
                 read_tracklet_frames(p, "t", "s", "c")
 
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
     @pytest.mark.parametrize("name", ["body", "skeleton"])
-    def test_a_record_beyond_f32_is_refused_before_its_container_is_opened(self, tmp_path, name):
-        rec = generate_tracklet(_spec(frames_per_tracklet=2), 0, 0)
-        values = getattr(rec, name).copy()
+    def test_a_record_beyond_f32_is_refused_and_leaves_no_container(self, tmp_path, name):
+        first, second = generate_dataset(_spec(num_ids=1, frames_per_tracklet=2))
+        values = getattr(second, name).copy()
         values[1, 3] = 1e39
-        p = tmp_path / "t.dat"
-        with pytest.raises(InvalidInput, match=f"{name} entries are not finite as f32"):
-            write_tracklet_frames(replace(rec, **{name: values}), p)
+        p = tmp_path / "t.shrc"
+        with pytest.raises(InvalidInput, match=f"tracklet {second.tracklet_id}: {name} entries are not finite as f32"):
+            write_tracklet_frames([first, replace(second, **{name: values})], p)
         assert not p.exists()
+
+    def test_a_repeated_id_is_refused_and_leaves_no_container(self, tmp_path):
+        first, second = generate_dataset(_spec(num_ids=1))
+        p = tmp_path / "t.shrc"
+        with pytest.raises(InvalidInput, match=f"t.shrc: tracklet '{first.tracklet_id}' appears twice"):
+            write_tracklet_frames([first, replace(second, tracklet_id=first.tracklet_id)], p)
+        assert not p.exists()
+
+    def test_a_refusal_from_the_records_leaves_no_container(self, tmp_path):
+        def records():
+            yield generate_tracklet(_spec(), 0, 0)
+            raise InvalidInput("the source refused")
+
+        p = tmp_path / "t.shrc"
+        with pytest.raises(InvalidInput, match="the source refused"):
+            write_tracklet_frames(records(), p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda a, b: b"SHRCDAT5" + a[:4], "t.shrc: truncated at byte 12, before the trailer"),
+            (lambda a, b: _container(("x", a), ("y", b))[:-4] + struct.pack("<I", 1 << 20), "does not fit in"),
+            (lambda a, b: _container(("x", a), ("x", b)), "table of contents: tracklet 'x' is empty or repeated"),
+            (lambda a, b: _container(("x", a), ("", b)), "table of contents: tracklet '' is empty or repeated"),
+            (lambda a, b: _container((b"x\xff", a), ("y", b)), "table of contents: text field is not UTF-8"),
+            # a trailer that counts one entry fewer, or one more, than the table holds
+            (lambda a, b: _container(("x", a), ("y", b))[:-8] + struct.pack("<II", 1, 18),
+             "table of contents: 9 trailing bytes"),
+            (lambda a, b: _container(("x", a), ("y", b))[:-8] + struct.pack("<II", 3, 18),
+             "table of contents: truncated at byte 18"),
+            # lengths that end the records before or after the table starts
+            (lambda a, b: _container(("x", a), ("y", b), lengths=[len(a), len(b) - 1]),
+             f"records end at byte {8 + 2 * 1520 - 1}, the table of contents starts at {8 + 2 * 1520}"),
+            (lambda a, b: _container(("x", a), ("y", b), lengths=[len(a) + 1, len(b)]),
+             f"records end at byte {8 + 2 * 1520 + 1}, the table of contents starts at {8 + 2 * 1520}"),
+        ],
+        ids=["no_trailer", "table_overruns", "repeated_id", "empty_id", "id_not_utf8", "one_entry_fewer",
+             "one_entry_more", "lengths_short", "lengths_long"],
+    )
+    def test_a_table_of_contents_that_does_not_tile_the_file_is_refused(self, tmp_path, damage, message):
+        spec = _spec(frames_per_tracklet=2, height=4, width=4)
+        a, b = (_record_bytes(generate_tracklet(spec, 0, t), tmp_path) for t in range(2))
+        assert len(a) == len(b) == 1520
+        p = tmp_path / "t.shrc"
+        p.write_bytes(damage(a, b))
+        with pytest.raises(CorruptFile, match=re.escape(message)):
+            read_tracklet_frames(p, "x", "s", "c")
+
+    def test_an_id_the_container_lacks_is_refused(self, tmp_path):
+        p = tmp_path / "t.shrc"
+        write_tracklet_frames([generate_tracklet(_spec(), 0, 0)], p)
+        with pytest.raises(CorruptFile, match="t.shrc: holds no tracklet 's000_t01'$"):
+            read_tracklet_frames(p, "s000_t01", "s", "c")
+
+
+_SMALL_IDS = ("s000_t00", "s000_t01")
 
 
 def _small_container(tmp_path) -> bytes:
     spec = _spec(frames_per_tracklet=2, height=4, width=4)
-    p = tmp_path / "small.dat"
-    write_tracklet_frames(generate_tracklet(spec, 0, 0), p)
+    p = tmp_path / "small.shrc"
+    write_tracklet_frames([generate_tracklet(spec, 0, t) for t in range(2)], p)
     raw = p.read_bytes()
-    assert raw[:8] == b"SHRCDAT4"
+    assert raw[:8] == b"SHRCDAT5"
     return raw
 
 
 def _read_or_refuse(path):
-    """The parsed record, or None when the parser refused the bytes."""
+    """The small container's records, read as a manifest naming both reads
+    them, or None when the reader refused the bytes."""
+    rows = [ManifestRow(i, "s", "c", path.name) for i in _SMALL_IDS]
     try:
-        return read_tracklet_frames(path, "t", "s", "c")
+        return list(load_dataset(path.parent / "manifest.csv", rows))
     except (CorruptFile, InvalidInput):
         return None
+
+
+def _refused_or_rewritten(path) -> bool:
+    """True when the reader refuses the container at `path`, or reads records
+    that the writer turns back into its bytes."""
+    records = _read_or_refuse(path)
+    if records is None:
+        return True
+    again = path.parent / "again.shrc"
+    write_tracklet_frames(records, again)
+    return again.read_bytes() == path.read_bytes()
 
 
 class TestContainerFuzz:
     def test_every_truncation_is_refused(self, tmp_path):
         raw = _small_container(tmp_path)
-        p = tmp_path / "cut.dat"
+        p = tmp_path / "cut.shrc"
         for n in range(len(raw)):
             p.write_bytes(raw[:n])
-            with pytest.raises((CorruptFile, InvalidInput)):
-                read_tracklet_frames(p, "t", "s", "c")
+            assert _read_or_refuse(p) is None, n
 
     def test_signalling_nan_is_refused_without_a_warning(self, tmp_path):
         raw = bytearray(_small_container(tmp_path))
-        # header, then two frames of 4x4 masks (4 bytes of bits), body
-        # vectors and skeletons, then the first appearance value
+        # magic, record header, then two frames of 4x4 masks (4 bytes of
+        # bits), body vectors and skeletons, then the first appearance value
         first_app = 20 + 8 + 2 * 16 // 8 + 8 + 2 * 4 * 85 + 8 + 2 * 4 * 51 + 8
         raw[first_app : first_app + 4] = struct.pack("<I", 0x7F800001)
-        p = tmp_path / "snan.dat"
+        p = tmp_path / "snan.shrc"
         p.write_bytes(bytes(raw))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInput, match="finite"):
-                read_tracklet_frames(p, "t", "s", "c")
+                read_tracklet_frames(p, _SMALL_IDS[0], "s", "c")
 
     @pytest.mark.parametrize("section", ["body", "skeleton", "appearance"])
     def test_a_signalling_nan_in_any_f32_section_is_refused_without_a_warning(self, tmp_path, section):
         raw = bytearray(_small_container(tmp_path))
-        # header, the masks' tag and count and 4 bytes of bits, then each f32
-        # section's tag and count and 2 frames of values
+        # magic and record header, the masks' tag and count and 4 bytes of
+        # bits, then each f32 section's tag and count and 2 frames of values
         offsets = {"body": 20 + 8 + 4 + 8}
         offsets["skeleton"] = offsets["body"] + 2 * 4 * 85 + 8
         offsets["appearance"] = offsets["skeleton"] + 2 * 4 * 51 + 8
         # the last value of the section's first frame
         first = offsets[section] + 4 * {"body": 84, "skeleton": 50, "appearance": 47}[section]
         raw[first : first + 4] = struct.pack("<I", 0x7FA00000)
-        p = tmp_path / "snan.dat"
+        p = tmp_path / "snan.shrc"
         p.write_bytes(bytes(raw))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInput, match="finite"):
-                read_tracklet_frames(p, "t", "s", "c")
+                read_tracklet_frames(p, _SMALL_IDS[0], "s", "c")
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_single_byte_mutation_is_refused_or_valid(self, tmp_path, data):
+    def test_single_byte_mutation_is_refused_or_rewrites_to_the_same_bytes(self, tmp_path, data):
         raw = bytearray(_small_container(tmp_path))
         pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
         value = data.draw(st.integers(0, 255).filter(lambda v: v != raw[pos]), label="value")
         raw[pos] = value
-        p = tmp_path / "mutated.dat"
+        p = tmp_path / "mutated.shrc"
         p.write_bytes(bytes(raw))
-        rec = _read_or_refuse(p)
-        if rec is not None:
+        assert _refused_or_rewritten(p)
+        for rec in _read_or_refuse(p) or []:
             assert isinstance(rec, TrackletRecord) and len(rec) == 2
             assert rec.masks.shape == (2, 4, 4) and rec.appearance.shape == (2, 4, 4, 3)
             assert set(np.unique(rec.masks)) <= {0.0, 1.0}
@@ -690,6 +796,16 @@ class TestContainerFuzz:
             conf = rec.skeleton[:, 34:]
             assert conf.min() >= 0.0 and conf.max() <= 1.0
 
+    def test_every_byte_value_in_the_table_and_trailer_is_refused_or_rewrites(self, tmp_path):
+        raw = _small_container(tmp_path)
+        (toc_size,) = struct.unpack_from("<I", raw, len(raw) - 4)
+        p = tmp_path / "mutated.shrc"
+        for pos in range(len(raw) - 8 - toc_size, len(raw)):
+            for value in range(256):
+                if value != raw[pos]:
+                    p.write_bytes(raw[:pos] + bytes([value]) + raw[pos + 1 :])
+                    assert _refused_or_rewritten(p), (pos, value)
+
 
 class TestDatasetIo:
     def test_write_then_load(self, tmp_path):
@@ -697,55 +813,154 @@ class TestDatasetIo:
         rows = write_dataset(recs, tmp_path / "data")
         manifest = tmp_path / "data" / "manifest.csv"
         assert rows == read_manifest(manifest)
+        assert {row.frames_path for row in rows} == {"frames-0.shrc"}
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["frames-0.shrc", "manifest.csv"]
         loaded = list(load_dataset(manifest))
         assert [r.tracklet_id for r in loaded] == [r.tracklet_id for r in recs]
         assert [r.clothing_id for r in loaded] == [r.clothing_id for r in recs]
         for ra, rb in zip(recs, loaded):
             np.testing.assert_array_equal(rb.masks[0], ra.masks[0])
 
-    def test_write_dataset_writes_each_container_before_drawing_the_next_record(self, tmp_path):
-        spec = _spec(num_ids=2, tracklets_per_id=2, frames_per_tracklet=2)
-        frames = tmp_path / "data" / "frames"
-        written_before_next = []
+    def test_rows_out_of_file_order_read_the_generated_records(self, tmp_path):
+        recs = generate_dataset(_spec(num_ids=3, tracklets_per_id=3, frames_per_tracklet=3))
+        rows = write_dataset(recs, tmp_path / "data")
+        order = [5, 0, 8, 3, 1, 7, 2, 6, 4]
+        loaded = load_dataset(tmp_path / "data" / "manifest.csv", [rows[i] for i in order])
+        for i, back in zip(order, loaded, strict=True):
+            want = recs[i]
+            assert (back.tracklet_id, back.subject_id, back.clothing_id) == (
+                want.tracklet_id, want.subject_id, want.clothing_id
+            )
+            for name in ("masks", "appearance", "body", "skeleton"):
+                assert _same_bytes(getattr(back, name), getattr(want, name).astype(np.float32).astype(np.float64))
 
-        def records():
-            previous = None
-            for rec in iter_dataset(spec):
-                if previous is not None:
-                    written_before_next.append((frames / f"{previous}.dat").is_file())
-                previous = rec.tracklet_id
-                yield rec
+    def test_write_tracklet_frames_holds_one_record_at_a_time(self, tmp_path):
+        # each record's f32 payloads are new arrays; a writer that kept them
+        # until the end would peak at the sum of all 40 records, not at about
+        # two records' worth
+        base = generate_tracklet(_spec(frames_per_tracklet=8, height=16, width=16), 0, 0)
+        payload = sum(getattr(base, n).size * 4 for n in ("appearance", "body", "skeleton"))
+        records = (replace(base, tracklet_id=f"t{i:02d}") for i in range(40))
+        tracemalloc.start()
+        try:
+            write_tracklet_frames(records, tmp_path / "t.shrc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * payload, (peak, payload)
 
-        write_dataset(records(), tmp_path / "data")
-        assert written_before_next == [True] * (spec.num_ids * spec.tracklets_per_id - 1)
+    def test_load_dataset_holds_about_one_record_at_a_time(self, tmp_path):
+        spec = _spec(num_ids=10, tracklets_per_id=4, frames_per_tracklet=8, height=16, width=16)
+        write_dataset(iter_dataset(spec), tmp_path / "data")
+        container = (tmp_path / "data" / "frames-0.shrc").stat().st_size
+        one = generate_tracklet(spec, 0, 0)
+        record = sum(getattr(one, n).nbytes for n in ("masks", "appearance", "body", "skeleton"))
+        count = 0
+        tracemalloc.start()
+        try:
+            for _ in load_dataset(tmp_path / "data" / "manifest.csv"):
+                count += 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the loop holds the last record while the next one is read: about
+        # two records' float64 arrays, the bytes of one and its checks'
+        # temporaries (2.9 records here), not the 14-record first container
+        assert count == 40 and container > 12 * record
+        assert peak < 4 * record, (peak, record, container)
 
-    def test_a_repeated_tracklet_id_is_refused_before_its_container_is_written(self, tmp_path):
-        # containers are named by tracklet id: the repeat would overwrite the first one's
+    def test_load_dataset_opens_a_container_when_the_rows_move_to_it(self, tmp_path, monkeypatch):
         recs = generate_dataset(_spec(num_ids=2, tracklets_per_id=2, frames_per_tracklet=2))
-        write_dataset(recs, tmp_path / "clean")
+        write_tracklet_frames(recs[:2], tmp_path / "a.shrc")
+        write_tracklet_frames(recs[2:], tmp_path / "b.shrc")
+        opened = []
+
+        def logged_open(path, *args, **kwargs):
+            # one container is open at a time
+            assert all(f.closed for f in opened)
+            opened.append(open(path, *args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sharc.synth, "open", logged_open, raising=False)
+        for order, names in [((0, 1, 2, 3), ["a", "b"]), ((0, 2, 1, 3), ["a", "b", "a", "b"]), ((3, 2), ["b"])]:
+            rows = [ManifestRow(recs[i].tracklet_id, "s", "c", "ab"[i // 2] + ".shrc") for i in order]
+            opened.clear()
+            loaded = list(load_dataset(tmp_path / "manifest.csv", rows))
+            assert [r.tracklet_id for r in loaded] == [recs[i].tracklet_id for i in order]
+            assert [os.path.basename(f.name) for f in opened] == [f"{name}.shrc" for name in names]
+            assert all(f.closed for f in opened)
+        # a reader left after its first record closes its container
+        loaded = load_dataset(tmp_path / "manifest.csv", rows)
+        next(loaded)
+        assert not opened[-1].closed
+        loaded.close()
+        assert opened[-1].closed
+
+    def test_write_dataset_closes_a_container_before_it_passes_container_bytes(self, tmp_path, monkeypatch):
+        spec = _spec(num_ids=3, tracklets_per_id=2, frames_per_tracklet=2)
+        recs = generate_dataset(spec)
+        size = len(_record_bytes(recs[0], tmp_path))
+        for limit, containers in [(1 << 20, [6]), (2 * size, [2, 2, 2]), (3 * size - 1, [2, 2, 2]), (size - 1, [1] * 6)]:
+            monkeypatch.setattr(sharc.synth, "CONTAINER_BYTES", limit)
+            out = tmp_path / str(limit)
+            rows = write_dataset(iter_dataset(spec), out)
+            names = [f"frames-{k}.shrc" for k in range(len(containers))]
+            assert [row.frames_path for row in rows] == [n for n, c in zip(names, containers) for _ in range(c)]
+            assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.csv"])
+            for name, count in zip(names, containers):
+                raw = (out / name).read_bytes()
+                assert struct.unpack_from("<I", raw, len(raw) - 8) == (count,)
+            for want, back in zip(recs, load_dataset(out / "manifest.csv"), strict=True):
+                assert back.tracklet_id == want.tracklet_id
+                assert _same_bytes(back.appearance, want.appearance.astype(np.float32).astype(np.float64))
+
+    def test_write_dataset_writes_nothing_but_the_manifest_for_no_records(self, tmp_path):
+        assert write_dataset([], tmp_path / "data") == []
+        assert [p.name for p in (tmp_path / "data").iterdir()] == ["manifest.csv"]
+
+    @pytest.mark.parametrize("limit", [1 << 20, 1])
+    def test_write_dataset_refuses_a_record_beyond_f32_and_leaves_no_container(self, tmp_path, monkeypatch, limit):
+        # at a limit of 1 byte each record has a container of its own, and
+        # the two written before the refusal are removed too
+        monkeypatch.setattr(sharc.synth, "CONTAINER_BYTES", limit)
+        recs = generate_dataset(_spec(num_ids=2, tracklets_per_id=2, frames_per_tracklet=2))
+        body = recs[2].body.copy()
+        body[0, 0] = 1e39
+        with pytest.raises(InvalidInput, match="body entries are not finite as f32"):
+            write_dataset(recs[:2] + [replace(recs[2], body=body)] + recs[3:], tmp_path / "data")
+        assert list((tmp_path / "data").iterdir()) == []
+
+    @pytest.mark.parametrize("limit", [1 << 20, 1])
+    def test_a_repeated_tracklet_id_is_refused_and_leaves_no_container(self, tmp_path, monkeypatch, limit):
+        # a table of contents could not tell the two records apart, nor could
+        # the manifest, when they are in two containers
+        monkeypatch.setattr(sharc.synth, "CONTAINER_BYTES", limit)
+        recs = generate_dataset(_spec(num_ids=2, tracklets_per_id=2, frames_per_tracklet=2))
         first = recs[0].tracklet_id
         assert recs[2].tracklet_id != first
         repeated = recs[:2] + [replace(recs[2], tracklet_id=first)] + recs[3:]
         with pytest.raises(InvalidInput, match=f"tracklet '{first}' appears twice"):
             write_dataset(repeated, tmp_path / "data")
-        frames = tmp_path / "data" / "frames"
-        clean = tmp_path / "clean" / "frames" / f"{first}.dat"
-        assert (frames / f"{first}.dat").read_bytes() == clean.read_bytes()
-        assert sorted(p.name for p in frames.iterdir()) == [f"{r.tracklet_id}.dat" for r in recs[:2]]
-        assert not (tmp_path / "data" / "manifest.csv").exists()
+        assert list((tmp_path / "data").iterdir()) == []
 
     @pytest.mark.parametrize("bad_id", ["s000,t01", "s000\rt01", "s000\nt01", "#s000_t01"])
-    def test_a_tracklet_id_the_manifest_refuses_is_refused_before_its_container_is_written(
-        self, tmp_path, bad_id
+    def test_a_tracklet_id_the_manifest_refuses_is_refused_before_its_record_is_written(
+        self, tmp_path, monkeypatch, bad_id
     ):
         recs = generate_dataset(_spec(num_ids=2, tracklets_per_id=2, frames_per_tracklet=2))
         renamed = [recs[0], replace(recs[1], tracklet_id=bad_id)] + recs[2:]
+        serialized, record_parts = [], sharc.synth._record_parts
+
+        def logged_parts(record):
+            serialized.append(record.tracklet_id)
+            return record_parts(record)
+
+        monkeypatch.setattr(sharc.synth, "_record_parts", logged_parts)
         reason = "would start a comment line" if bad_id[0] == "#" else "holds a comma, CR or LF"
         with pytest.raises(InvalidInput, match=re.escape(f"manifest.csv: tracklet {bad_id!r} {reason}")):
             write_dataset(renamed, tmp_path / "data")
-        frames = tmp_path / "data" / "frames"
-        assert sorted(p.name for p in frames.iterdir()) == [f"{recs[0].tracklet_id}.dat"]
-        assert not (tmp_path / "data" / "manifest.csv").exists()
+        assert serialized == [recs[0].tracklet_id]
+        assert list((tmp_path / "data").iterdir()) == []
 
     def test_streamed_records_equal_the_generated_list(self, tmp_path):
         spec = _spec(num_ids=2, tracklets_per_id=3, frames_per_tracklet=3)
@@ -772,31 +987,45 @@ class TestDatasetIo:
             assert f.read().startswith("# sharc test\ntracklet_id,")
         assert [r.tracklet_id for r in load_dataset(manifest)] == [r.tracklet_id for r in recs]
 
-    def test_load_dataset_reads_each_container_when_its_record_is_asked_for(self, tmp_path):
+    def test_load_dataset_reads_each_record_when_it_is_asked_for(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
         write_dataset(recs, tmp_path / "data")
         manifest = tmp_path / "data" / "manifest.csv"
-        (tmp_path / "data" / "frames" / f"{recs[1].tracklet_id}.dat").unlink()
+        container = tmp_path / "data" / "frames-0.shrc"
+        # the second record's first section tag
+        raw = bytearray(container.read_bytes())
+        second = 8 + len(_record_bytes(recs[0], tmp_path)) + 12
+        assert raw[second] == 1
+        raw[second] = 9
+        container.write_bytes(bytes(raw))
         loaded = load_dataset(manifest)
         assert isinstance(loaded, Iterator) and not isinstance(loaded, list)
         assert next(loaded).tracklet_id == recs[0].tracklet_id
-        with pytest.raises(CorruptFile, match="missing frame container"):
+        with pytest.raises(CorruptFile, match=f"frames-0.shrc: record '{recs[1].tracklet_id}': expected section 1"):
             next(loaded)
+
+    def test_a_manifest_id_the_container_lacks_names_the_manifest_and_the_id(self, tmp_path):
+        recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
+        rows = write_dataset(recs, tmp_path / "data")
+        manifest = tmp_path / "data" / "manifest.csv"
+        rows = [rows[0], replace(rows[1], tracklet_id="s000_t07")]
+        with pytest.raises(CorruptFile, match="manifest.csv: frame container frames-0.shrc holds no tracklet 's000_t07'$"):
+            list(load_dataset(manifest, rows))
 
     def test_missing_container_reported(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
         write_dataset(recs, tmp_path / "data")
         manifest = tmp_path / "data" / "manifest.csv"
-        (tmp_path / "data" / "frames" / f"{recs[0].tracklet_id}.dat").unlink()
-        with pytest.raises(CorruptFile):
+        (tmp_path / "data" / "frames-0.shrc").unlink()
+        with pytest.raises(CorruptFile, match="manifest.csv: missing frame container frames-0.shrc$"):
             list(load_dataset(manifest))
 
     def test_container_path_naming_a_directory_is_corrupt(self, tmp_path):
         recs = generate_dataset(_spec(num_ids=1, tracklets_per_id=2, frames_per_tracklet=2))
         write_dataset(recs, tmp_path / "data")
         manifest = tmp_path / "data" / "manifest.csv"
-        container = tmp_path / "data" / "frames" / f"{recs[1].tracklet_id}.dat"
+        container = tmp_path / "data" / "frames-0.shrc"
         container.unlink()
         container.mkdir()
-        with pytest.raises(CorruptFile, match=f"manifest.csv: frame container frames/{container.name} is not a file"):
+        with pytest.raises(CorruptFile, match="manifest.csv: frame container frames-0.shrc is not a file"):
             list(load_dataset(manifest))
